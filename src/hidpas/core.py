@@ -278,7 +278,7 @@ def validate_network(net: BayesNet) -> list[Violation]:
             out.append(Violation(var.id, "range", "CPT entry outside [0, 1]"))
         sums = cpt.table.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        configs = list(product(*(range(net.dag.arity(p)) for p in cpt.parents)))
+        configs = parent_configurations(net, var.id)
         for j in bad:
             out.append(
                 Violation(var.id, "row-sum",

@@ -15,6 +15,7 @@ import numpy as np
 from .core import BayesNet, Cpt, Dag, Variable
 
 SCORE_EPS = 1e-12  # a candidate parent must beat the current score by this
+ENTRY_BUDGET = 1 << 14  # array entries per K2 scoring chunk; bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -123,24 +124,78 @@ def count_statistics(
     return CountStatistics(var, parents, flat.reshape(q, r))
 
 
+def lgamma_table(size: int) -> np.ndarray:
+    """math.lgamma(i) for i in 0..size-1; entry 0, a pole, holds 0.0 and is never read."""
+    table = np.zeros(size)
+    table[1:] = [math.lgamma(i) for i in range(1, size)]
+    return table
+
+
+def k2_log_scores(counts: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
+    """K2 local log scores of G count tables, given as counts of shape (G, Q, r).
+
+    lgamma must cover 0..N + r for the largest table total N. Per
+    configuration j the terms are lgamma(r) - lgamma(N_j + r), then
+    lgamma(N_jk + 1) for each state k, added one at a time in row-major
+    order: np.add.accumulate keeps that order, where np.sum's pairwise
+    summation would change the last bits and could flip K2 ties. Empty
+    configurations and counts of 0 or 1 give exact 0.0 terms, so every score
+    equals the plain per-term loop bit for bit. Configurations are taken in
+    chunks of about ENTRY_BUDGET terms, the running sum carried between them.
+    """
+    g, q, r = counts.shape
+    step = max(1, ENTRY_BUDGET // (g * (r + 1)))
+    total = np.zeros((g, 1))
+    for start in range(0, q, step):
+        block = counts[:, start:start + step]
+        terms = np.empty(block.shape[:2] + (r + 1,))
+        terms[..., 0] = lgamma[r] - lgamma[block.sum(axis=2) + r]
+        terms[..., 1:] = lgamma[block + 1]
+        terms = np.concatenate([total, terms.reshape(g, -1)], axis=1)
+        total = np.add.accumulate(terms, axis=1)[:, -1:]
+    return total[:, 0]
+
+
 def k2_local_log_score(stats: CountStatistics) -> float:
     """Natural log of the local marginal-likelihood score.
 
     Per configuration j: lgamma(r) - lgamma(N_j + r) + sum_k lgamma(N_jk + 1).
     Zero-count configurations contribute exactly 0.
     """
-    r = stats.arity
-    score = 0.0
-    lg_r = math.lgamma(r)
-    for j in range(stats.counts.shape[0]):
-        n_j = int(stats.marginals[j])
-        if n_j == 0:
-            continue
-        score += lg_r - math.lgamma(n_j + r)
-        for n_jk in stats.counts[j]:
-            if n_jk > 1:
-                score += math.lgamma(int(n_jk) + 1)
-    return score
+    lgamma = lgamma_table(int(stats.counts.sum()) + stats.arity + 1)
+    return float(k2_log_scores(stats.counts[None], lgamma)[0])
+
+
+def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np.ndarray,
+                      q: int, candidates: list[int], lgamma: np.ndarray) -> np.ndarray:
+    """Scores of var's parents, encoded per row in cfg (q configurations),
+    plus each candidate as the last parent; aligned with candidates.
+
+    columns holds the data column by column. Candidates of one arity are
+    counted together by one np.bincount, each offset into its own table, in
+    chunks of at most ENTRY_BUDGET keys or table entries (at least one
+    candidate per chunk).
+    """
+    n_rows = columns.shape[1]
+    r = arities[var]
+    scores = np.empty(len(candidates))
+    by_arity: dict[int, list[int]] = {}
+    for i, c in enumerate(candidates):
+        by_arity.setdefault(arities[c], []).append(i)
+    for a, idx in by_arity.items():
+        span = q * a * r
+        size = min(len(idx), max(1, ENTRY_BUDGET // max(n_rows, q * a * (r + 1))))
+        # key of row n for the i-th candidate c of a chunk:
+        # i * span + (cfg[n] * a + columns[c, n]) * r + columns[var, n]
+        base = cfg * (a * r) + columns[var] + np.arange(0, size * span, span)[:, None]
+        for start in range(0, len(idx), size):
+            part = idx[start:start + size]
+            keys = np.multiply(columns[[candidates[i] for i in part]], r, dtype=np.int64)
+            keys += base[:len(part)]
+            counts = np.bincount(keys.ravel(), minlength=len(part) * span)
+            scores[part] = k2_log_scores(counts.reshape(len(part), q * a, r), lgamma)
+            del counts  # so that two count tables are never held at once
+    return scores
 
 
 def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
@@ -150,6 +205,10 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     most increases the local log score; stop when no candidate strictly
     increases it or the parent budget is exhausted. Ties between equally
     scoring candidates go to the lowest variable id.
+
+    Every score is summed sequentially in row-major order (k2_log_scores), so
+    it is bit-identical to k2_local_log_score on count_statistics's table for
+    the same parents, and so are the ties and the learned structure.
     """
     n = len(data.variables)
     if sorted(config.order) != list(range(n)):
@@ -157,22 +216,29 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     if config.max_parents >= n > 0:
         raise ValueError("max_parents must be < variable count")
 
+    arities = [v.arity for v in data.variables]
+    max_arity = max(arities, default=1)
+    # column-major and in the smallest integer type, so gathering candidates is cheap
+    columns = data.rows.T.astype(np.min_scalar_type(max_arity - 1))
+    lgamma = lgamma_table(data.row_count + max_arity + 1)
     parent_sets: list[tuple[int, ...]] = [()] * n
     for pos, var in enumerate(config.order):
-        candidates = set(config.order[:pos])
+        r = arities[var]
+        candidates = sorted(config.order[:pos])
         parents: list[int] = []
-        current = k2_local_log_score(count_statistics(data, var, parents))
+        cfg = np.zeros(data.row_count, dtype=np.int64)  # parent configuration per row
+        q = 1
+        counts = np.bincount(data.rows[:, var], minlength=r).reshape(1, 1, r)
+        current = float(k2_log_scores(counts, lgamma)[0])
         while len(parents) < config.max_parents and candidates:
-            scored = [
-                (k2_local_log_score(count_statistics(data, var, parents + [c])), c)
-                for c in sorted(candidates)
-            ]
-            best_score = max(s for s, _ in scored)
-            best = min(c for s, c in scored if s == best_score)
-            if best_score > current + SCORE_EPS:
+            scores = _candidate_scores(columns, arities, var, cfg, q, candidates, lgamma)
+            i = int(np.argmax(scores))  # the first maximum: lowest id wins ties
+            if scores[i] > current + SCORE_EPS:
+                best = candidates.pop(i)
                 parents.append(best)
-                candidates.discard(best)
-                current = best_score
+                cfg = cfg * arities[best] + data.rows[:, best]
+                q *= arities[best]
+                current = float(scores[i])
             else:
                 break
         parent_sets[var] = tuple(parents)

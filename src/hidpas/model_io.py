@@ -13,11 +13,10 @@ after the network. `#` starts a comment; files are UTF-8.
 from __future__ import annotations
 
 import datetime as _dt
-from itertools import product
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Variable
+from .core import BayesNet, Cpt, Dag, Variable, parent_configurations, validate_network
 from .features import DataError, format_rules, parse_rules
 
 FORMAT_HEADER = "HIDPAS-BN v1"
@@ -45,8 +44,7 @@ def format_network(net: BayesNet, timestamp: bool = True) -> str:
     for var in net.dag.variables:
         cpt = net.cpts[var.id]
         lines.append(f"CPT {var.id}")
-        configs = product(*(range(net.dag.arity(p)) for p in cpt.parents))
-        for j, cfg in enumerate(configs):
+        for j, cfg in enumerate(parent_configurations(net, var.id)):
             cfg_txt = "(" + ",".join(str(c) for c in cfg) + ")"
             row = " ".join(f"{p:.12g}" for p in cpt.table[j])
             lines.append(f"{cfg_txt} : {row}")
@@ -78,7 +76,9 @@ def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
 
 
 def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str, list[str]]]:
-    """Parse the network sections; returns the net plus any extra sections."""
+    """Parse and validate the network sections; returns the net plus any extra
+    sections. A net that breaks an invariant of validate_network raises
+    DataError naming the path and the first violation."""
     sections = _read_sections(text, path)
     variables: list[Variable] = []
     parent_lists: dict[int, list[int]] = {}
@@ -132,7 +132,11 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
         if table.ndim != 2:
             raise DataError(f"{path}: ragged CPT for variable {var.id}")
         cpts.append(Cpt(var.id, parents[var.id], table))
-    return BayesNet(dag, tuple(cpts)), extras
+    net = BayesNet(dag, tuple(cpts))
+    violations = validate_network(net)
+    if violations:
+        raise DataError(f"{path}: invalid network: {violations[0]}")
+    return net, extras
 
 
 def load_network(path: str) -> BayesNet:

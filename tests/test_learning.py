@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hidpas import learning
 from hidpas.core import Variable, validate_network
 from hidpas.learning import (
+    ENTRY_BUDGET,
+    SCORE_EPS,
     DiscreteDataset,
     LearnConfig,
     count_statistics,
     fit_cpts,
     k2_local_log_score,
+    k2_log_scores,
     k2_search,
+    lgamma_table,
 )
 from hidpas.oracles import k2_score_by_factorials
 
@@ -182,3 +187,148 @@ def test_fit_cpts_rows_sum_to_one(px_data):
     net = fit_cpts(px_data, dag, smoothing=0.5)
     for cpt in net.cpts:
         np.testing.assert_allclose(cpt.table.sum(axis=1), 1.0, atol=1e-12)
+
+
+# -- vectorized scoring against the per-term loop -----------------------------
+
+def reference_score(counts: np.ndarray) -> float:
+    """The per-configuration, per-state loop the kernel must match bit for bit."""
+    r = counts.shape[1]
+    score = 0.0
+    lg_r = math.lgamma(r)
+    for j in range(counts.shape[0]):
+        n_j = int(counts[j].sum())
+        if n_j == 0:
+            continue
+        score += lg_r - math.lgamma(n_j + r)
+        for n_jk in counts[j]:
+            if n_jk > 1:
+                score += math.lgamma(int(n_jk) + 1)
+    return score
+
+
+def reference_k2_search(data: DiscreteDataset, config: LearnConfig) -> tuple:
+    """Greedy K2 scoring one count_statistics table per candidate."""
+    parent_sets: list[tuple[int, ...]] = [()] * len(data.variables)
+    for pos, var in enumerate(config.order):
+        candidates = set(config.order[:pos])
+        parents: list[int] = []
+        current = reference_score(count_statistics(data, var, parents).counts)
+        while len(parents) < config.max_parents and candidates:
+            scored = [
+                (reference_score(count_statistics(data, var, parents + [c]).counts), c)
+                for c in sorted(candidates)
+            ]
+            best_score = max(s for s, _ in scored)
+            best = min(c for s, c in scored if s == best_score)
+            if best_score > current + SCORE_EPS:
+                parents.append(best)
+                candidates.discard(best)
+                current = best_score
+            else:
+                break
+        parent_sets[var] = tuple(parents)
+    return tuple(parent_sets)
+
+
+def random_counts(rng, g: int, q: int, r: int) -> np.ndarray:
+    """Mostly 0s and 1s, some larger counts, and whole empty configurations."""
+    counts = rng.choice([0, 0, 0, 1, 1, 2, 3, 17, 250], size=(g, q, r))
+    counts[:, rng.random(q) < 0.3] = 0
+    return counts
+
+
+def kernel_scores(counts: np.ndarray) -> list[float]:
+    lgamma = lgamma_table(int(counts.sum(axis=(1, 2)).max(initial=0)) + counts.shape[2] + 1)
+    return k2_log_scores(counts, lgamma).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 40),
+       st.sampled_from([1, 2, 3, 7, 150]), st.sampled_from([ENTRY_BUDGET, 1, 7, 100]))
+def test_kernel_equals_reference_loop(seed, g, q, r, budget):
+    counts = random_counts(np.random.default_rng(seed), g, q, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "ENTRY_BUDGET", budget)
+        got = kernel_scores(counts)
+    assert got == [reference_score(c) for c in counts]
+
+
+def test_kernel_carries_sum_across_chunks_of_a_large_table():
+    rng = np.random.default_rng(11)
+    counts = np.zeros((1, 2000, 20), dtype=np.int64)
+    counts[0, rng.choice(2000, 120, replace=False)] = random_counts(rng, 1, 120, 20)[0]
+    assert counts.shape[1] * (counts.shape[2] + 1) > ENTRY_BUDGET
+    assert kernel_scores(counts) == [reference_score(counts[0])]
+
+
+def test_local_score_is_the_kernel(px_data):
+    for parents in ((), (0,)):
+        stats = count_statistics(px_data, 1, parents)
+        assert k2_local_log_score(stats) == reference_score(stats.counts)
+
+
+# -- batched search against a search over count_statistics --------------------
+
+def mixed_dataset(rng, n_rows: int, arities: list[int], copies: int) -> DiscreteDataset:
+    """Random columns, then `copies` duplicate or complementary columns."""
+    cols = [rng.integers(0, a, n_rows) for a in arities]
+    arities = list(arities)
+    for _ in range(copies):
+        src = int(rng.integers(0, len(arities)))
+        flip = rng.random() < 0.5
+        cols.append(arities[src] - 1 - cols[src] if flip else cols[src].copy())
+        arities.append(arities[src])
+    # a noisy child of the first columns, so that searches add parents
+    child = (sum(cols[: min(3, len(cols))]) + (rng.random(n_rows) < 0.2)) % 3
+    cols.append(child)
+    arities.append(3)
+    variables = tuple(Variable(i, f"v{i}", tuple(str(s) for s in range(a)))
+                      for i, a in enumerate(arities))
+    rows = np.stack(cols, axis=1) if n_rows else np.zeros((0, len(cols)), dtype=np.int64)
+    return DiscreteDataset(variables, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 120),
+       st.lists(st.integers(2, 5), min_size=1, max_size=4), st.integers(0, 2),
+       st.integers(0, 3), st.sampled_from([ENTRY_BUDGET, 1, 40]))
+def test_k2_search_equals_reference_search(seed, n_rows, arities, copies, max_parents,
+                                           budget):
+    rng = np.random.default_rng(seed)
+    data = mixed_dataset(rng, n_rows, arities, copies)
+    n = len(data.variables)
+    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n)),
+                         max_parents=min(max_parents, n - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "ENTRY_BUDGET", budget)
+        got = k2_search(data, config).parents
+    assert got == reference_k2_search(data, config)
+
+
+def test_k2_search_equals_reference_on_chunked_candidates():
+    # 3000 rows: only a few candidates fit one bincount under the budget
+    rng = np.random.default_rng(21)
+    data = mixed_dataset(rng, 3000, [2, 2, 3, 2, 4, 2, 2, 5, 2, 2], copies=4)
+    assert data.row_count * 4 < ENTRY_BUDGET < data.row_count * 12
+    config = LearnConfig(order=tuple(range(len(data.variables))), max_parents=3)
+    assert k2_search(data, config).parents == reference_k2_search(data, config)
+
+
+def test_k2_search_ties_go_to_lowest_id():
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 2, 200)
+    x = np.where(rng.random(200) < 0.9, a, 1 - a)
+    # A2 copies A: their tables and scores are identical, so A (lower id) wins;
+    # notA's table is A's with rows swapped, summed in another order
+    data = dataset(["notA", "A2", "A", "X"], np.stack([1 - a, a, a.copy(), x], axis=1))
+    x_given = [reference_score(count_statistics(data, 3, (c,)).counts) for c in range(3)]
+    assert x_given[1] == x_given[2]
+    for order in ((2, 1, 0, 3), (2, 1, 3, 0)):
+        config = LearnConfig(order=order, max_parents=1)
+        dag = k2_search(data, config)
+        assert dag.parents == reference_k2_search(data, config)
+        if order[-1] == 0:  # notA comes after X: A2 and A tie
+            assert dag.parents[3] == (1,)
+        else:
+            assert dag.parents[3] == ((0,) if x_given[0] > x_given[1] else (1,))

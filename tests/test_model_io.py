@@ -139,3 +139,48 @@ def test_format_parse_fixed_point_on_random_nets():
         back, _ = parse_network(once)
         twice = format_network(back, timestamp=False)
         assert once == twice
+
+
+CYCLIC_PLAN = FORMAT_HEADER + """
+VARIABLES
+0 a absent,present
+1 b absent,present
+EDGES
+0 -> 1
+1 -> 0
+CPT 0
+(0) : 0.5 0.5
+(1) : 0.5 0.5
+CPT 1
+(0) : 0.5 0.5
+(1) : 0.5 0.5
+PLAN
+tau 0.5
+hyper 0 a
+hyper 1 b
+"""
+
+
+def test_cyclic_plan_file_rejected_with_path(tmp_path):
+    from hidpas.model_io import load_plan
+
+    path = tmp_path / "cyclic.bn"
+    path.write_text(CYCLIC_PLAN, encoding="utf-8")
+    with pytest.raises(DataError, match=r"cyclic\.bn: invalid network: \[cycle\]"):
+        load_plan(str(path))
+
+
+def test_wrong_shaped_cpt_rejected_with_path(tmp_path, two_node_net):
+    text = format_network(two_node_net, timestamp=False)
+    # B has one parent of arity 2, so its CPT needs two rows; drop one
+    short = "\n".join(ln for ln in text.splitlines() if not ln.startswith("(1) :")) + "\n"
+    path = tmp_path / "short.bn"
+    path.write_text(short, encoding="utf-8")
+    with pytest.raises(DataError, match=r"short\.bn: invalid network: \[cpt-shape\] var 1"):
+        load_network(str(path))
+
+
+def test_unnormalized_cpt_row_rejected():
+    text = FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nCPT 0\n() : 0.5 0.6\n"
+    with pytest.raises(DataError, match=r"<string>: invalid network: \[row-sum\] var 0: row \(\)"):
+        parse_network(text)
