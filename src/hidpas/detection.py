@@ -13,8 +13,8 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
-
 
 from .core import BayesNet, Evidence
 from .features import (
@@ -29,15 +29,21 @@ from .features import (
     select_features,
     to_discrete_dataset,
 )
-from .jtree import ImpossibleEvidenceError
 from .learning import LearnConfig, fit_cpts, k2_search
-from .possibility import HybridMarginal, HybridPropagator
+from .possibility import HybridMarginal, HybridPropagator, select_state
 
 log = logging.getLogger(__name__)
 
 NORMAL_LABEL = "normal"
 
 ALERT_CSV_HEADER = "timestamp,host,src_ip,dst_ip,type,necessity,probability,possibility"
+
+# Column of each feature in ConnectionRecord.values.
+FEATURE_COLUMNS = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
+
+# detect_stream calibrates at most this many cluster table entries at once,
+# so its memory does not grow with the stream.
+ENTRY_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,10 @@ class ConnectionRecord:
             raise ValueError(f"expected {len(KDD_FEATURES)} feature values")
 
     def value(self, feature: str):
-        for i, (name, _) in enumerate(KDD_FEATURES):
-            if name == feature:
-                return self.values[i]
-        raise ValueError(f"unknown feature {feature!r}")
+        try:
+            return self.values[FEATURE_COLUMNS[feature]]
+        except KeyError:
+            raise ValueError(f"unknown feature {feature!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,21 @@ class DetectorModel:
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
 
+    @cached_property
+    def evidence_encoding(self) -> tuple[tuple[str, int, int, float | dict[str, int]], ...]:
+        """Per feature: (name, variable id, record column, rule), where the
+        rule is a numeric threshold or a category's state index map."""
+        kinds = dict(KDD_FEATURES)
+        out = []
+        for name in self.features:
+            var = self.net.variable(self.net.var_id(name))
+            if kinds[name] == NUMERIC:
+                rule = self.rules.means[name]
+            else:  # the first index of a repeated label, as states.index gives
+                rule = {s: i for i, s in reversed(list(enumerate(var.states)))}
+            out.append((name, var.id, FEATURE_COLUMNS[name], rule))
+        return tuple(out)
+
     @property
     def class_states(self) -> tuple[str, ...]:
         return self.net.variable(self.class_var).states
@@ -181,80 +202,76 @@ def _record_evidence(model: DetectorModel, record: ConnectionRecord
                      ) -> tuple[dict[int, int], list[str]]:
     """Discretize one record into evidence; unseen category values carry no
     information under the model and are left unasserted."""
-    kinds = dict(KDD_FEATURES)
     evidence: dict[int, int] = {}
     unknown: list[str] = []
-    for name in model.features:
-        var = model.net.variable(model.net.var_id(name))
-        raw = record.value(name)
-        if kinds[name] == NUMERIC:
-            state = 0 if float(raw) < model.rules.means[name] else 1
+    for name, var, column, rule in model.evidence_encoding:
+        raw = record.values[column]
+        if not isinstance(rule, dict):
+            evidence[var] = 0 if float(raw) < rule else 1
+        elif (state := rule.get(str(raw))) is not None:
+            evidence[var] = state
         else:
-            try:
-                state = var.states.index(str(raw))
-            except ValueError:
-                unknown.append(f"{name}={raw}")
-                continue
-        evidence[var.id] = state
+            unknown.append(f"{name}={raw}")
     return evidence, unknown
 
 
-def _select_state(marginal: HybridMarginal, tau: float) -> tuple[int, bool]:
-    """Most probable informative state; plain argmax (low confidence) if none."""
-    informative = [k for k in range(marginal.arity) if marginal.informative(k, tau)]
-    pool = informative or list(range(marginal.arity))
-    best = pool[0]
-    for k in pool[1:]:
-        if marginal.probability[k] > marginal.probability[best]:
-            best = k
-    return best, not informative
+def classify_connections(model: DetectorModel, records: Sequence[ConnectionRecord]
+                         ) -> list[ClassificationResult]:
+    """Classify records through one batched calibration; each result equals
+    classify_connection on that record alone."""
+    encoded = [_record_evidence(model, record) for record in records]
+    target = model.class_var
+    posteriors = model.engine.query_batch([evidence for evidence, _ in encoded], [target])
+    prior = None
+    results = []
+    for (_, unknown), posterior in zip(encoded, posteriors):
+        if posterior is None:
+            # evidence combination has zero mass under the model: report the
+            # prior-based answer rather than crashing the stream
+            log.warning("impossible evidence for record; falling back to prior")
+            if prior is None:
+                prior = model.engine.query(Evidence(), [target])[target]
+            marginal, low = prior, True
+        else:
+            marginal, low = posterior[target], False
+        state, uninformative = select_state(marginal, model.tau)
+        results.append(ClassificationResult(
+            label=model.class_states[state],
+            state=state,
+            marginal=marginal,
+            low_confidence=low or uninformative,
+            unknown_values=tuple(unknown),
+        ))
+    return results
 
 
 def classify_connection(model: DetectorModel, record: ConnectionRecord) -> ClassificationResult:
     """Classify one connection into the most probable informative class."""
-    evidence, unknown = _record_evidence(model, record)
-    low = False
-    try:
-        marginal = model.engine.query(Evidence(evidence), [model.class_var])[model.class_var]
-    except ImpossibleEvidenceError:
-        # evidence combination has zero mass under the model: report the
-        # prior-based answer rather than crashing the stream
-        log.warning("impossible evidence for record; falling back to prior")
-        marginal = model.engine.query(Evidence(), [model.class_var])[model.class_var]
-        low = True
-    state, uninformative = _select_state(marginal, model.tau)
-    return ClassificationResult(
-        label=model.class_states[state],
-        state=state,
-        marginal=marginal,
-        low_confidence=low or uninformative,
-        unknown_values=tuple(unknown),
-    )
+    return classify_connections(model, [record])[0]
 
 
 def detect_stream(model: DetectorModel, records: Iterable[ConnectionRecord],
                   host: str) -> list[DetectionAlert]:
-    """Classify a record stream, emitting one alert per non-normal result."""
+    """Classify a record stream in batches, emitting one alert per
+    non-normal result; the alerts do not depend on the batch size."""
     alerts: list[DetectionAlert] = []
-    for i, record in enumerate(records):
-        try:
-            result = classify_connection(model, record)
-        except Exception:
-            log.exception("record %d on host %s failed to classify; skipping", i, host)
-            continue
-        if result.label == NORMAL_LABEL:
-            continue
-        n, p, pi = result.triple
-        alerts.append(DetectionAlert(
-            timestamp=record.timestamp,
-            host=host,
-            src_ip=record.src_ip,
-            dst_ip=record.dst_ip,
-            attack_type=result.label,
-            necessity=n,
-            probability=p,
-            possibility=pi,
-        ))
+    stream = iter(records)
+    rows = max(1, ENTRY_BUDGET // model.engine.row_entries)
+    while batch := list(islice(stream, rows)):
+        for record, result in zip(batch, classify_connections(model, batch)):
+            if result.label == NORMAL_LABEL:
+                continue
+            n, p, pi = result.triple
+            alerts.append(DetectionAlert(
+                timestamp=record.timestamp,
+                host=host,
+                src_ip=record.src_ip,
+                dst_ip=record.dst_ip,
+                attack_type=result.label,
+                necessity=n,
+                probability=p,
+                possibility=pi,
+            ))
     return alerts
 
 

@@ -4,12 +4,18 @@ Two calibration modes share one tree structure: sum-product for probability
 marginals and max-min for possibility marginals. The max-min mode needs no
 separator division because min is idempotent; distribute-phase messages
 simply overwrite separators and are absorbed by min.
+
+Initializing potentials compiles the tree's structural work once: the
+message schedule, each message's axes and shapes, each variable's evidence
+holders and read-out cluster, and the semiring's ufuncs. Calibration then
+runs over a leading batch axis, one row per evidence set, and a single
+query is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,7 +72,8 @@ class JunctionTree:
     """Clusters plus maximum-weight spanning-tree edges with separators.
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
-    present) have one axis per scope variable in that order.
+    present) have one axis per scope variable in that order, after a leading
+    batch axis on a batched calibration.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -75,6 +82,8 @@ class JunctionTree:
     arities: Mapping[int, int] | None = None
     cluster_tables: tuple[np.ndarray, ...] | None = None
     separator_tables: tuple[np.ndarray, ...] | None = None
+    plan: Plan | None = None
+    possible: np.ndarray | None = None  # per evidence row, on batched calibrations only
 
     def containing_clusters(self, var: int) -> list[int]:
         return [i for i, c in enumerate(self.clusters) if var in c]
@@ -252,68 +261,74 @@ def _embed(table: np.ndarray, scope: Sequence[int], target: Sequence[int]) -> np
     return moved.reshape(shape)
 
 
-def _marginalize(table: np.ndarray, scope: tuple[int, ...],
-                 keep: tuple[int, ...], mode: str) -> np.ndarray:
-    axes = tuple(i for i, v in enumerate(scope) if v not in keep)
-    if not axes:
-        return table
-    if mode == SUM_PRODUCT:
-        return table.sum(axis=axes)
-    return table.max(axis=axes)
-
-
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise quotient with the 0/0 := 0 convention."""
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den != 0)
-    return out
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
 
-def initialize_potentials(
-    jt: JunctionTree,
-    factors: Sequence[Potential],
-    semiring: str = SUM_PRODUCT,
-) -> JunctionTree:
-    """Assign each factor to its lowest-index containing cluster.
+def _overwrite(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return num
 
-    Cluster and separator tables start at the multiplicative identity (1 for
-    both semirings); factors are multiplied in (sum-product) or min-combined
-    (max-min).
+
+@dataclass(frozen=True)
+class Semiring:
+    """The operations of one calibration mode.
+
+    combine joins two tables, marginalize is the ufunc whose reduce sums or
+    maxes axes out, and update turns a new message and the separator's
+    previous one into the factor the target absorbs: their quotient for
+    sum-product, the message itself for idempotent min. Under max-min the
+    normalizing constants of forest components do not cancel, so evidence
+    in one component caps the others (caps_components).
     """
-    if semiring not in (SUM_PRODUCT, MAX_MIN):
-        raise ValueError(f"unknown semiring {semiring!r}")
-    arities: dict[int, int] = {}
-    for f in factors:
-        for v, size in zip(f.scope, f.table.shape):
-            if arities.setdefault(v, size) != size:
-                raise ValueError(f"conflicting arity for variable {v}")
-    for c in jt.clusters:
-        for v in c:
-            if v not in arities:
-                raise ValueError(f"no factor mentions cluster variable {v}")
 
-    tables = [np.ones(tuple(arities[v] for v in c)) for c in jt.clusters]
-    for f in factors:
-        scope = set(f.scope)
-        home = next((i for i, c in enumerate(jt.clusters) if scope <= set(c)), None)
-        if home is None:
-            raise RuntimeError(f"factor over {f.scope} fits no cluster; tree is malformed")
-        aligned = _embed(f.table, f.scope, jt.clusters[home])
-        if semiring == SUM_PRODUCT:
-            tables[home] = tables[home] * aligned
-        else:
-            tables[home] = np.minimum(tables[home], aligned)
+    name: str
+    combine: np.ufunc
+    marginalize: np.ufunc
+    update: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    caps_components: bool
 
-    seps = [np.ones(tuple(arities[v] for v in sep)) for _, _, sep in jt.edges]
-    for t in tables + seps:
-        t.setflags(write=False)
-    return replace(
-        jt,
-        semiring=semiring,
-        arities=dict(arities),
-        cluster_tables=tuple(tables),
-        separator_tables=tuple(seps),
-    )
+
+SEMIRINGS = {
+    SUM_PRODUCT: Semiring(SUM_PRODUCT, np.multiply, np.add, _divide, False),
+    MAX_MIN: Semiring(MAX_MIN, np.minimum, np.maximum, _overwrite, True),
+}
+
+
+class Message(NamedTuple):
+    """One absorb step. The source table, reduced over `axes`, is the
+    separator message; reshaped to `shape` it broadcasts into the target.
+    A first message over an edge (collect phase) is absorbed as is: its
+    separator still holds ones, and dividing by one is exact."""
+
+    source: int
+    target: int
+    edge: int
+    axes: tuple[int, ...]
+    shape: tuple[int, ...]
+    first: bool
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The structural work of calibration, compiled once per initialized tree.
+
+    Tables carry a leading batch axis during calibration, so every axis and
+    shape here counts it: axis 0 is the evidence row.
+    """
+
+    semiring: Semiring
+    messages: tuple[Message, ...]  # per component: collect, then distribute
+    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (clusters, root first; edges)
+    arity: np.ndarray  # per variable id, 0 for ids absent from the tree
+    indicators: Mapping[int, np.ndarray]  # (arity + 1, arity): one-hot rows, then all ones
+    holders: Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]]  # (cluster, mask shape)
+    home: Mapping[int, int]  # read-out cluster: the lowest containing index
+    entries: int  # cluster table entries per evidence row
+
+    @property
+    def width(self) -> int:
+        return len(self.arity)
 
 
 def _components_and_schedule(jt: JunctionTree):
@@ -332,7 +347,6 @@ def _components_and_schedule(jt: JunctionTree):
         if root in seen:
             continue
         seen.add(root)
-        order: list[tuple[int, int, int]] = []
         stack: list[tuple[int, int, int]] = [(root, -1, -1)]
         visit: list[tuple[int, int, int]] = []
         while stack:
@@ -348,109 +362,233 @@ def _components_and_schedule(jt: JunctionTree):
     return plans
 
 
-def propagate(jt: JunctionTree, evidence: Evidence | Mapping[int, int] | None = None) -> JunctionTree:
-    """Two-phase collect/distribute calibration from the lowest cluster index.
+def _compile_plan(jt: JunctionTree, semiring: str, arities: Mapping[int, int]) -> Plan:
+    """Schedule, message axes and shapes, evidence holders and read-out
+    clusters of a tree; scopes and separators must be sorted."""
 
-    Evidence zeroes every table entry inconsistent with an observed state.
-    Raises ImpossibleEvidenceError when calibration annihilates a component.
+    def message(source: int, target: int, edge: int, first: bool) -> Message:
+        sep = jt.edges[edge][2]
+        axes = tuple(1 + i for i, v in enumerate(jt.clusters[source]) if v not in sep)
+        shape = (-1,) + tuple(arities[v] if v in sep else 1 for v in jt.clusters[target])
+        return Message(source, target, edge, axes, shape, first)
+
+    messages: list[Message] = []
+    components = []
+    for root, order in _components_and_schedule(jt):
+        messages += [message(node, par, edge, True) for node, par, edge in order]
+        messages += [message(par, node, edge, False) for node, par, edge in reversed(order)]
+        components.append(((root,) + tuple(node for node, _, _ in order),
+                           tuple(edge for _, _, edge in order)))
+
+    variables = sorted(jt.variables)
+    arity = np.zeros(variables[-1] + 1 if variables else 0, dtype=np.intp)
+    holders: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+    for var in variables:
+        arity[var] = arities[var]
+        holders[var] = tuple(
+            (i, (-1,) + tuple(arities[v] if v == var else 1 for v in jt.clusters[i]))
+            for i in jt.containing_clusters(var))
+    return Plan(
+        semiring=SEMIRINGS[semiring],
+        messages=tuple(messages),
+        components=tuple(components),
+        arity=arity,
+        indicators={v: np.vstack([np.eye(arities[v]), np.ones((1, arities[v]))])
+                    for v in variables},
+        holders=holders,
+        home={v: h[0][0] for v, h in holders.items()},
+        entries=sum(int(np.prod([arities[v] for v in c])) for c in jt.clusters),
+    )
+
+
+def initialize_potentials(
+    jt: JunctionTree,
+    factors: Sequence[Potential],
+    semiring: str = SUM_PRODUCT,
+) -> JunctionTree:
+    """Assign each factor to its lowest-index containing cluster.
+
+    Cluster and separator tables start at the multiplicative identity (1 for
+    both semirings); factors are multiplied in (sum-product) or min-combined
+    (max-min). The returned tree carries its compiled calibration plan.
     """
-    if jt.cluster_tables is None or jt.semiring is None:
-        raise ValueError("potentials must be initialized before propagation")
-    mode = jt.semiring
-    tables = [t.copy() for t in jt.cluster_tables]
-    seps = [s.copy() for s in jt.separator_tables]
+    if semiring not in SEMIRINGS:
+        raise ValueError(f"unknown semiring {semiring!r}")
+    arities: dict[int, int] = {}
+    for f in factors:
+        for v, size in zip(f.scope, f.table.shape):
+            if arities.setdefault(v, size) != size:
+                raise ValueError(f"conflicting arity for variable {v}")
+    for c in jt.clusters:
+        for v in c:
+            if v not in arities:
+                raise ValueError(f"no factor mentions cluster variable {v}")
 
-    observed = evidence.assignments if isinstance(evidence, Evidence) else dict(evidence or {})
-    for var, state in observed.items():
-        holders = jt.containing_clusters(var)
-        if not holders:
+    combine = SEMIRINGS[semiring].combine
+    tables = [np.ones(tuple(arities[v] for v in c)) for c in jt.clusters]
+    for f in factors:
+        scope = set(f.scope)
+        home = next((i for i, c in enumerate(jt.clusters) if scope <= set(c)), None)
+        if home is None:
+            raise RuntimeError(f"factor over {f.scope} fits no cluster; tree is malformed")
+        tables[home] = combine(tables[home], _embed(f.table, f.scope, jt.clusters[home]))
+
+    seps = [np.ones(tuple(arities[v] for v in sep)) for _, _, sep in jt.edges]
+    for t in tables + seps:
+        t.setflags(write=False)
+    return replace(
+        jt,
+        semiring=semiring,
+        arities=dict(arities),
+        cluster_tables=tuple(tables),
+        separator_tables=tuple(seps),
+        plan=_compile_plan(jt, semiring, arities),
+    )
+
+
+def evidence_matrix(jt: JunctionTree,
+                    rows: Iterable[Evidence | Mapping[int, int] | None]) -> np.ndarray:
+    """Evidence rows as one (rows, width) state matrix for a batched
+    `propagate`: column v holds variable v's observed state, -1 if unobserved."""
+    width = jt.plan.width
+    rows = list(rows)
+    out = np.full((len(rows), width), -1, dtype=np.intp)
+    for b, evidence in enumerate(rows):
+        observed = evidence.assignments if isinstance(evidence, Evidence) else evidence or {}
+        for var, state in observed.items():
+            if not 0 <= var < width:
+                raise ValueError(f"evidence variable {var} is absent from the tree")
+            if state < 0:
+                raise ValueError(f"evidence state {state} out of range for variable {var}")
+            out[b, var] = state
+    return out
+
+
+def _check_observed(plan: Plan, observed: np.ndarray) -> None:
+    if observed.ndim != 2 or observed.shape[1] != plan.width:
+        raise ValueError(f"evidence matrix must have shape (rows, {plan.width})")
+    if not np.issubdtype(observed.dtype, np.integer):
+        raise ValueError("evidence matrix must hold integer states")
+    bad = (observed < -1) | (observed >= plan.arity)
+    if bad.any():
+        row, var = (int(i[0]) for i in np.nonzero(bad))
+        if plan.arity[var] == 0:
             raise ValueError(f"evidence variable {var} is absent from the tree")
-        if not 0 <= state < jt.arities[var]:
-            raise ValueError(f"evidence state {state} out of range for variable {var}")
-        for i in holders:
-            axis = jt.clusters[i].index(var)
-            mask = np.zeros(jt.arities[var])
-            mask[state] = 1.0
-            shape = [1] * tables[i].ndim
-            shape[axis] = jt.arities[var]
-            tables[i] = tables[i] * mask.reshape(shape)
+        raise ValueError(
+            f"evidence state {observed[row, var]} out of range for variable {var}")
 
-    def absorb(target: int, message: np.ndarray, edge: int, sep_scope: tuple[int, ...]):
-        aligned_old = seps[edge]
-        if mode == SUM_PRODUCT:
-            ratio = _divide(message, aligned_old)
-            tables[target] = tables[target] * _embed(ratio, sep_scope, jt.clusters[target])
-        else:
-            tables[target] = np.minimum(
-                tables[target], _embed(message, sep_scope, jt.clusters[target])
-            )
+
+def _calibrate(jt: JunctionTree, observed: np.ndarray):
+    """Collect/distribute over every component at once, one batch row per
+    evidence row. A table keeps batch length 1 until evidence or a message
+    varies it by row. Returns (cluster tables, separator tables, possible)."""
+    plan = jt.plan
+    sr = plan.semiring
+    tables = [t[np.newaxis] for t in jt.cluster_tables]
+    seps = [s[np.newaxis] for s in jt.separator_tables]
+
+    for var in np.flatnonzero((observed >= 0).any(axis=0)).tolist():
+        mask = plan.indicators[var][observed[:, var]]
+        for cluster, shape in plan.holders[var]:
+            tables[cluster] = tables[cluster] * mask.reshape(shape)
+
+    for source, target, edge, axes, shape, first in plan.messages:
+        message = sr.marginalize.reduce(tables[source], axis=axes)
+        factor = message if first else sr.update(message, seps[edge])
+        tables[target] = sr.combine(tables[target], factor.reshape(shape))
         seps[edge] = message
 
-    plans = _components_and_schedule(jt)
-    members: list[list[int]] = []
-    for root, order in plans:
-        for node, par, edge in order:  # collect: leaves toward root
-            sep_scope = jt.edges[edge][2]
-            message = _marginalize(tables[node], jt.clusters[node], sep_scope, mode)
-            absorb(par, message, edge, sep_scope)
-        for node, par, edge in reversed(order):  # distribute: root toward leaves
-            sep_scope = jt.edges[edge][2]
-            message = _marginalize(tables[par], jt.clusters[par], sep_scope, mode)
-            absorb(node, message, edge, sep_scope)
-        if not np.any(tables[root]):
-            raise ImpossibleEvidenceError(
-                "evidence has zero probability/possibility in this network"
-            )
-        members.append([root] + [node for node, _, _ in order])
+    possible = np.ones(len(observed), dtype=bool)
+    for clusters, _ in plan.components:
+        root = tables[clusters[0]]
+        possible &= root.reshape(len(root), -1).any(axis=1)
 
-    if mode == MAX_MIN and len(plans) > 1:
+    if sr.caps_components and len(plan.components) > 1:
         # min does not cancel under normalization the way a product does:
         # evidence in one forest component caps every other component's
         # possibility at that component's best value.
-        comp_of = {c: k for k, comp in enumerate(members) for c in comp}
-        tops = [max(float(tables[c].max()) for c in comp) for comp in members]
-        caps = [min(t for i, t in enumerate(tops) if i != k)
-                for k in range(len(members))]
-        for c, k in comp_of.items():
-            if caps[k] < 1.0:
-                tables[c] = np.minimum(tables[c], caps[k])
-        for e, (i, _, _) in enumerate(jt.edges):
-            if caps[comp_of[i]] < 1.0:
-                seps[e] = np.minimum(seps[e], caps[comp_of[i]])
+        tops = np.zeros((len(plan.components), len(observed)))
+        for top, (clusters, _) in zip(tops, plan.components):
+            for c in clusters:
+                np.maximum(top, tables[c].reshape(len(tables[c]), -1).max(axis=1), out=top)
+        for k, (clusters, edges) in enumerate(plan.components):
+            cap = np.delete(tops, k, axis=0).min(axis=0)
+            if not np.any(cap < 1.0):
+                continue
+            cap = np.where(cap < 1.0, cap, np.inf)
+            for c in clusters:
+                tables[c] = np.minimum(tables[c], cap.reshape((-1,) + (1,) * (tables[c].ndim - 1)))
+            for e in edges:
+                seps[e] = np.minimum(seps[e], cap.reshape((-1,) + (1,) * (seps[e].ndim - 1)))
+    return tables, seps, possible
 
+
+def propagate(jt: JunctionTree,
+              evidence: Evidence | Mapping[int, int] | np.ndarray | None = None) -> JunctionTree:
+    """Two-phase collect/distribute calibration from the lowest cluster index
+    of each component.
+
+    Evidence zeroes every table entry inconsistent with an observed state.
+    Given one evidence set, returns the calibrated tree, raising
+    ImpossibleEvidenceError when calibration annihilates a component. Given
+    an `evidence_matrix`, calibrates every row in one pass and returns a
+    batched tree: its tables lead with a batch axis (length 1 where no row
+    differs) and `possible` flags the rows with nonzero mass. Each row is
+    bit-identical to the same evidence calibrated alone.
+    """
+    if jt.plan is None:
+        raise ValueError("potentials must be initialized before propagation")
+    if jt.possible is not None:
+        raise ValueError("tree is already a batched calibration")
+    batched = isinstance(evidence, np.ndarray)
+    observed = evidence if batched else evidence_matrix(jt, [evidence])
+    _check_observed(jt.plan, observed)
+    tables, seps, possible = _calibrate(jt, observed)
+    if not batched:
+        if not possible[0]:
+            raise ImpossibleEvidenceError(
+                "evidence has zero probability/possibility in this network"
+            )
+        tables, seps, possible = [t[0] for t in tables], [s[0] for s in seps], None
     for t in tables + seps:
         t.setflags(write=False)
-    return replace(jt, cluster_tables=tuple(tables), separator_tables=tuple(seps))
+    return replace(jt, cluster_tables=tuple(tables), separator_tables=tuple(seps),
+                   possible=possible)
 
 
 def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.ndarray:
-    """Marginal of a calibrated tree over one variable.
+    """Marginal of a calibrated tree over one variable, read off its home
+    cluster; (rows, arity) for a batched tree.
 
     Sum-product marginals are renormalized to sum 1; max-min marginals are
     renormalized so their maximum is 1.
     """
     if jt.cluster_tables is None:
         raise ValueError("tree is not calibrated")
-    holders = jt.containing_clusters(var)
-    if not holders:
+    if var not in jt.plan.home:
         raise ValueError(f"variable {var} is absent from the tree")
-    return marginal_from_cluster(jt, holders[0], var, normalize)
+    return marginal_from_cluster(jt, jt.plan.home[var], var, normalize)
 
 
 def marginal_from_cluster(
     jt: JunctionTree, cluster: int, var: int, normalize: bool = True
 ) -> np.ndarray:
-    """Marginal read off one specific containing cluster (for agreement checks)."""
+    """Marginal read off one specific containing cluster (for agreement checks).
+
+    A batched tree's impossible rows read as zeros."""
     scope = jt.clusters[cluster]
     if var not in scope:
         raise ValueError(f"variable {var} not in cluster {cluster}")
-    out = _marginalize(jt.cluster_tables[cluster], scope, (var,), jt.semiring)
-    if not normalize:
-        return out
-    total = out.sum() if jt.semiring == SUM_PRODUCT else out.max()
-    if total == 0:
-        raise ImpossibleEvidenceError("marginal is identically zero")
-    return out / total
+    lead = 0 if jt.possible is None else 1
+    reduce = jt.plan.semiring.marginalize.reduce
+    out = reduce(jt.cluster_tables[cluster],
+                 axis=tuple(lead + i for i, v in enumerate(scope) if v != var))
+    if normalize:
+        total = reduce(out, axis=-1, keepdims=True)
+        if lead == 0 and total == 0:
+            raise ImpossibleEvidenceError("marginal is identically zero")
+        out = _divide(out, total)
+    return out if lead == 0 else np.broadcast_to(out, (len(jt.possible), out.shape[-1]))
 
 
 def net_factors(net: BayesNet) -> list[Potential]:

@@ -81,7 +81,7 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
     DataError naming the path and the first violation."""
     sections = _read_sections(text, path)
     variables: list[Variable] = []
-    parent_lists: dict[int, list[int]] = {}
+    edges: list[tuple[int, int, str]] = []  # (parent, child, line)
     cpt_rows: dict[int, list[list[float]]] = {}
     extras: dict[str, list[str]] = {}
 
@@ -101,13 +101,14 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
                     p_s, arrow, c_s = ln.split()
                     if arrow != "->":
                         raise ValueError
+                    edges.append((int(p_s), int(c_s), ln))
                 except ValueError:
                     raise DataError(f"{path}: bad edge line {ln!r}") from None
-                parent_lists.setdefault(int(c_s), []).append(int(p_s))
         elif parts[0] == "CPT":
-            if len(parts) != 2:
-                raise DataError(f"{path}: bad CPT header {header!r}")
-            vid = int(parts[1])
+            try:
+                [vid] = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise DataError(f"{path}: bad CPT header {header!r}") from None
             rows = []
             for ln in body:
                 try:
@@ -122,7 +123,12 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
     variables.sort(key=lambda v: v.id)
     if [v.id for v in variables] != list(range(len(variables))):
         raise DataError(f"{path}: variable ids must be 0..n-1 without gaps")
-    parents = tuple(tuple(parent_lists.get(i, [])) for i in range(len(variables)))
+    parent_lists: list[list[int]] = [[] for _ in variables]
+    for parent, child, ln in edges:
+        if not (0 <= parent < len(variables) and 0 <= child < len(variables)):
+            raise DataError(f"{path}: edge names an unknown variable: {ln!r}")
+        parent_lists[child].append(parent)
+    parents = tuple(tuple(ps) for ps in parent_lists)
     dag = Dag(tuple(variables), parents)
     cpts = []
     for var in variables:

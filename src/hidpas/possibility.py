@@ -21,9 +21,11 @@ from .core import BayesNet, Evidence
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
+    ImpossibleEvidenceError,
     JunctionTree,
     Potential,
     build_tree_for_net,
+    evidence_matrix,
     initialize_potentials,
     net_factors,
     propagate,
@@ -87,20 +89,20 @@ def prob_to_poss(p: Sequence[float]) -> np.ndarray:
     return out
 
 
-def necessity(pi: Sequence[float]) -> np.ndarray:
-    """Necessity of each singleton state: 1 - max possibility of the others."""
+def necessity(pi: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Necessity of each singleton state: 1 - max possibility of the others.
+
+    Takes one possibility vector, or a (rows, states) array of them.
+    """
     arr = np.asarray(pi, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("expected a nonempty possibility vector")
-    if arr.size == 1:
-        return np.ones(1)
-    order = np.argsort(arr, kind="stable")
-    top, second = arr[order[-1]], arr[order[-2]]
-    out = np.empty_like(arr)
-    for i, v in enumerate(arr):
-        others_max = second if i == order[-1] else top
-        out[i] = 1.0 - others_max
-    return np.maximum(out, 0.0)
+    if arr.shape[-1] == 1:
+        return np.ones_like(arr)
+    ranked = np.sort(arr, axis=-1)
+    top, second = ranked[..., -1:], ranked[..., -2:-1]
+    # a tied top has second == top, so which top state is excluded is moot
+    return np.maximum(1.0 - np.where(arr == top, second, top), 0.0)
 
 
 def is_informative(triple: Sequence[float], tau: float) -> bool:
@@ -153,6 +155,14 @@ class HybridMarginal:
         return max(worst, 0.0)
 
 
+def select_state(marginal: HybridMarginal, tau: float) -> tuple[int, bool]:
+    """Most probable informative state, the lowest index on ties; when no
+    state is informative, the plain argmax flagged uninformative (True)."""
+    informative = [k for k in range(marginal.arity) if marginal.informative(k, tau)]
+    pool = informative or range(marginal.arity)
+    return max(pool, key=marginal.probability.__getitem__), not informative
+
+
 def transformed_factors(net: BayesNet) -> list[Potential]:
     """Possibilistic twin of a net: every CPT row transformed independently."""
     out = []
@@ -178,24 +188,48 @@ class HybridPropagator:
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
         self._poss = initialize_potentials(self.structure, transformed_factors(net), MAX_MIN)
 
+    @property
+    def row_entries(self) -> int:
+        """Cluster table entries one evidence row takes in one calibration."""
+        return self._prob.plan.entries
+
     def query(self, evidence: Evidence | Mapping[int, int] | None,
               targets: Sequence[int]) -> dict[int, HybridMarginal]:
         ev = evidence if isinstance(evidence, Evidence) else Evidence(dict(evidence or {}))
         ev.check(self.net)
-        prob_cal = propagate(self._prob, ev)
-        poss_cal = propagate(self._poss, ev)
-        out: dict[int, HybridMarginal] = {}
+        [marginals] = self.query_batch([ev], targets)
+        if marginals is None:
+            raise ImpossibleEvidenceError(
+                "evidence has zero probability/possibility in this network")
+        return marginals
+
+    def query_batch(self, evidence: Sequence[Evidence | Mapping[int, int] | None],
+                    targets: Sequence[int]) -> list[dict[int, HybridMarginal] | None]:
+        """One batched calibration per semiring for all evidence rows; None
+        marks a row whose evidence has zero probability or possibility. Each
+        row equals `query` on that row alone, bit for bit."""
+        observed = evidence_matrix(self._prob, evidence)
+        prob_cal = propagate(self._prob, observed)
+        poss_cal = propagate(self._poss, observed)
+        columns = []
         for var in targets:
             p = query_marginal(prob_cal, var)
             pi = query_marginal(poss_cal, var)
-            n = necessity(pi)
-            hm = HybridMarginal(var, tuple(n), tuple(p), tuple(pi))
-            violation = hm.sandwich_violation()
-            if violation > 0:
-                log.debug(
-                    "post-propagation interval breach %.3g on variable %d", violation, var
-                )
-            out[var] = hm
+            columns.append((var, necessity(pi).tolist(), p.tolist(), pi.tolist()))
+        debug = log.isEnabledFor(logging.DEBUG)
+        out: list[dict[int, HybridMarginal] | None] = []
+        for row, possible in enumerate((prob_cal.possible & poss_cal.possible).tolist()):
+            if not possible:
+                out.append(None)
+                continue
+            marginals = {}
+            for var, n, p, pi in columns:
+                hm = HybridMarginal(var, n[row], p[row], pi[row])
+                if debug and (violation := hm.sandwich_violation()) > 0:
+                    log.debug("post-propagation interval breach %.3g on variable %d",
+                              violation, var)
+                marginals[var] = hm
+            out.append(marginals)
         return out
 
 

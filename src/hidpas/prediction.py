@@ -21,7 +21,7 @@ from .core import BayesNet, Evidence, Variable
 from .features import DataError
 from .jtree import ImpossibleEvidenceError
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
-from .possibility import HybridMarginal, HybridPropagator
+from .possibility import HybridMarginal, HybridPropagator, select_state
 
 log = logging.getLogger(__name__)
 
@@ -202,17 +202,12 @@ def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> AlertClas
         log.warning("impossible alert evidence; falling back to prior")
         marginal = model.engine.query(Evidence(), [model.class_var])[model.class_var]
         low = True
-    informative = [k for k in range(marginal.arity) if marginal.informative(k, model.tau)]
-    pool = informative or list(range(marginal.arity))
-    best = pool[0]
-    for k in pool[1:]:
-        if marginal.probability[k] > marginal.probability[best]:
-            best = k
+    best, uninformative = select_state(marginal, model.tau)
     return AlertClassification(
         hyper_name=model.class_states[best],
         state=best,
         marginal=marginal,
-        low_confidence=low or not informative,
+        low_confidence=low or uninformative,
         unknown_values=tuple(unknown),
     )
 

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hidpas import detection
+from hidpas.core import Evidence
 from hidpas.detection import (
     ConnectionRecord,
     DetectorConfig,
     classify_connection,
+    classify_connections,
     detect_stream,
     load_stream,
     train_detector,
@@ -193,3 +196,58 @@ def test_alert_csv_format(tmp_path, scenario_model):
     lines = out.read_text().splitlines()
     assert lines[0] == "timestamp,host,src_ip,dst_ip,type,necessity,probability,possibility"
     assert lines[1].split(",")[4] == "portsweep"
+
+
+def test_detect_stream_alerts_do_not_depend_on_chunking(scenario_model, monkeypatch):
+    records = [r for name in ("detector_train", "host_a", "host_b", "host_c")
+               for r in load_stream(data_path("scenario", f"{name}.csv"))]
+
+    def rows(alerts):
+        return [a.csv_row() for a in alerts]
+
+    whole = rows(detect_stream(scenario_model, records, "h"))
+    assert whole
+    for size in (1, 4):
+        fed = []
+        for i in range(0, len(records), size):
+            fed += detect_stream(scenario_model, records[i:i + size], "h")
+        assert rows(fed) == whole
+    # a budget of three rows' tables makes detect_stream itself chunk by 3
+    monkeypatch.setattr(detection, "ENTRY_BUDGET", 3 * scenario_model.engine.row_entries)
+    assert rows(detect_stream(scenario_model, iter(records), "h")) == whole
+
+
+def test_impossible_row_falls_back_to_prior_alone(deterministic_model, caplog):
+    """The model saw duration only at its mean, so a duration below it has
+    zero probability; that row alone gets the prior."""
+    model, table = deterministic_model
+    normal, attack = record_from_table(table, 0), record_from_table(table, table.row_count - 1)
+    values = list(normal.values)
+    values[0] = -1.0  # duration
+    impossible = ConnectionRecord(tuple(values))
+    with caplog.at_level("WARNING", logger="hidpas.detection"):
+        results = classify_connections(model, [normal, impossible, attack])
+    assert [r.getMessage() for r in caplog.records] == [
+        "impossible evidence for record; falling back to prior"]
+    prior = model.engine.query(Evidence(), [model.class_var])[model.class_var]
+    assert results[1].marginal == prior and results[1].low_confidence
+    for record, result in zip((normal, attack), (results[0], results[2])):
+        assert result == classify_connection(model, record)
+        assert not result.low_confidence
+    assert [r.label for r in results[::2]] == ["normal", "dos"]
+
+
+def test_detect_stream_raises_on_a_broken_record(deterministic_model):
+    model, table = deterministic_model
+    values = list(record_from_table(table, 0).values)
+    values[0] = "not-a-number"  # duration
+    with pytest.raises(ValueError):
+        detect_stream(model, [ConnectionRecord(tuple(values))], "h")
+
+
+def test_record_value_by_feature_name():
+    values = tuple(range(len(KDD_FEATURES)))
+    record = ConnectionRecord(values)
+    assert [record.value(name) for name, _ in KDD_FEATURES] == list(values)
+    with pytest.raises(ValueError, match="unknown feature"):
+        record.value("no_such_feature")

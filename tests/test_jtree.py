@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hidpas.core import Evidence
+from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
 from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -14,6 +16,7 @@ from hidpas.jtree import (
     build_tree_for_net,
     choose_order,
     elimination_clusters,
+    evidence_matrix,
     format_tree,
     has_running_intersection,
     initialize_potentials,
@@ -24,7 +27,7 @@ from hidpas.jtree import (
     query_marginal,
 )
 from hidpas.oracles import enumerate_marginal, random_evidence, random_net
-from hidpas.possibility import transformed_factors
+from hidpas.possibility import HybridPropagator, transformed_factors
 
 
 def graph(nodes, edges) -> UndirectedGraph:
@@ -312,3 +315,132 @@ def test_oracle_equivalence_spot_checks():
                     assert (cal is None) == (expected is None)
                     continue
                 np.testing.assert_allclose(query_marginal(cal, var), expected, atol=tol)
+
+
+# -- batched calibration ----------------------------------------------------------
+
+def forest_net(rng: np.random.Generator) -> BayesNet:
+    """One or two random nets side by side (so the tree is often a forest),
+    with about a fifth of the CPT entries zeroed so some evidence is
+    impossible; every CPT row keeps its largest entry."""
+    parts = [random_net(rng, max_vars=5)]
+    if rng.random() < 0.7:
+        parts.append(random_net(rng, max_vars=4))
+    variables, parents, cpts = [], [], []
+    for part in parts:
+        base = len(variables)
+        variables += [Variable(base + v.id, f"v{base + v.id}", v.states)
+                      for v in part.dag.variables]
+        parents += [tuple(base + p for p in ps) for ps in part.dag.parents]
+        for cpt in part.cpts:
+            table = cpt.table.copy()
+            zero = rng.random(table.shape) < 0.2
+            zero[np.arange(len(table)), table.argmax(axis=1)] = False
+            table[zero] = 0.0
+            table /= table.sum(axis=1, keepdims=True)
+            cpts.append(Cpt(base + cpt.variable, tuple(base + p for p in cpt.parents), table))
+    return BayesNet(Dag(tuple(variables), tuple(parents)), tuple(cpts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_batched_calibration_equals_single_queries(seed, rows):
+    """Every row of one batched calibration is bit-identical to calibrating
+    its evidence alone, impossible rows included, in both semirings."""
+    rng = np.random.default_rng(seed)
+    net = forest_net(rng)
+    evidence = [random_evidence(rng, net) for _ in range(rows)]
+    for semiring, factors in ((SUM_PRODUCT, net_factors(net)),
+                              (MAX_MIN, transformed_factors(net))):
+        jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
+        batch = propagate(jt, evidence_matrix(jt, evidence))
+        assert batch.possible.shape == (rows,)
+        for row, ev in enumerate(evidence):
+            try:
+                alone = propagate(jt, ev)
+            except ImpossibleEvidenceError:
+                assert not batch.possible[row]
+                continue
+            assert batch.possible[row]
+            for got, want in zip(batch.cluster_tables, alone.cluster_tables):
+                assert np.array_equal(got[min(row, len(got) - 1)], want)
+            for var in range(len(net.dag.variables)):
+                assert np.array_equal(query_marginal(batch, var)[row],
+                                      query_marginal(alone, var))
+
+    engine = HybridPropagator(net)
+    targets = list(range(len(net.dag.variables)))
+    for ev, got in zip(evidence, engine.query_batch(evidence, targets)):
+        try:
+            alone = engine.query(ev, targets)
+        except ImpossibleEvidenceError:
+            alone = None
+        assert got == alone
+
+
+def test_batched_propagate_checks_evidence_range(two_node_net):
+    jt = initialize_potentials(build_tree_for_net(two_node_net),
+                               net_factors(two_node_net), SUM_PRODUCT)
+    with pytest.raises(ValueError, match="out of range for variable 1"):
+        propagate(jt, np.array([[0, -1], [1, 2]]))
+    with pytest.raises(ValueError, match="out of range"):
+        propagate(jt, Evidence({0: -1}))
+    with pytest.raises(ValueError, match="absent from the tree"):
+        propagate(jt, Evidence({5: 0}))
+    with pytest.raises(ValueError, match="shape"):
+        propagate(jt, np.array([[0, 0, 0]]))
+    with pytest.raises(ValueError, match="integer"):
+        propagate(jt, np.array([[0.0, 1.0]]))
+
+
+def two_roots(pa, pb) -> BayesNet:
+    """Two unconnected binary roots: a forest of two one-cluster trees."""
+    variables = (Variable(0, "A", ("0", "1")), Variable(1, "B", ("0", "1")))
+    return BayesNet(Dag(variables, ((), ())), (Cpt(0, (), np.array([pa])),
+                                               Cpt(1, (), np.array([pb]))))
+
+
+def test_maxmin_forest_cap_matches_oracle():
+    """Evidence A=1 has possibility 0.1, which caps B's component: B's
+    normalized possibility is flat, not the [1, 0.3] of B alone."""
+    net = two_roots([0.9, 0.1], [0.7, 0.3])
+    factors = transformed_factors(net)
+    jt = initialize_potentials(build_tree_for_net(net), factors, MAX_MIN)
+    assert len(jt.clusters) == 2 and not jt.edges
+    got = query_marginal(propagate(jt, Evidence({0: 1})), 1)
+    expected = enumerate_marginal(factors, [2, 2], {0: 1}, 1, MAX_MIN)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
+    np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
+    uncapped = query_marginal(propagate(jt, Evidence()), 1)
+    np.testing.assert_allclose(uncapped, [1.0, 0.3], atol=1e-12)
+
+
+def test_forest_oracle_both_semirings():
+    rng = np.random.default_rng(23)
+    capped = 0
+    for _ in range(40):
+        net = forest_net(rng)
+        ev = random_evidence(rng, net)
+        arities = [v.arity for v in net.dag.variables]
+        for semiring, factors, tol in ((SUM_PRODUCT, net_factors(net), 1e-9),
+                                       (MAX_MIN, transformed_factors(net), 1e-12)):
+            jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
+            try:
+                cal = propagate(jt, ev)
+            except ImpossibleEvidenceError:
+                cal = None
+            for var in range(len(arities)):
+                expected = enumerate_marginal(factors, arities, dict(ev.assignments),
+                                              var, semiring)
+                if cal is None or expected is None:
+                    assert (cal is None) == (expected is None)
+                    continue
+                got = query_marginal(cal, var)
+                np.testing.assert_allclose(got, expected, atol=tol)
+                component = {c: k for k, (clusters, _) in enumerate(jt.plan.components)
+                             for c in clusters}
+                if semiring == MAX_MIN and component[jt.plan.home[var]] not in {
+                        component[jt.plan.home[v]] for v in ev.assignments}:
+                    capped += int(not np.allclose(
+                        got, query_marginal(propagate(jt, Evidence()), var)))
+    assert capped > 0  # evidence in one component moved another's marginal

@@ -184,3 +184,28 @@ def test_unnormalized_cpt_row_rejected():
     text = FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nCPT 0\n() : 0.5 0.6\n"
     with pytest.raises(DataError, match=r"<string>: invalid network: \[row-sum\] var 0: row \(\)"):
         parse_network(text)
+
+
+def test_edge_to_unknown_variable_rejected_with_path_and_line(tmp_path):
+    path = tmp_path / "dangling.bn"
+    path.write_text(FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nEDGES\n0 -> 7\nCPT 0\n() : 0.5 0.5\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=r"dangling\.bn: edge names an unknown variable: '0 -> 7'"):
+        load_network(str(path))
+    with pytest.raises(DataError, match=r"<string>: edge names an unknown variable: '7 -> 0'"):
+        parse_network(FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nEDGES\n7 -> 0\nCPT 0\n() : 0.5 0.5\n")
+
+
+@pytest.mark.parametrize("edge, cpt, bad", [
+    ("0 -> x", "CPT 1", r"bad edge line '0 -> x'"),
+    ("a -> 1", "CPT 1", r"bad edge line 'a -> 1'"),
+    ("0 -> 1", "CPT one", r"bad CPT header 'CPT one'"),
+    ("0 -> 1", "CPT 1.0", r"bad CPT header 'CPT 1\.0'"),
+])
+def test_non_integer_ids_rejected_with_path_and_line(tmp_path, edge, cpt, bad):
+    text = (FORMAT_HEADER + "\nVARIABLES\n0 a x,y\n1 b x,y\nEDGES\n" + edge
+            + "\nCPT 0\n() : 0.5 0.5\n" + cpt + "\n(0) : 0.5 0.5\n(1) : 0.5 0.5\n")
+    path = tmp_path / "ids.bn"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=r"ids\.bn: " + bad):
+        load_network(str(path))

@@ -22,6 +22,7 @@ from hidpas.possibility import (
     is_informative,
     necessity,
     prob_to_poss,
+    select_state,
     transformed_factors,
 )
 
@@ -125,6 +126,36 @@ def test_necessity_at_most_one_positive():
         pi = rng.random(5)
         pi[rng.integers(0, 5)] = 1.0
         assert int(np.sum(necessity(pi) > 0)) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda states: st.lists(
+    st.lists(st.sampled_from([0.0, 0.2, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0, 1),
+             min_size=states, max_size=states),
+    min_size=1, max_size=5)))
+def test_necessity_rows_equal_the_reference_loop(rows):
+    """One row or many, ties included: 1 - max of the other states, floored
+    at 0, bit for bit."""
+    def reference(row):
+        return [max(0.0, 1.0 - max(row[:i] + row[i + 1:])) if len(row) > 1 else 1.0
+                for i in range(len(row))]
+
+    batched = necessity(np.array(rows))
+    for row, got in zip(rows, batched):
+        assert got.tolist() == reference(row) == necessity(row).tolist()
+
+
+# -- state selection ---------------------------------------------------------------
+
+def test_select_state_prefers_informative_then_lowest_index():
+    # state 1 is the most probable but uninformative (gap 0.8 > tau)
+    hm = HybridMarginal(0, (0.0, 0.0, 0.0), (0.3, 0.4, 0.3), (1.0, 0.8, 0.2))
+    assert select_state(hm, 0.5) == (2, False)
+    tied = HybridMarginal(0, (0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
+    assert select_state(tied, 1.0) == (0, False)
+    assert select_state(tied, 0.5) == (0, True)  # nothing informative: plain argmax
+    skewed = HybridMarginal(0, (0.0, 0.0), (0.4, 0.6), (1.0, 1.0))
+    assert select_state(skewed, 0.5) == (1, True)
 
 
 # -- is_informative ----------------------------------------------------------------
