@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .features import DataError
+from .core import DataError
 from .jtree import ImpossibleEvidenceError
 from .model_io import load_classifier, load_detector, load_plan
 from .prediction import (

@@ -11,7 +11,7 @@ import logging
 import os
 import sys
 
-from .features import DataError
+from .core import DataError
 
 log = logging.getLogger(__name__)
 

@@ -16,6 +16,10 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 
 
+class DataError(ValueError):
+    """Malformed input data, reported with file/line context."""
+
+
 @dataclass(frozen=True)
 class Variable:
     """A discrete random variable with a finite, ordered set of states."""
@@ -69,6 +73,12 @@ class Dag:
 
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; None if the graph has a directed cycle."""
+        order, _ = self._kahn()
+        return order if len(order) == len(self.variables) else None
+
+    def _kahn(self) -> tuple[list[int], list[int]]:
+        """Kahn's peeling: the variables peeled, in order, and the ids left
+        unpeeled, on a directed cycle or downstream of one (none in a DAG)."""
         n = len(self.variables)
         indeg = [0] * n
         children: list[list[int]] = [[] for _ in range(n)]
@@ -86,7 +96,7 @@ class Dag:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
-        return out if len(out) == n else None
+        return out, [i for i in range(n) if indeg[i] > 0]
 
 
 @dataclass(frozen=True)
@@ -227,26 +237,10 @@ def validate_network(net: BayesNet) -> list[Violation]:
         if len(set(parents)) != len(parents):
             out.append(Violation(child, "duplicate-parent", "repeated parent id"))
 
-    if refs_ok and net.dag.topological_order() is None:
-        # name the vars left over after peeling all acyclic ones
-        indeg = [0] * n
-        for child, ps in enumerate(net.dag.parents):
-            indeg[child] = len(ps)
-        children = [[] for _ in range(n)]
-        for child, ps in enumerate(net.dag.parents):
-            for p in ps:
-                children[p].append(child)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        stuck = sorted(i for i in range(n) if indeg[i] > 0)
-        out.append(Violation(None, "cycle", f"directed cycle through variables {stuck}"))
+    if refs_ok:
+        _, stuck = net.dag._kahn()
+        if stuck:
+            out.append(Violation(None, "cycle", f"directed cycle through variables {stuck}"))
 
     if len(net.cpts) != n:
         out.append(Violation(None, "missing-cpt", f"{len(net.cpts)} CPTs for {n} variables"))

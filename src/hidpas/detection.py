@@ -16,9 +16,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import BayesNet, Evidence
+from .core import BayesNet, DataError, Evidence
 from .features import (
-    DataError,
     KDD_FEATURES,
     NUMERIC,
     RawTable,

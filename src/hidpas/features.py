@@ -10,11 +10,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import methodcaller
 from typing import Sequence
 
 import numpy as np
 
-from .core import Variable
+from .core import DataError, Variable
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
@@ -89,10 +91,6 @@ _CATEGORY_OF = {
 }
 
 
-class DataError(ValueError):
-    """Malformed input data, reported with file/line context."""
-
-
 @dataclass(frozen=True)
 class RawTable:
     """Rectangular named columns, each categorical (str) or numeric (float)."""
@@ -155,18 +153,75 @@ class TransformRules:
     states: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
+_KDD_NAMES = tuple(n for n, _ in KDD_FEATURES) + (LABEL_COLUMN,)
+_KDD_KINDS = tuple(k for _, k in KDD_FEATURES) + (CATEGORICAL,)
+_NUMERIC_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k == NUMERIC]
+_CATEGORICAL_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k != NUMERIC]
+
+
 def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     """Parse a KDD-format connection file (41 features + trailing label).
 
-    Labels lose their trailing dot. on_bad is 'abort' (raise DataError with
-    the line number) or 'skip' (log and drop the row). Numeric columns are
-    converted in bulk; rows that fail are located individually so errors
-    still name their line.
+    Labels lose their trailing dot and categorical cells their surrounding
+    whitespace. on_bad is 'abort' (raise DataError with the line number) or
+    'skip' (log and drop the row).
+
+    A well-formed file is parsed in bulk by numpy's C reader: one
+    ``np.loadtxt`` call for the numeric columns and one for the categorical
+    ones, whose tokenizer splits and unquotes fields as ``csv.reader`` does.
+    With ``usecols``, ``loadtxt`` silently accepts a row with extra fields,
+    so arity is proven apart: it raises on a row with too few, and the file
+    must hold exactly 41 commas per row it returned. A file that fails a
+    check (a bad arity, a non-numeric or non-finite number, a line of
+    spaces) is read again by the csv row reader, the one place that names
+    the failing line or skips it.
     """
     if on_bad not in ("abort", "skip"):
         raise ValueError("on_bad must be 'abort' or 'skip'")
-    names = [n for n, _ in KDD_FEATURES] + [LABEL_COLUMN]
-    kinds = [k for _, k in KDD_FEATURES] + [CATEGORICAL]
+    columns = _load_kdd_bulk(path)
+    if columns is None:
+        columns = _load_kdd_rows(path, on_bad)
+    return RawTable(_KDD_NAMES, _KDD_KINDS, tuple(columns))
+
+
+def _loadtxt_columns(path: str, usecols: list[int], dtype) -> np.ndarray:
+    """The usecols of every row, one array row per column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', usecols=usecols, ndmin=2, unpack=True)
+
+
+def _load_kdd_bulk(path: str) -> list[np.ndarray] | None:
+    """load_kdd's columns of a well-formed file, or None to read it by rows."""
+    with open(path, "rb") as fh:
+        commas = np.count_nonzero(np.frombuffer(fh.read(), dtype=np.uint8) == ord(","))
+    if commas == 0:
+        return None
+    try:
+        numeric = _loadtxt_columns(path, _NUMERIC_COLUMNS, float)
+        categorical = _loadtxt_columns(path, _CATEGORICAL_COLUMNS, object)
+    except ValueError:
+        return None
+    # the label's usecol is the last field, so every row has at least 42;
+    # 41 commas per row then leaves none with more, nor a comma in a quote
+    rows = numeric.shape[1]
+    if (commas != (len(_KDD_NAMES) - 1) * rows or categorical.shape[1] != rows
+            or not np.isfinite(numeric).all()):
+        return None
+    columns: list = [None] * len(_KDD_NAMES)
+    for i, col in zip(_NUMERIC_COLUMNS, np.ascontiguousarray(numeric)):
+        columns[i] = col
+    for i, cells in zip(_CATEGORICAL_COLUMNS, categorical):
+        stripped = map(str.strip, cells)
+        if _KDD_NAMES[i] == LABEL_COLUMN:
+            stripped = map(methodcaller("rstrip", "."), stripped)
+        columns[i] = np.fromiter(stripped, dtype=object, count=rows)
+    return columns
+
+
+def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
+    """load_kdd's columns read row by row, reporting or skipping bad rows."""
+    names, kinds = _KDD_NAMES, _KDD_KINDS
     expected = len(names)
 
     raw_rows: list[list[str]] = []
@@ -229,7 +284,7 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
 
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
-    return RawTable(tuple(names), tuple(kinds), tuple(columns))
+    return columns
 
 
 def parse_connection_fields(rec: Sequence[str], with_label: bool) -> list:
@@ -263,66 +318,84 @@ def apply_label_granularity(table: RawTable, granularity: str,
     if granularity != "category":
         raise ValueError("granularity must be 'category' or 'attack'")
     idx = table.names.index(class_column)
-    mapped = np.array(
-        [_CATEGORY_OF.get(v, v) for v in table.columns[idx]], dtype=object
-    )
+    labels = table.columns[idx].tolist()
+    mapped = np.fromiter(map(_CATEGORY_OF.get, labels, labels), dtype=object,
+                         count=len(labels))
     columns = tuple(mapped if i == idx else c for i, c in enumerate(table.columns))
     return RawTable(table.names, table.kinds, columns)
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _encode(col: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A column of str: its distinct values, sorted, and each row's index
+    into them, by one dict lookup per row."""
+    values = col.tolist()
+    levels = sorted(set(values))
+    index = {v: i for i, v in enumerate(levels)}
+    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                               count=len(values))
+
+
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of a (rows, classes) count table; 0 if empty."""
+    totals = counts.sum(axis=1, keepdims=True)
+    p = counts / np.where(totals == 0, 1, totals)
+    return np.where(totals[:, 0] == 0, 0.0, 1.0 - np.sum(p * p, axis=1))
 
 
 def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
     """Rank features by Gini impurity gain of the class under their split.
 
     gain(F) = Gini(class) - sum_v (n_v / n) * Gini(class | F = v), values are
-    grouped by exact equality for both categorical and numeric columns.
+    grouped by exact equality for both categorical and numeric columns. Each
+    feature's (value, class) table is one bincount; the sum over v runs in
+    sorted value order, term after term, so gains are bit-identical to the
+    per-value loop this replaced.
     """
     if class_column not in table.names:
         raise ValueError(f"no column named {class_column!r}")
-    labels = table.column(class_column)
-    _, class_codes = np.unique(labels.astype(str), return_inverse=True)
-    n_classes = int(class_codes.max()) + 1 if len(class_codes) else 0
-    base = _gini(np.bincount(class_codes, minlength=n_classes))
+    # class labels compare as str, whatever the column's kind
+    classes, class_codes = _encode(table.column(class_column).astype(str))
+    n_classes = len(classes)
+    base = float(_gini_rows(np.bincount(class_codes, minlength=n_classes)[None, :])[0])
     if base == 0.0:
         log.warning("class column %s is constant; all gains are 0", class_column)
 
+    n_rows = len(class_codes)
     gains = []
     for pos, name in enumerate(table.names):
         if name == class_column:
             continue
         col = table.columns[pos]
-        key = col if table.kinds[pos] == NUMERIC else col.astype(str)
-        values, codes = np.unique(key, return_inverse=True)
-        joint = np.zeros((len(values), n_classes), dtype=np.int64)
-        np.add.at(joint, (codes, class_codes), 1)
-        n = len(codes)
-        weighted = sum(
-            (row.sum() / n) * _gini(row) for row in joint if row.sum()
-        )
+        if table.kinds[pos] == NUMERIC:
+            values, codes = np.unique(col, return_inverse=True)
+        else:
+            values, codes = _encode(col)
+        joint = np.bincount(codes * n_classes + class_codes,
+                            minlength=len(values) * n_classes).reshape(len(values), n_classes)
+        terms = (joint.sum(axis=1) / n_rows) * _gini_rows(joint)
+        weighted = np.add.accumulate(terms)[-1] if len(terms) else 0.0
         gains.append((name, pos, max(0.0, base - weighted)))
 
     gains.sort(key=lambda t: (-t[2], t[1]))  # ties keep table order
     return FeatureRanking(class_column, tuple((n, g) for n, _, g in gains))
 
 
-def mean_discretize(values: Sequence[float], column: str = "") -> tuple[DiscretizationRule, np.ndarray]:
-    """Binary split at the arithmetic mean; values at the mean go to v2."""
+def _mean_threshold(values: Sequence[float], column: str = "") -> float:
+    """The column mean, or its one value if constant (logged): the v1/v2 split."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot discretize an empty column")
     lo, hi = float(arr.min()), float(arr.max())
-    threshold = lo if lo == hi else float(arr.mean())
     if lo == hi:
         log.warning("column %s is constant; every value lands in bin v2", column or "?")
-    rule = DiscretizationRule(column, threshold)
-    return rule, rule.apply(arr)
+        return lo
+    return float(arr.mean())
+
+
+def mean_discretize(values: Sequence[float], column: str = "") -> tuple[DiscretizationRule, np.ndarray]:
+    """Binary split at the arithmetic mean; values at the mean go to v2."""
+    rule = DiscretizationRule(column, _mean_threshold(values, column))
+    return rule, rule.apply(values)
 
 
 def select_features(ranking: FeatureRanking, k: int) -> list[str]:
@@ -337,11 +410,9 @@ def build_rules(table: RawTable, selected: Sequence[str]) -> TransformRules:
     rules = TransformRules()
     for name in selected:
         if table.kind(name) == NUMERIC:
-            rule, _ = mean_discretize(table.column(name), name)
-            rules.means[name] = rule.threshold
+            rules.means[name] = _mean_threshold(table.column(name), name)
         else:
-            observed = sorted(set(str(v) for v in table.column(name)))
-            rules.states[name] = tuple(observed)
+            rules.states[name] = tuple(sorted(set(table.column(name).tolist())))
     return rules
 
 
@@ -368,9 +439,8 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
             states = rules.states[name]
             lookup = {s: i for i, s in enumerate(states)}
             unknown = len(states)
-            codes = np.fromiter(
-                (lookup.get(str(v), unknown) for v in col), dtype=np.int64, count=len(col)
-            )
+            codes = np.fromiter(map(lookup.get, col.tolist(), repeat(unknown)),
+                                dtype=np.int64, count=len(col))
             if np.any(codes == unknown):
                 states = states + (UNKNOWN_STATE,)
         variables.append(Variable(out_id, name, states))

@@ -203,8 +203,11 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
 
     For each variable, repeatedly add the single earlier-order candidate that
     most increases the local log score; stop when no candidate strictly
-    increases it or the parent budget is exhausted. Ties between equally
-    scoring candidates go to the lowest variable id.
+    increases it or the parent budget is exhausted. Among candidates whose
+    scores are bit-equal the lowest variable id wins. Scores that are equal
+    only mathematically are not ties: a binary column and its complement
+    give the same count table with rows swapped, summed in another order,
+    so the last bit of rounding picks between them, whichever id is lower.
 
     Every score is summed sequentially in row-major order (k2_log_scores), so
     it is bit-identical to k2_local_log_score on count_statistics's table for

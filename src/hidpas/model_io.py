@@ -16,8 +16,16 @@ import datetime as _dt
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Variable, parent_configurations, validate_network
-from .features import DataError, format_rules, parse_rules
+from .core import (
+    BayesNet,
+    Cpt,
+    DataError,
+    Dag,
+    Variable,
+    parent_configurations,
+    validate_network,
+)
+from .features import format_rules, parse_rules
 
 FORMAT_HEADER = "HIDPAS-BN v1"
 

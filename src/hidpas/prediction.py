@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import BayesNet, Evidence, Variable
-from .features import DataError
+from .core import DataError
 from .jtree import ImpossibleEvidenceError
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
 from .possibility import HybridMarginal, HybridPropagator, select_state

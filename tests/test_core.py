@@ -33,6 +33,19 @@ def test_two_cycle_reports_one_cycle_violation():
     assert len(cycles) == 1
 
 
+def test_cycle_names_cycle_and_downstream_variables():
+    # 1 <-> 2 is the cycle; 3 hangs below it; 0 and 4 peel off
+    vs = tuple(Variable(i, f"V{i}", ("0", "1")) for i in range(5))
+    parents = ((), (0, 2), (1,), (2,), (0,))
+    dag = Dag(vs, parents)
+    flat = np.full((1, 2), 0.5)
+    net = BayesNet(dag, tuple(
+        Cpt(i, ps, np.repeat(flat, 2 ** len(ps), axis=0)) for i, ps in enumerate(parents)))
+    assert dag.topological_order() is None
+    assert [str(v) for v in validate_network(net)] == [
+        "[cycle] directed cycle through variables [1, 2, 3]"]
+
+
 def test_bad_row_sum_is_reported_with_row():
     a = Variable(0, "A", ("0", "1"))
     net = BayesNet(Dag((a,), ((),)), (Cpt(0, (), np.array([[0.5, 0.6]])),))

@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import csv
+import os
+import random
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hidpas import core, features
 from hidpas.features import (
     CATEGORICAL,
+    KDD_FEATURES,
+    LABEL_COLUMN,
     NUMERIC,
     UNKNOWN_STATE,
     DataError,
@@ -72,6 +83,204 @@ def test_load_kdd_unparseable_numeric(tmp_path):
         load_kdd(str(bad))
 
 
+def test_data_error_is_the_core_class():
+    assert DataError is core.DataError
+
+
+# The csv row reader load_kdd had before its bulk path, kept verbatim as the
+# reference the bulk path must match column for column.
+def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
+    names = [n for n, _ in KDD_FEATURES] + [LABEL_COLUMN]
+    kinds = [k for _, k in KDD_FEATURES] + [CATEGORICAL]
+    expected = len(names)
+
+    raw_rows: list[list[str]] = []
+    linenos: list[int] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
+            if not rec or (len(rec) == 1 and not rec[0].strip()):
+                continue
+            if len(rec) != expected:
+                message = f"expected {expected} fields, got {len(rec)}"
+                if on_bad == "abort":
+                    raise DataError(f"{path}:{lineno}: {message}")
+                continue
+            raw_rows.append(rec)
+            linenos.append(lineno)
+
+    bad_rows: dict[int, str] = {}
+    columns: list = [None] * expected
+    transposed = list(zip(*raw_rows)) if raw_rows else [()] * expected
+    for i, (name, kind) in enumerate(zip(names, kinds)):
+        cells = transposed[i]
+        if kind != NUMERIC:
+            if name == LABEL_COLUMN:
+                cells = [c.strip().rstrip(".") for c in cells]
+            else:
+                cells = [c.strip() for c in cells]
+            columns[i] = np.array(cells, dtype=object)
+            continue
+        try:
+            arr = np.asarray(cells, dtype=float)
+        except ValueError:
+            arr = np.empty(len(cells))
+            for r, cell in enumerate(cells):
+                try:
+                    arr[r] = float(cell)
+                except ValueError:
+                    arr[r] = np.nan
+                    bad_rows.setdefault(
+                        r, f"non-numeric value {cell.strip()!r} in column {name}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                bad_rows.setdefault(
+                    r, f"non-finite value {cells[r].strip()!r} in column {name}")
+        columns[i] = arr
+
+    if bad_rows:
+        first = min(bad_rows)
+        if on_bad == "abort":
+            raise DataError(f"{path}:{linenos[first]}: {bad_rows[first]}")
+        keep = np.ones(len(raw_rows), dtype=bool)
+        keep[list(bad_rows)] = False
+        columns = [c[keep] for c in columns]
+    return RawTable(tuple(names), tuple(kinds), tuple(columns))
+
+
+KDD_KINDS = [k for _, k in KDD_FEATURES] + [CATEGORICAL]
+NUMERIC_POSITIONS = [i for i, k in enumerate(KDD_KINDS) if k == NUMERIC]
+CATEGORICAL_POSITIONS = [i for i, k in enumerate(KDD_KINDS) if k != NUMERIC]
+NUMBERS = ["0", "1", "-0", "7", "511", "0.03", "1.5e3", "+.5", "5.", "1E-5", "007",
+           "1e-400", "0.1"]
+CATEGORIES = ["tcp", "http", "SF", "0", "1", "normal.", "smurf", "x..", "a b", "",
+              'q"t', "\u00fc"]
+SPACES = ["", " ", "  ", "\t"]
+# each defect makes the row reader skip or report a row, or reads a cell
+# unlike a plain one ('1_0' is 10.0, a quote after a space is kept, a quoted
+# comma is no delimiter)
+DEFECTS = ["abc", "nan", "inf", "-inf", "1_0", "", "1e400", "short", "long",
+           "spaced quote", "quoted comma", "unquoted comma"]
+
+
+def _kdd_cell(rng: random.Random, kind: str, quote_rate: float, space_rate: float) -> str:
+    if kind == NUMERIC:
+        value = rng.choice(NUMBERS) if rng.random() < 0.7 else repr(rng.uniform(-1e6, 1e6))
+    else:
+        value = rng.choice(CATEGORIES)
+    if rng.random() < space_rate:
+        value = rng.choice(SPACES) + value + rng.choice(SPACES)
+    if rng.random() < quote_rate:
+        value = '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def kdd_files(draw) -> str:
+    """KDD-shaped text: cells with spaces and quotes, blank lines, LF or CRLF
+    line ends, and up to two defective rows."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    quote_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    space_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rows = [[_kdd_cell(rng, kind, quote_rate, space_rate) for kind in KDD_KINDS]
+            for _ in range(draw(st.integers(0, 6)))]
+    defects = draw(st.lists(st.sampled_from(DEFECTS), max_size=2)) if rows else []
+    for defect in sorted(defects, key=lambda d: d in ("short", "long")):  # arity last
+        row = rng.choice(rows)
+        if defect == "short":
+            del row[rng.randrange(len(row))]
+        elif defect == "long":
+            row.insert(rng.randrange(len(row) + 1), "0")
+        elif defect == "spaced quote":
+            row[rng.choice(CATEGORICAL_POSITIONS)] = ' "tcp"'
+        elif defect == "quoted comma":
+            row[rng.choice(CATEGORICAL_POSITIONS)] = '" a,b"'
+        elif defect == "unquoted comma":
+            row[rng.choice(CATEGORICAL_POSITIONS)] = "a,b"
+        else:
+            row[rng.choice(NUMERIC_POSITIONS)] = defect
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = draw(st.sampled_from(["", "", " \t"]))
+    lines = []
+    for row in rows:
+        if rng.random() < 0.2:
+            lines.append(blank)
+        lines.append(",".join(row))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _read_outcome(load, path: str, on_bad: str):
+    try:
+        table = load(path, on_bad)
+    except DataError as exc:
+        return "DataError", str(exc)
+    columns = []
+    for col in table.columns:
+        if col.dtype == object:
+            assert all(type(v) is str for v in col)
+            columns.append(("object", col.tolist()))
+        else:
+            columns.append((col.dtype.str, col.shape, col.tobytes()))
+    return table.names, table.kinds, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(kdd_files(), st.sampled_from(["abort", "skip"]))
+def test_load_kdd_equals_row_reader(text, on_bad):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "conn.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _read_outcome(reference_load_kdd, path, on_bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_outcome(load_kdd, path, on_bad)
+    assert got == expected
+
+
+def _kdd_row(rng: random.Random) -> list[str]:
+    return [rng.choice(NUMBERS) if kind == NUMERIC else rng.choice(["tcp", "SF", "normal."])
+            for kind in KDD_KINDS]
+
+
+def test_load_kdd_reads_well_formed_file_in_bulk(tmp_path, monkeypatch):
+    rng = random.Random(5)
+    lines = []
+    for _ in range(20):  # quoted cells, spaces, CRLF and blank lines
+        row = [_kdd_cell(rng, kind, 0.3, 0.3) for kind in KDD_KINDS]
+        lines += [",".join(row), ""]
+    path = tmp_path / "conn.csv"
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    expected = _read_outcome(reference_load_kdd, str(path), "abort")
+
+    def no_row_reader(*args):
+        raise AssertionError("well-formed file went to the row reader")
+
+    monkeypatch.setattr(features, "_load_kdd_rows", no_row_reader)
+    assert _read_outcome(load_kdd, str(path), "abort") == expected
+    assert expected[2][0][0] == "<f8" and len(expected[2][-1][1]) == 20
+
+
+@pytest.mark.parametrize("extra", [(1, -1), (1, 1), (2, 0)])
+def test_load_kdd_extra_fields_are_not_read_past(tmp_path, extra):
+    # loadtxt with usecols accepts a row with extra fields; a long row
+    # balanced by a short one keeps the file's comma count at 41 per row
+    rng = random.Random(9)
+    rows = [_kdd_row(rng) for _ in range(4)]
+    for r, change in enumerate(extra):
+        if change > 0:
+            rows[r] += ["0"] * change
+        elif change < 0:
+            del rows[r][0]
+    path = tmp_path / "conn.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    for on_bad in ("abort", "skip"):
+        expected = _read_outcome(reference_load_kdd, str(path), on_bad)
+        assert _read_outcome(load_kdd, str(path), on_bad) == expected
+    with pytest.raises(DataError, match=r"conn\.csv:1: expected 42 fields, got 4[34]"):
+        load_kdd(str(path))
+
+
 def test_label_granularity_mapping():
     table = load_kdd(data_path("scenario", "detector_train.csv"))
     mapped = apply_label_granularity(table, "category")
@@ -129,6 +338,75 @@ def test_gini_gain_bounded_by_class_gini():
         assert 0.0 <= g <= base + 1e-12
 
 
+# The per-value loop gini_rank had before its bincount tables, kept verbatim
+# as the reference its gains must equal bit for bit.
+def reference_gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
+    def gini(counts):
+        total = counts.sum()
+        if total == 0:
+            return 0.0
+        p = counts / total
+        return float(1.0 - np.sum(p * p))
+
+    labels = table.column(class_column)
+    _, class_codes = np.unique(labels.astype(str), return_inverse=True)
+    n_classes = int(class_codes.max()) + 1 if len(class_codes) else 0
+    base = gini(np.bincount(class_codes, minlength=n_classes))
+    gains = []
+    for pos, name in enumerate(table.names):
+        if name == class_column:
+            continue
+        col = table.columns[pos]
+        key = col if table.kinds[pos] == NUMERIC else col.astype(str)
+        values, codes = np.unique(key, return_inverse=True)
+        joint = np.zeros((len(values), n_classes), dtype=np.int64)
+        np.add.at(joint, (codes, class_codes), 1)
+        n = len(codes)
+        weighted = sum(
+            (row.sum() / n) * gini(row) for row in joint if row.sum()
+        )
+        gains.append((name, pos, max(0.0, base - weighted)))
+    gains.sort(key=lambda t: (-t[2], t[1]))
+    return FeatureRanking(class_column, tuple((n, g) for n, _, g in gains))
+
+
+def _exact(ranking: FeatureRanking) -> list:
+    return [(name, type(gain), repr(gain)) for name, gain in ranking.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 5, 9, 17, 30]),
+       st.integers(0, 300))
+def test_gini_rank_equals_reference_loop(seed, n_classes, rows):
+    # 9+ classes take numpy's unrolled pairwise sum; one class is constant
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_classes) ** 3
+    cls = rng.choice([f"c{i}" for i in range(n_classes)], rows, p=weights / weights.sum())
+    cat = rng.choice(["x", "y", "z", "w"], rows)
+    table = small_table(
+        cls=cls,
+        cat=cat,
+        num=rng.integers(0, 5, rows).astype(float),  # few repeated values
+        many=rng.integers(0, 40, rows).astype(float),  # many terms to sum
+        real=rng.random(rows),  # every value distinct
+        cat_copy=cat.copy(),  # ties with cat
+        cls_copy=cls.copy(),  # the best gain
+        const=np.full(rows, "k"),
+    )
+    assert _exact(gini_rank(table, "cls")) == _exact(reference_gini_rank(table, "cls"))
+
+
+def test_gini_rank_equals_reference_on_ties_and_constant_class():
+    tied = small_table(cls=["a", "b", "a", "b", "c"], f=["x", "y", "x", "y", "x"],
+                       g=["p", "q", "p", "q", "p"], h=[1.0, 2.0, 1.0, 2.0, 1.0])
+    ranking = gini_rank(tied, "cls")
+    assert [n for n, _ in ranking.entries] == ["f", "g", "h"]
+    assert _exact(ranking) == _exact(reference_gini_rank(tied, "cls"))
+    constant = small_table(cls=["a"] * 4, f=["x", "y", "x", "z"], h=[1.0, 2.0, 3.0, 3.0])
+    assert _exact(gini_rank(constant, "cls")) == _exact(reference_gini_rank(constant, "cls"))
+    assert [g for _, g in gini_rank(constant, "cls").entries] == [0.0, 0.0]
+
+
 # -- discretization ------------------------------------------------------------------
 
 def test_mean_discretize_hand_example():
@@ -146,6 +424,18 @@ def test_mean_discretize_constant_column_warns(caplog):
     with caplog.at_level("WARNING"):
         rule, bins = mean_discretize([2.0, 2.0, 2.0], "c")
     assert bins.tolist() == ["v2", "v2", "v2"]
+
+
+def test_build_rules_threshold_is_mean_discretize_s_and_warns_once(caplog):
+    table = small_table(flat=[2.0, 2.0, 2.0], x=[1.0, 2.0, 6.0], cls=["n", "a", "n"])
+    expected = {name: mean_discretize(table.column(name), name)[0].threshold
+                for name in ("flat", "x")}
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="hidpas.features"):
+        rules = build_rules(table, ["flat", "x", "cls"])
+    assert rules.means == expected == {"flat": 2.0, "x": 3.0}
+    assert [r.getMessage() for r in caplog.records] == [
+        "column flat is constant; every value lands in bin v2"]
 
 
 # -- selection and dataset construction ------------------------------------------------
