@@ -23,7 +23,6 @@ from .learning import (
 from .possibility import (
     HybridMarginal,
     hybrid_propagate,
-    is_informative,
     necessity,
     prob_to_poss,
 )
@@ -35,7 +34,7 @@ __all__ = [
     "joint_probability", "parent_configurations", "validate_network",
     "CountStatistics", "DiscreteDataset", "LearnConfig",
     "count_statistics", "fit_cpts", "k2_local_log_score", "k2_search",
-    "HybridMarginal", "hybrid_propagate", "is_informative",
+    "HybridMarginal", "hybrid_propagate",
     "necessity", "prob_to_poss",
     "__version__",
 ]

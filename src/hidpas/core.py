@@ -268,7 +268,7 @@ def validate_network(net: BayesNet) -> list[Violation]:
                           f"table shape {cpt.table.shape} != ({q}, {var.arity})")
             )
             continue
-        if np.any(cpt.table < 0) or np.any(cpt.table > 1):
+        if not np.all((cpt.table >= 0) & (cpt.table <= 1)):  # NaN fails both
             out.append(Violation(var.id, "range", "CPT entry outside [0, 1]"))
         sums = cpt.table.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]

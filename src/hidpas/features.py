@@ -228,7 +228,11 @@ def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
     linenos: list[int] = []
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        end = 0
+        for rec in reader:
+            # a quoted newline spans lines: name the line the record starts on
+            lineno, end = end + 1, reader.line_num
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
             if len(rec) != expected:

@@ -16,6 +16,10 @@ from .core import BayesNet, Cpt, Dag, Variable
 
 SCORE_EPS = 1e-12  # a candidate parent must beat the current score by this
 ENTRY_BUDGET = 1 << 14  # array entries per K2 scoring chunk; bounds its working memory
+# Largest one-hot matrix, indicator matrix or product (in entries) that K2
+# counts with a float32 matrix product. At most 2**24, so that every count,
+# an integer no larger than the row count, is exact in float32.
+PRODUCT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,14 @@ def k2_local_log_score(stats: CountStatistics) -> float:
     return float(k2_log_scores(stats.counts[None], lgamma)[0])
 
 
+def _by_arity(arities: list[int], candidates: list[int]) -> dict[int, list[int]]:
+    """Positions in candidates, grouped by the candidate's arity."""
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(candidates):
+        groups.setdefault(arities[c], []).append(i)
+    return groups
+
+
 def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np.ndarray,
                       q: int, candidates: list[int], lgamma: np.ndarray) -> np.ndarray:
     """Scores of var's parents, encoded per row in cfg (q configurations),
@@ -179,10 +191,7 @@ def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np
     n_rows = columns.shape[1]
     r = arities[var]
     scores = np.empty(len(candidates))
-    by_arity: dict[int, list[int]] = {}
-    for i, c in enumerate(candidates):
-        by_arity.setdefault(arities[c], []).append(i)
-    for a, idx in by_arity.items():
+    for a, idx in _by_arity(arities, candidates).items():
         span = q * a * r
         size = min(len(idx), max(1, ENTRY_BUDGET // max(n_rows, q * a * (r + 1))))
         # key of row n for the i-th candidate c of a chunk:
@@ -196,6 +205,57 @@ def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np
             scores[part] = k2_log_scores(counts.reshape(len(part), q * a, r), lgamma)
             del counts  # so that two count tables are never held at once
     return scores
+
+
+def _one_hot(data: DiscreteDataset, order: Sequence[int]) -> tuple[np.ndarray | None,
+                                                                   np.ndarray]:
+    """The float32 one-hot matrix of data for the product path, or None when
+    its n * sum(a - 1) entries exceed PRODUCT_BUDGET, and each variable's
+    first column in it.
+
+    Variables take their columns in order, one per non-zero state, so the
+    variables before var in the order are the prefix [:, :first[var]].
+    """
+    widths = [data.variables[v].arity - 1 for v in order]
+    first = np.zeros(len(order), dtype=np.int64)
+    first[list(order)] = np.cumsum([0] + widths)[:-1]
+    if data.row_count * sum(widths) > PRODUCT_BUDGET:
+        return None, first
+    onehot = np.zeros((data.row_count, sum(widths)), dtype=np.float32)
+    row_ids = np.arange(data.row_count)
+    for v in order:
+        hit = data.rows[:, v] > 0
+        onehot[row_ids[hit], first[v] + data.rows[hit, v] - 1] = 1
+    return onehot, first
+
+
+def _product_tables(prefix: np.ndarray, first: np.ndarray, arities: list[int], var: int,
+                    key: np.ndarray, q: int, candidates: list[int]):
+    """Count tables of var's parents plus each candidate as the last parent,
+    as one matrix product; yields (positions in candidates, tables) per
+    candidate arity, tables of shape (C, q * a, r) as _candidate_scores counts.
+
+    prefix is the one-hot matrix of the variables before var in the order
+    (_one_hot); key holds cfg * r + var's state per row. With Z the (q * r, n)
+    indicator of key, Z @ prefix counts N[cfg, var's state, c = s] for every
+    state s >= 1 of every prefix variable c; state 0 is the rest of the
+    key's total. Every product is 0 or 1 and every sum an integer no larger
+    than n, so float32 counts them exactly for n <= 2**24.
+    """
+    n_rows = prefix.shape[0]
+    r = arities[var]
+    z = np.zeros((q * r, n_rows), dtype=np.float32)
+    z[key, np.arange(n_rows)] = 1
+    counts = (z @ prefix).astype(np.int64)
+    totals = np.bincount(key, minlength=q * r)
+    for a, idx in _by_arity(arities, candidates).items():
+        cols = first[[candidates[i] for i in idx]][:, None] + np.arange(a - 1)
+        tables = np.empty((q * r, len(idx), a), dtype=np.int64)
+        tables[..., 1:] = counts[:, cols]
+        tables[..., 0] = totals[:, None] - tables[..., 1:].sum(axis=2)
+        # (cfg, var's state, candidate, its state) -> (candidate, cfg * a + its state, var's)
+        yield idx, tables.reshape(q, r, len(idx), a).transpose(2, 0, 3, 1).reshape(
+            len(idx), q * a, r)
 
 
 def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
@@ -212,6 +272,18 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     Every score is summed sequentially in row-major order (k2_log_scores), so
     it is bit-identical to k2_local_log_score on count_statistics's table for
     the same parents, and so are the ties and the learned structure.
+
+    Each (variable, round) counts its candidates' tables on one of two paths,
+    chosen from the input alone. The product path (_product_tables) counts
+    all of them with one float32 matrix product of the key indicator Z
+    (q * r by n) and the prefix of a one-hot matrix X (n by sum(a - 1)) built
+    once per search; it runs when X, Z and the product each hold at most
+    PRODUCT_BUDGET entries. Counts are integers no larger than n, and
+    PRODUCT_BUDGET <= 2**24 bounds n, so float32 holds them exactly whatever
+    order BLAS sums in. Otherwise, as for wide-arity data where a dense
+    product costs more than it saves, the bincount path (_candidate_scores)
+    counts candidates with offset np.bincount calls. Both give the same
+    tables, so the paths agree bit for bit.
     """
     n = len(data.variables)
     if sorted(config.order) != list(range(n)):
@@ -223,6 +295,7 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     max_arity = max(arities, default=1)
     # column-major and in the smallest integer type, so gathering candidates is cheap
     columns = data.rows.T.astype(np.min_scalar_type(max_arity - 1))
+    onehot, first = _one_hot(data, config.order)
     lgamma = lgamma_table(data.row_count + max_arity + 1)
     parent_sets: list[tuple[int, ...]] = [()] * n
     for pos, var in enumerate(config.order):
@@ -234,7 +307,13 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
         counts = np.bincount(data.rows[:, var], minlength=r).reshape(1, 1, r)
         current = float(k2_log_scores(counts, lgamma)[0])
         while len(parents) < config.max_parents and candidates:
-            scores = _candidate_scores(columns, arities, var, cfg, q, candidates, lgamma)
+            if onehot is not None and q * r * max(data.row_count, first[var]) <= PRODUCT_BUDGET:
+                scores = np.empty(len(candidates))
+                for idx, tables in _product_tables(onehot[:, :first[var]], first, arities, var,
+                                                   cfg * r + data.rows[:, var], q, candidates):
+                    scores[idx] = k2_log_scores(tables, lgamma)
+            else:
+                scores = _candidate_scores(columns, arities, var, cfg, q, candidates, lgamma)
             i = int(np.argmax(scores))  # the first maximum: lowest id wins ties
             if scores[i] > current + SCORE_EPS:
                 best = candidates.pop(i)

@@ -53,10 +53,13 @@ def format_network(net: BayesNet, timestamp: bool = True) -> str:
         cpt = net.cpts[var.id]
         lines.append(f"CPT {var.id}")
         for j, cfg in enumerate(parent_configurations(net, var.id)):
-            cfg_txt = "(" + ",".join(str(c) for c in cfg) + ")"
             row = " ".join(f"{p:.12g}" for p in cpt.table[j])
-            lines.append(f"{cfg_txt} : {row}")
+            lines.append(f"{_config_label(cfg)} : {row}")
     return "\n".join(lines) + "\n"
+
+
+def _config_label(cfg: tuple[int, ...]) -> str:
+    return "(" + ",".join(str(c) for c in cfg) + ")"
 
 
 def save_network(net: BayesNet, path: str, timestamp: bool = True) -> None:
@@ -71,10 +74,14 @@ def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
     if not lines or lines[0] != FORMAT_HEADER:
         raise DataError(f"{path}: missing '{FORMAT_HEADER}' header")
     sections: list[tuple[str, list[str]]] = []
+    headers: set[str] = set()
     for ln in lines[1:]:
         head = ln.split()
         if head and head[0] in ("VARIABLES", "EDGES", "CPT", "DETECTOR",
                                 "RULES", "CLASSIFIER", "PLAN"):
+            if ln in headers:
+                raise DataError(f"{path}: duplicate section {ln!r}")
+            headers.add(ln)
             sections.append((ln, []))
         elif not sections:
             raise DataError(f"{path}: content before first section: {ln!r}")
@@ -83,54 +90,82 @@ def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
     return sections
 
 
+def _parse_id(token: str) -> int:
+    """A variable id as format_network writes it: decimal digits, no sign or leading 0."""
+    if not (token.isascii() and token.isdigit()) or token != str(int(token)):
+        raise ValueError(f"bad id {token!r}")
+    return int(token)
+
+
+def _parse_row(values: str, known: dict[str, float]) -> list[float]:
+    """A CPT row's probabilities, each spelled as format_network writes it
+    (%.12g); another spelling would not survive a save, and raises
+    ValueError. known maps each entry already read to its value, so each
+    distinct one is checked once."""
+    row = []
+    for token in values.split(" "):
+        value = known.get(token)
+        if value is None:
+            value = float(token)
+            if f"{value:.12g}" != token:
+                raise ValueError(f"bad probability {token!r}")
+            known[token] = value
+        row.append(value)
+    return row
+
+
 def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str, list[str]]]:
     """Parse and validate the network sections; returns the net plus any extra
-    sections. A net that breaks an invariant of validate_network raises
-    DataError naming the path and the first violation."""
+    sections.
+
+    Fields are separated by single spaces, ids and probabilities are spelled
+    as format_network spells them (no sign or leading zero on an id; 12
+    significant digits in %g form for a probability, so `0.50` and `1.0` are
+    rejected), and each CPT row is labelled with its parent configuration in
+    order, so a net that loads saves back to the same lines. A malformed
+    line, a duplicate section, or a net that breaks an invariant of
+    validate_network raises DataError naming the path."""
     sections = _read_sections(text, path)
     variables: list[Variable] = []
     edges: list[tuple[int, int, str]] = []  # (parent, child, line)
-    cpt_rows: dict[int, list[list[float]]] = {}
+    cpt_lines: dict[int, list[str]] = {}
     extras: dict[str, list[str]] = {}
 
     for header, body in sections:
-        parts = header.split()
-        if parts[0] == "VARIABLES":
+        parts = header.split(" ")
+        if header == "VARIABLES":
             for ln in body:
                 try:
-                    vid_s, name, states_s = ln.split(None, 2)
-                    variables.append(Variable(int(vid_s), name,
-                                              tuple(states_s.split(","))))
+                    vid_s, name, states_s = ln.split(" ")
+                    states = tuple(_check_token("state label", s) for s in states_s.split(","))
+                    variables.append(Variable(_parse_id(vid_s),
+                                              _check_token("variable name", name), states))
                 except ValueError:
                     raise DataError(f"{path}: bad variable line {ln!r}") from None
-        elif parts[0] == "EDGES":
+        elif header == "EDGES":
             for ln in body:
                 try:
-                    p_s, arrow, c_s = ln.split()
+                    p_s, arrow, c_s = ln.split(" ")
                     if arrow != "->":
                         raise ValueError
-                    edges.append((int(p_s), int(c_s), ln))
+                    edges.append((_parse_id(p_s), _parse_id(c_s), ln))
                 except ValueError:
                     raise DataError(f"{path}: bad edge line {ln!r}") from None
         elif parts[0] == "CPT":
             try:
-                [vid] = [int(x) for x in parts[1:]]
+                [vid] = [_parse_id(x) for x in parts[1:]]
             except ValueError:
                 raise DataError(f"{path}: bad CPT header {header!r}") from None
-            rows = []
-            for ln in body:
-                try:
-                    _, values = ln.split(":", 1)
-                    rows.append([float(x) for x in values.split()])
-                except ValueError:
-                    raise DataError(f"{path}: bad CPT line {ln!r}") from None
-            cpt_rows[vid] = rows
+            cpt_lines[vid] = body
         else:
             extras[parts[0]] = body
 
     variables.sort(key=lambda v: v.id)
     if [v.id for v in variables] != list(range(len(variables))):
         raise DataError(f"{path}: variable ids must be 0..n-1 without gaps")
+    unknown = sorted(set(cpt_lines) - set(range(len(variables))))
+    if unknown:
+        raise DataError(f"{path}: CPT section for unknown variable {unknown[0]}")
     parent_lists: list[list[int]] = [[] for _ in variables]
     for parent, child, ln in edges:
         if not (0 <= parent < len(variables) and 0 <= child < len(variables)):
@@ -139,14 +174,34 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
     parents = tuple(tuple(ps) for ps in parent_lists)
     dag = Dag(tuple(variables), parents)
     cpts = []
+    labels: list[list[str]] = []
+    known: dict[str, float] = {}
     for var in variables:
-        if var.id not in cpt_rows:
+        if var.id not in cpt_lines:
             raise DataError(f"{path}: no CPT section for variable {var.id}")
-        table = np.asarray(cpt_rows[var.id], dtype=float)
-        if table.ndim != 2:
-            raise DataError(f"{path}: ragged CPT for variable {var.id}")
+        rows: list[list[float]] = []
+        labels.append([])
+        for ln in cpt_lines[var.id]:
+            label, sep, values = ln.partition(" : ")
+            try:
+                if not sep:
+                    raise ValueError
+                row = _parse_row(values, known)
+            except ValueError:
+                raise DataError(f"{path}: bad CPT line {ln!r}") from None
+            if len(row) != var.arity:
+                raise DataError(f"{path}: CPT {var.id} line {ln!r} has {len(row)} "
+                                f"values for {var.arity} states")
+            rows.append(row)
+            labels[-1].append(label)
+        table = np.array(rows, dtype=float).reshape(len(rows), var.arity)
         cpts.append(Cpt(var.id, parents[var.id], table))
     net = BayesNet(dag, tuple(cpts))
+    for var, var_labels in zip(variables, labels):
+        for label, cfg in zip(var_labels, parent_configurations(net, var.id)):
+            if label != _config_label(cfg):
+                raise DataError(f"{path}: CPT {var.id} row labelled {label!r} where "
+                                f"{_config_label(cfg)!r} belongs")
     violations = validate_network(net)
     if violations:
         raise DataError(f"{path}: invalid network: {violations[0]}")

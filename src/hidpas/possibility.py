@@ -105,12 +105,6 @@ def necessity(pi: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - np.where(arr == top, second, top), 0.0)
 
 
-def is_informative(triple: Sequence[float], tau: float) -> bool:
-    """True when the possibility-necessity gap is within the threshold."""
-    n, _, pi = triple
-    return pi - n <= tau
-
-
 @dataclass(frozen=True)
 class HybridMarginal:
     """Per-state (necessity, probability, possibility) for one query variable."""

@@ -83,6 +83,23 @@ def test_load_kdd_unparseable_numeric(tmp_path):
         load_kdd(str(bad))
 
 
+def test_load_kdd_names_physical_line_after_quoted_newline(tmp_path, caplog):
+    row = open(data_path("scenario", "detector_train.csv")).readline().rstrip("\n").split(",")
+    spanning = list(row)
+    spanning[1] = '"tc\np"'  # a quoted newline: this record holds lines 1-2
+    bad = list(row)
+    bad[0] = "abc"
+    path = tmp_path / "q.csv"
+    path.write_text("\n".join([",".join(spanning), ",".join(row), ",".join(bad)]) + "\n")
+    with pytest.raises(DataError, match=r"q\.csv:4: non-numeric value 'abc' in column duration"):
+        load_kdd(str(path))
+    with caplog.at_level("WARNING", logger="hidpas.features"):
+        table = load_kdd(str(path), on_bad="skip")
+    assert table.row_count == 2
+    assert any("q.csv:4: skipped row (non-numeric value 'abc'" in r.getMessage()
+               for r in caplog.records)
+
+
 def test_data_error_is_the_core_class():
     assert DataError is core.DataError
 

@@ -11,6 +11,7 @@ from hidpas import learning
 from hidpas.core import Variable, validate_network
 from hidpas.learning import (
     ENTRY_BUDGET,
+    PRODUCT_BUDGET,
     SCORE_EPS,
     DiscreteDataset,
     LearnConfig,
@@ -292,9 +293,12 @@ def mixed_dataset(rng, n_rows: int, arities: list[int], copies: int) -> Discrete
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 120),
        st.lists(st.integers(2, 5), min_size=1, max_size=4), st.integers(0, 2),
-       st.integers(0, 3), st.sampled_from([ENTRY_BUDGET, 1, 40]))
+       st.integers(0, 3), st.sampled_from([ENTRY_BUDGET, 1, 40]),
+       st.sampled_from([0, 1 << 24]))
 def test_k2_search_equals_reference_search(seed, n_rows, arities, copies, max_parents,
-                                           budget):
+                                           budget, product_budget):
+    # PRODUCT_BUDGET 0 counts on the bincount path (but for empty data), 2**24
+    # on the product path
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
     n = len(data.variables)
@@ -302,6 +306,7 @@ def test_k2_search_equals_reference_search(seed, n_rows, arities, copies, max_pa
                          max_parents=min(max_parents, n - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "ENTRY_BUDGET", budget)
+        mp.setattr(learning, "PRODUCT_BUDGET", product_budget)
         got = k2_search(data, config).parents
     assert got == reference_k2_search(data, config)
 
@@ -332,3 +337,101 @@ def test_k2_search_ties_go_to_lowest_id():
             assert dag.parents[3] == (1,)
         else:
             assert dag.parents[3] == ((0,) if x_given[0] > x_given[1] else (1,))
+
+
+# -- the product counting path ---------------------------------------------------
+
+def counting_paths(mp: pytest.MonkeyPatch) -> dict[str, int]:
+    """Counts the (variable, round) calls that take each counting path."""
+    calls = {"product": 0, "bincount": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    mp.setattr(learning, "_product_tables", spy("product", learning._product_tables))
+    mp.setattr(learning, "_candidate_scores", spy("bincount", learning._candidate_scores))
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 150),
+       st.lists(st.integers(2, 5), min_size=2, max_size=5), st.integers(0, 2))
+def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies):
+    rng = np.random.default_rng(seed)
+    data = mixed_dataset(rng, n_rows, arities, copies)
+    order = tuple(int(i) for i in rng.permutation(len(data.variables)))
+    var = order[-1]
+    prefix = sorted(order[:-1])
+    # one or two parents already chosen; they stay in the one-hot prefix
+    parents = [int(p) for p in rng.choice(prefix, size=min(2, len(prefix) - 1), replace=False)]
+    candidates = [c for c in prefix if c not in parents]
+    arity = [v.arity for v in data.variables]
+    cfg = np.zeros(n_rows, dtype=np.int64)
+    q = 1
+    for p in parents:
+        cfg = cfg * arity[p] + data.rows[:, p]
+        q *= arity[p]
+    onehot, first = learning._one_hot(data, order)
+    key = cfg * arity[var] + data.rows[:, var]
+    seen = []
+    for idx, tables in learning._product_tables(onehot[:, :first[var]], first, arity, var,
+                                                key, q, candidates):
+        for i, table in zip(idx, tables):
+            expected = count_statistics(data, var, parents + [candidates[i]]).counts
+            assert table.tolist() == expected.tolist()
+            seen.append(i)
+    assert sorted(seen) == list(range(len(candidates)))
+
+
+def test_product_budget_edge_picks_the_path():
+    # the product path needs X (rows by sum(a - 1) one-hot columns) and, per
+    # round, Z and Z @ X to fit the budget: at the largest of them every round
+    # takes it, one entry under some round counts by bincount instead
+    assert PRODUCT_BUDGET <= 2 ** 24  # float32 counts stay exact
+    rng = np.random.default_rng(4)
+    data = mixed_dataset(rng, 300, [2, 3, 2, 4, 2, 5], copies=3)
+    order = tuple(int(i) for i in rng.permutation(len(data.variables)))
+    config = LearnConfig(order=order, max_parents=3)
+    onehot, _ = learning._one_hot(data, order)
+    sizes = [onehot.size]
+    tables = learning._product_tables
+
+    def sized(prefix, first, arities, var, key, q, candidates):
+        sizes.append(q * arities[var] * max(prefix.shape))
+        return tables(prefix, first, arities, var, key, q, candidates)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "PRODUCT_BUDGET", 1 << 24)
+        mp.setattr(learning, "_product_tables", sized)
+        k2_search(data, config)
+    expected = reference_k2_search(data, config)
+    assert max(map(len, expected)) == 3  # rounds with q > 1
+    for budget, only in ((max(sizes), "product"), (max(sizes) - 1, None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "PRODUCT_BUDGET", budget)
+            calls = counting_paths(mp)
+            assert k2_search(data, config).parents == expected
+        assert calls["product"] > 0
+        assert calls["bincount"] == 0 if only else calls["bincount"] > 0
+
+
+def test_k2_search_on_150_binary_columns():
+    # the plan network's shape: wide, all binary, each column a noisy copy
+    # of one or two earlier ones
+    rng = np.random.default_rng(12)
+    n_rows, n_cols = 400, 150
+    cols = [rng.integers(0, 2, n_rows)]
+    for i in range(1, n_cols):
+        a, b = rng.integers(0, i, size=2)
+        noise = rng.random(n_rows) < 0.1
+        cols.append((cols[a] | cols[b]) ^ noise if i % 3 else cols[a] ^ noise)
+    data = dataset([f"c{i}" for i in range(n_cols)], np.stack(cols, axis=1))
+    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n_cols)), max_parents=2)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_paths(mp)
+        got = k2_search(data, config).parents
+    assert calls["bincount"] == 0 and calls["product"] > n_cols
+    assert got == reference_k2_search(data, config)

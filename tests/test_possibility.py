@@ -19,7 +19,6 @@ from hidpas.possibility import (
     HybridMarginal,
     HybridPropagator,
     hybrid_propagate,
-    is_informative,
     necessity,
     prob_to_poss,
     select_state,
@@ -158,12 +157,13 @@ def test_select_state_prefers_informative_then_lowest_index():
     assert select_state(skewed, 0.5) == (1, True)
 
 
-# -- is_informative ----------------------------------------------------------------
+# -- informativeness ---------------------------------------------------------------
 
-def test_is_informative_cases():
-    assert is_informative((0.5, 0.62, 0.62), 0.5)
-    assert not is_informative((0.2, 0.5, 0.9), 0.5)
-    assert is_informative((1.0, 1.0, 1.0), 0.0)
+def test_marginal_informative_cases():
+    # state 0 carries the (N, P, Pi) triple; state 1 completes a valid marginal
+    assert HybridMarginal(0, (0.5, 0.0), (0.62, 0.38), (0.62, 1.0)).informative(0, 0.5)
+    assert not HybridMarginal(0, (0.2, 0.0), (0.5, 0.5), (0.9, 1.0)).informative(0, 0.5)
+    assert HybridMarginal(0, (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)).informative(0, 0.0)
 
 
 # -- hybrid propagation --------------------------------------------------------------
