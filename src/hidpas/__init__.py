@@ -22,7 +22,7 @@ from .learning import (
 )
 from .possibility import (
     HybridMarginal,
-    hybrid_propagate,
+    HybridPropagator,
     necessity,
     prob_to_poss,
 )
@@ -34,7 +34,7 @@ __all__ = [
     "joint_probability", "parent_configurations", "validate_network",
     "CountStatistics", "DiscreteDataset", "LearnConfig",
     "count_statistics", "fit_cpts", "k2_local_log_score", "k2_search",
-    "HybridMarginal", "hybrid_propagate",
+    "HybridMarginal", "HybridPropagator",
     "necessity", "prob_to_poss",
     "__version__",
 ]

@@ -113,9 +113,9 @@ def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[Ag
         attack_type=alert.attack_type,
     )
     result = classify_alert(state.classifier, record)
-    if result.hyper_name in state.observed:
+    if result.label in state.observed:
         return state, ()
-    new_state = replace(state, observed=state.observed + (result.hyper_name,))
+    new_state = replace(state, observed=state.observed + (result.label,))
     known = [h for h in new_state.observed if _in_plan(state.plan, h)]
     try:
         report = predict_attacks(state.plan, known, state.selection, state.theta)

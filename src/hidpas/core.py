@@ -7,6 +7,7 @@ fastest, and that ordering is part of the CPT file contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -18,6 +19,14 @@ ROW_SUM_TOL = 1e-9
 
 class DataError(ValueError):
     """Malformed input data, reported with file/line context."""
+
+
+def finite_float(token: str) -> float:
+    """The float spelled by token; ValueError unless it is finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,11 @@ class Variable:
     @property
     def arity(self) -> int:
         return len(self.states)
+
+    def state_index(self) -> dict[str, int]:
+        """Each state label's index; a repeated label keeps its first index,
+        as states.index gives."""
+        return {s: i for i, s in reversed(list(enumerate(self.states)))}
 
 
 @dataclass(frozen=True)
@@ -61,10 +75,6 @@ class Dag:
 
     def arity(self, vid: int) -> int:
         return self.variable(vid).arity
-
-    @property
-    def var_count(self) -> int:
-        return len(self.variables)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for child, ps in enumerate(self.parents):
@@ -134,10 +144,6 @@ class BayesNet:
 
     def variable(self, vid: int) -> Variable:
         return self.dag.variable(vid)
-
-    def cpt(self, vid: int) -> Cpt:
-        self.dag.variable(vid)
-        return self.cpts[vid]
 
     def var_id(self, name: str) -> int:
         for v in self.dag.variables:

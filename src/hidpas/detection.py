@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import BayesNet, DataError, Evidence
+from .core import BayesNet, DataError
 from .features import (
     KDD_FEATURES,
     NUMERIC,
@@ -29,7 +29,7 @@ from .features import (
     to_discrete_dataset,
 )
 from .learning import LearnConfig, fit_cpts, k2_search
-from .possibility import HybridMarginal, HybridPropagator, select_state
+from .possibility import Classification, HybridPropagator, classify
 
 log = logging.getLogger(__name__)
 
@@ -98,19 +98,6 @@ class DetectionAlert:
 
 
 @dataclass(frozen=True)
-class ClassificationResult:
-    label: str
-    state: int
-    marginal: HybridMarginal
-    low_confidence: bool = False
-    unknown_values: tuple[str, ...] = ()
-
-    @property
-    def triple(self) -> tuple[float, float, float]:
-        return self.marginal.triple(self.state)
-
-
-@dataclass(frozen=True)
 class DetectorConfig:
     class_column: str = "attack_type"
     top_k: int = 9
@@ -153,8 +140,8 @@ class DetectorModel:
             var = self.net.variable(self.net.var_id(name))
             if kinds[name] == NUMERIC:
                 rule = self.rules.means[name]
-            else:  # the first index of a repeated label, as states.index gives
-                rule = {s: i for i, s in reversed(list(enumerate(var.states)))}
+            else:
+                rule = var.state_index()
             out.append((name, var.id, FEATURE_COLUMNS[name], rule))
         return tuple(out)
 
@@ -215,36 +202,14 @@ def _record_evidence(model: DetectorModel, record: ConnectionRecord
 
 
 def classify_connections(model: DetectorModel, records: Sequence[ConnectionRecord]
-                         ) -> list[ClassificationResult]:
+                         ) -> list[Classification]:
     """Classify records through one batched calibration; each result equals
     classify_connection on that record alone."""
-    encoded = [_record_evidence(model, record) for record in records]
-    target = model.class_var
-    posteriors = model.engine.query_batch([evidence for evidence, _ in encoded], [target])
-    prior = None
-    results = []
-    for (_, unknown), posterior in zip(encoded, posteriors):
-        if posterior is None:
-            # evidence combination has zero mass under the model: report the
-            # prior-based answer rather than crashing the stream
-            log.warning("impossible evidence for record; falling back to prior")
-            if prior is None:
-                prior = model.engine.query(Evidence(), [target])[target]
-            marginal, low = prior, True
-        else:
-            marginal, low = posterior[target], False
-        state, uninformative = select_state(marginal, model.tau)
-        results.append(ClassificationResult(
-            label=model.class_states[state],
-            state=state,
-            marginal=marginal,
-            low_confidence=low or uninformative,
-            unknown_values=tuple(unknown),
-        ))
-    return results
+    rows = [_record_evidence(model, record) for record in records]
+    return classify(model.engine, model.class_var, model.tau, rows, log)
 
 
-def classify_connection(model: DetectorModel, record: ConnectionRecord) -> ClassificationResult:
+def classify_connection(model: DetectorModel, record: ConnectionRecord) -> Classification:
     """Classify one connection into the most probable informative class."""
     return classify_connections(model, [record])[0]
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, Variable
+from .core import DataError, Variable, finite_float
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
@@ -132,17 +132,6 @@ class FeatureRanking:
             if n == name:
                 return g
         raise ValueError(f"no feature named {name!r}")
-
-
-@dataclass(frozen=True)
-class DiscretizationRule:
-    """Binary split at the column mean: v1 below, v2 at or above."""
-
-    column: str
-    threshold: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(values, dtype=float) < self.threshold, "v1", "v2")
 
 
 @dataclass
@@ -384,22 +373,16 @@ def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
     return FeatureRanking(class_column, tuple((n, g) for n, _, g in gains))
 
 
-def _mean_threshold(values: Sequence[float], column: str = "") -> float:
+def _mean_threshold(values: Sequence[float], column: str) -> float:
     """The column mean, or its one value if constant (logged): the v1/v2 split."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot discretize an empty column")
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
-        log.warning("column %s is constant; every value lands in bin v2", column or "?")
+        log.warning("column %s is constant; every value lands in bin v2", column)
         return lo
     return float(arr.mean())
-
-
-def mean_discretize(values: Sequence[float], column: str = "") -> tuple[DiscretizationRule, np.ndarray]:
-    """Binary split at the arithmetic mean; values at the mean go to v2."""
-    rule = DiscretizationRule(column, _mean_threshold(values, column))
-    return rule, rule.apply(values)
 
 
 def select_features(ranking: FeatureRanking, k: int) -> list[str]:
@@ -475,13 +458,13 @@ def parse_rules(text: str) -> TransformRules:
         try:
             col, rule = line.split(None, 1)
             key, value = rule.split("=", 1)
+            if key == "mean":
+                rules.means[col] = finite_float(value)
         except ValueError:
             raise DataError(f"rules line {lineno}: cannot parse {line!r}") from None
-        if key == "mean":
-            rules.means[col] = float(value)
-        elif key == "states":
+        if key == "states":
             rules.states[col] = tuple(value.split(","))
-        else:
+        elif key != "mean":
             raise DataError(f"rules line {lineno}: unknown rule kind {key!r}")
     return rules
 

@@ -111,23 +111,9 @@ def moralize(dag: Dag) -> UndirectedGraph:
     return UndirectedGraph(nodes, {n: frozenset(s) for n, s in adj.items()})
 
 
-def choose_order(
-    graph: UndirectedGraph,
-    strategy: str = "min-fill",
-    order: Sequence[int] | None = None,
-) -> list[int]:
-    """Elimination ordering: the caller's own, or greedy min-fill.
-
-    min-fill repeatedly eliminates the node whose removal adds the fewest
-    fill edges, breaking ties by lowest node id.
-    """
-    if strategy == "given":
-        if order is None:
-            raise ValueError("strategy 'given' requires an order")
-        return list(order)
-    if strategy != "min-fill":
-        raise ValueError(f"unknown ordering strategy {strategy!r}")
-
+def choose_order(graph: UndirectedGraph) -> list[int]:
+    """Greedy min-fill elimination ordering: repeatedly eliminate the node
+    whose removal adds the fewest fill edges, breaking ties by lowest id."""
     adj = {n: set(graph.adjacency[n]) for n in graph.nodes}
     out: list[int] = []
     remaining = set(graph.nodes)
@@ -601,9 +587,8 @@ def net_factors(net: BayesNet) -> list[Potential]:
     return out
 
 
-def build_tree_for_net(net: BayesNet, strategy: str = "min-fill",
-                       order: Sequence[int] | None = None) -> JunctionTree:
+def build_tree_for_net(net: BayesNet) -> JunctionTree:
     """Moralize, order, eliminate, and build the spanning tree for a net."""
     graph = moralize(net.dag)
-    elim = choose_order(graph, strategy, order)
+    elim = choose_order(graph)
     return build_tree(elimination_clusters(graph, elim))

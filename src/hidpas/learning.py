@@ -51,12 +51,6 @@ class DiscreteDataset:
     def row_count(self) -> int:
         return int(self.rows.shape[0])
 
-    def column_index(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise ValueError(f"no column named {name!r}")
-
 
 @dataclass(frozen=True)
 class CountStatistics:

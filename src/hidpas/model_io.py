@@ -13,6 +13,7 @@ after the network. `#` starts a comment; files are UTF-8.
 from __future__ import annotations
 
 import datetime as _dt
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core import (
     DataError,
     Dag,
     Variable,
+    finite_float,
     parent_configurations,
     validate_network,
 )
@@ -62,9 +64,13 @@ def _config_label(cfg: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in cfg) + ")"
 
 
-def save_network(net: BayesNet, path: str, timestamp: bool = True) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_network(net, timestamp))
+        fh.write(text)
+
+
+def save_network(net: BayesNet, path: str, timestamp: bool = True) -> None:
+    _write(path, format_network(net, timestamp))
 
 
 def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
@@ -221,15 +227,37 @@ def _read_file(path: str) -> str:
         raise DataError(f"model file not found: {path}") from None
 
 
-def _parse_kv(body: list[str], path: str) -> dict[str, str]:
-    out = {}
-    for ln in body:
+def _section(extras: dict[str, list[str]], path: str, section: str,
+             parsers: Mapping[str, Callable[[str], object]],
+             repeated: str | None = None) -> dict[str, object]:
+    """Fields of a model section: `key value` lines, each value read by
+    parsers[key]. Every key occurs once, except that lines of the repeated
+    key gather into a list. An unknown key, a bad value, or a missing or
+    doubled key raises DataError naming the path and the line or key."""
+    if section not in extras:
+        raise DataError(f"{path}: no {section} section")
+    found: dict[str, list] = {key: [] for key in parsers}
+    for ln in extras[section]:
+        key, _, value = ln.partition(" ")
         try:
-            key, value = ln.split(None, 1)
-        except ValueError:
-            raise DataError(f"{path}: bad key-value line {ln!r}") from None
-        out[key] = value
-    return out
+            if key not in parsers:
+                raise ValueError(f"unknown key {key!r}")
+            found[key].append(parsers[key](value))
+        except ValueError as exc:
+            raise DataError(f"{path}: bad {section} line {ln!r}: {exc}") from None
+    fields: dict[str, object] = {}
+    for key, values in found.items():
+        if key == repeated:
+            fields[key] = values
+        elif len(values) != 1:
+            raise DataError(f"{path}: {section} needs one {key!r} line, not {len(values)}")
+        else:
+            fields[key] = values[0]
+    return fields
+
+
+def _class_var(net: BayesNet) -> Callable[[str], int]:
+    return lambda token: net.variable(_parse_id(token)).id
 
 
 # -- detector ---------------------------------------------------------------
@@ -248,25 +276,23 @@ def format_detector(model, timestamp: bool = True) -> str:
 
 
 def save_detector(model, path: str, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_detector(model, timestamp))
+    _write(path, format_detector(model, timestamp))
 
 
 def load_detector(path: str):
     from .detection import DetectorModel
 
     net, extras = parse_network(_read_file(path), path)
-    if "DETECTOR" not in extras:
-        raise DataError(f"{path}: not a detector model (no DETECTOR section)")
-    meta = _parse_kv(extras["DETECTOR"], path)
-    rules = parse_rules("\n".join(extras.get("RULES", [])))
-    return DetectorModel(
-        features=tuple(meta["features"].split(",")),
-        rules=rules,
-        net=net,
-        class_var=int(meta["class_var"]),
-        tau=float(meta["tau"]),
-    )
+    fields = _section(extras, path, "DETECTOR", {
+        "class_var": _class_var(net),
+        "tau": finite_float,
+        "features": lambda token: tuple(token.split(",")) if token else (),
+    })
+    try:
+        rules = parse_rules("\n".join(extras.get("RULES", [])))
+        return DetectorModel(rules=rules, net=net, **fields)
+    except ValueError as exc:  # bad rules, or features the net or rules lack
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- alert classifier ---------------------------------------------------------
@@ -278,19 +304,16 @@ def format_classifier(model, timestamp: bool = True) -> str:
 
 
 def save_classifier(model, path: str, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_classifier(model, timestamp))
+    _write(path, format_classifier(model, timestamp))
 
 
 def load_classifier(path: str):
     from .prediction import AlertClassifierModel
 
     net, extras = parse_network(_read_file(path), path)
-    if "CLASSIFIER" not in extras:
-        raise DataError(f"{path}: not an alert classifier (no CLASSIFIER section)")
-    meta = _parse_kv(extras["CLASSIFIER"], path)
-    return AlertClassifierModel(net=net, class_var=int(meta["class_var"]),
-                                tau=float(meta["tau"]))
+    fields = _section(extras, path, "CLASSIFIER",
+                      {"class_var": _class_var(net), "tau": finite_float})
+    return AlertClassifierModel(net=net, **fields)
 
 
 # -- plan model ---------------------------------------------------------------
@@ -304,27 +327,24 @@ def format_plan(model, timestamp: bool = True) -> str:
 
 
 def save_plan(model, path: str, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_plan(model, timestamp))
+    _write(path, format_plan(model, timestamp))
 
 
 def load_plan(path: str):
     from .prediction import PlanModel
 
     net, extras = parse_network(_read_file(path), path)
-    if "PLAN" not in extras:
-        raise DataError(f"{path}: not a plan model (no PLAN section)")
-    tau = 0.5
-    names: dict[int, str] = {}
-    for ln in extras["PLAN"]:
-        parts = ln.split()
-        if parts[0] == "tau":
-            tau = float(parts[1])
-        elif parts[0] == "hyper" and len(parts) == 3:
-            names[int(parts[1])] = parts[2]
-        else:
-            raise DataError(f"{path}: bad PLAN line {ln!r}")
-    if sorted(names) != list(range(len(names))):
-        raise DataError(f"{path}: hyper-alert ids must be 0..n-1 without gaps")
-    hyper_names = tuple(names[i] for i in range(len(names)))
-    return PlanModel(net=net, hyper_names=hyper_names, tau=tau)
+
+    def hyper(value: str) -> int:
+        vid_s, name = value.split(" ")
+        var = net.variable(_parse_id(vid_s))
+        if name != var.name:
+            raise ValueError(f"variable {var.id} is named {var.name!r}")
+        return var.id
+
+    fields = _section(extras, path, "PLAN", {"tau": finite_float, "hyper": hyper}, repeated="hyper")
+    if sorted(fields["hyper"]) != list(range(len(net.dag.variables))):
+        raise DataError(f"{path}: PLAN needs one hyper line per variable, "
+                        f"ids 0..{len(net.dag.variables) - 1}")
+    hyper_names = tuple(v.name for v in net.dag.variables)
+    return PlanModel(net=net, hyper_names=hyper_names, tau=fields["tau"])

@@ -15,9 +15,19 @@ from fractions import Fraction
 import numpy as np
 
 from .core import BayesNet, Cpt, Dag, Evidence, Variable
-from .jtree import Potential
+from .jtree import (
+    MAX_MIN,
+    SUM_PRODUCT,
+    ImpossibleEvidenceError,
+    Potential,
+    build_tree_for_net,
+    initialize_potentials,
+    net_factors,
+    propagate,
+    query_marginal,
+)
 from .learning import CountStatistics
-from .possibility import necessity, prob_to_poss
+from .possibility import necessity, prob_to_poss, transformed_factors
 
 
 def _factor_on_grid(factor: Potential, grids: np.ndarray) -> np.ndarray:
@@ -28,15 +38,17 @@ def _factor_on_grid(factor: Potential, grids: np.ndarray) -> np.ndarray:
 def joint_table(factors: list[Potential], arities: list[int], mode: str) -> np.ndarray:
     """Full joint grid: product of factors, or min of factors for max-min."""
     grids = np.indices(tuple(arities))
-    if mode == "sum-product":
+    if mode == SUM_PRODUCT:
         joint = np.ones(tuple(arities))
         for f in factors:
             joint = joint * _factor_on_grid(f, grids)
-    else:
+    elif mode == MAX_MIN:
         joint = np.full(tuple(arities), np.inf)
         for f in factors:
             joint = np.minimum(joint, _factor_on_grid(f, grids))
         joint = np.where(np.isinf(joint), 1.0, joint)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     return joint
 
 
@@ -54,7 +66,7 @@ def enumerate_marginal(
     arities: list[int],
     evidence: dict[int, int],
     target: int,
-    mode: str = "sum-product",
+    mode: str = SUM_PRODUCT,
 ) -> np.ndarray | None:
     """Normalized marginal by exhaustive enumeration; None if evidence kills it.
 
@@ -64,7 +76,7 @@ def enumerate_marginal(
     """
     joint = _apply_evidence(joint_table(factors, arities, mode), arities, evidence)
     axes = tuple(i for i in range(len(arities)) if i != target)
-    if mode == "sum-product":
+    if mode == SUM_PRODUCT:
         marg = joint.sum(axis=axes) if axes else joint
         total = marg.sum()
     else:
@@ -73,15 +85,6 @@ def enumerate_marginal(
     if total == 0:
         return None
     return marg / total
-
-
-def net_marginal(net: BayesNet, evidence: Evidence, target: int) -> np.ndarray | None:
-    """Posterior P(target | evidence) by summing joint_probability terms."""
-    from .jtree import net_factors
-
-    arities = [v.arity for v in net.dag.variables]
-    return enumerate_marginal(net_factors(net), arities,
-                              dict(evidence.assignments), target, "sum-product")
 
 
 def direct_power_transform(p: np.ndarray) -> np.ndarray:
@@ -189,64 +192,35 @@ class OracleReport:
 
 def check_probabilistic(seed: int = 1, networks: int = 200, tol: float = 1e-9) -> OracleReport:
     """Junction-tree sum-product marginals vs exhaustive enumeration."""
-    from .core import Evidence
-    from .jtree import (ImpossibleEvidenceError, build_tree_for_net,
-                        initialize_potentials, net_factors, propagate,
-                        query_marginal)
-
-    rng = np.random.default_rng(seed)
-    report = OracleReport("probabilistic-oracle")
-    for _ in range(networks):
-        net = random_net(rng)
-        ev = random_evidence(rng, net)
-        arities = [v.arity for v in net.dag.variables]
-        factors = net_factors(net)
-        tree = initialize_potentials(build_tree_for_net(net), factors, "sum-product")
-        try:
-            cal = propagate(tree, ev)
-            impossible = False
-        except ImpossibleEvidenceError:
-            impossible = True
-        for var in range(len(arities)):
-            expected = enumerate_marginal(factors, arities, dict(ev.assignments),
-                                          var, "sum-product")
-            report.cases += 1
-            if impossible or expected is None:
-                if impossible != (expected is None):
-                    report.failures += 1
-                    report.notes.append("impossible-evidence disagreement")
-                continue
-            got = query_marginal(cal, var)
-            dev = float(np.max(np.abs(got - expected)))
-            report.worst = max(report.worst, dev)
-            if dev > tol:
-                report.failures += 1
-    return report
+    return _check_calibration("probabilistic-oracle", SUM_PRODUCT, net_factors,
+                              seed, networks, tol)
 
 
 def check_possibilistic(seed: int = 1, networks: int = 200, tol: float = 1e-12) -> OracleReport:
     """Max-min junction-tree marginals vs brute-force max-of-min enumeration."""
-    from .core import Evidence
-    from .jtree import (ImpossibleEvidenceError, build_tree_for_net,
-                        initialize_potentials, propagate, query_marginal)
-    from .possibility import transformed_factors
+    return _check_calibration("possibilistic-oracle", MAX_MIN, transformed_factors,
+                              seed, networks, tol)
 
+
+def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: int,
+                       tol: float) -> OracleReport:
+    """Every marginal of a calibrated tree in one semiring vs enumeration, on
+    seeded random nets and evidence."""
     rng = np.random.default_rng(seed)
-    report = OracleReport("possibilistic-oracle")
+    report = OracleReport(name)
     for _ in range(networks):
         net = random_net(rng)
         ev = random_evidence(rng, net)
         arities = [v.arity for v in net.dag.variables]
-        factors = transformed_factors(net)
-        tree = initialize_potentials(build_tree_for_net(net), factors, "max-min")
+        factors = factors_of(net)
+        tree = initialize_potentials(build_tree_for_net(net), factors, mode)
         try:
             cal = propagate(tree, ev)
             impossible = False
         except ImpossibleEvidenceError:
             impossible = True
         for var in range(len(arities)):
-            expected = enumerate_marginal(factors, arities, dict(ev.assignments),
-                                          var, "max-min")
+            expected = enumerate_marginal(factors, arities, dict(ev.assignments), var, mode)
             report.cases += 1
             if impossible or expected is None:
                 if impossible != (expected is None):

@@ -175,10 +175,9 @@ class HybridPropagator:
     step 3 runs sum-product and max-min calibration under the same evidence.
     """
 
-    def __init__(self, net: BayesNet, strategy: str = "min-fill",
-                 order: Sequence[int] | None = None):
+    def __init__(self, net: BayesNet):
         self.net = net
-        self.structure: JunctionTree = build_tree_for_net(net, strategy, order)
+        self.structure: JunctionTree = build_tree_for_net(net)
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
         self._poss = initialize_potentials(self.structure, transformed_factors(net), MAX_MIN)
 
@@ -227,11 +226,48 @@ class HybridPropagator:
         return out
 
 
-def hybrid_propagate(
-    net: BayesNet,
-    evidence: Evidence | Mapping[int, int] | None,
-    targets: Sequence[int],
-    strategy: str = "min-fill",
-) -> dict[int, HybridMarginal]:
-    """Interval-valued marginals for the targets under shared hard evidence."""
-    return HybridPropagator(net, strategy).query(evidence, targets)
+@dataclass(frozen=True)
+class Classification:
+    """The state chosen for a class variable, with its hybrid marginal."""
+
+    label: str
+    state: int
+    marginal: HybridMarginal
+    low_confidence: bool = False
+    unknown_values: tuple[str, ...] = ()
+
+    @property
+    def triple(self) -> tuple[float, float, float]:
+        return self.marginal.triple(self.state)
+
+
+def classify(engine: HybridPropagator, class_var: int, tau: float,
+             rows: Sequence[tuple[Mapping[int, int], Sequence[str]]],
+             logger: logging.Logger) -> list[Classification]:
+    """Classify encoded rows, each (evidence, unknown values), through one
+    batched query; each result equals the row classified alone.
+
+    A row whose evidence has zero mass under the model gets the class prior
+    instead, flagged low-confidence, with a warning on the caller's logger.
+    """
+    posteriors = engine.query_batch([evidence for evidence, _ in rows], [class_var])
+    states = engine.net.variable(class_var).states
+    prior = None
+    results = []
+    for (_, unknown), posterior in zip(rows, posteriors):
+        if posterior is None:
+            logger.warning("impossible evidence for record; falling back to prior")
+            if prior is None:
+                prior = engine.query(Evidence(), [class_var])[class_var]
+            marginal, low = prior, True
+        else:
+            marginal, low = posterior[class_var], False
+        state, uninformative = select_state(marginal, tau)
+        results.append(Classification(
+            label=states[state],
+            state=state,
+            marginal=marginal,
+            low_confidence=low or uninformative,
+            unknown_values=tuple(unknown),
+        ))
+    return results

@@ -17,11 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BayesNet, Evidence, Variable
-from .core import DataError
-from .jtree import ImpossibleEvidenceError
+from .core import BayesNet, DataError, Evidence, Variable
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
-from .possibility import HybridMarginal, HybridPropagator, select_state
+from .possibility import Classification, HybridPropagator, classify
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +27,9 @@ ALERT_LOG_HEADER = "timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type
 ATTRIBUTE_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "attack_type")
 CLASS_COLUMN = "hyper_alert"
 ABSENT, PRESENT = 0, 1
+# State label under which the classifier stores an attribute left empty;
+# labels are saved as tokens and cannot be empty.
+EMPTY_STATE = "__empty__"
 
 
 @dataclass(frozen=True)
@@ -126,22 +127,14 @@ class AlertClassifierModel:
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
 
-    @property
-    def class_states(self) -> tuple[str, ...]:
-        return self.net.variable(self.class_var).states
-
-
-@dataclass(frozen=True)
-class AlertClassification:
-    hyper_name: str
-    state: int
-    marginal: HybridMarginal
-    low_confidence: bool = False
-    unknown_values: tuple[str, ...] = ()
-
-    @property
-    def triple(self) -> tuple[float, float, float]:
-        return self.marginal.triple(self.state)
+    @cached_property
+    def evidence_encoding(self) -> tuple[tuple[str, int, dict[str, int]], ...]:
+        """Per attribute field: (name, variable id, state index map)."""
+        out = []
+        for name in ATTRIBUTE_FIELDS:
+            var = self.net.variable(self.net.var_id(name))
+            out.append((name, var.id, var.state_index()))
+        return tuple(out)
 
 
 def train_alert_classifier(hypers: Sequence[HyperAlert],
@@ -151,26 +144,21 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     """Learn attribute -> hyper-alert structure from the labeled members."""
     if not hypers:
         raise ValueError("no hyper-alerts to train on")
-    rows = [(a, h.name) for h in hypers for a in h.members]
-
-    columns = list(ATTRIBUTE_FIELDS) + [CLASS_COLUMN]
+    alerts = [a for h in hypers for a in h.members]
+    columns = ATTRIBUTE_FIELDS + (CLASS_COLUMN,)
     variables = []
-    state_maps: list[dict[str, int]] = []
-    for cid, col in enumerate(columns):
-        if col == CLASS_COLUMN:
-            observed = sorted({label for _, label in rows})
+    data = np.empty((len(alerts), len(columns)), dtype=np.int64)
+    for cid, name in enumerate(columns):
+        if name == CLASS_COLUMN:
+            values = [h.name for h in hypers for _ in h.members]
         else:
-            observed = sorted({getattr(a, col) for a, _ in rows})
+            values = [getattr(a, name) or EMPTY_STATE for a in alerts]
+        observed = sorted(set(values))
         if len(observed) < 2:
             observed = observed + ["__none__"]  # keep arity >= 2 for degenerate data
-        variables.append(Variable(cid, col, tuple(observed)))
-        state_maps.append({s: i for i, s in enumerate(observed)})
-
-    data = np.empty((len(rows), len(columns)), dtype=np.int64)
-    for r, (alert, label) in enumerate(rows):
-        for cid, col in enumerate(columns):
-            value = label if col == CLASS_COLUMN else getattr(alert, col)
-            data[r, cid] = state_maps[cid][value]
+        variables.append(Variable(cid, name, tuple(observed)))
+        index = {s: i for i, s in enumerate(observed)}
+        data[:, cid] = [index[v] for v in values]
     dataset = DiscreteDataset(tuple(variables), data)
 
     class_id = len(columns) - 1
@@ -182,34 +170,19 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     return AlertClassifierModel(net=net, class_var=class_id, tau=tau)
 
 
-def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> AlertClassification:
+def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> Classification:
     """Assert the alert's attributes as evidence; empty fields stay unobserved."""
     evidence: dict[int, int] = {}
     unknown: list[str] = []
-    for f in ATTRIBUTE_FIELDS:
-        value = getattr(alert, f)
+    for name, var, states in model.evidence_encoding:
+        value = getattr(alert, name)
         if value == "":
             continue
-        var = model.net.variable(model.net.var_id(f))
-        try:
-            evidence[var.id] = var.states.index(value)
-        except ValueError:
-            unknown.append(f"{f}={value}")
-    low = False
-    try:
-        marginal = model.engine.query(Evidence(evidence), [model.class_var])[model.class_var]
-    except ImpossibleEvidenceError:
-        log.warning("impossible alert evidence; falling back to prior")
-        marginal = model.engine.query(Evidence(), [model.class_var])[model.class_var]
-        low = True
-    best, uninformative = select_state(marginal, model.tau)
-    return AlertClassification(
-        hyper_name=model.class_states[best],
-        state=best,
-        marginal=marginal,
-        low_confidence=low or uninformative,
-        unknown_values=tuple(unknown),
-    )
+        if (state := states.get(value)) is not None:
+            evidence[var] = state
+        else:
+            unknown.append(f"{name}={value}")
+    return classify(model.engine, model.class_var, model.tau, [(evidence, unknown)], log)[0]
 
 
 # -- transactions and the plan model ------------------------------------------
@@ -400,7 +373,7 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     draft = []
     for vid in targets:
         n, p, pi = marginals[vid].triple(PRESENT)
-        informative = (pi - n) <= model.tau
+        informative = marginals[vid].informative(PRESENT, model.tau)
         draft.append([model.hyper_names[vid], n, p, pi, informative])
 
     if selection == "max":

@@ -103,6 +103,26 @@ def test_learn_plan_and_predict(tmp_path, capsys):
     assert "teardrop" in out
 
 
+def test_learn_plan_classifier_with_an_empty_port(tmp_path, capsys):
+    from hidpas.model_io import load_classifier
+    from hidpas.prediction import AlertRecord, EMPTY_STATE, classify_alert
+
+    log = tmp_path / "alerts.csv"
+    log.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                   "1,s1,10.0.0.1,,10.0.0.9,80,scan\n"
+                   "70,s1,10.0.0.1,4444,10.0.0.9,80,exploit\n", encoding="utf-8")
+    plan, clf = tmp_path / "plan.bn", tmp_path / "clf.bn"
+    rc = run_command(["learn-plan", "--alerts", str(log), "--out", str(plan),
+                      "--classifier-out", str(clf), "--no-timestamp"])
+    assert rc == 0, capsys.readouterr().err
+    model = load_classifier(str(clf))
+    port = model.net.variable(model.net.var_id("src_port"))
+    assert port.states == ("4444", EMPTY_STATE)
+    # an empty field is still left unobserved, not matched to the reserved state
+    partial = AlertRecord(5.0, "s1", "10.0.0.1", "", "10.0.0.9", "80", "exploit")
+    assert classify_alert(model, partial).unknown_values == ()
+
+
 def test_predict_threshold_selection(tmp_path, capsys):
     plan = tmp_path / "plan.bn"
     run_command(["learn-plan", "--alerts", HISTORY, "--out", str(plan),

@@ -26,7 +26,6 @@ from hidpas.features import (
     gini_rank,
     load_kdd,
     load_rules,
-    mean_discretize,
     parse_rules,
     save_rules,
     select_features,
@@ -426,31 +425,42 @@ def test_gini_rank_equals_reference_on_ties_and_constant_class():
 
 # -- discretization ------------------------------------------------------------------
 
+def _mean_split(values):
+    """The rule build_rules freezes for one numeric column and the v1/v2
+    bins to_discrete_dataset gives its values."""
+    table = small_table(c=values, cls=["n"] * len(values))
+    rules = build_rules(table, ["c", "cls"])
+    dataset = to_discrete_dataset(table, rules, ["c", "cls"])
+    states = dataset.variables[0].states
+    return rules.means["c"], [states[k] for k in dataset.rows[:, 0].tolist()]
+
+
 def test_mean_discretize_hand_example():
-    rule, bins = mean_discretize([1, 2, 3, 6], "c")
-    assert rule.threshold == pytest.approx(3.0)
-    assert bins.tolist() == ["v1", "v1", "v2", "v2"]
+    threshold, bins = _mean_split([1.0, 2.0, 3.0, 6.0])
+    assert threshold == pytest.approx(3.0)
+    assert bins == ["v1", "v1", "v2", "v2"]
 
 
 def test_mean_discretize_boundary_goes_high():
-    _, bins = mean_discretize([5.0], "c")
-    assert bins.tolist() == ["v2"]
+    _, bins = _mean_split([5.0])
+    assert bins == ["v2"]
 
 
 def test_mean_discretize_constant_column_warns(caplog):
-    with caplog.at_level("WARNING"):
-        rule, bins = mean_discretize([2.0, 2.0, 2.0], "c")
-    assert bins.tolist() == ["v2", "v2", "v2"]
+    with caplog.at_level("WARNING", logger="hidpas.features"):
+        threshold, bins = _mean_split([2.0, 2.0, 2.0])
+    assert threshold == 2.0
+    assert bins == ["v2", "v2", "v2"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "column c is constant; every value lands in bin v2"]
 
 
 def test_build_rules_threshold_is_mean_discretize_s_and_warns_once(caplog):
     table = small_table(flat=[2.0, 2.0, 2.0], x=[1.0, 2.0, 6.0], cls=["n", "a", "n"])
-    expected = {name: mean_discretize(table.column(name), name)[0].threshold
-                for name in ("flat", "x")}
     caplog.clear()
     with caplog.at_level("WARNING", logger="hidpas.features"):
         rules = build_rules(table, ["flat", "x", "cls"])
-    assert rules.means == expected == {"flat": 2.0, "x": 3.0}
+    assert rules.means == {"flat": 2.0, "x": 3.0}
     assert [r.getMessage() for r in caplog.records] == [
         "column flat is constant; every value lands in bin v2"]
 

@@ -62,22 +62,17 @@ def test_moralize_edgeless():
 
 # -- ordering -------------------------------------------------------------------
 
-def test_choose_order_given_is_identity():
-    g = graph([0, 1, 2], [(0, 1)])
-    assert choose_order(g, "given", [2, 0, 1]) == [2, 0, 1]
-
-
 def test_min_fill_complete_graph_is_id_order():
     g = graph([0, 1, 2, 3], [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert choose_order(g, "min-fill") == [0, 1, 2, 3]
+    assert choose_order(g) == [0, 1, 2, 3]
 
 
 def test_min_fill_star_eliminates_leaves_first():
     g = graph([0, 1, 2, 3], [(3, 0), (3, 1), (3, 2)])  # 3 is the center
-    assert choose_order(g, "min-fill") == [0, 1, 2, 3]
+    assert choose_order(g) == [0, 1, 2, 3]
     # center with the lowest id: still not eliminated while it has 2+ neighbors
     g2 = graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    order = choose_order(g2, "min-fill")
+    order = choose_order(g2)
     assert order[:2] == [1, 2]  # leaves carry 0 fill, the center 3
 
 
@@ -413,6 +408,13 @@ def test_maxmin_forest_cap_matches_oracle():
     np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
     uncapped = query_marginal(propagate(jt, Evidence()), 1)
     np.testing.assert_allclose(uncapped, [1.0, 0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["max-product", "sum_product", "MAX_MIN"])
+def test_oracle_rejects_an_unknown_mode(two_node_net, mode):
+    """The reference computes only the two semirings it names; any other mode raises."""
+    with pytest.raises(ValueError, match="unknown mode"):
+        enumerate_marginal(net_factors(two_node_net), [2, 2], {}, 1, mode)
 
 
 def test_forest_oracle_both_semirings():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,92 @@ def test_model_file_mutations_raise_data_error_or_round_trip(seed, data):
     if not any(net.dag.parents) and "EDGES" not in seen:
         saved.remove("EDGES")  # a net without edges may leave out its empty EDGES section
     assert saved == seen
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A detector, alert classifier and plan trained on the scenario, as text."""
+    from hidpas.detection import DetectorConfig, train_detector
+    from hidpas.features import load_kdd
+    from hidpas.model_io import format_classifier, format_detector, format_plan
+    from hidpas.prediction import (aggregate_alerts, build_transactions, load_alert_log,
+                                   train_alert_classifier, train_plan_model)
+
+    from conftest import data_path
+
+    detector = train_detector(load_kdd(data_path("scenario", "detector_train.csv")),
+                              DetectorConfig(top_k=4))
+    hypers = aggregate_alerts(load_alert_log(data_path("scenario", "alert_history.csv")))
+    return {
+        "detector": format_detector(detector, timestamp=False),
+        "classifier": format_classifier(train_alert_classifier(hypers), timestamp=False),
+        "plan": format_plan(train_plan_model(build_transactions(hypers, dt=60.0)),
+                            timestamp=False),
+    }
+
+
+@pytest.mark.parametrize("kind, prefix, new, bad", [
+    ("plan", "tau ", "tau abc", r"bad PLAN line 'tau abc'"),
+    ("plan", "tau ", "tau nan", r"bad PLAN line 'tau nan': 'nan' is not finite"),
+    ("plan", "tau ", None, r"PLAN needs one 'tau' line, not 0"),
+    ("plan", "hyper 0 ", "hyper x portsweep", r"bad PLAN line 'hyper x portsweep': bad id"),
+    ("plan", "hyper 1 ", None, r"PLAN needs one hyper line per variable, ids 0\.\.1"),
+    ("plan", "hyper 1 ", "hyper 0 portsweep", r"PLAN needs one hyper line per variable"),
+    ("plan", "hyper 1 ", "hyper 1 portsweep",
+     r"bad PLAN line 'hyper 1 portsweep': variable 1 is named 'teardrop'"),
+    ("plan", "hyper 1 ", "hyper 2 extra", r"bad PLAN line 'hyper 2 extra': unknown variable id 2"),
+    ("classifier", "class_var ", None, r"CLASSIFIER needs one 'class_var' line, not 0"),
+    ("classifier", "class_var ", "class_var 9",
+     r"bad CLASSIFIER line 'class_var 9': unknown variable id 9"),
+    ("classifier", "tau ", "tau -inf", r"bad CLASSIFIER line 'tau -inf'"),
+    ("classifier", "tau ", "tau 0.5\ntau 0.6", r"CLASSIFIER needs one 'tau' line, not 2"),
+    ("classifier", "tau ", "tau 0.5\nseed 3", r"bad CLASSIFIER line 'seed 3': unknown key"),
+    ("classifier", "CLASSIFIER", "PLAN", r"no CLASSIFIER section"),
+    ("detector", "tau ", "tau abc", r"bad DETECTOR line 'tau abc'"),
+    ("detector", "class_var ", "class_var -1", r"bad DETECTOR line 'class_var -1': bad id"),
+    ("detector", "features ", "features src_bytes,nope", r"no variable named 'nope'"),
+    ("detector", "features ", None, r"DETECTOR needs one 'features' line, not 0"),
+    ("detector", "RULES", "RULES\nsrc_bytes mean", r"rules line 1: cannot parse"),
+    ("detector", "src_bytes mean=", "src_bytes mean=nan",
+     r"rules line \d+: cannot parse 'src_bytes mean=nan'"),
+    ("detector", "src_bytes mean=", "src_bytes mean=1e400",
+     r"rules line \d+: cannot parse 'src_bytes mean=1e400'"),
+])
+def test_model_sections_validated_on_load(tmp_path, saved_models, kind, prefix, new, bad):
+    from hidpas.model_io import load_classifier, load_detector, load_plan
+
+    lines = saved_models[kind].splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+    path = tmp_path / f"{kind}.bn"
+    path.write_text("\n".join(lines[:i] + ([new] if new else []) + lines[i + 1:]) + "\n",
+                    encoding="utf-8")
+    load = {"detector": load_detector, "classifier": load_classifier, "plan": load_plan}[kind]
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + bad):
+        load(str(path))
+
+
+def test_detector_without_features_loads_back(tmp_path):
+    from hidpas.detection import DetectorConfig, train_detector
+    from hidpas.features import load_kdd
+    from hidpas.model_io import format_detector, load_detector, save_detector
+
+    from conftest import data_path
+
+    model = train_detector(load_kdd(data_path("scenario", "detector_train.csv")),
+                           DetectorConfig(top_k=0))
+    path = tmp_path / "prior_only.bn"
+    save_detector(model, str(path), timestamp=False)
+    assert load_detector(str(path)).features == ()
+    assert format_detector(load_detector(str(path)), timestamp=False) == path.read_text()
+
+
+def test_saved_models_load_back_to_the_same_text(tmp_path, saved_models):
+    from hidpas.model_io import (format_classifier, format_detector, format_plan,
+                                 load_classifier, load_detector, load_plan)
+
+    for kind, load, fmt in (("detector", load_detector, format_detector),
+                            ("classifier", load_classifier, format_classifier),
+                            ("plan", load_plan, format_plan)):
+        path = tmp_path / f"{kind}.bn"
+        path.write_text(saved_models[kind], encoding="utf-8")
+        assert fmt(load(str(path)), timestamp=False) == saved_models[kind]

@@ -18,7 +18,6 @@ from hidpas.oracles import (
 from hidpas.possibility import (
     HybridMarginal,
     HybridPropagator,
-    hybrid_propagate,
     necessity,
     prob_to_poss,
     select_state,
@@ -169,7 +168,7 @@ def test_marginal_informative_cases():
 # -- hybrid propagation --------------------------------------------------------------
 
 def test_hybrid_two_node_matches_both_oracles(two_node_net):
-    hm = hybrid_propagate(two_node_net, Evidence(), [1])[1]
+    hm = HybridPropagator(two_node_net).query(Evidence(), [1])[1]
     np.testing.assert_allclose(hm.probability, [0.38, 0.62], atol=1e-12)
     arities = [v.arity for v in two_node_net.dag.variables]
     expected_pi = enumerate_marginal(transformed_factors(two_node_net), arities,
@@ -186,7 +185,7 @@ def test_hybrid_deterministic_net_degenerates():
         Cpt(0, (), np.array([[0.0, 1.0]])),
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.0, 1.0]])),
     ))
-    result = hybrid_propagate(net, Evidence({0: 1}), [1])[1]
+    result = HybridPropagator(net).query(Evidence({0: 1}), [1])[1]
     assert result.triple(1) == (1.0, 1.0, 1.0)
     assert result.triple(0) == (0.0, 0.0, 0.0)
 
@@ -194,7 +193,7 @@ def test_hybrid_deterministic_net_degenerates():
 def test_hybrid_single_root_composes_transform():
     c = Variable(0, "C", ("x", "y", "z"))
     net = BayesNet(Dag((c,), ((),)), (Cpt(0, (), np.array([[0.5, 0.3, 0.2]])),))
-    hm = hybrid_propagate(net, Evidence(), [0])[0]
+    hm = HybridPropagator(net).query(Evidence(), [0])[0]
     assert hm.necessity == (0.5, 0.0, 0.0)
     assert hm.probability == (0.5, 0.3, 0.2)
     assert hm.possibility == (1.0, 0.5, 0.2)
@@ -209,7 +208,7 @@ def test_hybrid_impossible_evidence_raises(two_node_net):
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
     ))
     with pytest.raises(ImpossibleEvidenceError):
-        hybrid_propagate(net, Evidence({1: 1}), [1])
+        HybridPropagator(net).query(Evidence({1: 1}), [1])
 
 
 def test_hybrid_probability_component_bit_identical_to_plain():
@@ -222,7 +221,7 @@ def test_hybrid_probability_component_bit_identical_to_plain():
         net = random_net(rng)
         ev = random_evidence(rng, net)
         try:
-            marginals = hybrid_propagate(net, ev, list(range(len(net.dag.variables))))
+            marginals = HybridPropagator(net).query(ev, list(range(len(net.dag.variables))))
         except ImpossibleEvidenceError:
             continue
         jt = initialize_potentials(build_tree_for_net(net), net_factors(net),
@@ -242,7 +241,7 @@ def test_hybrid_sandwich_violations_reported_not_asserted():
         net = random_net(rng)
         ev = random_evidence(rng, net)
         try:
-            marginals = hybrid_propagate(net, ev, list(range(len(net.dag.variables))))
+            marginals = HybridPropagator(net).query(ev, list(range(len(net.dag.variables))))
         except ImpossibleEvidenceError:
             continue
         for hm in marginals.values():

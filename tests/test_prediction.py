@@ -121,14 +121,14 @@ def test_classifier_labels_training_alerts(scenario_hypers):
     model = train_alert_classifier(scenario_hypers)
     for h in scenario_hypers:
         for a in h.members:
-            assert classify_alert(model, a).hyper_name == h.name
+            assert classify_alert(model, a).label == h.name
 
 
 def test_classifier_single_hyper_degenerates():
     hypers = aggregate_alerts([alert(1, "scan"), alert(2, "scan")])
     model = train_alert_classifier(hypers)
     result = classify_alert(model, alert(9, "scan"))
-    assert result.hyper_name == "scan"
+    assert result.label == "scan"
 
 
 def test_classifier_edge_on_discriminating_port():
@@ -151,7 +151,7 @@ def test_classifier_unseen_port_flows_through(scenario_hypers):
                 dip="192.168.1.10", dport="445")
     result = classify_alert(model, odd)
     assert result.unknown_values == ("src_port=9999",)
-    assert result.hyper_name == "portsweep"
+    assert result.label == "portsweep"
 
 
 def test_classifier_deterministic_corpus_gap_zero():
@@ -163,7 +163,7 @@ def test_classifier_deterministic_corpus_gap_zero():
     model = train_alert_classifier(hypers, smoothing=0.0)
     for h in hypers:
         result = classify_alert(model, h.members[0])
-        assert result.hyper_name == h.name
+        assert result.label == h.name
         assert result.marginal.gap(result.state) == pytest.approx(0.0, abs=1e-12)
         assert result.triple == (1.0, 1.0, 1.0)
 
@@ -172,7 +172,22 @@ def test_classifier_empty_fields_stay_unobserved(scenario_hypers):
     model = train_alert_classifier(scenario_hypers)
     partial = AlertRecord(5.0, "host-c", "10.0.0.5", "", "192.168.1.10", "",
                           "teardrop")
-    assert classify_alert(model, partial).hyper_name == "teardrop"
+    assert classify_alert(model, partial).label == "teardrop"
+
+
+def test_classifier_impossible_evidence_falls_back_to_prior(caplog):
+    alerts = [alert(t, "scan", sip="10.0.0.1") for t in range(6)]
+    alerts += [alert(t + 10, "exploit", sip="10.0.0.2") for t in range(6)]
+    model = train_alert_classifier(aggregate_alerts(alerts), smoothing=0.0)
+    prior = model.engine.query({}, [model.class_var])[model.class_var]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="hidpas.prediction"):
+        result = classify_alert(model, alert(99, "exploit", sip="10.0.0.1"))
+    assert result.marginal == prior
+    assert result.low_confidence
+    warnings = [r for r in caplog.records if r.name == "hidpas.prediction"]
+    assert [r.getMessage() for r in warnings] == [
+        "impossible evidence for record; falling back to prior"]
 
 
 # -- transactions ----------------------------------------------------------------------
