@@ -9,12 +9,14 @@ Initializing potentials compiles the tree's structural work once: the
 message schedule, each message's axes and shapes, each variable's evidence
 holders and read-out cluster, and the semiring's ufuncs. Calibration then
 runs over a leading batch axis, one row per evidence set, and a single
-query is the batch of one.
+query is the batch of one. A calibration told which variables will be read
+runs every collect message but only the distribute messages on the paths
+from each root down to those variables' read-out clusters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -73,15 +75,16 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis on a batched calibration.
+    batch axis on a batched calibration. A calibration pruned to a read set
+    holds None for the tables it left uncalibrated.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]
     semiring: str | None = None
     arities: Mapping[int, int] | None = None
-    cluster_tables: tuple[np.ndarray, ...] | None = None
-    separator_tables: tuple[np.ndarray, ...] | None = None
+    cluster_tables: tuple[np.ndarray | None, ...] | None = None
+    separator_tables: tuple[np.ndarray | None, ...] | None = None
     plan: Plan | None = None
     possible: np.ndarray | None = None  # per evidence row, on batched calibrations only
 
@@ -295,6 +298,18 @@ class Message(NamedTuple):
     first: bool
 
 
+class Schedule(NamedTuple):
+    """The messages of one calibration, and the clusters and separators
+    they leave calibrated."""
+
+    messages: tuple[Message, ...]
+    clusters: frozenset[int]
+    edges: frozenset[int]
+
+
+SCHEDULES_CACHED = 2 ** 8  # pruned schedules kept per plan; oldest dropped first
+
+
 @dataclass(frozen=True)
 class Plan:
     """The structural work of calibration, compiled once per initialized tree.
@@ -306,15 +321,43 @@ class Plan:
     semiring: Semiring
     messages: tuple[Message, ...]  # per component: collect, then distribute
     components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (clusters, root first; edges)
+    up: Mapping[int, int]  # each non-root cluster's neighbour towards its root
     arity: np.ndarray  # per variable id, 0 for ids absent from the tree
     indicators: Mapping[int, np.ndarray]  # (arity + 1, arity): one-hot rows, then all ones
     holders: Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]]  # (cluster, mask shape)
     home: Mapping[int, int]  # read-out cluster: the lowest containing index
     entries: int  # cluster table entries per evidence row
+    schedules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def width(self) -> int:
         return len(self.arity)
+
+    def schedule(self, reads: frozenset[int] | None = None) -> Schedule:
+        """Every collect message, and the distribute messages that reach the
+        clusters in `reads` from their roots (all of them when None).
+
+        A root is calibrated once its collect phase ends, and a cluster once
+        its parent is and the parent's message has arrived, so the clusters
+        on those root paths, and every root, end calibrated exactly as in a
+        full calibration. Cached per read set.
+        """
+        cached = self.schedules.get(reads)
+        if cached is None:
+            keep = {clusters[0] for clusters, _ in self.components}
+            if reads is None:
+                keep.update(self.up)
+            for c in reads or ():
+                while c not in keep:
+                    keep.add(c)
+                    c = self.up[c]
+            messages = tuple(m for m in self.messages if m.first or m.target in keep)
+            cached = Schedule(messages, frozenset(keep),
+                              frozenset(m.edge for m in messages if not m.first))
+            if len(self.schedules) >= SCHEDULES_CACHED:
+                del self.schedules[next(iter(self.schedules))]
+            self.schedules[reads] = cached
+        return cached
 
 
 def _components_and_schedule(jt: JunctionTree):
@@ -360,11 +403,13 @@ def _compile_plan(jt: JunctionTree, semiring: str, arities: Mapping[int, int]) -
 
     messages: list[Message] = []
     components = []
+    up: dict[int, int] = {}
     for root, order in _components_and_schedule(jt):
         messages += [message(node, par, edge, True) for node, par, edge in order]
         messages += [message(par, node, edge, False) for node, par, edge in reversed(order)]
         components.append(((root,) + tuple(node for node, _, _ in order),
                            tuple(edge for _, _, edge in order)))
+        up.update((node, par) for node, par, _ in order)
 
     variables = sorted(jt.variables)
     arity = np.zeros(variables[-1] + 1 if variables else 0, dtype=np.intp)
@@ -378,6 +423,7 @@ def _compile_plan(jt: JunctionTree, semiring: str, arities: Mapping[int, int]) -
         semiring=SEMIRINGS[semiring],
         messages=tuple(messages),
         components=tuple(components),
+        up=up,
         arity=arity,
         indicators={v: np.vstack([np.eye(arities[v]), np.ones((1, arities[v]))])
                     for v in variables},
@@ -464,8 +510,8 @@ def _check_observed(plan: Plan, observed: np.ndarray) -> None:
             f"evidence state {observed[row, var]} out of range for variable {var}")
 
 
-def _calibrate(jt: JunctionTree, observed: np.ndarray):
-    """Collect/distribute over every component at once, one batch row per
+def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
+    """Run a schedule over every component at once, one batch row per
     evidence row. A table keeps batch length 1 until evidence or a message
     varies it by row. Returns (cluster tables, separator tables, possible)."""
     plan = jt.plan
@@ -478,7 +524,7 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray):
         for cluster, shape in plan.holders[var]:
             tables[cluster] = tables[cluster] * mask.reshape(shape)
 
-    for source, target, edge, axes, shape, first in plan.messages:
+    for source, target, edge, axes, shape, first in schedule.messages:
         message = sr.marginalize.reduce(tables[source], axis=axes)
         factor = message if first else sr.update(message, seps[edge])
         tables[target] = sr.combine(tables[target], factor.reshape(shape))
@@ -492,25 +538,27 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray):
     if sr.caps_components and len(plan.components) > 1:
         # min does not cancel under normalization the way a product does:
         # evidence in one forest component caps every other component's
-        # possibility at that component's best value.
+        # possibility at that component's best value. Every calibrated
+        # max-min cluster of a component has the same maximum, its root's.
         tops = np.zeros((len(plan.components), len(observed)))
         for top, (clusters, _) in zip(tops, plan.components):
-            for c in clusters:
-                np.maximum(top, tables[c].reshape(len(tables[c]), -1).max(axis=1), out=top)
+            root = tables[clusters[0]]
+            np.maximum(top, root.reshape(len(root), -1).max(axis=1), out=top)
         for k, (clusters, edges) in enumerate(plan.components):
             cap = np.delete(tops, k, axis=0).min(axis=0)
             if not np.any(cap < 1.0):
                 continue
             cap = np.where(cap < 1.0, cap, np.inf)
-            for c in clusters:
+            for c in schedule.clusters.intersection(clusters):
                 tables[c] = np.minimum(tables[c], cap.reshape((-1,) + (1,) * (tables[c].ndim - 1)))
-            for e in edges:
+            for e in schedule.edges.intersection(edges):
                 seps[e] = np.minimum(seps[e], cap.reshape((-1,) + (1,) * (seps[e].ndim - 1)))
     return tables, seps, possible
 
 
 def propagate(jt: JunctionTree,
-              evidence: Evidence | Mapping[int, int] | np.ndarray | None = None) -> JunctionTree:
+              evidence: Evidence | Mapping[int, int] | np.ndarray | None = None,
+              targets: Sequence[int] | None = None) -> JunctionTree:
     """Two-phase collect/distribute calibration from the lowest cluster index
     of each component.
 
@@ -521,15 +569,27 @@ def propagate(jt: JunctionTree,
     batched tree: its tables lead with a batch axis (length 1 where no row
     differs) and `possible` flags the rows with nonzero mass. Each row is
     bit-identical to the same evidence calibrated alone.
+
+    Given targets, only the distribute messages towards the targets'
+    read-out clusters run; those clusters read out bit-identical to a full
+    calibration, and the clusters and separators left uncalibrated are None.
     """
     if jt.plan is None:
         raise ValueError("potentials must be initialized before propagation")
     if jt.possible is not None:
         raise ValueError("tree is already a batched calibration")
+    plan = jt.plan
+    reads = None
+    if targets is not None:
+        for var in targets:
+            if var not in plan.home:
+                raise ValueError(f"variable {var} is absent from the tree")
+        reads = frozenset(plan.home[var] for var in targets)
+    schedule = plan.schedule(reads)
     batched = isinstance(evidence, np.ndarray)
     observed = evidence if batched else evidence_matrix(jt, [evidence])
-    _check_observed(jt.plan, observed)
-    tables, seps, possible = _calibrate(jt, observed)
+    _check_observed(plan, observed)
+    tables, seps, possible = _calibrate(jt, observed, schedule)
     if not batched:
         if not possible[0]:
             raise ImpossibleEvidenceError(
@@ -538,6 +598,9 @@ def propagate(jt: JunctionTree,
         tables, seps, possible = [t[0] for t in tables], [s[0] for s in seps], None
     for t in tables + seps:
         t.setflags(write=False)
+    if reads is not None:
+        tables = [t if c in schedule.clusters else None for c, t in enumerate(tables)]
+        seps = [s if e in schedule.edges else None for e, s in enumerate(seps)]
     return replace(jt, cluster_tables=tuple(tables), separator_tables=tuple(seps),
                    possible=possible)
 
@@ -565,9 +628,12 @@ def marginal_from_cluster(
     scope = jt.clusters[cluster]
     if var not in scope:
         raise ValueError(f"variable {var} not in cluster {cluster}")
+    table = jt.cluster_tables[cluster]
+    if table is None:
+        raise ValueError(f"cluster {cluster} was left uncalibrated for this read set")
     lead = 0 if jt.possible is None else 1
     reduce = jt.plan.semiring.marginalize.reduce
-    out = reduce(jt.cluster_tables[cluster],
+    out = reduce(table,
                  axis=tuple(lead + i for i, v in enumerate(scope) if v != var))
     if normalize:
         total = reduce(out, axis=-1, keepdims=True)

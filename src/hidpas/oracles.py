@@ -27,7 +27,7 @@ from .jtree import (
     query_marginal,
 )
 from .learning import CountStatistics
-from .possibility import necessity, prob_to_poss, transformed_factors
+from .possibility import HybridPropagator, necessity, prob_to_poss, transformed_factors
 
 
 def _factor_on_grid(factor: Potential, grids: np.ndarray) -> np.ndarray:
@@ -74,7 +74,12 @@ def enumerate_marginal(
     the max over assignments of the min over factors and renormalizes to
     max 1.
     """
-    joint = _apply_evidence(joint_table(factors, arities, mode), arities, evidence)
+    return _joint_marginal(joint_table(factors, arities, mode), arities, evidence, target, mode)
+
+
+def _joint_marginal(joint: np.ndarray, arities: list[int], evidence: dict[int, int],
+                    target: int, mode: str) -> np.ndarray | None:
+    joint = _apply_evidence(joint, arities, evidence)
     axes = tuple(i for i in range(len(arities)) if i != target)
     if mode == SUM_PRODUCT:
         marg = joint.sum(axis=axes) if axes else joint
@@ -146,6 +151,29 @@ def random_net(rng: np.random.Generator, max_vars: int = 8,
         rows /= rows.sum(axis=1, keepdims=True)
         cpts.append(Cpt(i, parents[i], rows))
     return BayesNet(dag, tuple(cpts))
+
+
+def forest_net(rng: np.random.Generator) -> BayesNet:
+    """One or two random nets side by side (so the tree is often a forest),
+    with about a fifth of the CPT entries zeroed so some evidence is
+    impossible; every CPT row keeps its largest entry."""
+    parts = [random_net(rng, max_vars=5)]
+    if rng.random() < 0.7:
+        parts.append(random_net(rng, max_vars=4))
+    variables, parents, cpts = [], [], []
+    for part in parts:
+        base = len(variables)
+        variables += [Variable(base + v.id, f"v{base + v.id}", v.states)
+                      for v in part.dag.variables]
+        parents += [tuple(base + p for p in ps) for ps in part.dag.parents]
+        for cpt in part.cpts:
+            table = cpt.table.copy()
+            zero = rng.random(table.shape) < 0.2
+            zero[np.arange(len(table)), table.argmax(axis=1)] = False
+            table[zero] = 0.0
+            table /= table.sum(axis=1, keepdims=True)
+            cpts.append(Cpt(base + cpt.variable, tuple(base + p for p in cpt.parents), table))
+    return BayesNet(Dag(tuple(variables), tuple(parents)), tuple(cpts))
 
 
 def random_evidence(rng: np.random.Generator, net: BayesNet) -> Evidence:
@@ -235,6 +263,47 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
     return report
 
 
+def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
+                     max_tol: float = 1e-12) -> OracleReport:
+    """HybridPropagator.query_batch, the memoized and pruned path every
+    classifier and forecast takes, vs enumeration in both semirings. Each
+    forest net answers two calls drawn from three evidence rows, so rows
+    repeat within and across calls; impossible rows must come back None."""
+    rng = np.random.default_rng(seed)
+    report = OracleReport("query-oracle")
+    for _ in range(networks):
+        net = forest_net(rng)
+        n = len(net.dag.variables)
+        arities = [v.arity for v in net.dag.variables]
+        joints = {mode: joint_table(factors_of(net), arities, mode)
+                  for mode, factors_of in ((SUM_PRODUCT, net_factors),
+                                           (MAX_MIN, transformed_factors))}
+        pool = [random_evidence(rng, net) for _ in range(3)]
+        targets = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                    replace=False))
+        engine = HybridPropagator(net)
+        for _ in range(2):
+            picks = rng.integers(0, len(pool), size=4).tolist()
+            answers = engine.query_batch([pool[i] for i in picks], targets)
+            for i, got in zip(picks, answers):
+                evidence = dict(pool[i].assignments)
+                for var in targets:
+                    report.cases += 1
+                    p = _joint_marginal(joints[SUM_PRODUCT], arities, evidence, var, SUM_PRODUCT)
+                    pi = _joint_marginal(joints[MAX_MIN], arities, evidence, var, MAX_MIN)
+                    if got is None or p is None or pi is None:
+                        if not (got is None and (p is None or pi is None)):
+                            report.failures += 1
+                            report.notes.append("impossible-evidence disagreement")
+                        continue
+                    dev_p = float(np.max(np.abs(np.array(got[var].probability) - p)))
+                    dev_pi = float(np.max(np.abs(np.array(got[var].possibility) - pi)))
+                    report.worst = max(report.worst, dev_p, dev_pi)
+                    if dev_p > sum_tol or dev_pi > max_tol:
+                        report.failures += 1
+    return report
+
+
 def check_transform(seed: int = 1, draws: int = 1000, tol: float = 1e-12) -> OracleReport:
     """Transform vs the closed-form power formula and the tail-sum identity."""
     rng = np.random.default_rng(seed)
@@ -262,5 +331,6 @@ def run_all(seed: int = 1, networks: int = 200, draws: int = 1000) -> list[Oracl
     return [
         check_probabilistic(seed, networks),
         check_possibilistic(seed, networks),
+        check_query_path(seed, networks),
         check_transform(seed, draws),
     ]

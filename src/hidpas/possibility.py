@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 
 ZERO_GUARD = 1e-12  # probabilities below this are treated as exact zeros
 NORM_TOL = 1e-9
+# Marginals one engine keeps memoized, an entry weighing one per target (at
+# least one); the oldest entry goes first. A detector entry takes about
+# 1.2 KB, a plan marginal about 620 B, so a full memo holds 5-10 MB.
+MEMO_MARGINALS = 2 ** 13
 
 
 def prob_to_poss(p: Sequence[float]) -> np.ndarray:
@@ -173,6 +177,8 @@ class HybridPropagator:
 
     Step 1 transforms every CPT row, step 2 builds a single junction tree,
     step 3 runs sum-product and max-min calibration under the same evidence.
+    Answers are memoized per (evidence row, targets); the memo is not
+    locked, so threads must not share an engine.
     """
 
     def __init__(self, net: BayesNet):
@@ -180,6 +186,8 @@ class HybridPropagator:
         self.structure: JunctionTree = build_tree_for_net(net)
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
         self._poss = initialize_potentials(self.structure, transformed_factors(net), MAX_MIN)
+        self._memo: dict[tuple[bytes, tuple[int, ...]], dict[int, HybridMarginal] | None] = {}
+        self._memo_weight = 0
 
     @property
     def row_entries(self) -> int:
@@ -198,32 +206,68 @@ class HybridPropagator:
 
     def query_batch(self, evidence: Sequence[Evidence | Mapping[int, int] | None],
                     targets: Sequence[int]) -> list[dict[int, HybridMarginal] | None]:
-        """One batched calibration per semiring for all evidence rows; None
-        marks a row whose evidence has zero probability or possibility. Each
-        row equals `query` on that row alone, bit for bit."""
+        """One dict of marginals per evidence row, or None for a row whose
+        evidence has zero probability or possibility. Each row equals `query`
+        on that row alone, bit for bit.
+
+        Rows already answered for these targets come from the memo; the
+        distinct others share one calibration per semiring, pruned to the
+        targets' read-out clusters. Only checked rows enter the memo, so a
+        bad row is always calibrated, and raises, even among cached ones.
+        Each caller gets its own dicts.
+        """
+        targets = tuple(targets)
         observed = evidence_matrix(self._prob, evidence)
-        prob_cal = propagate(self._prob, observed)
-        poss_cal = propagate(self._poss, observed)
+        keys = [(row.tobytes(), targets) for row in observed]
+        found = {}
+        misses: dict[tuple[bytes, tuple[int, ...]], int] = {}  # key -> its first row
+        for row, key in enumerate(keys):
+            if key in self._memo:
+                found[key] = self._memo[key]
+            else:
+                misses.setdefault(key, row)
+        if misses:
+            answers = self._calibrate(observed[list(misses.values())], targets)
+            for key, marginals in zip(misses, answers):
+                found[key] = marginals
+                self._remember(key, marginals)
+
+        debug = log.isEnabledFor(logging.DEBUG)
+        out: list[dict[int, HybridMarginal] | None] = []
+        for key in keys:
+            marginals = found[key]
+            if marginals is not None:
+                marginals = dict(marginals)
+                if debug:
+                    for var, hm in marginals.items():
+                        if (violation := hm.sandwich_violation()) > 0:
+                            log.debug("post-propagation interval breach %.3g on variable %d",
+                                      violation, var)
+            out.append(marginals)
+        return out
+
+    def _calibrate(self, observed: np.ndarray, targets: tuple[int, ...]
+                   ) -> list[dict[int, HybridMarginal] | None]:
+        """Both semirings over the rows of an evidence matrix, in one batch each."""
+        prob_cal = propagate(self._prob, observed, targets)
+        poss_cal = propagate(self._poss, observed, targets)
         columns = []
         for var in targets:
             p = query_marginal(prob_cal, var)
             pi = query_marginal(poss_cal, var)
             columns.append((var, necessity(pi).tolist(), p.tolist(), pi.tolist()))
-        debug = log.isEnabledFor(logging.DEBUG)
-        out: list[dict[int, HybridMarginal] | None] = []
-        for row, possible in enumerate((prob_cal.possible & poss_cal.possible).tolist()):
-            if not possible:
-                out.append(None)
-                continue
-            marginals = {}
-            for var, n, p, pi in columns:
-                hm = HybridMarginal(var, n[row], p[row], pi[row])
-                if debug and (violation := hm.sandwich_violation()) > 0:
-                    log.debug("post-propagation interval breach %.3g on variable %d",
-                              violation, var)
-                marginals[var] = hm
-            out.append(marginals)
-        return out
+        return [{var: HybridMarginal(var, n[row], p[row], pi[row])
+                 for var, n, p, pi in columns} if possible else None
+                for row, possible in enumerate((prob_cal.possible & poss_cal.possible).tolist())]
+
+    def _remember(self, key: tuple[bytes, tuple[int, ...]],
+                  marginals: dict[int, HybridMarginal] | None) -> None:
+        self._memo[key] = marginals
+        self._memo_weight += max(1, len(key[1]))
+        while self._memo_weight > MEMO_MARGINALS:
+            oldest = next(iter(self._memo))
+            del self._memo[oldest]
+            self._memo_weight -= max(1, len(oldest[1]))
 
 
 @dataclass(frozen=True)

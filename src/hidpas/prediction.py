@@ -82,7 +82,8 @@ def aggregate_alerts(log_records: Sequence[AlertRecord],
 
     Phase 1 groups alerts identical in (sensor, src_ip, src_port, dst_ip,
     dst_port, attack_type); phase 2 merges phase-1 clusters that share the
-    merge key, which names the attack-plan step. Ids follow first occurrence.
+    merge key, which names the attack-plan step (EMPTY_STATE for an empty
+    key, as names cannot be empty). Ids follow first occurrence.
     """
     if merge_key not in ATTRIBUTE_FIELDS:
         raise ValueError(f"merge key must be one of {ATTRIBUTE_FIELDS}")
@@ -93,7 +94,7 @@ def aggregate_alerts(log_records: Sequence[AlertRecord],
 
     merged: dict[str, list[list[AlertRecord]]] = {}
     for key, members in phase1.items():
-        step = getattr(members[0], merge_key)
+        step = getattr(members[0], merge_key) or EMPTY_STATE
         merged.setdefault(step, []).append(members)
 
     out: list[HyperAlert] = []

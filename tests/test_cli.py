@@ -123,6 +123,21 @@ def test_learn_plan_classifier_with_an_empty_port(tmp_path, capsys):
     assert classify_alert(model, partial).unknown_values == ()
 
 
+def test_learn_plan_merges_on_an_empty_port(tmp_path, capsys):
+    from hidpas.model_io import load_plan
+    from hidpas.prediction import EMPTY_STATE
+
+    log = tmp_path / "alerts.csv"
+    log.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                   "1,s1,10.0.0.1,,10.0.0.9,80,scan\n"
+                   "70,s1,10.0.0.1,4444,10.0.0.9,80,exploit\n", encoding="utf-8")
+    plan = tmp_path / "plan.bn"
+    rc = run_command(["learn-plan", "--alerts", str(log), "--out", str(plan),
+                      "--merge-key", "src_port", "--no-timestamp"])
+    assert rc == 0, capsys.readouterr().err
+    assert load_plan(str(plan)).hyper_names == (EMPTY_STATE, "4444")
+
+
 def test_predict_threshold_selection(tmp_path, capsys):
     plan = tmp_path / "plan.bn"
     run_command(["learn-plan", "--alerts", HISTORY, "--out", str(plan),
@@ -140,7 +155,7 @@ def test_oracle_check_small_run(capsys):
                       "--transforms", "25"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 3
+    assert out.count(": ok") == 4
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

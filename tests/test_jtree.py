@@ -26,7 +26,7 @@ from hidpas.jtree import (
     propagate,
     query_marginal,
 )
-from hidpas.oracles import enumerate_marginal, random_evidence, random_net
+from hidpas.oracles import enumerate_marginal, forest_net, random_evidence, random_net
 from hidpas.possibility import HybridPropagator, transformed_factors
 
 
@@ -314,29 +314,6 @@ def test_oracle_equivalence_spot_checks():
 
 # -- batched calibration ----------------------------------------------------------
 
-def forest_net(rng: np.random.Generator) -> BayesNet:
-    """One or two random nets side by side (so the tree is often a forest),
-    with about a fifth of the CPT entries zeroed so some evidence is
-    impossible; every CPT row keeps its largest entry."""
-    parts = [random_net(rng, max_vars=5)]
-    if rng.random() < 0.7:
-        parts.append(random_net(rng, max_vars=4))
-    variables, parents, cpts = [], [], []
-    for part in parts:
-        base = len(variables)
-        variables += [Variable(base + v.id, f"v{base + v.id}", v.states)
-                      for v in part.dag.variables]
-        parents += [tuple(base + p for p in ps) for ps in part.dag.parents]
-        for cpt in part.cpts:
-            table = cpt.table.copy()
-            zero = rng.random(table.shape) < 0.2
-            zero[np.arange(len(table)), table.argmax(axis=1)] = False
-            table[zero] = 0.0
-            table /= table.sum(axis=1, keepdims=True)
-            cpts.append(Cpt(base + cpt.variable, tuple(base + p for p in cpt.parents), table))
-    return BayesNet(Dag(tuple(variables), tuple(parents)), tuple(cpts))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 def test_batched_calibration_equals_single_queries(seed, rows):
@@ -363,14 +340,66 @@ def test_batched_calibration_equals_single_queries(seed, rows):
                 assert np.array_equal(query_marginal(batch, var)[row],
                                       query_marginal(alone, var))
 
-    engine = HybridPropagator(net)
     targets = list(range(len(net.dag.variables)))
-    for ev, got in zip(evidence, engine.query_batch(evidence, targets)):
+    for ev, got in zip(evidence, HybridPropagator(net).query_batch(evidence, targets)):
         try:
-            alone = engine.query(ev, targets)
+            alone = HybridPropagator(net).query(ev, targets)  # a fresh engine: no memo
         except ImpossibleEvidenceError:
             alone = None
         assert got == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_pruned_calibration_reads_out_as_the_full_one(seed, rows):
+    """For every target subset, a calibration pruned to the targets' read-out
+    clusters reads out bit-identical to the full calibration, in both
+    semirings, impossible rows included; the clusters it skipped are None."""
+    rng = np.random.default_rng(seed)
+    net = forest_net(rng)
+    n = len(net.dag.variables)
+    evidence = [random_evidence(rng, net) for _ in range(rows)]
+    for semiring, factors in ((SUM_PRODUCT, net_factors(net)),
+                              (MAX_MIN, transformed_factors(net))):
+        jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
+        observed = evidence_matrix(jt, evidence)
+        full = propagate(jt, observed)
+        for subset in range(1, 2 ** n):
+            targets = [v for v in range(n) if subset >> v & 1]
+            pruned = propagate(jt, observed, targets)
+            assert np.array_equal(pruned.possible, full.possible)
+            for var in targets:
+                assert np.array_equal(query_marginal(pruned, var), query_marginal(full, var))
+            for c, table in enumerate(pruned.cluster_tables):
+                if table is None:
+                    with pytest.raises(ValueError, match="uncalibrated"):
+                        marginal_from_cluster(pruned, c, jt.clusters[c][0])
+                else:
+                    assert np.array_equal(table, full.cluster_tables[c])
+
+
+def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
+    """A target homed at the root needs no distribute message; one homed
+    deeper needs those on its root path only. Schedules are cached."""
+    jt = initialize_potentials(build_tree_for_net(chain5_net),
+                               net_factors(chain5_net), SUM_PRODUCT)
+    plan = jt.plan
+    assert len(jt.edges) == 3
+    root_var = jt.clusters[0][0]
+    at_root = plan.schedule(frozenset({plan.home[root_var]}))
+    assert [m.first for m in at_root.messages] == [True] * 3
+    assert plan.schedule(frozenset({plan.home[root_var]})) is at_root
+    leaf = next(c for c in range(len(jt.clusters)) if c not in plan.up.values())
+    to_leaf = plan.schedule(frozenset({leaf}))
+    path, c = set(), leaf
+    while c != 0:  # the root of the chain's one component
+        path.add(c)
+        c = plan.up[c]
+    assert {m.target for m in to_leaf.messages if not m.first} == path
+    assert to_leaf.clusters == path | {0}
+    assert len(plan.schedule().messages) == 6
+    with pytest.raises(ValueError, match="absent from the tree"):
+        propagate(jt, Evidence(), [7])
 
 
 def test_batched_propagate_checks_evidence_range(two_node_net):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
 from hidpas.jtree import ImpossibleEvidenceError
+from hidpas import possibility
 from hidpas.oracles import (
     direct_power_transform,
     enumerate_marginal,
+    forest_net,
     random_evidence,
     random_net,
 )
@@ -269,3 +271,68 @@ def test_hybrid_marginal_type_invariants_enforced():
         HybridMarginal(0, (0.9, 0.0), (0.5, 0.5), (0.5, 1.0))  # N > Pi
     with pytest.raises(ValueError):
         HybridMarginal(0, (0.0, 0.0), (0.7, 0.7), (1.0, 1.0))  # P sums to 1.4
+
+
+# -- the query memo ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=5), min_size=1, max_size=4))
+def test_memoized_queries_equal_fresh_ones(seed, forest, calls):
+    """Rows drawn from a small pool repeat within and across calls, over
+    varying target lists; every answer equals a fresh engine queried on that
+    row alone, and every None an ImpossibleEvidenceError."""
+    rng = np.random.default_rng(seed)
+    net = forest_net(rng) if forest else random_net(rng, max_vars=6)
+    n = len(net.dag.variables)
+    pool = [random_evidence(rng, net) for _ in range(4)]
+    target_lists = [list(range(n)), [n - 1], [0, n - 1]]
+    engine = HybridPropagator(net)
+    for k, picks in enumerate(calls):
+        targets = target_lists[k % len(target_lists)]
+        for i, got in zip(picks, engine.query_batch([pool[i] for i in picks], targets)):
+            try:
+                alone = HybridPropagator(net).query(pool[i], targets)
+            except ImpossibleEvidenceError:
+                alone = None
+            assert got == alone
+
+
+def test_memo_evicts_the_oldest_entry_past_its_cap(two_node_net, monkeypatch):
+    calibrations = []
+    propagate = possibility.propagate
+    monkeypatch.setattr(possibility, "propagate",
+                        lambda *args: calibrations.append(1) or propagate(*args))
+    monkeypatch.setattr(possibility, "MEMO_MARGINALS", 3)
+    engine = HybridPropagator(two_node_net)
+    a, b, c, d = {}, {0: 0}, {0: 1}, {1: 0}
+
+    def calls(rows):
+        before = len(calibrations)
+        engine.query_batch(rows, [1])
+        return len(calibrations) - before
+
+    assert calls([a, b, c, a]) == 2  # one calibration per semiring, duplicates once
+    assert calls([c, b, a]) == 0  # at the cap nothing is evicted
+    assert calls([d]) == 2  # one past the cap: a, the oldest, goes
+    assert calls([b, c, d]) == 0
+    assert calls([a]) == 2
+
+
+def test_memo_hits_do_not_share_the_callers_dict(two_node_net):
+    engine = HybridPropagator(two_node_net)
+    first = engine.query(Evidence({0: 1}), [1])
+    expected = dict(first)
+    first[1] = None
+    first[7] = "changed"
+    assert engine.query(Evidence({0: 1}), [1]) == expected
+    assert engine.query_batch([{0: 1}], [1]) == [expected]
+
+
+def test_memo_still_checks_every_row(two_node_net):
+    engine = HybridPropagator(two_node_net)
+    engine.query_batch([{0: 0}, {0: 1}], [1])
+    with pytest.raises(ValueError, match="out of range for variable 1"):
+        engine.query_batch([{0: 0}, {1: 2}, {0: 1}], [1])
+    with pytest.raises(ValueError, match="absent from the tree"):
+        engine.query_batch([{0: 0}], [5])
