@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .core import DataError
+from .core import DataError, finite_float
 from .jtree import ImpossibleEvidenceError
 from .model_io import load_classifier, load_detector, load_plan
 from .prediction import (
+    SELECTIONS,
     AlertClassifierModel,
     AlertRecord,
     PlanModel,
@@ -206,7 +207,7 @@ def load_sim_config(path: str) -> SimulationConfig:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     hosts: dict[str, str] = {}
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -218,19 +219,34 @@ def load_sim_config(path: str) -> SimulationConfig:
         if key.startswith("host."):
             hosts[key[len("host."):]] = resolve(value)
         else:
-            values[key] = value
+            values[key] = (value, lineno)
 
     missing = [k for k in ("detector_model", "alert_classifier", "plan_model")
                if k not in values]
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
+
+    def read(key: str, parse, default):
+        if key not in values:
+            return default
+        value, lineno = values[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad {key} {value!r} ({exc})") from None
+
+    def selection(value: str) -> str:
+        if value not in SELECTIONS:
+            raise ValueError(f"expected one of {', '.join(SELECTIONS)}")
+        return value
+
     return SimulationConfig(
         hosts=hosts,
-        detector_model=resolve(values["detector_model"]),
-        alert_classifier=resolve(values["alert_classifier"]),
-        plan_model=resolve(values["plan_model"]),
-        selection=values.get("selection", "max"),
-        theta=float(values.get("theta", 0.5)),
-        tau=float(values["tau"]) if "tau" in values else None,
-        seed=int(values.get("seed", 0)),
+        detector_model=resolve(values["detector_model"][0]),
+        alert_classifier=resolve(values["alert_classifier"][0]),
+        plan_model=resolve(values["plan_model"][0]),
+        selection=read("selection", selection, "max"),
+        theta=read("theta", finite_float, 0.5),
+        tau=read("tau", finite_float, None),
+        seed=read("seed", int, 0),
     )

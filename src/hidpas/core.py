@@ -161,15 +161,6 @@ class Evidence:
     def __post_init__(self):
         object.__setattr__(self, "assignments", dict(self.assignments))
 
-    def check(self, net: BayesNet) -> None:
-        for vid, state in self.assignments.items():
-            var = net.dag.variable(vid)
-            if not 0 <= state < var.arity:
-                raise ValueError(
-                    f"evidence state {state} out of range for {var.name} "
-                    f"(arity {var.arity})"
-                )
-
     def __bool__(self) -> bool:
         return bool(self.assignments)
 

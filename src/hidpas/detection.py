@@ -13,10 +13,9 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import BayesNet, DataError
+from .core import BayesNet, DataError, finite_float
 from .features import (
     KDD_FEATURES,
     NUMERIC,
@@ -39,10 +38,6 @@ ALERT_CSV_HEADER = "timestamp,host,src_ip,dst_ip,type,necessity,probability,poss
 
 # Column of each feature in ConnectionRecord.values.
 FEATURE_COLUMNS = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
-
-# detect_stream calibrates at most this many cluster table entries at once,
-# so its memory does not grow with the stream.
-ENTRY_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -216,26 +211,24 @@ def classify_connection(model: DetectorModel, record: ConnectionRecord) -> Class
 
 def detect_stream(model: DetectorModel, records: Iterable[ConnectionRecord],
                   host: str) -> list[DetectionAlert]:
-    """Classify a record stream in batches, emitting one alert per
-    non-normal result; the alerts do not depend on the batch size."""
+    """Classify a record stream in one batched call, emitting one alert per
+    non-normal result; the alerts do not depend on how the stream is split."""
+    records = list(records)
     alerts: list[DetectionAlert] = []
-    stream = iter(records)
-    rows = max(1, ENTRY_BUDGET // model.engine.row_entries)
-    while batch := list(islice(stream, rows)):
-        for record, result in zip(batch, classify_connections(model, batch)):
-            if result.label == NORMAL_LABEL:
-                continue
-            n, p, pi = result.triple
-            alerts.append(DetectionAlert(
-                timestamp=record.timestamp,
-                host=host,
-                src_ip=record.src_ip,
-                dst_ip=record.dst_ip,
-                attack_type=result.label,
-                necessity=n,
-                probability=p,
-                possibility=pi,
-            ))
+    for record, result in zip(records, classify_connections(model, records)):
+        if result.label == NORMAL_LABEL:
+            continue
+        n, p, pi = result.triple
+        alerts.append(DetectionAlert(
+            timestamp=record.timestamp,
+            host=host,
+            src_ip=record.src_ip,
+            dst_ip=record.dst_ip,
+            attack_type=result.label,
+            necessity=n,
+            probability=p,
+            possibility=pi,
+        ))
     return alerts
 
 
@@ -258,14 +251,14 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
                 continue
             try:
                 if len(rec) in (n_feat, n_feat + 1):
-                    values = parse_connection_fields(rec[:n_feat], with_label=False)
+                    values = parse_connection_fields(rec[:n_feat])
                     records.append(ConnectionRecord(values, timestamp=float(len(records))))
                 elif len(rec) in (n_feat + 3, n_feat + 4):
                     try:
-                        ts = float(rec[0])
+                        ts = finite_float(rec[0])
                     except ValueError:
                         raise DataError(f"bad timestamp {rec[0]!r}") from None
-                    values = parse_connection_fields(rec[3:3 + n_feat], with_label=False)
+                    values = parse_connection_fields(rec[3:3 + n_feat])
                     records.append(ConnectionRecord(
                         values, timestamp=ts, src_ip=rec[1].strip(), dst_ip=rec[2].strip()
                     ))

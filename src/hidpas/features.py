@@ -280,11 +280,11 @@ def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
     return columns
 
 
-def parse_connection_fields(rec: Sequence[str], with_label: bool) -> list:
-    """One typed connection row; raises DataError on arity/parse problems."""
-    expected = len(KDD_FEATURES) + (1 if with_label else 0)
-    if len(rec) != expected:
-        raise DataError(f"expected {expected} fields, got {len(rec)}")
+def parse_connection_fields(rec: Sequence[str]) -> list:
+    """One typed connection row, without a label; raises DataError on
+    arity/parse problems."""
+    if len(rec) != len(KDD_FEATURES):
+        raise DataError(f"expected {len(KDD_FEATURES)} fields, got {len(rec)}")
     row: list = []
     for (name, kind), cell in zip(KDD_FEATURES, rec):
         cell = cell.strip()
@@ -298,8 +298,6 @@ def parse_connection_fields(rec: Sequence[str], with_label: bool) -> list:
             row.append(value)
         else:
             row.append(cell)
-    if with_label:
-        row.append(rec[-1].strip().rstrip("."))
     return row
 
 
@@ -468,7 +466,3 @@ def parse_rules(text: str) -> TransformRules:
             raise DataError(f"rules line {lineno}: unknown rule kind {key!r}")
     return rules
 
-
-def load_rules(path: str) -> TransformRules:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read())

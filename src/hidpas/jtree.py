@@ -7,11 +7,14 @@ simply overwrite separators and are absorbed by min.
 
 Initializing potentials compiles the tree's structural work once: the
 message schedule, each message's axes and shapes, each variable's evidence
-holders and read-out cluster, and the semiring's ufuncs. Calibration then
-runs over a leading batch axis, one row per evidence set, and a single
-query is the batch of one. A calibration told which variables will be read
-runs every collect message but only the distribute messages on the paths
-from each root down to those variables' read-out clusters.
+holders and read-out cluster, and the semiring's ufuncs. Calibration takes
+an `evidence_matrix` and runs over a leading batch axis, one row per
+evidence set; a single query is the batch of one. It flags the rows with no
+mass and reads them out as zeros; raising on them, bounding a batch's memory
+and memoizing answers is left to `possibility.HybridPropagator`. A
+calibration told which variables will be read runs every collect message
+but only the distribute messages on the paths from each root down to those
+variables' read-out clusters.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ MAX_MIN = "max-min"
 
 
 class ImpossibleEvidenceError(RuntimeError):
-    """The asserted evidence has probability / possibility zero."""
+    """The asserted evidence has probability / possibility zero; raised by
+    `possibility.HybridPropagator.query`."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis on a batched calibration. A calibration pruned to a read set
-    holds None for the tables it left uncalibrated.
+    batch axis once calibrated. A calibration pruned to a read set holds None
+    for the tables it left uncalibrated.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -86,7 +90,7 @@ class JunctionTree:
     cluster_tables: tuple[np.ndarray | None, ...] | None = None
     separator_tables: tuple[np.ndarray | None, ...] | None = None
     plan: Plan | None = None
-    possible: np.ndarray | None = None  # per evidence row, on batched calibrations only
+    possible: np.ndarray | None = None  # per evidence row; None until calibrated
 
     def containing_clusters(self, var: int) -> list[int]:
         return [i for i, c in enumerate(self.clusters) if var in c]
@@ -480,8 +484,8 @@ def initialize_potentials(
 
 def evidence_matrix(jt: JunctionTree,
                     rows: Iterable[Evidence | Mapping[int, int] | None]) -> np.ndarray:
-    """Evidence rows as one (rows, width) state matrix for a batched
-    `propagate`: column v holds variable v's observed state, -1 if unobserved."""
+    """Evidence rows as one (rows, width) state matrix for `propagate`:
+    column v holds variable v's observed state, -1 if unobserved."""
     width = jt.plan.width
     rows = list(rows)
     out = np.full((len(rows), width), -1, dtype=np.intp)
@@ -497,8 +501,9 @@ def evidence_matrix(jt: JunctionTree,
 
 
 def _check_observed(plan: Plan, observed: np.ndarray) -> None:
-    if observed.ndim != 2 or observed.shape[1] != plan.width:
-        raise ValueError(f"evidence matrix must have shape (rows, {plan.width})")
+    if (not isinstance(observed, np.ndarray) or observed.ndim != 2
+            or observed.shape[1] != plan.width):
+        raise ValueError(f"evidence must be an evidence_matrix of shape (rows, {plan.width})")
     if not np.issubdtype(observed.dtype, np.integer):
         raise ValueError("evidence matrix must hold integer states")
     bad = (observed < -1) | (observed >= plan.arity)
@@ -556,19 +561,15 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
     return tables, seps, possible
 
 
-def propagate(jt: JunctionTree,
-              evidence: Evidence | Mapping[int, int] | np.ndarray | None = None,
+def propagate(jt: JunctionTree, observed: np.ndarray,
               targets: Sequence[int] | None = None) -> JunctionTree:
     """Two-phase collect/distribute calibration from the lowest cluster index
-    of each component.
+    of each component, every row of an `evidence_matrix` in one pass.
 
     Evidence zeroes every table entry inconsistent with an observed state.
-    Given one evidence set, returns the calibrated tree, raising
-    ImpossibleEvidenceError when calibration annihilates a component. Given
-    an `evidence_matrix`, calibrates every row in one pass and returns a
-    batched tree: its tables lead with a batch axis (length 1 where no row
-    differs) and `possible` flags the rows with nonzero mass. Each row is
-    bit-identical to the same evidence calibrated alone.
+    The calibrated tree's tables lead with a batch axis (length 1 where no
+    row differs), and `possible` flags the rows with nonzero mass. Each row
+    is bit-identical to the same evidence calibrated in a batch of its own.
 
     Given targets, only the distribute messages towards the targets'
     read-out clusters run; those clusters read out bit-identical to a full
@@ -577,7 +578,7 @@ def propagate(jt: JunctionTree,
     if jt.plan is None:
         raise ValueError("potentials must be initialized before propagation")
     if jt.possible is not None:
-        raise ValueError("tree is already a batched calibration")
+        raise ValueError("tree is already calibrated")
     plan = jt.plan
     reads = None
     if targets is not None:
@@ -586,16 +587,8 @@ def propagate(jt: JunctionTree,
                 raise ValueError(f"variable {var} is absent from the tree")
         reads = frozenset(plan.home[var] for var in targets)
     schedule = plan.schedule(reads)
-    batched = isinstance(evidence, np.ndarray)
-    observed = evidence if batched else evidence_matrix(jt, [evidence])
     _check_observed(plan, observed)
     tables, seps, possible = _calibrate(jt, observed, schedule)
-    if not batched:
-        if not possible[0]:
-            raise ImpossibleEvidenceError(
-                "evidence has zero probability/possibility in this network"
-            )
-        tables, seps, possible = [t[0] for t in tables], [s[0] for s in seps], None
     for t in tables + seps:
         t.setflags(write=False)
     if reads is not None:
@@ -606,13 +599,13 @@ def propagate(jt: JunctionTree,
 
 
 def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.ndarray:
-    """Marginal of a calibrated tree over one variable, read off its home
-    cluster; (rows, arity) for a batched tree.
+    """(rows, arity) marginals of a calibrated tree over one variable, read
+    off its home cluster.
 
     Sum-product marginals are renormalized to sum 1; max-min marginals are
-    renormalized so their maximum is 1.
+    renormalized so their maximum is 1. Impossible rows read as zeros.
     """
-    if jt.cluster_tables is None:
+    if jt.possible is None:
         raise ValueError("tree is not calibrated")
     if var not in jt.plan.home:
         raise ValueError(f"variable {var} is absent from the tree")
@@ -622,25 +615,18 @@ def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.nda
 def marginal_from_cluster(
     jt: JunctionTree, cluster: int, var: int, normalize: bool = True
 ) -> np.ndarray:
-    """Marginal read off one specific containing cluster (for agreement checks).
-
-    A batched tree's impossible rows read as zeros."""
+    """Marginals read off one specific containing cluster (for agreement checks)."""
     scope = jt.clusters[cluster]
     if var not in scope:
         raise ValueError(f"variable {var} not in cluster {cluster}")
-    table = jt.cluster_tables[cluster]
+    table = None if jt.possible is None else jt.cluster_tables[cluster]
     if table is None:
-        raise ValueError(f"cluster {cluster} was left uncalibrated for this read set")
-    lead = 0 if jt.possible is None else 1
+        raise ValueError(f"cluster {cluster} is uncalibrated")
     reduce = jt.plan.semiring.marginalize.reduce
-    out = reduce(table,
-                 axis=tuple(lead + i for i, v in enumerate(scope) if v != var))
+    out = reduce(table, axis=tuple(1 + i for i, v in enumerate(scope) if v != var))
     if normalize:
-        total = reduce(out, axis=-1, keepdims=True)
-        if lead == 0 and total == 0:
-            raise ImpossibleEvidenceError("marginal is identically zero")
-        out = _divide(out, total)
-    return out if lead == 0 else np.broadcast_to(out, (len(jt.possible), out.shape[-1]))
+        out = _divide(out, reduce(out, axis=-1, keepdims=True))
+    return np.broadcast_to(out, (len(jt.possible), out.shape[-1]))
 
 
 def net_factors(net: BayesNet) -> list[Potential]:

@@ -69,10 +69,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def save_network(net: BayesNet, path: str, timestamp: bool = True) -> None:
-    _write(path, format_network(net, timestamp))
-
-
 def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
     """Split into (section header, body lines); comments and blanks dropped."""
     lines = [ln.strip() for ln in text.splitlines()]

@@ -18,9 +18,9 @@ from .core import BayesNet, Cpt, Dag, Evidence, Variable
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
-    ImpossibleEvidenceError,
     Potential,
     build_tree_for_net,
+    evidence_matrix,
     initialize_potentials,
     net_factors,
     propagate,
@@ -242,11 +242,8 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
         arities = [v.arity for v in net.dag.variables]
         factors = factors_of(net)
         tree = initialize_potentials(build_tree_for_net(net), factors, mode)
-        try:
-            cal = propagate(tree, ev)
-            impossible = False
-        except ImpossibleEvidenceError:
-            impossible = True
+        cal = propagate(tree, evidence_matrix(tree, [ev]))
+        impossible = not cal.possible[0]
         for var in range(len(arities)):
             expected = enumerate_marginal(factors, arities, dict(ev.assignments), var, mode)
             report.cases += 1
@@ -255,7 +252,7 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
                     report.failures += 1
                     report.notes.append("impossible-evidence disagreement")
                 continue
-            got = query_marginal(cal, var)
+            got = query_marginal(cal, var)[0]
             dev = float(np.max(np.abs(got - expected)))
             report.worst = max(report.worst, dev)
             if dev > tol:

@@ -40,6 +40,10 @@ NORM_TOL = 1e-9
 # least one); the oldest entry goes first. A detector entry takes about
 # 1.2 KB, a plan marginal about 620 B, so a full memo holds 5-10 MB.
 MEMO_MARGINALS = 2 ** 13
+# Cluster table entries one engine calibrates at once: `query_batch` takes
+# its rows in chunks of this many entries, so its memory does not grow with
+# the batch.
+ENTRY_BUDGET = 2 ** 16
 
 
 def prob_to_poss(p: Sequence[float]) -> np.ndarray:
@@ -189,16 +193,11 @@ class HybridPropagator:
         self._memo: dict[tuple[bytes, tuple[int, ...]], dict[int, HybridMarginal] | None] = {}
         self._memo_weight = 0
 
-    @property
-    def row_entries(self) -> int:
-        """Cluster table entries one evidence row takes in one calibration."""
-        return self._prob.plan.entries
-
     def query(self, evidence: Evidence | Mapping[int, int] | None,
               targets: Sequence[int]) -> dict[int, HybridMarginal]:
-        ev = evidence if isinstance(evidence, Evidence) else Evidence(dict(evidence or {}))
-        ev.check(self.net)
-        [marginals] = self.query_batch([ev], targets)
+        """The batch of one; raises ImpossibleEvidenceError where
+        `query_batch` answers None."""
+        [marginals] = self.query_batch([evidence], targets)
         if marginals is None:
             raise ImpossibleEvidenceError(
                 "evidence has zero probability/possibility in this network")
@@ -211,8 +210,9 @@ class HybridPropagator:
         on that row alone, bit for bit.
 
         Rows already answered for these targets come from the memo; the
-        distinct others share one calibration per semiring, pruned to the
-        targets' read-out clusters. Only checked rows enter the memo, so a
+        distinct others are calibrated together, pruned to the targets'
+        read-out clusters, one calibration per semiring for every
+        ENTRY_BUDGET table entries. Only checked rows enter the memo, so a
         bad row is always calibrated, and raises, even among cached ones.
         Each caller gets its own dicts.
         """
@@ -226,9 +226,12 @@ class HybridPropagator:
                 found[key] = self._memo[key]
             else:
                 misses.setdefault(key, row)
-        if misses:
-            answers = self._calibrate(observed[list(misses.values())], targets)
-            for key, marginals in zip(misses, answers):
+        missed = list(misses.items())
+        step = max(1, ENTRY_BUDGET // self._prob.plan.entries)
+        for start in range(0, len(missed), step):
+            chunk = missed[start:start + step]
+            answers = self._calibrate(observed[[row for _, row in chunk]], targets)
+            for (key, _), marginals in zip(chunk, answers):
                 found[key] = marginals
                 self._remember(key, marginals)
 

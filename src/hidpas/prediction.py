@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BayesNet, DataError, Evidence, Variable
+from .core import BayesNet, DataError, Evidence, Variable, finite_float
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
@@ -30,6 +30,7 @@ ABSENT, PRESENT = 0, 1
 # State label under which the classifier stores an attribute left empty;
 # labels are saved as tokens and cannot be empty.
 EMPTY_STATE = "__empty__"
+SELECTIONS = ("max", "threshold")  # forecast rules of predict_attacks
 
 
 @dataclass(frozen=True)
@@ -364,7 +365,7 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     absent. `max` selects the informative node(s) of highest probability;
     `threshold` selects every informative node with probability >= theta.
     """
-    if selection not in ("max", "threshold"):
+    if selection not in SELECTIONS:
         raise ValueError("selection must be 'max' or 'threshold'")
     observed_ids = sorted({model.var_of(h) for h in observed})
     evidence = Evidence({vid: PRESENT for vid in observed_ids})
@@ -425,10 +426,13 @@ def load_alert_log(path: str) -> list[AlertRecord]:
             if len(rec) != 7:
                 raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(rec)}")
             try:
-                ts = float(rec[0])
+                ts = finite_float(rec[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad timestamp {rec[0]!r}") from None
-            out.append(AlertRecord(ts, *(x.strip() for x in rec[1:])))
+            try:
+                out.append(AlertRecord(ts, *(x.strip() for x in rec[1:])))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

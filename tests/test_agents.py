@@ -230,6 +230,21 @@ def test_sim_config_missing_keys_rejected(tmp_path):
         load_sim_config(str(conf))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("theta = abc", "bad theta 'abc'"),
+    ("theta = inf", "bad theta 'inf'"),
+    ("tau = nan", "bad tau 'nan'"),
+    ("seed = 1.5", "bad seed '1.5'"),
+    ("selection = maximum", "bad selection 'maximum' \\(expected one of max, threshold\\)"),
+])
+def test_sim_config_rejects_a_bad_value_with_its_line(tmp_path, line, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("detector_model = d.bn\nalert_classifier = c.bn\nplan_model = p.bn\n"
+                    f"host.a = x.csv\n{line}\n")
+    with pytest.raises(DataError, match=f"bad.conf:5: {message}"):
+        load_sim_config(str(conf))
+
+
 def test_simulation_missing_model_aborts(sim_setup):
     from dataclasses import replace
 

@@ -15,6 +15,7 @@ from hidpas.core import (
     parent_configurations,
     validate_network,
 )
+from hidpas.possibility import HybridPropagator
 
 
 def test_valid_two_node_net_has_empty_report(two_node_net):
@@ -151,6 +152,8 @@ def test_validated_net_supports_joint_without_index_errors(chain5_net):
 
 
 def test_evidence_checks_state_range(two_node_net):
-    Evidence({0: 1}).check(two_node_net)
-    with pytest.raises(ValueError):
-        Evidence({0: 2}).check(two_node_net)
+    # Evidence is range-checked where it meets a network: in the engine.
+    engine = HybridPropagator(two_node_net)
+    engine.query(Evidence({0: 1}), [1])
+    with pytest.raises(ValueError, match="out of range"):
+        engine.query(Evidence({0: 2}), [1])

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hidpas import detection
+from hidpas import possibility
 from hidpas.core import Evidence
 from hidpas.detection import (
     ConnectionRecord,
     DetectorConfig,
+    _record_evidence,
     classify_connection,
     classify_connections,
     detect_stream,
@@ -17,7 +19,7 @@ from hidpas.detection import (
     train_detector,
     write_alerts_csv,
 )
-from hidpas.features import KDD_FEATURES, RawTable, load_kdd
+from hidpas.features import KDD_FEATURES, DataError, RawTable, load_kdd
 
 from conftest import data_path
 
@@ -120,7 +122,7 @@ def test_probability_component_equals_plain_jt_classification(scenario_model):
     sum-product propagation of the same evidence."""
     from hidpas.core import Evidence
     from hidpas.detection import _record_evidence
-    from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net,
+    from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net, evidence_matrix,
                               initialize_potentials, net_factors, propagate,
                               query_marginal)
 
@@ -130,8 +132,8 @@ def test_probability_component_equals_plain_jt_classification(scenario_model):
     for record in records:
         evidence, _ = _record_evidence(scenario_model, record)
         result = classify_connection(scenario_model, record)
-        plain = query_marginal(propagate(jt, Evidence(evidence)),
-                               scenario_model.class_var)
+        plain = query_marginal(propagate(jt, evidence_matrix(jt, [Evidence(evidence)])),
+                               scenario_model.class_var)[0]
         assert tuple(plain) == result.marginal.probability
 
 
@@ -188,6 +190,18 @@ def test_load_stream_rejects_bad_row(tmp_path):
     assert load_stream(str(path), on_bad="skip") == []
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon"])
+def test_load_stream_rejects_a_non_finite_timestamp(tmp_path, stamp):
+    lines = open(data_path("scenario", "host_c.csv")).read().splitlines()
+    path = tmp_path / "stamps.csv"
+    path.write_text("\n".join([lines[0], stamp + lines[1][lines[1].index(","):], lines[2]]) + "\n")
+    with pytest.raises(DataError, match=f"stamps.csv:2: bad timestamp '{stamp}'"):
+        load_stream(str(path))
+    kept = load_stream(str(path), on_bad="skip")
+    assert [r.timestamp for r in kept] == [r.timestamp for r in
+                                           load_stream(data_path("scenario", "host_c.csv"))[::2][:2]]
+
+
 def test_alert_csv_format(tmp_path, scenario_model):
     records = load_stream(data_path("scenario", "host_c.csv"))
     alerts = detect_stream(scenario_model, records, "host-c")
@@ -212,9 +226,28 @@ def test_detect_stream_alerts_do_not_depend_on_chunking(scenario_model, monkeypa
         for i in range(0, len(records), size):
             fed += detect_stream(scenario_model, records[i:i + size], "h")
         assert rows(fed) == whole
-    # a budget of three rows' tables makes detect_stream itself chunk by 3
-    monkeypatch.setattr(detection, "ENTRY_BUDGET", 3 * scenario_model.engine.row_entries)
-    assert rows(detect_stream(scenario_model, iter(records), "h")) == whole
+    # a budget of three rows' tables makes the engine calibrate by 3; a
+    # fresh model has an empty memo, so every distinct row is calibrated
+    fresh = replace(scenario_model)
+    monkeypatch.setattr(possibility, "ENTRY_BUDGET", 3 * fresh.engine._prob.plan.entries)
+    assert rows(detect_stream(fresh, iter(records), "h")) == whole
+
+
+def test_classify_connections_calibrates_within_the_entry_budget(scenario_model, monkeypatch):
+    """A long call is calibrated in chunks of the engine's entry budget, one
+    per two distinct rows here, and classifies as an unbounded call does."""
+    records = [r for name in ("detector_train", "host_a", "host_b", "host_c")
+               for r in load_stream(data_path("scenario", f"{name}.csv"))]
+    fresh = replace(scenario_model)
+    distinct = {tuple(sorted(_record_evidence(fresh, r)[0].items())) for r in records}
+    calls = []
+    propagate = possibility.propagate
+    monkeypatch.setattr(possibility, "propagate",
+                        lambda *args: calls.append(1) or propagate(*args))
+    monkeypatch.setattr(possibility, "ENTRY_BUDGET", 2 * fresh.engine._prob.plan.entries)
+    got = classify_connections(fresh, records)
+    assert len(distinct) == 3 and len(calls) == 2 * 2
+    assert got == classify_connections(scenario_model, records)
 
 
 def test_impossible_row_falls_back_to_prior_alone(deterministic_model, caplog):

@@ -25,7 +25,6 @@ from hidpas.features import (
     build_rules,
     gini_rank,
     load_kdd,
-    load_rules,
     parse_rules,
     save_rules,
     select_features,
@@ -517,7 +516,7 @@ def test_rules_round_trip_reproduces_dataset(tmp_path):
     rules = build_rules(table, selected)
     path = tmp_path / "rules.txt"
     save_rules(rules, str(path))
-    reloaded = load_rules(str(path))
+    reloaded = parse_rules(path.read_text(encoding="utf-8"))
     a = to_discrete_dataset(table, rules, selected)
     b = to_discrete_dataset(table, reloaded, selected)
     np.testing.assert_array_equal(a.rows, b.rows)

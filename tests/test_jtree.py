@@ -30,6 +30,11 @@ from hidpas.oracles import enumerate_marginal, forest_net, random_evidence, rand
 from hidpas.possibility import HybridPropagator, transformed_factors
 
 
+def calibrate(jt, evidence=None, targets=None):
+    """One evidence set calibrated as a batch of one."""
+    return propagate(jt, evidence_matrix(jt, [evidence]), targets)
+
+
 def graph(nodes, edges) -> UndirectedGraph:
     adj = {n: set() for n in nodes}
     for a, b in edges:
@@ -193,16 +198,16 @@ def test_initialize_rejects_unplaceable_factor():
 def test_propagate_prior_marginal(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = propagate(jt, Evidence())
-    np.testing.assert_allclose(query_marginal(cal, 1), [0.38, 0.62], atol=1e-12)
-    np.testing.assert_allclose(query_marginal(cal, 0), [0.4, 0.6], atol=1e-12)
+    cal = calibrate(jt, Evidence())
+    np.testing.assert_allclose(query_marginal(cal, 1)[0], [0.38, 0.62], atol=1e-12)
+    np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.4, 0.6], atol=1e-12)
 
 
 def test_propagate_posterior_matches_bayes_rule(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = propagate(jt, Evidence({1: 1}))
-    np.testing.assert_allclose(query_marginal(cal, 0), [0.08 / 0.62, 0.54 / 0.62],
+    cal = calibrate(jt, Evidence({1: 1}))
+    np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.08 / 0.62, 0.54 / 0.62],
                                atol=1e-12)
 
 
@@ -210,21 +215,21 @@ def test_propagate_maxmin_hand_example(two_node_net):
     fa = Potential((0,), np.array([1.0, 0.4]))
     fb = Potential((0, 1), np.array([[1.0, 0.3], [0.7, 1.0]]))
     jt = initialize_potentials(build_tree_for_net(two_node_net), [fa, fb], MAX_MIN)
-    cal = propagate(jt, Evidence())
-    np.testing.assert_allclose(query_marginal(cal, 1), [1.0, 0.4], atol=1e-15)
+    cal = calibrate(jt, Evidence())
+    np.testing.assert_allclose(query_marginal(cal, 1)[0], [1.0, 0.4], atol=1e-15)
 
 
 def test_query_on_evidence_variable_is_degenerate(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = propagate(jt, Evidence({0: 1}))
-    np.testing.assert_allclose(query_marginal(cal, 0), [0.0, 1.0], atol=1e-15)
+    cal = calibrate(jt, Evidence({0: 1}))
+    np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.0, 1.0], atol=1e-15)
 
 
 def test_query_unknown_variable_rejected(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = propagate(jt, Evidence())
+    cal = calibrate(jt, Evidence())
     with pytest.raises(ValueError):
         query_marginal(cal, 17)
 
@@ -239,8 +244,7 @@ def test_impossible_evidence_raises():
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
     ))
     jt = initialize_potentials(build_tree_for_net(net), net_factors(net), SUM_PRODUCT)
-    with pytest.raises(ImpossibleEvidenceError):
-        propagate(jt, Evidence({1: 1}))
+    assert not calibrate(jt, Evidence({1: 1})).possible[0]
 
 
 def test_calibration_consistency_across_clusters():
@@ -251,9 +255,8 @@ def test_calibration_consistency_across_clusters():
         for semiring, factors in ((SUM_PRODUCT, net_factors(net)),
                                   (MAX_MIN, transformed_factors(net))):
             jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
-            try:
-                cal = propagate(jt, ev)
-            except ImpossibleEvidenceError:
+            cal = calibrate(jt, ev)
+            if not cal.possible[0]:
                 continue
             for var in range(len(net.dag.variables)):
                 holders = cal.containing_clusters(var)
@@ -277,14 +280,13 @@ def test_maxmin_evidence_monotonicity():
         if not ev:
             continue
         partial = dict(list(ev.items())[:-1])
-        try:
-            more = propagate(init, Evidence(ev))
-            less = propagate(init, Evidence(partial))
-        except ImpossibleEvidenceError:
+        more = calibrate(init, Evidence(ev))
+        less = calibrate(init, Evidence(partial))
+        if not (more.possible[0] and less.possible[0]):
             continue
         for var in range(len(net.dag.variables)):
-            pi_more = query_marginal(more, var, normalize=False)
-            pi_less = query_marginal(less, var, normalize=False)
+            pi_more = query_marginal(more, var, normalize=False)[0]
+            pi_less = query_marginal(less, var, normalize=False)[0]
             assert np.all(pi_more <= pi_less + 1e-12)
 
 
@@ -299,9 +301,8 @@ def test_oracle_equivalence_spot_checks():
             (MAX_MIN, transformed_factors(net), 1e-12),
         ):
             jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
-            try:
-                cal = propagate(jt, ev)
-            except ImpossibleEvidenceError:
+            cal = calibrate(jt, ev)
+            if not cal.possible[0]:
                 cal = None
             for var in range(len(arities)):
                 expected = enumerate_marginal(factors, arities,
@@ -309,7 +310,7 @@ def test_oracle_equivalence_spot_checks():
                 if cal is None or expected is None:
                     assert (cal is None) == (expected is None)
                     continue
-                np.testing.assert_allclose(query_marginal(cal, var), expected, atol=tol)
+                np.testing.assert_allclose(query_marginal(cal, var)[0], expected, atol=tol)
 
 
 # -- batched calibration ----------------------------------------------------------
@@ -328,17 +329,16 @@ def test_batched_calibration_equals_single_queries(seed, rows):
         batch = propagate(jt, evidence_matrix(jt, evidence))
         assert batch.possible.shape == (rows,)
         for row, ev in enumerate(evidence):
-            try:
-                alone = propagate(jt, ev)
-            except ImpossibleEvidenceError:
+            alone = calibrate(jt, ev)  # a batch of one
+            if not alone.possible[0]:
                 assert not batch.possible[row]
                 continue
             assert batch.possible[row]
             for got, want in zip(batch.cluster_tables, alone.cluster_tables):
-                assert np.array_equal(got[min(row, len(got) - 1)], want)
+                assert np.array_equal(got[min(row, len(got) - 1)], want[0])
             for var in range(len(net.dag.variables)):
                 assert np.array_equal(query_marginal(batch, var)[row],
-                                      query_marginal(alone, var))
+                                      query_marginal(alone, var)[0])
 
     targets = list(range(len(net.dag.variables)))
     for ev, got in zip(evidence, HybridPropagator(net).query_batch(evidence, targets)):
@@ -399,7 +399,7 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
     assert to_leaf.clusters == path | {0}
     assert len(plan.schedule().messages) == 6
     with pytest.raises(ValueError, match="absent from the tree"):
-        propagate(jt, Evidence(), [7])
+        calibrate(jt, Evidence(), [7])
 
 
 def test_batched_propagate_checks_evidence_range(two_node_net):
@@ -408,13 +408,29 @@ def test_batched_propagate_checks_evidence_range(two_node_net):
     with pytest.raises(ValueError, match="out of range for variable 1"):
         propagate(jt, np.array([[0, -1], [1, 2]]))
     with pytest.raises(ValueError, match="out of range"):
-        propagate(jt, Evidence({0: -1}))
+        calibrate(jt, Evidence({0: -1}))
     with pytest.raises(ValueError, match="absent from the tree"):
-        propagate(jt, Evidence({5: 0}))
+        calibrate(jt, Evidence({5: 0}))
     with pytest.raises(ValueError, match="shape"):
         propagate(jt, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="integer"):
         propagate(jt, np.array([[0.0, 1.0]]))
+
+
+def test_only_an_uncalibrated_tree_propagates_and_only_a_calibrated_one_reads(two_node_net):
+    jt = initialize_potentials(build_tree_for_net(two_node_net),
+                               net_factors(two_node_net), SUM_PRODUCT)
+    with pytest.raises(ValueError, match="not calibrated"):
+        query_marginal(jt, 0)
+    with pytest.raises(ValueError, match="uncalibrated"):
+        marginal_from_cluster(jt, 0, jt.clusters[0][0])
+    with pytest.raises(ValueError, match="evidence_matrix"):
+        propagate(jt, Evidence({0: 1}))
+    cal = calibrate(jt, Evidence({0: 1}))
+    with pytest.raises(ValueError, match="already calibrated"):
+        propagate(cal, evidence_matrix(jt, [Evidence()]))
+    with pytest.raises(ValueError, match="already calibrated"):
+        calibrate(calibrate(jt, Evidence(), [1]), Evidence(), [0])
 
 
 def two_roots(pa, pb) -> BayesNet:
@@ -431,11 +447,11 @@ def test_maxmin_forest_cap_matches_oracle():
     factors = transformed_factors(net)
     jt = initialize_potentials(build_tree_for_net(net), factors, MAX_MIN)
     assert len(jt.clusters) == 2 and not jt.edges
-    got = query_marginal(propagate(jt, Evidence({0: 1})), 1)
+    got = query_marginal(calibrate(jt, Evidence({0: 1})), 1)[0]
     expected = enumerate_marginal(factors, [2, 2], {0: 1}, 1, MAX_MIN)
     np.testing.assert_allclose(got, expected, atol=1e-12)
     np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
-    uncapped = query_marginal(propagate(jt, Evidence()), 1)
+    uncapped = query_marginal(calibrate(jt, Evidence()), 1)[0]
     np.testing.assert_allclose(uncapped, [1.0, 0.3], atol=1e-12)
 
 
@@ -456,9 +472,8 @@ def test_forest_oracle_both_semirings():
         for semiring, factors, tol in ((SUM_PRODUCT, net_factors(net), 1e-9),
                                        (MAX_MIN, transformed_factors(net), 1e-12)):
             jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
-            try:
-                cal = propagate(jt, ev)
-            except ImpossibleEvidenceError:
+            cal = calibrate(jt, ev)
+            if not cal.possible[0]:
                 cal = None
             for var in range(len(arities)):
                 expected = enumerate_marginal(factors, arities, dict(ev.assignments),
@@ -466,12 +481,12 @@ def test_forest_oracle_both_semirings():
                 if cal is None or expected is None:
                     assert (cal is None) == (expected is None)
                     continue
-                got = query_marginal(cal, var)
+                got = query_marginal(cal, var)[0]
                 np.testing.assert_allclose(got, expected, atol=tol)
                 component = {c: k for k, (clusters, _) in enumerate(jt.plan.components)
                              for c in clusters}
                 if semiring == MAX_MIN and component[jt.plan.home[var]] not in {
                         component[jt.plan.home[v]] for v in ev.assignments}:
                     capped += int(not np.allclose(
-                        got, query_marginal(propagate(jt, Evidence()), var)))
+                        got, query_marginal(calibrate(jt, Evidence()), var)[0]))
     assert capped > 0  # evidence in one component moved another's marginal

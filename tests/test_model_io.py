@@ -11,10 +11,10 @@ from hidpas.core import validate_network
 from hidpas.features import DataError
 from hidpas.model_io import (
     FORMAT_HEADER,
+    _write,
     format_network,
     load_network,
     parse_network,
-    save_network,
 )
 
 
@@ -40,7 +40,7 @@ def test_round_trip_preserves_structure_and_tables(two_node_net, chain5_net, col
 
 def test_round_trip_via_file(two_node_net, tmp_path):
     path = tmp_path / "net.bn"
-    save_network(two_node_net, str(path))
+    _write(str(path), format_network(two_node_net))
     back = load_network(str(path))
     assert back.dag.parents == two_node_net.dag.parents
 
@@ -117,7 +117,7 @@ def test_loading_wrong_kind_fails(tmp_path, two_node_net):
     from hidpas.model_io import load_detector, load_plan
 
     path = tmp_path / "plain.bn"
-    save_network(two_node_net, str(path))
+    _write(str(path), format_network(two_node_net))
     with pytest.raises(DataError, match="DETECTOR"):
         load_detector(str(path))
     with pytest.raises(DataError, match="PLAN"):

@@ -214,7 +214,7 @@ def test_hybrid_impossible_evidence_raises(two_node_net):
 
 
 def test_hybrid_probability_component_bit_identical_to_plain():
-    from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net,
+    from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net, evidence_matrix,
                               initialize_potentials, net_factors, propagate,
                               query_marginal)
 
@@ -228,9 +228,9 @@ def test_hybrid_probability_component_bit_identical_to_plain():
             continue
         jt = initialize_potentials(build_tree_for_net(net), net_factors(net),
                                    SUM_PRODUCT)
-        cal = propagate(jt, ev)
+        cal = propagate(jt, evidence_matrix(jt, [ev]))
         for var, hm in marginals.items():
-            plain = query_marginal(cal, var)
+            plain = query_marginal(cal, var)[0]
             assert tuple(plain) == hm.probability  # bit-identical
 
 
@@ -331,8 +331,65 @@ def test_memo_hits_do_not_share_the_callers_dict(two_node_net):
 
 def test_memo_still_checks_every_row(two_node_net):
     engine = HybridPropagator(two_node_net)
+    engine.query(Evidence({0: 1}), [1])
+    with pytest.raises(ValueError):
+        engine.query(Evidence({0: 2}), [1])
     engine.query_batch([{0: 0}, {0: 1}], [1])
     with pytest.raises(ValueError, match="out of range for variable 1"):
         engine.query_batch([{0: 0}, {1: 2}, {0: 1}], [1])
     with pytest.raises(ValueError, match="absent from the tree"):
         engine.query_batch([{0: 0}], [5])
+
+
+def deterministic_root_net() -> BayesNet:
+    """A is always 0 and B given A=0 always 0, so A=1 or B=1 is impossible."""
+    a = Variable(0, "A", ("0", "1"))
+    b = Variable(1, "B", ("0", "1"))
+    return BayesNet(Dag((a, b), ((), (0,))), (
+        Cpt(0, (), np.array([[1.0, 0.0]])),
+        Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
+    ))
+
+
+@pytest.mark.parametrize("rows_per_call", [1, 2, 3, 4, 9, 20])
+def test_query_batch_calibrates_within_the_entry_budget(monkeypatch, rows_per_call):
+    """A budget of k rows' table entries calibrates N distinct unseen rows in
+    ceil(N / k) calls per semiring; duplicates count once, and every row,
+    impossible ones included, equals a fresh engine's single query."""
+    net = deterministic_root_net()
+    distinct = [{}, {0: 0}, {0: 1}, {1: 0}, {1: 1}, {0: 0, 1: 0},
+                {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}]
+    rows = distinct + distinct[::2]
+    engine = HybridPropagator(net)
+    calls = {"sum-product": 0, "max-min": 0}
+    propagate = possibility.propagate
+
+    def counted(jt, *args):
+        calls[jt.semiring] += 1
+        return propagate(jt, *args)
+
+    monkeypatch.setattr(possibility, "propagate", counted)
+    monkeypatch.setattr(possibility, "ENTRY_BUDGET", rows_per_call * engine._prob.plan.entries)
+    got = engine.query_batch(rows, [0, 1])
+    chunks = math.ceil(len(distinct) / rows_per_call)
+    assert calls == {"sum-product": chunks, "max-min": chunks}
+    assert [g is None for g in got[:len(distinct)]] == [
+        False, False, True, False, True, False, True, True, True]
+    monkeypatch.undo()
+    for row, answer in zip(rows, got):
+        try:
+            alone = HybridPropagator(net).query(row, [0, 1])
+        except ImpossibleEvidenceError:
+            alone = None
+        assert answer == alone
+
+
+def test_a_budget_below_one_row_still_calibrates_one_row_at_a_time(monkeypatch):
+    engine = HybridPropagator(deterministic_root_net())
+    calls = []
+    propagate = possibility.propagate
+    monkeypatch.setattr(possibility, "propagate",
+                        lambda *args: calls.append(1) or propagate(*args))
+    monkeypatch.setattr(possibility, "ENTRY_BUDGET", 1)
+    engine.query_batch([{}, {0: 0}, {1: 0}], [1])
+    assert len(calls) == 2 * 3

@@ -405,6 +405,20 @@ def test_load_alert_log_requires_header(tmp_path):
         load_alert_log(str(path))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,ids1,a,b,c,d,scan", "bad timestamp 'nan'"),
+    ("-inf,ids1,a,b,c,d,scan", "bad timestamp '-inf'"),
+    ("1,,a,b,c,d,scan", "sensor and attack_type are required"),
+    ("1,ids1,a,b,c,d, ", "sensor and attack_type are required"),
+])
+def test_load_alert_log_names_the_line_of_a_bad_alert(tmp_path, row, message):
+    path = tmp_path / "alerts.csv"
+    path.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                    "1,ids1,a,b,c,d,scan\n" + row + "\n")
+    with pytest.raises(DataError, match=f"alerts.csv:3: {message}"):
+        load_alert_log(str(path))
+
+
 def test_load_alert_log_field_count(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
