@@ -6,8 +6,9 @@ separator division because min is idempotent; distribute-phase messages
 simply overwrite separators and are absorbed by min.
 
 Initializing potentials compiles the tree's structural work once: the
-message schedule, each message's axes and shapes, each variable's evidence
-holders and read-out cluster, and the semiring's ufuncs. Calibration takes
+message schedule, each message's axes and shapes, and each variable's
+evidence holders and read-out cluster. That plan does not depend on the
+semiring, so both semirings' trees of one net share it. Calibration takes
 an `evidence_matrix` and runs over a leading batch axis, one row per
 evidence set; a single query is the batch of one. It flags the rows with no
 mass and reads them out as zeros; raising on them, bounding a batch's memory
@@ -19,6 +20,9 @@ variables' read-out clusters.
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -120,29 +124,49 @@ def moralize(dag: Dag) -> UndirectedGraph:
 
 def choose_order(graph: UndirectedGraph) -> list[int]:
     """Greedy min-fill elimination ordering: repeatedly eliminate the node
-    whose removal adds the fewest fill edges, breaking ties by lowest id."""
+    whose removal adds the fewest fill edges, breaking ties by lowest id.
+
+    Eliminating a node changes the fill only of nodes within two hops of
+    it. Its neighbours lose it and gain fill edges, so they are rescored;
+    a node further out keeps its neighbours, and each fill edge between two
+    of them lowers its fill by one. The next node is the least (fill, id)
+    on a heap whose stale entries are skipped.
+    """
     adj = {n: set(graph.adjacency[n]) for n in graph.nodes}
+
+    def fill(n: int) -> int:
+        nbrs = adj[n]
+        linked = sum(len(adj[a] & nbrs) for a in nbrs)  # each edge among them twice
+        return (len(nbrs) * (len(nbrs) - 1) - linked) // 2
+
+    fills = {n: fill(n) for n in graph.nodes}
+    heap = [(f, n) for n, f in fills.items()]
+    heapq.heapify(heap)
     out: list[int] = []
-    remaining = set(graph.nodes)
-    while remaining:
-        best_node, best_fill = -1, None
-        for n in sorted(remaining):
-            nbrs = [m for m in adj[n] if m in remaining]
-            fill = sum(
-                1
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1:]
-                if b not in adj[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best_node, best_fill = n, fill
-        nbrs = [m for m in adj[best_node] if m in remaining]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        remaining.discard(best_node)
-        out.append(best_node)
+    while heap:
+        score, node = heapq.heappop(heap)
+        if fills.get(node) != score:
+            continue
+        del fills[node]
+        out.append(node)
+        nbrs = adj.pop(node)
+        for a in nbrs:
+            adj[a].discard(node)
+        changed = set(nbrs)
+        if score:
+            for a in nbrs:
+                for b in nbrs - adj[a]:
+                    if a < b:
+                        for n in (adj[a] & adj[b]) - nbrs:
+                            fills[n] -= 1
+                            changed.add(n)
+            for a in nbrs:
+                adj[a].update(nbrs)
+                adj[a].discard(a)
+        for n in nbrs:
+            fills[n] = fill(n)
+        for n in changed:
+            heapq.heappush(heap, (fills[n], n))
     return out
 
 
@@ -160,15 +184,12 @@ def elimination_clusters(
     adj = {n: set(graph.adjacency[n]) for n in graph.nodes}
     clusters: list[frozenset[int]] = []
     for x in order:
-        nbrs = adj[x]
+        nbrs = adj.pop(x)
         cluster = frozenset(nbrs | {x})
-        for i, a in enumerate(sorted(nbrs)):
-            for b in sorted(nbrs)[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for m in nbrs:
-            adj[m].discard(x)
-        del adj[x]
+        for a in nbrs:
+            adj[a].discard(x)
+            adj[a].update(nbrs)
+            adj[a].discard(a)
         if not any(cluster <= earlier for earlier in clusters):
             clusters.append(cluster)
     return clusters
@@ -179,16 +200,17 @@ def build_tree(clusters: Sequence[frozenset[int]]) -> JunctionTree:
 
     Edge weight is the separator size; zero-weight edges are excluded, so
     disconnected moral graphs yield a forest. Ties prefer the
-    lexicographically smaller cluster index pair.
+    lexicographically smaller cluster index pair. Only clusters that share a
+    variable are candidate pairs, found through each variable's holders.
     """
     scopes = tuple(tuple(sorted(c)) for c in clusters)
-    candidates = []
-    for i in range(len(scopes)):
-        for j in range(i + 1, len(scopes)):
-            sep = tuple(sorted(set(scopes[i]) & set(scopes[j])))
-            if sep:
-                candidates.append((-len(sep), i, j, sep))
-    candidates.sort()
+    holders: dict[int, list[int]] = {}
+    for i, scope in enumerate(scopes):
+        for v in scope:
+            holders.setdefault(v, []).append(i)
+    shared = Counter((i, j) for held in holders.values()
+                     for k, i in enumerate(held) for j in held[k + 1:])
+    candidates = sorted(shared, key=lambda pair: (-shared[pair], pair))
 
     parent = list(range(len(scopes)))
 
@@ -199,11 +221,13 @@ def build_tree(clusters: Sequence[frozenset[int]]) -> JunctionTree:
         return x
 
     edges = []
-    for _, i, j, sep in candidates:
+    for i, j in candidates:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            edges.append((i, j, sep))
+            edges.append((i, j, tuple(sorted(set(scopes[i]).intersection(scopes[j])))))
+            if len(edges) == len(scopes) - 1:
+                break
     return JunctionTree(clusters=scopes, edges=tuple(edges))
 
 
@@ -316,13 +340,13 @@ SCHEDULES_CACHED = 2 ** 8  # pruned schedules kept per plan; oldest dropped firs
 
 @dataclass(frozen=True)
 class Plan:
-    """The structural work of calibration, compiled once per initialized tree.
+    """The structural work of calibration, compiled once per tree and its
+    arities and shared by both semirings' initialized trees.
 
     Tables carry a leading batch axis during calibration, so every axis and
     shape here counts it: axis 0 is the evidence row.
     """
 
-    semiring: Semiring
     messages: tuple[Message, ...]  # per component: collect, then distribute
     components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (clusters, root first; edges)
     up: Mapping[int, int]  # each non-root cluster's neighbour towards its root
@@ -395,16 +419,17 @@ def _components_and_schedule(jt: JunctionTree):
     return plans
 
 
-def _compile_plan(jt: JunctionTree, semiring: str, arities: Mapping[int, int]) -> Plan:
+def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
     """Schedule, message axes and shapes, evidence holders and read-out
     clusters of a tree; scopes and separators must be sorted."""
 
     def message(source: int, target: int, edge: int, first: bool) -> Message:
-        sep = jt.edges[edge][2]
+        sep = seps[edge]
         axes = tuple(1 + i for i, v in enumerate(jt.clusters[source]) if v not in sep)
         shape = (-1,) + tuple(arities[v] if v in sep else 1 for v in jt.clusters[target])
         return Message(source, target, edge, axes, shape, first)
 
+    seps = [frozenset(sep) for _, _, sep in jt.edges]
     messages: list[Message] = []
     components = []
     up: dict[int, int] = {}
@@ -415,25 +440,31 @@ def _compile_plan(jt: JunctionTree, semiring: str, arities: Mapping[int, int]) -
                            tuple(edge for _, _, edge in order)))
         up.update((node, par) for node, par, _ in order)
 
-    variables = sorted(jt.variables)
+    containing: dict[int, list[int]] = {}
+    for i, scope in enumerate(jt.clusters):
+        for v in scope:
+            containing.setdefault(v, []).append(i)
+    variables = sorted(containing)
     arity = np.zeros(variables[-1] + 1 if variables else 0, dtype=np.intp)
     holders: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
     for var in variables:
         arity[var] = arities[var]
         holders[var] = tuple(
             (i, (-1,) + tuple(arities[v] if v == var else 1 for v in jt.clusters[i]))
-            for i in jt.containing_clusters(var))
+            for i in containing[var])
+    indicators = {}  # one read-only table per arity, shared by its variables
+    for size in set(arities[v] for v in variables):
+        indicators[size] = np.vstack([np.eye(size), np.ones((1, size))])
+        indicators[size].setflags(write=False)
     return Plan(
-        semiring=SEMIRINGS[semiring],
         messages=tuple(messages),
         components=tuple(components),
         up=up,
         arity=arity,
-        indicators={v: np.vstack([np.eye(arities[v]), np.ones((1, arities[v]))])
-                    for v in variables},
+        indicators={v: indicators[arities[v]] for v in variables},
         holders=holders,
         home={v: h[0][0] for v, h in holders.items()},
-        entries=sum(int(np.prod([arities[v] for v in c])) for c in jt.clusters),
+        entries=sum(math.prod(arities[v] for v in c) for c in jt.clusters),
     )
 
 
@@ -446,7 +477,9 @@ def initialize_potentials(
 
     Cluster and separator tables start at the multiplicative identity (1 for
     both semirings); factors are multiplied in (sum-product) or min-combined
-    (max-min). The returned tree carries its compiled calibration plan.
+    (max-min). The returned tree carries its compiled calibration plan; a
+    tree already initialized over the same arities lends its plan, so both
+    semirings of one net share one.
     """
     if semiring not in SEMIRINGS:
         raise ValueError(f"unknown semiring {semiring!r}")
@@ -459,12 +492,14 @@ def initialize_potentials(
         for v in c:
             if v not in arities:
                 raise ValueError(f"no factor mentions cluster variable {v}")
+    plan = jt.plan if jt.plan is not None and jt.arities == arities else _compile_plan(jt, arities)
 
     combine = SEMIRINGS[semiring].combine
+    scopes = [frozenset(c) for c in jt.clusters]
     tables = [np.ones(tuple(arities[v] for v in c)) for c in jt.clusters]
     for f in factors:
-        scope = set(f.scope)
-        home = next((i for i, c in enumerate(jt.clusters) if scope <= set(c)), None)
+        held = [i for i, _ in plan.holders.get(f.scope[0], ())] if f.scope else range(len(scopes))
+        home = next((i for i in held if scopes[i].issuperset(f.scope)), None)
         if home is None:
             raise RuntimeError(f"factor over {f.scope} fits no cluster; tree is malformed")
         tables[home] = combine(tables[home], _embed(f.table, f.scope, jt.clusters[home]))
@@ -478,26 +513,31 @@ def initialize_potentials(
         arities=dict(arities),
         cluster_tables=tuple(tables),
         separator_tables=tuple(seps),
-        plan=_compile_plan(jt, semiring, arities),
+        plan=plan,
+        possible=None,
     )
 
 
 def evidence_matrix(jt: JunctionTree,
                     rows: Iterable[Evidence | Mapping[int, int] | None]) -> np.ndarray:
     """Evidence rows as one (rows, width) state matrix for `propagate`:
-    column v holds variable v's observed state, -1 if unobserved."""
+    column v holds variable v's observed state, -1 if unobserved. A state
+    must be an int or a numpy integer."""
     width = jt.plan.width
-    rows = list(rows)
-    out = np.full((len(rows), width), -1, dtype=np.intp)
-    for b, evidence in enumerate(rows):
+    matrix = []
+    for evidence in rows:
         observed = evidence.assignments if isinstance(evidence, Evidence) else evidence or {}
+        row = [-1] * width
         for var, state in observed.items():
             if not 0 <= var < width:
                 raise ValueError(f"evidence variable {var} is absent from the tree")
+            if not isinstance(state, (int, np.integer)):
+                raise ValueError(f"evidence state {state!r} for variable {var} is not an integer")
             if state < 0:
                 raise ValueError(f"evidence state {state} out of range for variable {var}")
-            out[b, var] = state
-    return out
+            row[var] = state
+        matrix.append(row)
+    return np.array(matrix, dtype=np.intp).reshape(len(matrix), width)
 
 
 def _check_observed(plan: Plan, observed: np.ndarray) -> None:
@@ -520,7 +560,7 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
     evidence row. A table keeps batch length 1 until evidence or a message
     varies it by row. Returns (cluster tables, separator tables, possible)."""
     plan = jt.plan
-    sr = plan.semiring
+    sr = SEMIRINGS[jt.semiring]
     tables = [t[np.newaxis] for t in jt.cluster_tables]
     seps = [s[np.newaxis] for s in jt.separator_tables]
 
@@ -622,7 +662,7 @@ def marginal_from_cluster(
     table = None if jt.possible is None else jt.cluster_tables[cluster]
     if table is None:
         raise ValueError(f"cluster {cluster} is uncalibrated")
-    reduce = jt.plan.semiring.marginalize.reduce
+    reduce = SEMIRINGS[jt.semiring].marginalize.reduce
     out = reduce(table, axis=tuple(1 + i for i, v in enumerate(scope) if v != var))
     if normalize:
         out = _divide(out, reduce(out, axis=-1, keepdims=True))

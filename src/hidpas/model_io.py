@@ -78,7 +78,7 @@ def _read_sections(text: str, path: str) -> list[tuple[str, list[str]]]:
     sections: list[tuple[str, list[str]]] = []
     headers: set[str] = set()
     for ln in lines[1:]:
-        head = ln.split()
+        head = ln.split(None, 1)
         if head and head[0] in ("VARIABLES", "EDGES", "CPT", "DETECTOR",
                                 "RULES", "CLASSIFIER", "PLAN"):
             if ln in headers:
@@ -208,11 +208,6 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
     if violations:
         raise DataError(f"{path}: invalid network: {violations[0]}")
     return net, extras
-
-
-def load_network(path: str) -> BayesNet:
-    net, _ = parse_network(_read_file(path), path)
-    return net
 
 
 def _read_file(path: str) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,6 +43,9 @@ MEMO_MARGINALS = 2 ** 13
 # its rows in chunks of this many entries, so its memory does not grow with
 # the batch.
 ENTRY_BUDGET = 2 ** 16
+# CPT entries `transformed_factors` transforms at once: the kernel holds a
+# few temporaries per entry, so they stay bounded whatever the net's size.
+TRANSFORM_BUDGET = 2 ** 13
 
 
 def prob_to_poss(p: Sequence[float]) -> np.ndarray:
@@ -57,44 +59,82 @@ def prob_to_poss(p: Sequence[float]) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty probability vector")
-    if np.any(arr < 0):
-        raise ValueError("probabilities must be >= 0")
-    total = math.fsum(arr.tolist())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    _check_row(arr)
+    return _poss_rows(arr[np.newaxis])[0]
 
-    values = np.where(arr < ZERO_GUARD, 0.0, arr)
-    out = np.zeros_like(values)
-    top = values.max()
-    if top == 0.0:
+
+def _check_row(row: np.ndarray) -> None:
+    """Raise the ValueError of a row that is not a distribution: a negative
+    entry, a sum off 1 (fsum, so the test is exact), or no entry at or
+    above the zero guard."""
+    if np.any(row < 0):
+        raise ValueError("probabilities must be >= 0")
+    total = math.fsum(row.tolist())
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    if not row.max() >= ZERO_GUARD:
         raise ValueError("distribution has no mass above the zero guard")
 
-    levels = sorted(set(values.tolist()), reverse=True)  # distinct, descending
-    level_poss: dict[float, float] = {}
-    for lev in levels:
-        if lev == 0.0:
-            level_poss[lev] = 0.0
-        elif lev == top:
-            level_poss[lev] = 1.0
-        else:
-            tail = math.fsum(v for v in values.tolist() if v <= lev)
-            level_poss[lev] = min(1.0, tail)
 
-    # A unique top state carries the only positive necessity, which is
-    # 1 - (second possibility). That value must not exceed the top state's
-    # probability, so the second level is floored at the smallest float
-    # >= 1 - top; inputs summing slightly under 1 would otherwise breach
-    # the necessity <= probability bound.
-    if len(levels) > 1 and np.count_nonzero(values == top) == 1:
-        second = levels[1]
+def _suspect_rows(table: np.ndarray) -> np.ndarray:
+    """Rows of a (rows, states) table that `_check_row` may reject; it
+    passes every other row. A float sum of n entries of a row summing near
+    1 is off its exact value by under n * 2**-50, so the band is that wide."""
+    margin = table.shape[1] * 2.0 ** -50
+    return ((table < 0).any(axis=1)
+            | ~(np.abs(table.sum(axis=1) - 1.0) <= NORM_TOL - margin)
+            | ~(table.max(axis=1) >= ZERO_GUARD))
+
+
+_HALF = 46  # bits per limb of the exact prefix sums
+
+
+def _poss_rows(table: np.ndarray) -> np.ndarray:
+    """`prob_to_poss` of every row of a (rows, states) table of checked rows,
+    bit for bit. Entries below ZERO_GUARD sort first, so zeroing them after
+    the sort keeps each row sorted."""
+    order = np.argsort(table, axis=1, kind="stable")
+    ranked = np.take_along_axis(table, order, axis=1)
+    ranked[ranked < ZERO_GUARD] = 0.0
+    poss = np.minimum(_tail_sums(ranked), 1.0)
+    top = ranked[:, -1:]
+    poss[ranked == top] = 1.0
+    if ranked.shape[1] > 1:
+        # A unique top state carries the only positive necessity, which is
+        # 1 - (second possibility). That value must not exceed the top
+        # state's probability, so the second level is floored at the
+        # smallest float >= 1 - top; inputs summing slightly under 1 would
+        # otherwise breach the necessity <= probability bound. 1 - floor is
+        # exact, so the residual below is the exact rounding error of floor.
+        second = ranked[:, -2:-1]
         floor = 1.0 - top
-        if Fraction(floor) < 1 - Fraction(top):
-            floor = math.nextafter(floor, math.inf)
-        level_poss[second] = min(1.0, max(level_poss[second], floor))
-
-    for i, v in enumerate(values.tolist()):
-        out[i] = level_poss[v]
+        floor = np.where((1.0 - floor) - top > 0, np.nextafter(floor, np.inf), floor)
+        lift = (second != top) & (ranked == second)
+        poss = np.where(lift, np.minimum(np.maximum(poss, floor), 1.0), poss)
+    out = np.empty_like(poss)
+    np.put_along_axis(out, order, poss, axis=1)
     return out
+
+
+def _tail_sums(ranked: np.ndarray) -> np.ndarray:
+    """Each entry's tail sum in rows sorted ascending: the sum of the row up
+    to the end of its tie group, exact and rounded once, as fsum rounds it.
+
+    The sum is exact in two int64 limbs: a nonzero entry is at least
+    ZERO_GUARD > 2**-40 and below 2, so it is an integer multiple of 2**-92
+    below 2**93, and splits at 2**-46 into two integers below 2**47.
+    """
+    scaled = np.ldexp(ranked, _HALF)
+    high = np.floor(scaled)
+    low = np.cumsum(np.ldexp(scaled - high, _HALF).astype(np.int64), axis=1)
+    high = np.cumsum(high.astype(np.int64), axis=1) + (low >> _HALF)
+    low &= (1 << _HALF) - 1
+    sums = np.ldexp(high.astype(float), -_HALF) + np.ldexp(low.astype(float), -2 * _HALF)
+    states = ranked.shape[1]
+    group_end = np.full(ranked.shape, states - 1)
+    group_end[:, :-1] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(states - 1), states)
+    group_end = np.minimum.accumulate(group_end[:, ::-1], axis=1)[:, ::-1]
+    return np.take_along_axis(sums, group_end, axis=1)
 
 
 def necessity(pi: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -166,18 +206,51 @@ def select_state(marginal: HybridMarginal, tau: float) -> tuple[int, bool]:
 
 
 def transformed_factors(net: BayesNet) -> list[Potential]:
-    """Possibilistic twin of a net: every CPT row transformed independently."""
+    """Possibilistic twin of a net: every CPT row transformed independently.
+
+    The rows of one arity across the whole net are stacked and transformed
+    together, TRANSFORM_BUDGET entries at a time. They are checked in
+    variable order, then row order, and the first bad row raises as
+    `prob_to_poss` raises on it alone.
+    """
+    tables = [net.cpts[var.id].table for var in net.dag.variables]
+    bad = next((i for i, t in enumerate(tables) if t.ndim != 2 or t.shape[1] == 0),
+               len(tables))
+    groups: dict[int, list[int]] = {}
+    for i in range(bad):
+        groups.setdefault(tables[i].shape[1], []).append(i)
+    stacked, suspects = {}, []
+    for arity, members in groups.items():
+        rows = stacked[arity] = np.concatenate([tables[i] for i in members])
+        lengths = [len(tables[i]) for i in members]
+        owner = np.repeat(members, lengths)
+        local = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        found = np.flatnonzero(_suspect_rows(rows))
+        suspects += zip(owner[found].tolist(), local[found].tolist())
+    for i, row in sorted(suspects):
+        _check_row(tables[i][row])
+    if bad < len(tables):
+        raise ValueError("expected a nonempty probability vector")
+
+    poss: list[np.ndarray] = [None] * len(tables)
+    for arity, members in groups.items():
+        rows, step = stacked[arity], max(1, TRANSFORM_BUDGET // arity)
+        for start in range(0, len(rows), step):
+            rows[start:start + step] = _poss_rows(rows[start:start + step])
+        ends = np.cumsum([len(tables[i]) for i in members])
+        for i, part in zip(members, np.split(rows, ends[:-1])):
+            poss[i] = part
     out = []
-    for var in net.dag.variables:
+    for var, rows in zip(net.dag.variables, poss):
         cpt = net.cpts[var.id]
-        rows = np.vstack([prob_to_poss(row) for row in cpt.table])
         shape = tuple(net.dag.arity(p) for p in cpt.parents) + (var.arity,)
         out.append(Potential(cpt.parents + (var.id,), rows.reshape(shape)))
     return out
 
 
 class HybridPropagator:
-    """Caches the shared tree structure and both factor sets for one net.
+    """Caches the shared tree structure, its one calibration plan and both
+    factor sets for one net.
 
     Step 1 transforms every CPT row, step 2 builds a single junction tree,
     step 3 runs sum-product and max-min calibration under the same evidence.
@@ -189,7 +262,7 @@ class HybridPropagator:
         self.net = net
         self.structure: JunctionTree = build_tree_for_net(net)
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
-        self._poss = initialize_potentials(self.structure, transformed_factors(net), MAX_MIN)
+        self._poss = initialize_potentials(self._prob, transformed_factors(net), MAX_MIN)
         self._memo: dict[tuple[bytes, tuple[int, ...]], dict[int, HybridMarginal] | None] = {}
         self._memo_weight = 0
 

@@ -13,7 +13,7 @@ from hidpas.model_io import (
     FORMAT_HEADER,
     _write,
     format_network,
-    load_network,
+    load_plan,
     parse_network,
 )
 
@@ -41,7 +41,7 @@ def test_round_trip_preserves_structure_and_tables(two_node_net, chain5_net, col
 def test_round_trip_via_file(two_node_net, tmp_path):
     path = tmp_path / "net.bn"
     _write(str(path), format_network(two_node_net))
-    back = load_network(str(path))
+    back, _ = parse_network(path.read_text(encoding="utf-8"), str(path))
     assert back.dag.parents == two_node_net.dag.parents
 
 
@@ -126,7 +126,7 @@ def test_loading_wrong_kind_fails(tmp_path, two_node_net):
 
 def test_missing_file_names_path():
     with pytest.raises(DataError, match="/no/such/model.bn"):
-        load_network("/no/such/model.bn")
+        load_plan("/no/such/model.bn")
 
 
 def test_format_parse_fixed_point_on_random_nets():
@@ -181,7 +181,7 @@ def test_wrong_shaped_cpt_rejected_with_path(tmp_path, two_node_net):
     path = tmp_path / "short.bn"
     path.write_text(short, encoding="utf-8")
     with pytest.raises(DataError, match=r"short\.bn: invalid network: \[cpt-shape\] var 1"):
-        load_network(str(path))
+        parse_network(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_unnormalized_cpt_row_rejected():
@@ -195,7 +195,7 @@ def test_edge_to_unknown_variable_rejected_with_path_and_line(tmp_path):
     path.write_text(FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nEDGES\n0 -> 7\nCPT 0\n() : 0.5 0.5\n",
                     encoding="utf-8")
     with pytest.raises(DataError, match=r"dangling\.bn: edge names an unknown variable: '0 -> 7'"):
-        load_network(str(path))
+        parse_network(path.read_text(encoding="utf-8"), str(path))
     with pytest.raises(DataError, match=r"<string>: edge names an unknown variable: '7 -> 0'"):
         parse_network(FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nEDGES\n7 -> 0\nCPT 0\n() : 0.5 0.5\n")
 
@@ -212,7 +212,7 @@ def test_non_integer_ids_rejected_with_path_and_line(tmp_path, edge, cpt, bad):
     path = tmp_path / "ids.bn"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=r"ids\.bn: " + bad):
-        load_network(str(path))
+        parse_network(path.read_text(encoding="utf-8"), str(path))
 
 
 TWO_VARS = FORMAT_HEADER + "\nVARIABLES\n0 a x,y\n1 b x,y\nEDGES\n0 -> 1\nCPT 0\n() : 0.5 0.5\n"
@@ -231,7 +231,7 @@ def test_malformed_cpt_rejected_with_path(tmp_path, cpt_1, bad):
     path = tmp_path / "cpt.bn"
     path.write_text(TWO_VARS + "CPT 1\n" + cpt_1 + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"cpt\.bn: " + bad):
-        load_network(str(path))
+        parse_network(path.read_text(encoding="utf-8"), str(path))
 
 
 MUTATION_CHARS = "0123456789 ,.:()->#+_esvxEDGSCPT"

@@ -341,6 +341,18 @@ def test_memo_still_checks_every_row(two_node_net):
         engine.query_batch([{0: 0}], [5])
 
 
+def test_a_non_integer_evidence_state_is_rejected(two_node_net):
+    """A float state is refused, not truncated into the state matrix; a
+    numpy integer is read as the int it holds."""
+    engine = HybridPropagator(two_node_net)
+    for bad in (1.7, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="for variable 0 is not an integer"):
+            engine.query({0: bad}, [1])
+        with pytest.raises(ValueError, match="for variable 0 is not an integer"):
+            engine.query_batch([{0: 0}, {0: bad}], [1])
+    assert engine.query({0: np.int64(1)}, [1]) == HybridPropagator(two_node_net).query({0: 1}, [1])
+
+
 def deterministic_root_net() -> BayesNet:
     """A is always 0 and B given A=0 always 0, so A=1 or B=1 is impossible."""
     a = Variable(0, "A", ("0", "1"))
