@@ -8,6 +8,7 @@ fastest, and that ordering is part of the CPT file contract.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -15,6 +16,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+# A character that no token of a model file (variable name, state label) may
+# hold; \s matches exactly the characters str.isspace accepts.
+NOT_TOKEN = re.compile(r"[\s,]")
 
 
 class DataError(ValueError):

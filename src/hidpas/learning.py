@@ -24,14 +24,19 @@ PRODUCT_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Fully observed discrete data: one Variable per column, int state rows."""
+    """Fully observed discrete data: one Variable per column, int state rows.
+
+    Integer rows keep their type, so a narrow matrix is not widened; any other
+    is converted to int64."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu":
+            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.variables):
             if rows.size == 0:
                 rows = rows.reshape(0, len(self.variables))
@@ -39,10 +44,12 @@ class DiscreteDataset:
                 raise ValueError(
                     f"rows shape {rows.shape} does not match {len(self.variables)} columns"
                 )
-        for i, var in enumerate(self.variables):
-            if rows.shape[0] and int(rows[:, i].max(initial=0)) >= var.arity:
-                raise ValueError(f"column {var.name} holds a state index >= arity {var.arity}")
-            if rows.shape[0] and int(rows[:, i].min(initial=0)) < 0:
+        if rows.shape[0]:
+            high, low = rows.max(axis=0), rows.min(axis=0)
+            for i in np.flatnonzero((high >= [v.arity for v in self.variables]) | (low < 0))[:1]:
+                var = self.variables[i]
+                if high[i] >= var.arity:
+                    raise ValueError(f"column {var.name} holds a state index >= arity {var.arity}")
                 raise ValueError(f"column {var.name} holds a negative state index")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -125,7 +132,7 @@ def count_statistics(
 def lgamma_table(size: int) -> np.ndarray:
     """math.lgamma(i) for i in 0..size-1; entry 0, a pole, holds 0.0 and is never read."""
     table = np.zeros(size)
-    table[1:] = [math.lgamma(i) for i in range(1, size)]
+    table[1:] = list(map(math.lgamma, range(1, size)))
     return table
 
 
@@ -135,23 +142,28 @@ def k2_log_scores(counts: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
     lgamma must cover 0..N + r for the largest table total N. Per
     configuration j the terms are lgamma(r) - lgamma(N_j + r), then
     lgamma(N_jk + 1) for each state k, added one at a time in row-major
-    order: np.add.accumulate keeps that order, where np.sum's pairwise
-    summation would change the last bits and could flip K2 ties. Empty
+    order; pairwise summation, as np.sum does along a contiguous axis, would
+    change the last bits and could flip K2 ties. The terms are laid out one
+    row per term and one column per table, so that np.add.reduce over the
+    rows adds them one row at a time for all tables (np.add.accumulate, when
+    there is one table and the rows would be the contiguous axis). Empty
     configurations and counts of 0 or 1 give exact 0.0 terms, so every score
     equals the plain per-term loop bit for bit. Configurations are taken in
     chunks of about ENTRY_BUDGET terms, the running sum carried between them.
     """
     g, q, r = counts.shape
     step = max(1, ENTRY_BUDGET // (g * (r + 1)))
-    total = np.zeros((g, 1))
+    total = np.zeros(g)
     for start in range(0, q, step):
-        block = counts[:, start:start + step]
-        terms = np.empty(block.shape[:2] + (r + 1,))
-        terms[..., 0] = lgamma[r] - lgamma[block.sum(axis=2) + r]
-        terms[..., 1:] = lgamma[block + 1]
-        terms = np.concatenate([total, terms.reshape(g, -1)], axis=1)
-        total = np.add.accumulate(terms, axis=1)[:, -1:]
-    return total[:, 0]
+        block = np.ascontiguousarray(counts[:, start:start + step].transpose(1, 2, 0))
+        # terms in summation order along the first axis, the tables along the last
+        terms = np.empty((len(block) * (r + 1) + 1, g))
+        terms[0] = total
+        body = terms[1:].reshape(len(block), r + 1, g)
+        body[:, 0] = lgamma[r] - lgamma[block.sum(axis=1) + r]
+        body[:, 1:] = lgamma[block + 1]
+        total = np.add.reduce(terms, axis=0) if g > 1 else np.add.accumulate(terms)[-1]
+    return total
 
 
 def k2_local_log_score(stats: CountStatistics) -> float:
@@ -201,55 +213,102 @@ def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np
     return scores
 
 
-def _one_hot(data: DiscreteDataset, order: Sequence[int]) -> tuple[np.ndarray | None,
-                                                                   np.ndarray]:
-    """The float32 one-hot matrix of data for the product path, or None when
-    its n * sum(a - 1) entries exceed PRODUCT_BUDGET, and each variable's
-    first column in it.
+def _one_hot(columns: np.ndarray, arities: list[int],
+             order: Sequence[int]) -> tuple[np.ndarray | None, np.ndarray]:
+    """The float32 one-hot matrix of the data, given column by column, for
+    the product path, or None when its n * (1 + sum(a - 1)) entries exceed
+    PRODUCT_BUDGET; and each variable's first column in it.
 
-    Variables take their columns in order, one per non-zero state, so the
-    variables before var in the order are the prefix [:, :first[var]].
+    Column 0 is all ones; then variables take their columns in order, one
+    per non-zero state, so column 0 and the variables before var in the
+    order are the prefix [:, :first[var]].
     """
-    widths = [data.variables[v].arity - 1 for v in order]
+    widths = [arities[v] - 1 for v in order]
     first = np.zeros(len(order), dtype=np.int64)
-    first[list(order)] = np.cumsum([0] + widths)[:-1]
-    if data.row_count * sum(widths) > PRODUCT_BUDGET:
+    first[list(order)] = np.cumsum([1] + widths)[:-1]
+    if columns.shape[1] * (1 + sum(widths)) > PRODUCT_BUDGET:
         return None, first
-    onehot = np.zeros((data.row_count, sum(widths)), dtype=np.float32)
-    row_ids = np.arange(data.row_count)
-    for v in order:
-        hit = data.rows[:, v] > 0
-        onehot[row_ids[hit], first[v] + data.rows[hit, v] - 1] = 1
-    return onehot, first
+    onehot = np.zeros((1 + sum(widths), columns.shape[1]), dtype=np.float32)
+    onehot[0] = 1
+    for s in range(1, max(arities, default=1)):
+        has = [v for v in range(len(arities)) if arities[v] > s]
+        onehot[first[has] + s - 1] = columns[has] == s
+    return onehot.T, first
 
 
-def _product_tables(prefix: np.ndarray, first: np.ndarray, arities: list[int], var: int,
-                    key: np.ndarray, q: int, candidates: list[int]):
-    """Count tables of var's parents plus each candidate as the last parent,
-    as one matrix product; yields (positions in candidates, tables) per
-    candidate arity, tables of shape (C, q * a, r) as _candidate_scores counts.
+def _candidate_pairs(pos: np.ndarray, var: np.ndarray,
+                     parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, candidate) pairs of a round: owner indexes var, and each
+    variable's candidates, the variables before it in the order (pos holds
+    each variable's position) that are not yet its parents, come in ascending
+    id."""
+    mask = pos < pos[var, None]
+    mask[np.arange(len(var))[:, None], parents] = False
+    return np.nonzero(mask)
 
-    prefix is the one-hot matrix of the variables before var in the order
-    (_one_hot); key holds cfg * r + var's state per row. With Z the (q * r, n)
-    indicator of key, Z @ prefix counts N[cfg, var's state, c = s] for every
-    state s >= 1 of every prefix variable c; state 0 is the rest of the
-    key's total. Every product is 0 or 1 and every sum an integer no larger
-    than n, so float32 counts them exactly for n <= 2**24.
+
+def _product_tables(columns: np.ndarray, onehot: np.ndarray, first: np.ndarray,
+                    arities: np.ndarray, var: np.ndarray, parents: np.ndarray,
+                    owner: np.ndarray, cand: np.ndarray):
+    """Count tables of each pair (var[owner], cand): the variable under its
+    parents (the matching row of parents) plus the candidate as the last
+    parent, for every variable of var from one float32 matrix product.
+    Yields (positions in the pairs, tables) per candidate arity a, in chunks
+    of about ENTRY_BUDGET scored terms; tables have shape (C, q * a, r), as
+    count_statistics counts them.
+
+    var lists variables in order position, all of one arity r and with
+    parents of the same arities, so q parent configurations each. Each
+    variable owns q * r rows of the stacked indicator Z, the indicator of
+    each data row's (parent configuration, state); with X the one-hot matrix
+    (_one_hot), Z @ X counts N[cfg, state, c = s] for every state s >= 1 of
+    every column c, and its column 0 counts the Z row's total, so state 0 is
+    the rest. Only the columns up to var's last variable are multiplied.
+    Every product is 0 or 1 and every sum an integer no larger than n, so
+    float32 counts them exactly, in any order, for n <= 2**24.
     """
-    n_rows = prefix.shape[0]
-    r = arities[var]
-    z = np.zeros((q * r, n_rows), dtype=np.float32)
-    z[key, np.arange(n_rows)] = 1
-    counts = (z @ prefix).astype(np.int64)
-    totals = np.bincount(key, minlength=q * r)
-    for a, idx in _by_arity(arities, candidates).items():
-        cols = first[[candidates[i] for i in idx]][:, None] + np.arange(a - 1)
-        tables = np.empty((q * r, len(idx), a), dtype=np.int64)
-        tables[..., 1:] = counts[:, cols]
-        tables[..., 0] = totals[:, None] - tables[..., 1:].sum(axis=2)
-        # (cfg, var's state, candidate, its state) -> (candidate, cfg * a + its state, var's)
-        yield idx, tables.reshape(q, r, len(idx), a).transpose(2, 0, 3, 1).reshape(
-            len(idx), q * a, r)
+    r = int(arities[var[0]])
+    q = int(np.prod(arities[parents[0]]))
+    levels = np.arange(q * r, dtype=np.min_scalar_type(q * r))  # also holds every arity
+    keys = np.zeros((len(var), onehot.shape[0]), dtype=levels.dtype)
+    for p in (*parents.T, var):
+        keys *= arities[p, None].astype(levels.dtype)
+        keys += columns[p]
+    z = np.empty((len(var) * q * r, onehot.shape[0]), dtype=np.float32)
+    np.equal(keys[:, None], levels[:, None], out=z.reshape(len(var), q * r, -1),
+             casting="unsafe")
+    del keys
+    counts = z @ onehot[:, :first[var[-1]]]
+    del z
+    cand_arity = arities[cand]
+    for a in set(cand_arity.tolist()):
+        sel = np.flatnonzero(cand_arity == a)
+        step = max(1, ENTRY_BUDGET // (q * a * (r + 1)))
+        for start in range(0, len(sel), step):
+            part = sel[start:start + step]
+            rows = owner[part, None] * (q * r) + np.arange(q * r)
+            cols = first[cand[part], None] + np.arange(a - 1)
+            tables = np.empty((len(part), q * r, a), dtype=np.int64)
+            tables[..., 1:] = counts[rows[:, :, None], cols[:, None, :]]
+            tables[..., 0] = counts[rows, 0] - tables[..., 1:].sum(axis=2)
+            # (pair, cfg, var's state, its state) -> (pair, cfg * a + its state, var's)
+            yield part, tables.reshape(len(part), q, r, a).transpose(0, 1, 3, 2).reshape(
+                len(part), q * a, r)
+
+
+def _product_chunks(searching: list[int], parents: list[list[int]], q: list[int],
+                    arities: list[int], onehot: np.ndarray) -> list[list[int]]:
+    """searching, in order position, cut into runs of variables of one arity
+    with parents of the same arities. A run's stacked indicator Z holds no
+    more entries than the one-hot matrix, unless its one variable needs more,
+    so the product path's working memory stays within twice that matrix."""
+    kinds: dict[tuple[int, ...], list[list[int]]] = {}
+    for v in searching:
+        runs = kinds.setdefault((arities[v], *(arities[p] for p in parents[v])), [[]])
+        if runs[-1] and (len(runs[-1]) + 1) * q[v] * arities[v] * len(onehot) > onehot.size:
+            runs.append([])
+        runs[-1].append(v)
+    return [run for runs in kinds.values() for run in runs]
 
 
 def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
@@ -267,17 +326,22 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     it is bit-identical to k2_local_log_score on count_statistics's table for
     the same parents, and so are the ties and the learned structure.
 
-    Each (variable, round) counts its candidates' tables on one of two paths,
+    Each variable's search depends only on its own parents, so the search runs
+    in rounds: round k scores the k-th parent of every variable still
+    searching. A variable's candidates are counted on one of two paths,
     chosen from the input alone. The product path (_product_tables) counts
-    all of them with one float32 matrix product of the key indicator Z
-    (q * r by n) and the prefix of a one-hot matrix X (n by sum(a - 1)) built
-    once per search; it runs when X, Z and the product each hold at most
-    PRODUCT_BUDGET entries. Counts are integers no larger than n, and
+    those of a run of variables at once with one float32 matrix product of
+    their stacked key indicators Z (q * r rows by n each) and a one-hot
+    matrix X (n by 1 + sum(a - 1)) built once per search; a variable takes
+    it when X, its own part of Z and its part of the product each hold at
+    most PRODUCT_BUDGET entries, and a run's Z holds no more than X
+    (_product_chunks). Counts are integers no larger than n, and
     PRODUCT_BUDGET <= 2**24 bounds n, so float32 holds them exactly whatever
     order BLAS sums in. Otherwise, as for wide-arity data where a dense
     product costs more than it saves, the bincount path (_candidate_scores)
-    counts candidates with offset np.bincount calls. Both give the same
-    tables, so the paths agree bit for bit.
+    counts one variable's candidates with offset np.bincount calls. Both
+    give the same tables, and each variable takes its first maximum in id
+    order either way, so the paths agree bit for bit.
     """
     n = len(data.variables)
     if sorted(config.order) != list(range(n)):
@@ -285,40 +349,63 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     if config.max_parents >= n > 0:
         raise ValueError("max_parents must be < variable count")
 
-    arities = [v.arity for v in data.variables]
-    max_arity = max(arities, default=1)
+    arity_list = [v.arity for v in data.variables]
+    arities = np.array(arity_list, dtype=np.int64)
+    max_arity = max(arity_list, default=1)
+    n_rows = data.row_count
     # column-major and in the smallest integer type, so gathering candidates is cheap
     columns = data.rows.T.astype(np.min_scalar_type(max_arity - 1))
-    onehot, first = _one_hot(data, config.order)
-    lgamma = lgamma_table(data.row_count + max_arity + 1)
-    parent_sets: list[tuple[int, ...]] = [()] * n
-    for pos, var in enumerate(config.order):
-        r = arities[var]
-        candidates = sorted(config.order[:pos])
-        parents: list[int] = []
-        cfg = np.zeros(data.row_count, dtype=np.int64)  # parent configuration per row
-        q = 1
-        counts = np.bincount(data.rows[:, var], minlength=r).reshape(1, 1, r)
-        current = float(k2_log_scores(counts, lgamma)[0])
-        while len(parents) < config.max_parents and candidates:
-            if onehot is not None and q * r * max(data.row_count, first[var]) <= PRODUCT_BUDGET:
-                scores = np.empty(len(candidates))
-                for idx, tables in _product_tables(onehot[:, :first[var]], first, arities, var,
-                                                   cfg * r + data.rows[:, var], q, candidates):
-                    scores[idx] = k2_log_scores(tables, lgamma)
-            else:
-                scores = _candidate_scores(columns, arities, var, cfg, q, candidates, lgamma)
+    onehot, first = _one_hot(columns, arity_list, config.order)
+    lgamma = lgamma_table(n_rows + max_arity + 1)
+    pos = np.empty(n, dtype=np.int64)
+    pos[list(config.order)] = np.arange(n)
+    current = np.empty(n)  # each variable's score under its parents so far
+    for a in set(arity_list):
+        same = np.flatnonzero(arities == a)
+        counts = np.array([np.bincount(columns[v], minlength=a) for v in same])
+        current[same] = k2_log_scores(counts.reshape(len(same), 1, a), lgamma)
+    parents: list[list[int]] = [[] for _ in range(n)]
+    q = [1] * n  # parent configurations of each variable
+    searching = list(config.order[1:]) if config.max_parents else []
+    while searching:
+        best: dict[int, tuple[int, float]] = {}
+        product = [v for v in searching if onehot is not None
+                   and q[v] * arity_list[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET]
+        for chunk in _product_chunks(product, parents, q, arity_list, onehot):
+            var = np.array(chunk)
+            held = np.array([parents[v] for v in chunk], dtype=np.int64)
+            owner, cand = _candidate_pairs(pos, var, held)
+            scores = np.empty(len(owner))
+            for part, tables in _product_tables(columns, onehot, first, arities, var, held,
+                                                owner, cand):
+                scores[part] = k2_log_scores(tables, lgamma)
+            # the first maximum of each variable: lowest id wins ties
+            starts = np.searchsorted(owner, np.arange(len(chunk)))
+            top = np.maximum.reduceat(scores, starts)
+            hits = np.flatnonzero(scores == top[owner])
+            winners = cand[hits[np.searchsorted(hits, starts)]]
+            best.update(zip(chunk, zip(winners.tolist(), top.tolist())))
+        for v in searching:
+            if v in best:
+                continue
+            candidates = sorted(set(config.order[:pos[v]]) - set(parents[v]))
+            cfg = np.zeros(n_rows, dtype=np.int64)
+            for p in parents[v]:
+                cfg = cfg * arities[p] + data.rows[:, p]
+            scores = _candidate_scores(columns, arity_list, v, cfg, q[v], candidates, lgamma)
             i = int(np.argmax(scores))  # the first maximum: lowest id wins ties
-            if scores[i] > current + SCORE_EPS:
-                best = candidates.pop(i)
-                parents.append(best)
-                cfg = cfg * arities[best] + data.rows[:, best]
-                q *= arities[best]
-                current = float(scores[i])
-            else:
-                break
-        parent_sets[var] = tuple(parents)
-    return Dag(variables=data.variables, parents=tuple(parent_sets))
+            best[v] = candidates[i], float(scores[i])
+        still = []
+        for v in searching:
+            c, score = best[v]
+            if score > current[v] + SCORE_EPS:
+                parents[v].append(c)
+                q[v] *= arity_list[c]
+                current[v] = score
+                if len(parents[v]) < min(config.max_parents, pos[v]):
+                    still.append(v)
+        searching = still
+    return Dag(variables=data.variables, parents=tuple(tuple(p) for p in parents))
 
 
 def fit_cpts(data: DiscreteDataset, dag: Dag, smoothing: float = 1.0) -> BayesNet:

@@ -13,11 +13,12 @@ after the network. `#` starts a comment; files are UTF-8.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .core import (
+    NOT_TOKEN,
     BayesNet,
     Cpt,
     DataError,
@@ -28,12 +29,13 @@ from .core import (
     validate_network,
 )
 from .features import format_rules, parse_rules
+from .possibility import TRANSFORM_BUDGET
 
 FORMAT_HEADER = "HIDPAS-BN v1"
 
 
 def _check_token(kind: str, value: str) -> str:
-    if not value or any(ch.isspace() for ch in value) or "," in value:
+    if not value or NOT_TOKEN.search(value):
         raise ValueError(f"{kind} {value!r} must be nonempty without spaces or commas")
     return value
 
@@ -51,13 +53,49 @@ def format_network(net: BayesNet, timestamp: bool = True) -> str:
     for child, parents in enumerate(net.dag.parents):
         for p in parents:
             lines.append(f"{p} -> {child}")
+    rows = _spelled_rows([net.cpts[var.id].table for var in net.dag.variables])
     for var in net.dag.variables:
-        cpt = net.cpts[var.id]
         lines.append(f"CPT {var.id}")
-        for j, cfg in enumerate(parent_configurations(net, var.id)):
-            row = " ".join(f"{p:.12g}" for p in cpt.table[j])
+        # configurations first: zip stops at their end without taking a row
+        for cfg, row in zip(parent_configurations(net, var.id), rows):
             lines.append(f"{_config_label(cfg)} : {row}")
     return "\n".join(lines) + "\n"
+
+
+def _spelled_rows(tables: list[np.ndarray]) -> Iterator[str]:
+    """The rows of the tables, in order, as `p0 p1 ...`, each value spelled
+    `%.12g`.
+
+    Rows go in blocks of about TRANSFORM_BUDGET entries, across tables. Each
+    distinct float64 bit pattern is spelled once (so -0.0 and 0.0 keep their
+    own spellings), and a block's rows are joined by index into its
+    patterns."""
+    pieces = []
+    for table in tables:
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        step = max(1, TRANSFORM_BUDGET // table.shape[1])
+        pieces += [table[s:s + step] for s in range(0, len(table), step)]
+    pieces.reverse()  # taken from the end
+    spelled: dict[int, str] = {}
+    while pieces:
+        block = [pieces.pop()]
+        size = block[0].size
+        while pieces and size + pieces[-1].size <= TRANSFORM_BUDGET:
+            block.append(pieces.pop())
+            size += block[-1].size
+        bits, index = np.unique(np.concatenate([p.view(np.uint64).ravel() for p in block]),
+                                return_inverse=True)
+        words = []
+        for b, value in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            word = spelled.get(b)
+            if word is None:
+                word = spelled[b] = f"{value:.12g}"
+            words.append(word)
+        start = 0
+        for piece in block:
+            for row in index[start:start + piece.size].reshape(piece.shape).tolist():
+                yield " ".join([words[i] for i in row])
+            start += piece.size
 
 
 def _config_label(cfg: tuple[int, ...]) -> str:

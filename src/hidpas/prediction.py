@@ -13,11 +13,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BayesNet, DataError, Evidence, Variable, finite_float
+from .core import NOT_TOKEN, BayesNet, DataError, Evidence, Variable, finite_float
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
@@ -52,7 +53,12 @@ class AlertRecord:
             raise ValueError("sensor and attack_type are required")
 
     def attributes(self) -> tuple[str, ...]:
-        return tuple(getattr(self, f) for f in ATTRIBUTE_FIELDS)
+        return _attributes(self)
+
+
+_attributes = attrgetter(*ATTRIBUTE_FIELDS)
+# phase-1 cluster key: the sensor, then the attributes
+_phase1_key = attrgetter("sensor", *ATTRIBUTE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -91,28 +97,26 @@ def aggregate_alerts(log_records: Sequence[AlertRecord],
 
     phase1: dict[tuple, list[AlertRecord]] = {}
     for alert in log_records:
-        phase1.setdefault((alert.sensor,) + alert.attributes(), []).append(alert)
+        phase1.setdefault(_phase1_key(alert), []).append(alert)
 
-    merged: dict[str, list[list[AlertRecord]]] = {}
-    for key, members in phase1.items():
-        step = getattr(members[0], merge_key) or EMPTY_STATE
-        merged.setdefault(step, []).append(members)
+    place = 1 + ATTRIBUTE_FIELDS.index(merge_key)  # the merge key's place in a phase-1 key
+    merged: dict[str, list[tuple]] = {}
+    for key in phase1:
+        merged.setdefault(key[place] or EMPTY_STATE, []).append(key)
 
     out: list[HyperAlert] = []
-    for hid, (step, clusters) in enumerate(merged.items()):
-        members = tuple(a for cluster in clusters for a in cluster)
-        shared = []
-        for f in ATTRIBUTE_FIELDS:
-            values = {getattr(a, f) for a in members}
-            shared.append(values.pop() if len(values) == 1 else "")
-        out.append(HyperAlert(id=hid, name=step, attributes=tuple(shared),
-                              members=members))
+    for hid, (step, keys) in enumerate(merged.items()):
+        # a member's attributes are its cluster key's, so the keys give the shared ones
+        shared = tuple(values[0] if len(set(values)) == 1 else ""
+                       for values in list(zip(*keys))[1:])
+        members = tuple(a for key in keys for a in phase1[key])
+        out.append(HyperAlert(id=hid, name=step, attributes=shared, members=members))
     return out
 
 
 def phase1_cluster_count(log_records: Sequence[AlertRecord]) -> int:
     """Number of clusters before the plan-step merge (for reporting)."""
-    return len({(a.sensor,) + a.attributes() for a in log_records})
+    return len(set(map(_phase1_key, log_records)))
 
 
 # -- alert classification -----------------------------------------------------
@@ -154,13 +158,15 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
         if name == CLASS_COLUMN:
             values = [h.name for h in hypers for _ in h.members]
         else:
-            values = [getattr(a, name) or EMPTY_STATE for a in alerts]
+            values = list(map(attrgetter(name), alerts))
+            if "" in values:
+                values = [v or EMPTY_STATE for v in values]
         observed = sorted(set(values))
         if len(observed) < 2:
             observed = observed + ["__none__"]  # keep arity >= 2 for degenerate data
         variables.append(Variable(cid, name, tuple(observed)))
         index = {s: i for i, s in enumerate(observed)}
-        data[:, cid] = [index[v] for v in values]
+        data[:, cid] = list(map(index.__getitem__, values))
     dataset = DiscreteDataset(tuple(variables), data)
 
     class_id = len(columns) - 1
@@ -228,36 +234,35 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
         raise ValueError("slot width must be positive")
     if not hypers:
         raise ValueError("no hyper-alerts")
-    stamps = [a.timestamp for h in hypers for a in h.members]
+    sizes = [len(h.members) for h in hypers]
+    if not all(sizes):
+        raise ValueError("every hyper-alert needs a member")
+    get_stamp = attrgetter("timestamp")
+    stamps = np.fromiter((get_stamp(a) for h in hypers for a in h.members),
+                         dtype=np.float64, count=sum(sizes))
     if start is None:
-        start = min(stamps)
+        start = float(stamps.min())
     if span is not None:
         if span < dt:
             raise ValueError("span must cover at least one slot")
         m = math.ceil(span / dt)
         limit = start + span
     else:
-        latest = max(stamps)
+        latest = float(stamps.max())
         m = max(1, math.floor((latest - start) / dt) + 1) if latest >= start else 1
         limit = start + m * dt
 
+    # float // as Python's: the slot of a member with start <= t < limit
+    slots = (stamps - start) // dt
+    kept = (start <= stamps) & (stamps < limit) & (slots < m)
     occ = np.zeros((m, len(hypers)), dtype=np.int8)
-    ignored = 0
-    for col, h in enumerate(hypers):
-        for alert in h.members:
-            if not start <= alert.timestamp < limit:
-                ignored += 1
-                continue
-            slot = int((alert.timestamp - start) // dt)
-            if slot >= m:
-                ignored += 1
-                continue
-            occ[slot, col] = 1
+    occ[slots[kept].astype(np.intp), np.repeat(np.arange(len(hypers)), sizes)[kept]] = 1
+    ignored = len(stamps) - int(np.count_nonzero(kept))
     if ignored:
         log.warning("%d alerts fall outside the transaction window", ignored)
     return TransactionMatrix(
         names=tuple(h.name for h in hypers),
-        earliest=tuple(h.earliest for h in hypers),
+        earliest=tuple(np.minimum.reduceat(stamps, np.cumsum([0] + sizes[:-1])).tolist()),
         start=float(start),
         dt=float(dt),
         occurrence=occ,
@@ -296,7 +301,7 @@ def train_plan_model(tm: TransactionMatrix, max_parents: int = 2,
     variables = tuple(
         Variable(i, name, ("absent", "present")) for i, name in enumerate(tm.names)
     )
-    dataset = DiscreteDataset(variables, tm.occurrence.astype(np.int64))
+    dataset = DiscreteDataset(variables, tm.occurrence)
     order = tuple(sorted(range(len(tm.names)), key=lambda i: (tm.earliest[i], i)))
     config = LearnConfig(order=order,
                          max_parents=min(max_parents, max(0, len(tm.names) - 1)),
@@ -421,23 +426,30 @@ def load_alert_log(path: str) -> list[AlertRecord]:
         if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
             raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
         for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
             if len(rec) != 7:
+                if not rec or (len(rec) == 1 and not rec[0].strip()):
+                    continue
                 raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(rec)}")
             try:
                 ts = finite_float(rec[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad timestamp {rec[0]!r}") from None
+            fields = list(map(str.strip, rec[1:]))
+            if NOT_TOKEN.search("\0".join(fields)):
+                bad = next(f for f in fields if NOT_TOKEN.search(f))
+                raise DataError(f"{path}:{lineno}: field {bad!r} holds whitespace or a "
+                                f"comma; sensors, addresses, ports and attack types "
+                                f"must be tokens")
             try:
-                out.append(AlertRecord(ts, *(x.strip() for x in rec[1:])))
+                out.append(AlertRecord(ts, *fields))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def write_hyper_csv(hypers: Sequence[HyperAlert], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,name,size,earliest\n")
-        for h in hypers:
-            fh.write(f"{h.id},{h.name},{h.size},{h.earliest:.12g}\n")
+    """One row per hyper-alert, quoted as csv quotes it (a name holding a comma)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("id", "name", "size", "earliest"))
+        writer.writerows((h.id, h.name, h.size, f"{h.earliest:.12g}") for h in hypers)

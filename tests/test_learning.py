@@ -342,66 +342,96 @@ def test_k2_search_ties_go_to_lowest_id():
 # -- the product counting path ---------------------------------------------------
 
 def counting_paths(mp: pytest.MonkeyPatch) -> dict[str, int]:
-    """Counts the (variable, round) calls that take each counting path."""
-    calls = {"product": 0, "bincount": 0}
+    """Counts the (variable, round) searches each counting path scores
+    ("product", "bincount"), and the matrix products the product path makes
+    ("products", one per run of variables)."""
+    calls = {"product": 0, "bincount": 0, "products": 0}
+    product_tables, candidate_scores = learning._product_tables, learning._candidate_scores
 
-    def spy(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
+    def products(columns, onehot, first, arities, var, *rest):
+        calls["product"] += len(var)
+        calls["products"] += 1
+        return product_tables(columns, onehot, first, arities, var, *rest)
 
-    mp.setattr(learning, "_product_tables", spy("product", learning._product_tables))
-    mp.setattr(learning, "_candidate_scores", spy("bincount", learning._candidate_scores))
+    def bincounts(*args):
+        calls["bincount"] += 1
+        return candidate_scores(*args)
+
+    mp.setattr(learning, "_product_tables", products)
+    mp.setattr(learning, "_candidate_scores", bincounts)
     return calls
+
+
+def search_inputs(data: DiscreteDataset, order: tuple[int, ...]):
+    """columns, arities, onehot, first and positions as k2_search builds them."""
+    arity = [v.arity for v in data.variables]
+    columns = data.rows.T.astype(np.min_scalar_type(max(arity) - 1))
+    onehot, first = learning._one_hot(columns, arity, order)
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[list(order)] = np.arange(len(order))
+    return columns, arity, onehot, first, pos
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 150),
-       st.lists(st.integers(2, 5), min_size=2, max_size=5), st.integers(0, 2))
-def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies):
+       st.lists(st.integers(2, 5), min_size=2, max_size=5), st.integers(0, 2),
+       st.integers(0, 2), st.sampled_from([ENTRY_BUDGET, 1, 7]))
+def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k, budget):
+    # every variable with k random earlier parents; runs as k2_search cuts them
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
-    var = order[-1]
-    prefix = sorted(order[:-1])
-    # one or two parents already chosen; they stay in the one-hot prefix
-    parents = [int(p) for p in rng.choice(prefix, size=min(2, len(prefix) - 1), replace=False)]
-    candidates = [c for c in prefix if c not in parents]
-    arity = [v.arity for v in data.variables]
-    cfg = np.zeros(n_rows, dtype=np.int64)
-    q = 1
-    for p in parents:
-        cfg = cfg * arity[p] + data.rows[:, p]
-        q *= arity[p]
-    onehot, first = learning._one_hot(data, order)
-    key = cfg * arity[var] + data.rows[:, var]
+    columns, arity, onehot, first, pos = search_inputs(data, order)
+    searching = list(order[k + 1:])
+    parents = [[] for _ in order]
+    for v in searching:
+        earlier = list(order[:pos[v]])
+        parents[v] = [int(p) for p in rng.choice(earlier, size=k, replace=False)]
+    q = [int(np.prod([arity[p] for p in parents[v]])) for v in range(len(order))]
+    runs = learning._product_chunks(searching, parents, q, arity, onehot)
+    assert sorted(v for run in runs for v in run) == sorted(searching)
     seen = []
-    for idx, tables in learning._product_tables(onehot[:, :first[var]], first, arity, var,
-                                                key, q, candidates):
-        for i, table in zip(idx, tables):
-            expected = count_statistics(data, var, parents + [candidates[i]]).counts
-            assert table.tolist() == expected.tolist()
-            seen.append(i)
-    assert sorted(seen) == list(range(len(candidates)))
+    for run in runs:
+        assert [pos[v] for v in run] == sorted(pos[v] for v in run)
+        assert len({(arity[v], *(arity[p] for p in parents[v])) for v in run}) == 1
+        assert len(run) == 1 or len(run) * q[run[0]] * arity[run[0]] * n_rows <= onehot.size
+        var = np.array(run)
+        held = np.array([parents[v] for v in run], dtype=np.int64)
+        owner, cand = learning._candidate_pairs(pos, var, held)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "ENTRY_BUDGET", budget)
+            for part, tables in learning._product_tables(columns, onehot, first,
+                                                         np.array(arity), var, held,
+                                                         owner, cand):
+                for i, table in zip(part, tables):
+                    v, c = run[owner[i]], int(cand[i])
+                    assert pos[c] < pos[v] and c not in parents[v]
+                    expected = count_statistics(data, v, parents[v] + [c]).counts
+                    assert table.tolist() == expected.tolist()
+                    seen.append((v, c))
+    expected_pairs = [(v, c) for v in searching for c in range(len(order))
+                      if pos[c] < pos[v] and c not in parents[v]]
+    assert sorted(seen) == sorted(expected_pairs)
 
 
 def test_product_budget_edge_picks_the_path():
-    # the product path needs X (rows by sum(a - 1) one-hot columns) and, per
-    # round, Z and Z @ X to fit the budget: at the largest of them every round
-    # takes it, one entry under some round counts by bincount instead
+    # a variable takes the product path when X (n by 1 + sum(a - 1)), its own
+    # q * r rows of Z and of the product fit the budget: at the largest of them
+    # every search takes it, one entry under it some search counts by bincount
     assert PRODUCT_BUDGET <= 2 ** 24  # float32 counts stay exact
     rng = np.random.default_rng(4)
     data = mixed_dataset(rng, 300, [2, 3, 2, 4, 2, 5], copies=3)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
     config = LearnConfig(order=order, max_parents=3)
-    onehot, _ = learning._one_hot(data, order)
-    sizes = [onehot.size]
+    _, arity, onehot, first, _ = search_inputs(data, order)
+    sizes = []
     tables = learning._product_tables
 
-    def sized(prefix, first, arities, var, key, q, candidates):
-        sizes.append(q * arities[var] * max(prefix.shape))
-        return tables(prefix, first, arities, var, key, q, candidates)
+    def sized(columns, onehot, first, arities, var, parents, *rest):
+        for v, held in zip(var, parents):
+            q = int(np.prod([arity[p] for p in held]))
+            sizes.append(q * arity[v] * max(data.row_count, int(first[v])))
+        return tables(columns, onehot, first, arities, var, parents, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "PRODUCT_BUDGET", 1 << 24)
@@ -409,6 +439,7 @@ def test_product_budget_edge_picks_the_path():
         k2_search(data, config)
     expected = reference_k2_search(data, config)
     assert max(map(len, expected)) == 3  # rounds with q > 1
+    assert max(sizes) > onehot.size  # so one entry under it keeps X
     for budget, only in ((max(sizes), "product"), (max(sizes) - 1, None)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learning, "PRODUCT_BUDGET", budget)
@@ -416,6 +447,44 @@ def test_product_budget_edge_picks_the_path():
             assert k2_search(data, config).parents == expected
         assert calls["product"] > 0
         assert calls["bincount"] == 0 if only else calls["bincount"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 120),
+       st.lists(st.integers(2, 5), min_size=2, max_size=6), st.integers(0, 3),
+       st.integers(1, 3), st.sampled_from([ENTRY_BUDGET, 1, 40]),
+       st.sampled_from([300, 2000, 12000]))
+def test_lockstep_rounds_split_across_variables(seed, n_rows, arities, copies, max_parents,
+                                                budget, product_budget):
+    # budgets between the paths' extremes: in one round some variables count
+    # by product and some by bincount, and products cover runs of variables
+    rng = np.random.default_rng(seed)
+    data = mixed_dataset(rng, n_rows, arities, copies)
+    n = len(data.variables)
+    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n)),
+                         max_parents=min(max_parents, n - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "ENTRY_BUDGET", budget)
+        mp.setattr(learning, "PRODUCT_BUDGET", product_budget)
+        got = k2_search(data, config).parents
+    assert got == reference_k2_search(data, config)
+
+
+def test_lockstep_mixes_paths_and_runs_in_one_search():
+    # the smallest budget that keeps X: a round stacks several variables per
+    # product, while a wide variable's last search counts by bincount
+    rng = np.random.default_rng(23)
+    data = mixed_dataset(rng, 150, [5, 4, 5, 3, 5, 2, 2, 2], copies=4)
+    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(len(data.variables))),
+                         max_parents=3)
+    onehot = search_inputs(data, config.order)[2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "PRODUCT_BUDGET", onehot.size)
+        mp.setattr(learning, "ENTRY_BUDGET", 64)
+        calls = counting_paths(mp)
+        got = k2_search(data, config).parents
+    assert got == reference_k2_search(data, config)
+    assert calls["bincount"] > 0 and calls["product"] > calls["products"] > 2
 
 
 def test_k2_search_on_150_binary_columns():
@@ -433,5 +502,7 @@ def test_k2_search_on_150_binary_columns():
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_paths(mp)
         got = k2_search(data, config).parents
+    # every search of both rounds on the product path, in a handful of products
     assert calls["bincount"] == 0 and calls["product"] > n_cols
+    assert calls["products"] <= 8
     assert got == reference_k2_search(data, config)

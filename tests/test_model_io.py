@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import validate_network
+from hidpas import model_io
+from hidpas.core import BayesNet, Cpt, Dag, Variable, parent_configurations, validate_network
 from hidpas.features import DataError
 from hidpas.model_io import (
     FORMAT_HEADER,
@@ -16,6 +18,7 @@ from hidpas.model_io import (
     load_plan,
     parse_network,
 )
+from hidpas.possibility import TRANSFORM_BUDGET
 
 
 def test_header_and_sections_present(two_node_net):
@@ -143,6 +146,86 @@ def test_format_parse_fixed_point_on_random_nets():
         back, _ = parse_network(once)
         twice = format_network(back, timestamp=False)
         assert once == twice
+
+
+def per_value_cpt_lines(net: BayesNet) -> list[str]:
+    """The CPT sections spelled one value at a time."""
+    lines = []
+    for var in net.dag.variables:
+        lines.append(f"CPT {var.id}")
+        for j, cfg in enumerate(parent_configurations(net, var.id)):
+            row = " ".join(f"{p:.12g}" for p in net.cpts[var.id].table[j])
+            lines.append("(" + ",".join(str(c) for c in cfg) + f") : {row}")
+    return lines
+
+
+def net_of(arities: list[int], parents: list[tuple[int, ...]], tables) -> BayesNet:
+    variables = tuple(Variable(i, f"v{i}", tuple(f"s{k}" for k in range(a)))
+                      for i, a in enumerate(arities))
+    dag = Dag(variables, tuple(parents))
+    return BayesNet(dag, tuple(Cpt(i, parents[i], t) for i, t in enumerate(tables)))
+
+
+def cpt_lines(net: BayesNet) -> list[str]:
+    lines = format_network(net, timestamp=False).splitlines()
+    return lines[next(i for i, ln in enumerate(lines) if ln.startswith("CPT ")):]
+
+
+# repeats, signed zeros, subnormals, infinities and NaNs with other payloads
+SPECIAL = np.array([0x8000000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                    0x0000000000000001], dtype=np.uint64).view(np.float64).tolist()
+entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.1, 1e-300,
+                                     math.inf, -math.inf] + SPECIAL),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([TRANSFORM_BUDGET, 1, 3, 17]))
+def test_cpt_spelling_equals_the_per_value_spelling(data, budget):
+    n = data.draw(st.integers(1, 5))
+    arities = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    parents = [tuple(sorted(data.draw(st.sets(st.integers(0, i - 1), max_size=2))) if i else ())
+               for i in range(n)]
+    pool = data.draw(st.lists(entries, min_size=1, max_size=6))
+    tables = []
+    for i, a in enumerate(arities):
+        q = int(np.prod([arities[p] for p in parents[i]]))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=q * a,
+                                   max_size=q * a))
+        tables.append(np.array([pool[k] for k in picks], dtype=np.float64).reshape(q, a))
+    net = net_of(arities, parents, tables)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_io, "TRANSFORM_BUDGET", budget)
+        assert cpt_lines(net) == per_value_cpt_lines(net)
+
+
+def test_cpt_spelling_keeps_signed_zeros_and_nans_apart():
+    # equal as floats, spelled apart: one bit pattern, one spelling
+    values = [0.0, -0.0, math.nan, -math.nan] + SPECIAL
+    net = net_of([len(values), 2], [(), (0,)],
+                 [np.array([values]), np.array([[-0.0, 0.0]] * len(values))])
+    lines = cpt_lines(net)
+    assert lines == per_value_cpt_lines(net)
+    assert lines[1] == "() : 0 -0 nan nan -0 nan nan 4.94065645841e-324"
+    assert lines[3] == "(0) : -0 0"
+
+
+def test_cpt_spelling_of_tables_past_one_block():
+    # 4 parents of arity 5 and 20 states: 12,500 entries, past one block,
+    # around a small table, with rows that repeat earlier blocks' values
+    rng = np.random.default_rng(17)
+    arities = [2, 5, 5, 5, 5, 20, 3]
+    parents = [(), (), (), (), (), (1, 2, 3, 4), (0,)]
+    tables = []
+    for i, a in enumerate(arities):
+        q = int(np.prod([arities[p] for p in parents[i]]))
+        table = rng.dirichlet(np.ones(a), size=q)
+        table[::7] = table[0]
+        table[-1, 0] = -0.0
+        tables.append(table)
+    assert tables[5].size > TRANSFORM_BUDGET
+    net = net_of(arities, parents, tables)
+    assert cpt_lines(net) == per_value_cpt_lines(net)
 
 
 CYCLIC_PLAN = FORMAT_HEADER + """

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,10 @@ from hidpas.features import DataError
 from hidpas.oracles import enumerate_marginal
 from hidpas.jtree import net_factors
 from hidpas.prediction import (
+    ATTRIBUTE_FIELDS,
+    EMPTY_STATE,
     AlertRecord,
+    HyperAlert,
     aggregate_alerts,
     build_transactions,
     classify_alert,
@@ -19,6 +25,7 @@ from hidpas.prediction import (
     predict_attacks,
     train_alert_classifier,
     train_plan_model,
+    write_hyper_csv,
 )
 
 from conftest import data_path
@@ -425,3 +432,154 @@ def test_load_alert_log_field_count(tmp_path):
                     "1,ids1,a,b\n")
     with pytest.raises(DataError, match="short.csv:2"):
         load_alert_log(str(path))
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("1,ids1,a,b,c,d,port scan", "port scan"),
+    ('1,ids1,a,b,c,d,"a,b"', "a,b"),
+    ("1,ids1,10.0.0.1,b,c,d,scan\tx", "scan\tx"),
+    ('1,ids 1,a,b,c,d,scan', "ids 1"),
+    ('1,ids1,a,"80\n81",c,d,scan', "80\n81"),
+    ("1,ids1,a,b,c,d,scan\u00a0x", "scan\xa0x"),
+], ids=["space", "quoted-comma", "tab", "sensor", "quoted-newline", "no-break-space"])
+def test_load_alert_log_rejects_a_field_that_is_no_token(tmp_path, row, bad):
+    # model files hold names and state labels as tokens; a field they could
+    # not hold fails where it is read, not when the model is saved
+    path = tmp_path / "alerts.csv"
+    path.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                    "1,ids1,a,b,c,d,scan\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_alert_log(str(path))
+    assert str(err.value).startswith(f"{path}:3: field {bad!r} holds whitespace or a comma")
+
+
+def test_load_alert_log_strips_fields_and_keeps_empty_ports(tmp_path):
+    path = tmp_path / "alerts.csv"
+    path.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                    " 1 , ids1 ,a,, c ,,scan \n")
+    [record] = load_alert_log(str(path))
+    assert record == AlertRecord(1.0, "ids1", "a", "", "c", "", "scan")
+
+
+def test_hyper_csv_quotes_a_name_holding_a_comma(tmp_path):
+    hypers = aggregate_alerts([alert(1, "a,b"), alert(2, 'say "x"'), alert(3, "scan")])
+    path = tmp_path / "hypers.csv"
+    write_hyper_csv(hypers, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["id", "name", "size", "earliest"], ["0", "a,b", "1", "1"],
+                    ["1", 'say "x"', "1", "2"], ["2", "scan", "1", "3"]]
+    assert path.read_text().splitlines()[1:] == ['0,"a,b",1,1', '1,"say ""x""",1,2', "2,scan,1,3"]
+
+
+# -- bulk walks against per-member references ------------------------------------------
+
+def reference_aggregate(log_records, merge_key="attack_type") -> list[HyperAlert]:
+    """Two-phase aggregation over every member, one attribute at a time."""
+    phase1: dict[tuple, list] = {}
+    for a in log_records:
+        key = (a.sensor,) + tuple(getattr(a, f) for f in ATTRIBUTE_FIELDS)
+        phase1.setdefault(key, []).append(a)
+    merged: dict[str, list] = {}
+    for members in phase1.values():
+        merged.setdefault(getattr(members[0], merge_key) or EMPTY_STATE, []).append(members)
+    out = []
+    for hid, (step, clusters) in enumerate(merged.items()):
+        members = tuple(a for cluster in clusters for a in cluster)
+        shared = []
+        for f in ATTRIBUTE_FIELDS:
+            values = {getattr(a, f) for a in members}
+            shared.append(values.pop() if len(values) == 1 else "")
+        out.append(HyperAlert(hid, step, tuple(shared), members))
+    return out
+
+
+def reference_transactions(hypers, dt, start=None, span=None):
+    """(occurrence, earliest, start, ignored) member by member."""
+    stamps = [a.timestamp for h in hypers for a in h.members]
+    if start is None:
+        start = min(stamps)
+    if span is not None:
+        m = math.ceil(span / dt)
+        limit = start + span
+    else:
+        latest = max(stamps)
+        m = max(1, math.floor((latest - start) / dt) + 1) if latest >= start else 1
+        limit = start + m * dt
+    occ = np.zeros((m, len(hypers)), dtype=np.int8)
+    ignored = 0
+    for col, h in enumerate(hypers):
+        for a in h.members:
+            if not start <= a.timestamp < limit:
+                ignored += 1
+                continue
+            slot = int((a.timestamp - start) // dt)
+            if slot >= m:
+                ignored += 1
+                continue
+            occ[slot, col] = 1
+    return occ, tuple(min(a.timestamp for a in h.members) for h in hypers), start, ignored
+
+
+VALUES = {"sensor": ["s1", "s2"], "src_ip": ["", "1.1.1.1", "1.1.1.2"],
+          "src_port": ["", "10", "11"], "dst_ip": ["", "2.2.2.2"],
+          "dst_port": ["", "80", "443"], "attack_type": ["scan", "probe", "exploit"]}
+
+alert_records = st.lists(
+    st.tuples(st.integers(-50, 400).map(lambda t: t / 4),
+              *(st.sampled_from(VALUES[f]) for f in ("sensor",) + ATTRIBUTE_FIELDS)),
+    max_size=40).map(lambda rows: [AlertRecord(*row) for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(alert_records, st.sampled_from(ATTRIBUTE_FIELDS))
+def test_aggregate_equals_per_member_reference(records, merge_key):
+    got = aggregate_alerts(records, merge_key)
+    expected = reference_aggregate(records, merge_key)
+    assert [(h.id, h.name, h.attributes) for h in got] == \
+        [(h.id, h.name, h.attributes) for h in expected]
+    # the same alert objects, in the same order
+    assert [[id(a) for a in h.members] for h in got] == \
+        [[id(a) for a in h.members] for h in expected]
+    assert phase1_cluster_count(records) == len(
+        {(a.sensor,) + tuple(getattr(a, f) for f in ATTRIBUTE_FIELDS) for a in records})
+
+
+@settings(max_examples=200, deadline=None)
+@given(alert_records.filter(bool), st.sampled_from([0.25, 0.1, 1.0, 7.0, 60.0]),
+       st.one_of(st.none(), st.integers(-20, 200).map(lambda t: t / 4)),
+       st.one_of(st.none(), st.integers(1, 60).map(lambda k: k * 0.75)))
+def test_transactions_equal_per_member_reference(records, dt, start, span):
+    hypers = aggregate_alerts(records)
+    if span is not None and span < dt:
+        with pytest.raises(ValueError, match="span"):
+            build_transactions(hypers, dt, start, span)
+        return
+    tm = build_transactions(hypers, dt, start, span)
+    occ, earliest, start_used, ignored = reference_transactions(hypers, dt, start, span)
+    assert tm.occurrence.tolist() == occ.tolist()
+    assert tm.earliest == earliest and tm.start == start_used and tm.ignored == ignored
+    assert tm.names == tuple(h.name for h in hypers) and tm.dt == dt
+
+
+def test_transactions_slot_edges_equal_the_reference():
+    # stamps on, and one ulp either side of, slot borders that are not exact
+    # in binary: the slot is float floor division, as Python computes it
+    dt, start = 0.1, 0.3
+    stamps = []
+    for k in range(0, 40):
+        border = start + k * dt
+        stamps += [np.nextafter(border, -math.inf), border, np.nextafter(border, math.inf)]
+    records = [AlertRecord(float(t), "s1", "", "", "", "", f"t{i % 7}")
+               for i, t in enumerate(stamps)]
+    hypers = aggregate_alerts(records)
+    for window in ((None, None), (start, None), (start, 2.0), (0.55, 1.05), (0.0, 4.0)):
+        tm = build_transactions(hypers, dt, *window)
+        occ, earliest, _, ignored = reference_transactions(hypers, dt, *window)
+        assert tm.occurrence.tolist() == occ.tolist(), window
+        assert tm.earliest == earliest and tm.ignored == ignored, window
+
+
+def test_transactions_reject_a_hyper_alert_without_members():
+    with pytest.raises(ValueError, match="member"):
+        build_transactions([HyperAlert(0, "scan", ("",) * 5, ())], dt=1.0)
