@@ -10,7 +10,9 @@ CSV consumed by `hidpas aggregate` / `hidpas learn-plan`:
 Column names in the source are matched case-insensitively against common
 spellings (EventName, SrcIPAddress, DestPort, BeginTime, ...). Timestamps
 may be epoch seconds or `YYYY-MM-DD HH:MM:SS`; missing sensors default to
-`realsecure`.
+`realsecure`. Every whitespace character or comma inside a field becomes
+`_`, so that each field is a token as the alert log requires; the converter
+imports that character class from the `hidpas` package under `src/`.
 
 Usage:
     python convert_realsecure_log.py --in alerts.tsv --out alert_log.csv
@@ -20,8 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from datetime import datetime, timezone
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+from hidpas.core import NOT_TOKEN  # noqa: E402
 
 COLUMN_ALIASES = {
     "timestamp": ("begintime", "starttime", "timestamp", "time", "ts", "date"),
@@ -92,7 +98,10 @@ def convert(in_path: str, out_path: str) -> int:
             raise SystemExit("input file is empty")
         mapping = map_columns(header)
         rows = []
-        for lineno, rec in enumerate(reader, start=2):
+        end = reader.line_num
+        for rec in reader:
+            # a quoted newline spans lines: name the line the record starts on
+            lineno, end = end + 1, reader.line_num
             if not rec or all(not cell.strip() for cell in rec):
                 continue
             try:
@@ -105,7 +114,7 @@ def convert(in_path: str, out_path: str) -> int:
                 idx = mapping.get(field)
                 if idx is None or idx >= len(rec):
                     return default
-                return rec[idx].strip().replace(",", "_").replace(" ", "_")
+                return NOT_TOKEN.sub("_", rec[idx].strip())
 
             rows.append([
                 f"{ts:.6f}".rstrip("0").rstrip("."),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .core import DataError, finite_float
+from .core import DataError, finite_float, open_input
 from .jtree import ImpossibleEvidenceError
 from .model_io import load_classifier, load_detector, load_plan
 from .prediction import (
@@ -195,11 +195,8 @@ def load_sim_config(path: str) -> SimulationConfig:
     """
     import os
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"simulation config not found: {path}") from None
+    with open_input(path, encoding="utf-8") as fh:
+        text = fh.read()
 
     base = os.path.dirname(os.path.abspath(path))
 

@@ -7,11 +7,13 @@ fastest, and that ordering is part of the CPT file contract.
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +25,36 @@ NOT_TOKEN = re.compile(r"[\s,]")
 
 class DataError(ValueError):
     """Malformed input data, reported with file/line context."""
+
+
+def open_input(path: str, mode: str = "r", **kwargs) -> IO:
+    """open(path, mode, **kwargs) for reading; a missing file is a DataError
+    naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+
+
+def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank csv record of a UTF-8 file, with the physical line it
+    starts on (a quoted newline makes a record span lines)."""
+    with open_input(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        end = 0
+        for rec in reader:
+            lineno, end = end + 1, reader.line_num
+            if rec and (len(rec) > 1 or rec[0].strip()):
+                yield lineno, rec
+
+
+def bad_row(path: str, lineno: int, reason: object, on_bad: str,
+            log: logging.Logger) -> None:
+    """Raise DataError naming path:lineno (on_bad 'abort'), or log the row
+    as skipped on the caller's logger (on_bad 'skip')."""
+    if on_bad == "abort":
+        raise DataError(f"{path}:{lineno}: {reason}") from None
+    log.warning("%s:%d: skipped row (%s)", path, lineno, reason)
 
 
 def finite_float(token: str) -> float:

@@ -9,13 +9,12 @@ returned flagged low-confidence.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import BayesNet, DataError, finite_float
+from .core import BayesNet, DataError, bad_row, csv_records, finite_float
 from .features import (
     KDD_FEATURES,
     NUMERIC,
@@ -237,7 +236,8 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
 
     Accepted row shapes:
       41 or 42 fields: plain KDD row (label, when present, is ignored);
-          timestamps are synthesized as the 0-based row index in seconds.
+          the timestamp is the row's 0-based index among the records kept,
+          in seconds, so a skipped row leaves no gap.
       44 or 45 fields: `timestamp,src_ip,dst_ip` prefix followed by the 41
           features (and optional ignored label).
     """
@@ -245,29 +245,24 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
         raise ValueError("on_bad must be 'abort' or 'skip'")
     n_feat = len(KDD_FEATURES)
     records: list[ConnectionRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            try:
-                if len(rec) in (n_feat, n_feat + 1):
-                    values = parse_connection_fields(rec[:n_feat])
-                    records.append(ConnectionRecord(values, timestamp=float(len(records))))
-                elif len(rec) in (n_feat + 3, n_feat + 4):
-                    try:
-                        ts = finite_float(rec[0])
-                    except ValueError:
-                        raise DataError(f"bad timestamp {rec[0]!r}") from None
-                    values = parse_connection_fields(rec[3:3 + n_feat])
-                    records.append(ConnectionRecord(
-                        values, timestamp=ts, src_ip=rec[1].strip(), dst_ip=rec[2].strip()
-                    ))
-                else:
-                    raise DataError(f"unexpected field count {len(rec)}")
-            except DataError as exc:
-                if on_bad == "abort":
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                log.warning("%s:%d: skipped row (%s)", path, lineno, exc)
+    for lineno, rec in csv_records(path):
+        try:
+            if len(rec) in (n_feat, n_feat + 1):
+                values = parse_connection_fields(rec[:n_feat])
+                records.append(ConnectionRecord(values, timestamp=float(len(records))))
+            elif len(rec) in (n_feat + 3, n_feat + 4):
+                try:
+                    ts = finite_float(rec[0])
+                except ValueError:
+                    raise DataError(f"bad timestamp {rec[0]!r}") from None
+                values = parse_connection_fields(rec[3:3 + n_feat])
+                records.append(ConnectionRecord(
+                    values, timestamp=ts, src_ip=rec[1].strip(), dst_ip=rec[2].strip()
+                ))
+            else:
+                raise DataError(f"unexpected field count {len(rec)}")
+        except DataError as exc:
+            bad_row(path, lineno, exc, on_bad, log)
     return records
 
 

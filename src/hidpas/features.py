@@ -6,7 +6,6 @@ trailing label, with labels dot-terminated in the original files.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, Variable, finite_float
+from .core import DataError, Variable, bad_row, csv_records, finite_float, open_input
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
@@ -182,7 +181,7 @@ def _loadtxt_columns(path: str, usecols: list[int], dtype) -> np.ndarray:
 
 def _load_kdd_bulk(path: str) -> list[np.ndarray] | None:
     """load_kdd's columns of a well-formed file, or None to read it by rows."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         commas = np.count_nonzero(np.frombuffer(fh.read(), dtype=np.uint8) == ord(","))
     if commas == 0:
         return None
@@ -209,75 +208,34 @@ def _load_kdd_bulk(path: str) -> list[np.ndarray] | None:
 
 
 def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
-    """load_kdd's columns read row by row, reporting or skipping bad rows."""
-    names, kinds = _KDD_NAMES, _KDD_KINDS
-    expected = len(names)
-
-    raw_rows: list[list[str]] = []
-    linenos: list[int] = []
+    """load_kdd's columns read row by row, reporting or skipping bad rows:
+    every wrong arity first, then each row holding a bad number."""
+    expected = len(_KDD_NAMES)
+    records: list[tuple[int, list[str]]] = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        end = 0
-        for rec in reader:
-            # a quoted newline spans lines: name the line the record starts on
-            lineno, end = end + 1, reader.line_num
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) != expected:
-                message = f"expected {expected} fields, got {len(rec)}"
-                if on_bad == "abort":
-                    raise DataError(f"{path}:{lineno}: {message}")
-                skipped += 1
-                log.warning("%s:%d: skipped row (%s)", path, lineno, message)
-                continue
-            raw_rows.append(rec)
-            linenos.append(lineno)
+    for lineno, rec in csv_records(path):
+        if len(rec) != expected:
+            bad_row(path, lineno, f"expected {expected} fields, got {len(rec)}", on_bad, log)
+            skipped += 1
+        else:
+            records.append((lineno, rec))
 
-    bad_rows: dict[int, str] = {}  # row index -> reason
-    columns: list[np.ndarray | None] = [None] * expected
-    transposed = list(zip(*raw_rows)) if raw_rows else [()] * expected
-    for i, (name, kind) in enumerate(zip(names, kinds)):
-        cells = transposed[i]
-        if kind != NUMERIC:
-            if name == LABEL_COLUMN:
-                cells = [c.strip().rstrip(".") for c in cells]
-            else:
-                cells = [c.strip() for c in cells]
-            columns[i] = np.array(cells, dtype=object)
-            continue
+    rows: list[list] = []
+    for lineno, rec in records:
         try:
-            arr = np.asarray(cells, dtype=float)
-        except ValueError:
-            arr = np.empty(len(cells))
-            for r, cell in enumerate(cells):
-                try:
-                    arr[r] = float(cell)
-                except ValueError:
-                    arr[r] = np.nan
-                    bad_rows.setdefault(
-                        r, f"non-numeric value {cell.strip()!r} in column {name}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            for r in np.flatnonzero(~finite):
-                bad_rows.setdefault(
-                    r, f"non-finite value {cells[r].strip()!r} in column {name}")
-        columns[i] = arr
-
-    if bad_rows:
-        first = min(bad_rows)
-        if on_bad == "abort":
-            raise DataError(f"{path}:{linenos[first]}: {bad_rows[first]}")
-        for r in sorted(bad_rows):
-            log.warning("%s:%d: skipped row (%s)", path, linenos[r], bad_rows[r])
-        skipped += len(bad_rows)
-        keep = np.ones(len(raw_rows), dtype=bool)
-        keep[list(bad_rows)] = False
-        columns = [c[keep] for c in columns]
+            row = parse_connection_fields(rec[:-1])
+        except DataError as exc:
+            bad_row(path, lineno, exc, on_bad, log)
+            skipped += 1
+            continue
+        row.append(rec[-1].strip().rstrip("."))
+        rows.append(row)
 
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
-    return columns
+    columns = list(zip(*rows)) if rows else [()] * expected
+    return [np.array(col, dtype=float if kind == NUMERIC else object)
+            for col, kind in zip(columns, _KDD_KINDS)]
 
 
 def parse_connection_fields(rec: Sequence[str]) -> list:

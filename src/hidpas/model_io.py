@@ -25,6 +25,7 @@ from .core import (
     Dag,
     Variable,
     finite_float,
+    open_input,
     parent_configurations,
     validate_network,
 )
@@ -249,11 +250,8 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
 
 
 def _read_file(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {path}") from None
+    with open_input(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _section(extras: dict[str, list[str]], path: str, section: str,

@@ -18,7 +18,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import NOT_TOKEN, BayesNet, DataError, Evidence, Variable, finite_float
+from .core import (
+    NOT_TOKEN,
+    BayesNet,
+    DataError,
+    Evidence,
+    Variable,
+    bad_row,
+    csv_records,
+    finite_float,
+)
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
@@ -400,50 +409,32 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     )
 
 
-def correlation_edges(model: PlanModel) -> list[tuple[str, str, tuple[float, float, float]]]:
-    """Strength triple P(child present | parent present) for every plan edge."""
-    out = []
-    for child, parents in enumerate(model.net.dag.parents):
-        for parent in parents:
-            marginal = model.engine.query(Evidence({parent: PRESENT}), [child])[child]
-            out.append((model.hyper_names[parent], model.hyper_names[child],
-                        marginal.triple(PRESENT)))
-    return out
-
-
 # -- alert log I/O -------------------------------------------------------------
 
 def load_alert_log(path: str) -> list[AlertRecord]:
-    """CSV with header timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type."""
+    """CSV whose first non-blank record is the header
+    timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type."""
     out: list[AlertRecord] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"alert log not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
-            raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
-        for lineno, rec in enumerate(reader, start=2):
+    records = csv_records(path)
+    _, header = next(records, (0, None))
+    if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
+        raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
+    for lineno, rec in records:
+        try:
             if len(rec) != 7:
-                if not rec or (len(rec) == 1 and not rec[0].strip()):
-                    continue
-                raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(rec)}")
+                raise DataError(f"expected 7 fields, got {len(rec)}")
             try:
                 ts = finite_float(rec[0])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {rec[0]!r}") from None
+                raise DataError(f"bad timestamp {rec[0]!r}") from None
             fields = list(map(str.strip, rec[1:]))
             if NOT_TOKEN.search("\0".join(fields)):
                 bad = next(f for f in fields if NOT_TOKEN.search(f))
-                raise DataError(f"{path}:{lineno}: field {bad!r} holds whitespace or a "
-                                f"comma; sensors, addresses, ports and attack types "
-                                f"must be tokens")
-            try:
-                out.append(AlertRecord(ts, *fields))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+                raise DataError(f"field {bad!r} holds whitespace or a comma; sensors, "
+                                f"addresses, ports and attack types must be tokens")
+            out.append(AlertRecord(ts, *fields))
+        except ValueError as exc:  # DataError, or AlertRecord's own checks
+            bad_row(path, lineno, exc, "abort", log)
     return out
 
 

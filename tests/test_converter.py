@@ -45,6 +45,24 @@ def test_converter_maps_common_realsecure_headers(tmp_path):
     assert {h.name for h in hypers} == {"Sadmind_Ping", "Email_Ehlo"}
 
 
+def test_converter_writes_tokens_and_names_physical_lines(tmp_path, capsys):
+    conv = load_converter()
+    src = tmp_path / "rs.csv"
+    src.write_text(
+        "EventName,BeginTime,SrcIPAddress,DestIPAddress\n"
+        '"Port\tScan",952418976,172.16.113.84,172.16.112.50\n'
+        '"Multi\nLine",952418977,172.16.113.84,172.16.112.50\n'  # lines 3-4
+        "Email,soon,172.16.113.84,172.16.112.50\n"
+    )
+    out = tmp_path / "rs_out.csv"
+    assert conv.convert(str(src), str(out)) == 2
+    assert "line 5: skipped (unparseable timestamp 'soon')" in capsys.readouterr().err
+
+    from hidpas.prediction import load_alert_log
+
+    assert [a.attack_type for a in load_alert_log(str(out))] == ["Port_Scan", "Multi_Line"]
+
+
 def test_converter_rejects_unmappable_header(tmp_path):
     conv = load_converter()
     src = tmp_path / "odd.csv"

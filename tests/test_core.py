@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import logging
 from itertools import product
 
 import numpy as np
 import pytest
 
+from hidpas.agents import load_sim_config
 from hidpas.core import (
     BayesNet,
     Cpt,
     Dag,
+    DataError,
     Evidence,
     Variable,
+    bad_row,
+    csv_records,
     joint_probability,
     parent_configurations,
     validate_network,
 )
+from hidpas.detection import load_stream
+from hidpas.features import load_kdd
+from hidpas.model_io import load_classifier, load_detector, load_plan
 from hidpas.possibility import HybridPropagator
+from hidpas.prediction import load_alert_log
 
 
 def test_valid_two_node_net_has_empty_report(two_node_net):
@@ -157,3 +166,31 @@ def test_evidence_checks_state_range(two_node_net):
     engine.query(Evidence({0: 1}), [1])
     with pytest.raises(ValueError, match="out of range"):
         engine.query(Evidence({0: 2}), [1])
+
+
+# -- input files ------------------------------------------------------------------
+
+def test_csv_records_name_the_line_each_record_starts_on(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b'a,b\n\n \t\n"x\ny",z\r\nc,d\n,\n')
+    assert list(csv_records(str(path))) == [
+        (1, ["a", "b"]), (4, ["x\ny", "z"]), (6, ["c", "d"]), (7, ["", ""])]
+
+
+def test_bad_row_raises_or_logs_on_the_given_logger(caplog):
+    with pytest.raises(DataError, match=r"^f\.csv:3: too short$"):
+        bad_row("f.csv", 3, "too short", "abort", logging.getLogger("hidpas.x"))
+    with caplog.at_level("WARNING", logger="hidpas.x"):
+        bad_row("f.csv", 3, "too short", "skip", logging.getLogger("hidpas.x"))
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("hidpas.x", "f.csv:3: skipped row (too short)")]
+
+
+@pytest.mark.parametrize("load", [load_kdd, load_stream, load_alert_log, load_detector,
+                                  load_classifier, load_plan, load_sim_config],
+                         ids=lambda load: load.__name__)
+def test_a_missing_input_file_is_a_data_error_naming_it(tmp_path, load):
+    path = str(tmp_path / "absent.csv")
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: file not found"

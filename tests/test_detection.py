@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import csv
+import logging
 import math
+import os
+import random
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidpas import possibility
-from hidpas.core import Evidence
+from hidpas.core import Evidence, finite_float
 from hidpas.detection import (
     ConnectionRecord,
     DetectorConfig,
@@ -19,7 +26,14 @@ from hidpas.detection import (
     train_detector,
     write_alerts_csv,
 )
-from hidpas.features import KDD_FEATURES, DataError, RawTable, load_kdd
+from hidpas.features import (
+    KDD_FEATURES,
+    NUMERIC,
+    DataError,
+    RawTable,
+    load_kdd,
+    parse_connection_fields,
+)
 
 from conftest import data_path
 
@@ -200,6 +214,156 @@ def test_load_stream_rejects_a_non_finite_timestamp(tmp_path, stamp):
     kept = load_stream(str(path), on_bad="skip")
     assert [r.timestamp for r in kept] == [r.timestamp for r in
                                            load_stream(data_path("scenario", "host_c.csv"))[::2][:2]]
+
+
+def test_load_stream_names_physical_line_after_quoted_newline(tmp_path, caplog):
+    with open(data_path("scenario", "host_c.csv")) as fh:
+        lines = fh.read().splitlines()
+    spanning = lines[0].split(",")
+    spanning[4] = '"tc\np"'  # protocol_type: this record holds lines 1-2
+    bad = lines[2].split(",")
+    bad[3] = "abc"  # duration
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join([",".join(spanning), lines[1], ",".join(bad)]) + "\n")
+    with pytest.raises(DataError, match=r"s\.csv:4: non-numeric value 'abc' in column duration"):
+        load_stream(str(path))
+    with caplog.at_level("WARNING", logger="hidpas.detection"):
+        records = load_stream(str(path), on_bad="skip")
+    assert [r.timestamp for r in records] == [15.0, 65.0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:4: skipped row (non-numeric value 'abc' in column duration)"]
+
+
+# The row loop load_stream had before it read through core.csv_records, kept
+# verbatim (but for logging into a list) as the reference load_stream must
+# match record for record and warning for warning.
+def reference_load_stream(path: str, on_bad: str, warned: list[str]) -> list[ConnectionRecord]:
+    n_feat = len(KDD_FEATURES)
+    records: list[ConnectionRecord] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
+            if not rec or (len(rec) == 1 and not rec[0].strip()):
+                continue
+            try:
+                if len(rec) in (n_feat, n_feat + 1):
+                    values = parse_connection_fields(rec[:n_feat])
+                    records.append(ConnectionRecord(values, timestamp=float(len(records))))
+                elif len(rec) in (n_feat + 3, n_feat + 4):
+                    try:
+                        ts = finite_float(rec[0])
+                    except ValueError:
+                        raise DataError(f"bad timestamp {rec[0]!r}") from None
+                    values = parse_connection_fields(rec[3:3 + n_feat])
+                    records.append(ConnectionRecord(
+                        values, timestamp=ts, src_ip=rec[1].strip(), dst_ip=rec[2].strip()
+                    ))
+                else:
+                    raise DataError(f"unexpected field count {len(rec)}")
+            except DataError as exc:
+                if on_bad == "abort":
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                warned.append("%s:%d: skipped row (%s)" % (path, lineno, exc))
+    return records
+
+
+STREAM_NUMBERS = ["0", "1", "-0", "65", "0.03", "1.5e3", "+.5", "5.", "1E-5", "007", "1e-400"]
+STREAM_CATEGORIES = ["tcp", "http", "SF", "0", "normal.", "a b", "", 'q"t', "\u00fc"]
+STREAM_SPACES = ["", " ", "\t"]
+# each defect makes the row loop report or skip a row: a bad number in a
+# feature or in the timestamp, or a field count of no accepted shape
+STREAM_DEFECTS = ["abc", "nan", "inf", "1e400", "", "1_0", "bad stamp", "arity"]
+
+
+def _stream_cell(rng: random.Random, values: list[str], quote_rate: float,
+                 space_rate: float) -> str:
+    value = rng.choice(values)
+    if rng.random() < space_rate:
+        value = rng.choice(STREAM_SPACES) + value + rng.choice(STREAM_SPACES)
+    if rng.random() < quote_rate:
+        value = '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _stream_row(rng: random.Random, quote_rate: float, space_rate: float) -> list[str]:
+    """A plain (41 or 42 fields) or prefixed (44 or 45 fields) row."""
+    row = [_stream_cell(rng, STREAM_NUMBERS if kind == NUMERIC else STREAM_CATEGORIES,
+                        quote_rate, space_rate) for _, kind in KDD_FEATURES]
+    if rng.random() < 0.5:
+        row.append(_stream_cell(rng, ["normal.", "smurf"], quote_rate, space_rate))
+    if rng.random() < 0.5:
+        row[:0] = [_stream_cell(rng, STREAM_NUMBERS, quote_rate, space_rate),
+                   _stream_cell(rng, ["10.0.0.5", " 10.0.0.6 "], quote_rate, space_rate),
+                   _stream_cell(rng, ["192.168.1.10"], quote_rate, space_rate)]
+    return row
+
+
+@st.composite
+def stream_files(draw) -> str:
+    """Stream text: plain and prefixed rows, quoted and spaced cells, blank
+    lines, LF or CRLF line ends, and up to two defects; no quoted newline,
+    the one place where record and line numbers differ."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    quote_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    space_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rows = [_stream_row(rng, quote_rate, space_rate) for _ in range(draw(st.integers(0, 6)))]
+    defects = draw(st.lists(st.sampled_from(STREAM_DEFECTS), max_size=2)) if rows else []
+    for defect in sorted(defects, key=lambda d: d == "arity"):  # arity last
+        row = rng.choice(rows)
+        prefixed = len(row) > len(KDD_FEATURES) + 1
+        if defect == "arity":
+            size = rng.choice([1, 40, 43, 46])
+            row[:] = (row + ["0"] * size)[:size]
+        elif defect == "bad stamp":
+            if prefixed:
+                row[0] = rng.choice(["nan", "soon", ""])
+        else:
+            features = range(3, 3 + len(KDD_FEATURES)) if prefixed else range(len(KDD_FEATURES))
+            numeric = [i for i in features if KDD_FEATURES[i - features[0]][1] == NUMERIC]
+            row[rng.choice(numeric)] = defect
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = draw(st.sampled_from(["", "", " \t"]))
+    lines = []
+    for row in rows:
+        if rng.random() < 0.2:
+            lines.append(blank)
+        lines.append(",".join(row))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _stream_outcome(load, path: str, on_bad: str):
+    try:
+        return load(path, on_bad)
+    except DataError as exc:
+        return "DataError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_files(), st.sampled_from(["abort", "skip"]))
+def test_load_stream_equals_reference_loop(text, on_bad):
+    logger = logging.getLogger("hidpas.detection")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        warned: list[str] = []
+        expected = _stream_outcome(lambda p, b: reference_load_stream(p, b, warned), path, on_bad)
+        handler = _Collect()
+        logger.addHandler(handler)
+        try:
+            got = _stream_outcome(load_stream, path, on_bad)
+        finally:
+            logger.removeHandler(handler)
+    assert got == expected
+    assert handler.messages == warned
 
 
 def test_alert_csv_format(tmp_path, scenario_model):

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hidpas.core import Evidence
 from hidpas.features import DataError
 from hidpas.oracles import enumerate_marginal
 from hidpas.jtree import net_factors
 from hidpas.prediction import (
     ATTRIBUTE_FIELDS,
     EMPTY_STATE,
+    PRESENT,
     AlertRecord,
     HyperAlert,
     aggregate_alerts,
     build_transactions,
     classify_alert,
-    correlation_edges,
     load_alert_log,
     phase1_cluster_count,
     predict_attacks,
@@ -366,13 +367,23 @@ def test_evidence_relevance_on_dependent_pair(scenario_plan):
     assert p0 != p1
 
 
-# -- correlation edges ---------------------------------------------------------------------
+# -- plan edges ------------------------------------------------------------------------------
 
-def test_correlation_edges_match_enumeration(scenario_plan):
-    edges = correlation_edges(scenario_plan)
-    assert len(edges) == 1
-    src, dst, triple = edges[0]
-    assert (src, dst) == ("portsweep", "teardrop")
+def plan_edges(plan) -> list[tuple[str, str]]:
+    """Each (parent, child) edge of the learned plan, by hyper-alert name."""
+    return [(plan.hyper_names[parent], plan.hyper_names[child])
+            for child, parents in enumerate(plan.net.dag.parents) for parent in parents]
+
+
+def present_given_present(plan, parent: str, child: str) -> tuple[float, float, float]:
+    """N, P, Π of child present, given parent present."""
+    pid, cid = plan.var_of(parent), plan.var_of(child)
+    return plan.engine.query(Evidence({pid: PRESENT}), [cid])[cid].triple(PRESENT)
+
+
+def test_plan_edge_strength_matches_enumeration(scenario_plan):
+    assert plan_edges(scenario_plan) == [("portsweep", "teardrop")]
+    triple = present_given_present(scenario_plan, "portsweep", "teardrop")
     arities = [v.arity for v in scenario_plan.net.dag.variables]
     pid = scenario_plan.hyper_names.index("portsweep")
     tid = scenario_plan.hyper_names.index("teardrop")
@@ -381,7 +392,7 @@ def test_correlation_edges_match_enumeration(scenario_plan):
     assert triple[1] == pytest.approx(expected[1], abs=1e-12)
 
 
-def test_correlation_edges_deterministic_cooccurrence_strength():
+def test_plan_edge_deterministic_cooccurrence_strength():
     # B occurs exactly when A occurs, with zero smoothing the link is certain
     alerts = []
     for slot in (0, 2, 4):
@@ -390,17 +401,16 @@ def test_correlation_edges_deterministic_cooccurrence_strength():
     hypers = aggregate_alerts(alerts)
     tm = build_transactions(hypers, dt=60.0, start=0.0, span=300.0)
     plan = train_plan_model(tm, smoothing=0.0)
-    edges = correlation_edges(plan)
-    strengths = {(s, d): t for s, d, t in edges}
-    assert strengths[("A", "B")][1] == pytest.approx(1.0)
+    assert ("A", "B") in plan_edges(plan)
+    assert present_given_present(plan, "A", "B")[1] == pytest.approx(1.0)
 
 
-def test_correlation_isolated_node_contributes_nothing():
+def test_plan_isolated_node_has_no_edge():
     alerts = [alert(5, "A"), alert(65, "A"), alert(500, "B")]
     hypers = aggregate_alerts(alerts)
     tm = build_transactions(hypers, dt=60.0, start=0.0, span=120.0)
     plan = train_plan_model(tm)
-    assert correlation_edges(plan) == []
+    assert plan_edges(plan) == []
 
 
 # -- alert log loader ------------------------------------------------------------------------
@@ -424,6 +434,24 @@ def test_load_alert_log_names_the_line_of_a_bad_alert(tmp_path, row, message):
                     "1,ids1,a,b,c,d,scan\n" + row + "\n")
     with pytest.raises(DataError, match=f"alerts.csv:3: {message}"):
         load_alert_log(str(path))
+
+
+def test_load_alert_log_names_physical_line_after_quoted_newline(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                    '"1\n",ids1,a,b,c,d,scan\n'  # this record holds lines 2-3
+                    "2,ids1,a,b,c,d,scan\n"
+                    "abc,ids1,a,b,c,d,scan\n")
+    with pytest.raises(DataError, match=r"a\.csv:5: bad timestamp 'abc'"):
+        load_alert_log(str(path))
+
+
+def test_load_alert_log_header_is_the_first_non_blank_record(tmp_path):
+    path = tmp_path / "alerts.csv"
+    path.write_text("\n \t\n"
+                    "timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                    "1,ids1,a,b,c,d,scan\n")
+    assert load_alert_log(str(path)) == [AlertRecord(1.0, "ids1", "a", "b", "c", "d", "scan")]
 
 
 def test_load_alert_log_field_count(tmp_path):
