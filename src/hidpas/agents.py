@@ -19,8 +19,8 @@ from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
 from .core import DataError, finite_float, open_input
-from .jtree import ImpossibleEvidenceError
 from .model_io import load_classifier, load_detector, load_plan
+from .possibility import ImpossibleEvidenceError
 from .prediction import (
     SELECTIONS,
     AlertClassifierModel,

@@ -128,7 +128,7 @@ def run_command(argv: list[str]) -> int:
         "simulate": _cmd_simulate,
         "oracle-check": _cmd_oracle_check,
     }[args.command]
-    from .jtree import ImpossibleEvidenceError
+    from .possibility import ImpossibleEvidenceError
 
     try:
         return handler(args)

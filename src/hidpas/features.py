@@ -11,16 +11,17 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import methodcaller
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataError, Variable, bad_row, csv_records, finite_float, open_input
+from .core import NOT_TOKEN, DataError, Variable, bad_row, csv_records, finite_float, open_input
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
 
 UNKNOWN_STATE = "__unknown__"
+NONE_STATE = "__none__"  # second state of a column seen with one value
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
@@ -348,6 +349,22 @@ def select_features(ranking: FeatureRanking, k: int) -> list[str]:
     return [name for name, _ in ranking.entries[:k]] + [ranking.class_column]
 
 
+def category_states(column: str, values: Iterable[str]) -> tuple[str, ...]:
+    """A classifier's states for a categorical column: its sorted distinct
+    values, with NONE_STATE added to a single value so that every variable
+    has two states or more. A value that no model file can spell as a state
+    label (empty, or holding whitespace or a comma) is a DataError naming
+    the column."""
+    states = sorted(set(values))
+    bad = next((s for s in states if not s or NOT_TOKEN.search(s)), None)
+    if bad is not None:
+        raise DataError(f"column {column!r}: value {bad!r} is not a state label; "
+                        "it must be nonempty without spaces or commas")
+    if len(states) < 2:
+        states.append(NONE_STATE)
+    return tuple(states)
+
+
 def build_rules(table: RawTable, selected: Sequence[str]) -> TransformRules:
     """Freeze thresholds and category state lists from training data."""
     rules = TransformRules()
@@ -355,7 +372,7 @@ def build_rules(table: RawTable, selected: Sequence[str]) -> TransformRules:
         if table.kind(name) == NUMERIC:
             rules.means[name] = _mean_threshold(table.column(name), name)
         else:
-            rules.states[name] = tuple(sorted(set(table.column(name).tolist())))
+            rules.states[name] = category_states(name, table.column(name).tolist())
     return rules
 
 

@@ -12,10 +12,12 @@ semiring, so both semirings' trees of one net share it. Calibration takes
 an `evidence_matrix` and runs over a leading batch axis, one row per
 evidence set; a single query is the batch of one. It flags the rows with no
 mass and reads them out as zeros; raising on them, bounding a batch's memory
-and memoizing answers is left to `possibility.HybridPropagator`. A
-calibration told which variables will be read runs every collect message
-but only the distribute messages on the paths from each root down to those
-variables' read-out clusters.
+and memoizing answers is left to `possibility.HybridPropagator`.
+
+The plan holds two schedules: every component's collect messages, and
+every component's distribute messages. A root is calibrated once its
+collect pass ends, so a calibration whose targets are all read at roots
+runs the collect messages only; any other runs both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,11 +34,6 @@ from .core import BayesNet, Dag, Evidence
 
 SUM_PRODUCT = "sum-product"
 MAX_MIN = "max-min"
-
-
-class ImpossibleEvidenceError(RuntimeError):
-    """The asserted evidence has probability / possibility zero; raised by
-    `possibility.HybridPropagator.query`."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,8 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis once calibrated. A calibration pruned to a read set holds None
-    for the tables it left uncalibrated.
+    batch axis once calibrated. A collect-only calibration holds None for
+    every non-root cluster table and every separator table.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -314,28 +311,13 @@ SEMIRINGS = {
 
 class Message(NamedTuple):
     """One absorb step. The source table, reduced over `axes`, is the
-    separator message; reshaped to `shape` it broadcasts into the target.
-    A first message over an edge (collect phase) is absorbed as is: its
-    separator still holds ones, and dividing by one is exact."""
+    separator message; reshaped to `shape` it broadcasts into the target."""
 
     source: int
     target: int
     edge: int
     axes: tuple[int, ...]
     shape: tuple[int, ...]
-    first: bool
-
-
-class Schedule(NamedTuple):
-    """The messages of one calibration, and the clusters and separators
-    they leave calibrated."""
-
-    messages: tuple[Message, ...]
-    clusters: frozenset[int]
-    edges: frozenset[int]
-
-
-SCHEDULES_CACHED = 2 ** 8  # pruned schedules kept per plan; oldest dropped first
 
 
 @dataclass(frozen=True)
@@ -347,45 +329,19 @@ class Plan:
     shape here counts it: axis 0 is the evidence row.
     """
 
-    messages: tuple[Message, ...]  # per component: collect, then distribute
+    collect: tuple[Message, ...]  # every component's, leaves towards the root
+    distribute: tuple[Message, ...]  # every component's, the root outwards
     components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (clusters, root first; edges)
-    up: Mapping[int, int]  # each non-root cluster's neighbour towards its root
+    roots: frozenset[int]
     arity: np.ndarray  # per variable id, 0 for ids absent from the tree
     indicators: Mapping[int, np.ndarray]  # (arity + 1, arity): one-hot rows, then all ones
     holders: Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]]  # (cluster, mask shape)
     home: Mapping[int, int]  # read-out cluster: the lowest containing index
     entries: int  # cluster table entries per evidence row
-    schedules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def width(self) -> int:
         return len(self.arity)
-
-    def schedule(self, reads: frozenset[int] | None = None) -> Schedule:
-        """Every collect message, and the distribute messages that reach the
-        clusters in `reads` from their roots (all of them when None).
-
-        A root is calibrated once its collect phase ends, and a cluster once
-        its parent is and the parent's message has arrived, so the clusters
-        on those root paths, and every root, end calibrated exactly as in a
-        full calibration. Cached per read set.
-        """
-        cached = self.schedules.get(reads)
-        if cached is None:
-            keep = {clusters[0] for clusters, _ in self.components}
-            if reads is None:
-                keep.update(self.up)
-            for c in reads or ():
-                while c not in keep:
-                    keep.add(c)
-                    c = self.up[c]
-            messages = tuple(m for m in self.messages if m.first or m.target in keep)
-            cached = Schedule(messages, frozenset(keep),
-                              frozenset(m.edge for m in messages if not m.first))
-            if len(self.schedules) >= SCHEDULES_CACHED:
-                del self.schedules[next(iter(self.schedules))]
-            self.schedules[reads] = cached
-        return cached
 
 
 def _components_and_schedule(jt: JunctionTree):
@@ -420,25 +376,24 @@ def _components_and_schedule(jt: JunctionTree):
 
 
 def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
-    """Schedule, message axes and shapes, evidence holders and read-out
+    """Schedules, message axes and shapes, evidence holders and read-out
     clusters of a tree; scopes and separators must be sorted."""
 
-    def message(source: int, target: int, edge: int, first: bool) -> Message:
+    def message(source: int, target: int, edge: int) -> Message:
         sep = seps[edge]
         axes = tuple(1 + i for i, v in enumerate(jt.clusters[source]) if v not in sep)
         shape = (-1,) + tuple(arities[v] if v in sep else 1 for v in jt.clusters[target])
-        return Message(source, target, edge, axes, shape, first)
+        return Message(source, target, edge, axes, shape)
 
     seps = [frozenset(sep) for _, _, sep in jt.edges]
-    messages: list[Message] = []
+    collect: list[Message] = []
+    distribute: list[Message] = []
     components = []
-    up: dict[int, int] = {}
     for root, order in _components_and_schedule(jt):
-        messages += [message(node, par, edge, True) for node, par, edge in order]
-        messages += [message(par, node, edge, False) for node, par, edge in reversed(order)]
+        collect += [message(node, par, edge) for node, par, edge in order]
+        distribute += [message(par, node, edge) for node, par, edge in reversed(order)]
         components.append(((root,) + tuple(node for node, _, _ in order),
                            tuple(edge for _, _, edge in order)))
-        up.update((node, par) for node, par, _ in order)
 
     containing: dict[int, list[int]] = {}
     for i, scope in enumerate(jt.clusters):
@@ -457,9 +412,10 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
         indicators[size] = np.vstack([np.eye(size), np.ones((1, size))])
         indicators[size].setflags(write=False)
     return Plan(
-        messages=tuple(messages),
+        collect=tuple(collect),
+        distribute=tuple(distribute),
         components=tuple(components),
-        up=up,
+        roots=frozenset(clusters[0] for clusters, _ in components),
         arity=arity,
         indicators={v: indicators[arities[v]] for v in variables},
         holders=holders,
@@ -555,10 +511,12 @@ def _check_observed(plan: Plan, observed: np.ndarray) -> None:
             f"evidence state {observed[row, var]} out of range for variable {var}")
 
 
-def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
-    """Run a schedule over every component at once, one batch row per
-    evidence row. A table keeps batch length 1 until evidence or a message
-    varies it by row. Returns (cluster tables, separator tables, possible)."""
+def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
+    """Collect (and, if full, distribute) over every component at once, one
+    batch row per evidence row. A table keeps batch length 1 until evidence
+    or a message varies it by row. Components share no table, so running
+    every collect message before any distribute message is exact. Returns
+    (cluster tables, separator tables, possible)."""
     plan = jt.plan
     sr = SEMIRINGS[jt.semiring]
     tables = [t[np.newaxis] for t in jt.cluster_tables]
@@ -569,10 +527,15 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
         for cluster, shape in plan.holders[var]:
             tables[cluster] = tables[cluster] * mask.reshape(shape)
 
-    for source, target, edge, axes, shape, first in schedule.messages:
+    # a collect message is the first over its edge: the separator still
+    # holds ones, so it is absorbed as is (dividing by one is exact)
+    for source, target, edge, axes, shape in plan.collect:
         message = sr.marginalize.reduce(tables[source], axis=axes)
-        factor = message if first else sr.update(message, seps[edge])
-        tables[target] = sr.combine(tables[target], factor.reshape(shape))
+        tables[target] = sr.combine(tables[target], message.reshape(shape))
+        seps[edge] = message
+    for source, target, edge, axes, shape in plan.distribute if full else ():
+        message = sr.marginalize.reduce(tables[source], axis=axes)
+        tables[target] = sr.combine(tables[target], sr.update(message, seps[edge]).reshape(shape))
         seps[edge] = message
 
     possible = np.ones(len(observed), dtype=bool)
@@ -594,9 +557,9 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, schedule: Schedule):
             if not np.any(cap < 1.0):
                 continue
             cap = np.where(cap < 1.0, cap, np.inf)
-            for c in schedule.clusters.intersection(clusters):
+            for c in clusters if full else clusters[:1]:
                 tables[c] = np.minimum(tables[c], cap.reshape((-1,) + (1,) * (tables[c].ndim - 1)))
-            for e in schedule.edges.intersection(edges):
+            for e in edges if full else ():
                 seps[e] = np.minimum(seps[e], cap.reshape((-1,) + (1,) * (seps[e].ndim - 1)))
     return tables, seps, possible
 
@@ -611,29 +574,27 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
     row differs), and `possible` flags the rows with nonzero mass. Each row
     is bit-identical to the same evidence calibrated in a batch of its own.
 
-    Given targets, only the distribute messages towards the targets'
-    read-out clusters run; those clusters read out bit-identical to a full
-    calibration, and the clusters and separators left uncalibrated are None.
+    Given targets all read at roots, only the collect messages run: the
+    roots read out bit-identical to a full calibration, and every other
+    cluster table and every separator table is None.
     """
     if jt.plan is None:
         raise ValueError("potentials must be initialized before propagation")
     if jt.possible is not None:
         raise ValueError("tree is already calibrated")
     plan = jt.plan
-    reads = None
-    if targets is not None:
-        for var in targets:
-            if var not in plan.home:
-                raise ValueError(f"variable {var} is absent from the tree")
-        reads = frozenset(plan.home[var] for var in targets)
-    schedule = plan.schedule(reads)
+    full = targets is None
+    for var in () if full else targets:
+        if var not in plan.home:
+            raise ValueError(f"variable {var} is absent from the tree")
+        full = full or plan.home[var] not in plan.roots
     _check_observed(plan, observed)
-    tables, seps, possible = _calibrate(jt, observed, schedule)
+    tables, seps, possible = _calibrate(jt, observed, full)
     for t in tables + seps:
         t.setflags(write=False)
-    if reads is not None:
-        tables = [t if c in schedule.clusters else None for c, t in enumerate(tables)]
-        seps = [s if e in schedule.edges else None for e, s in enumerate(seps)]
+    if not full:
+        tables = [t if c in plan.roots else None for c, t in enumerate(tables)]
+        seps = [None] * len(seps)
     return replace(jt, cluster_tables=tuple(tables), separator_tables=tuple(seps),
                    possible=possible)
 

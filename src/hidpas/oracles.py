@@ -262,10 +262,12 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
 
 def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
                      max_tol: float = 1e-12) -> OracleReport:
-    """HybridPropagator.query_batch, the memoized and pruned path every
-    classifier and forecast takes, vs enumeration in both semirings. Each
-    forest net answers two calls drawn from three evidence rows, so rows
-    repeat within and across calls; impossible rows must come back None."""
+    """HybridPropagator.query_batch, the memoized path every classifier and
+    forecast takes, vs enumeration in both semirings. Each forest net answers
+    two calls drawn from three evidence rows, so rows repeat within and
+    across calls, then a call on all three rows whose targets are the
+    variables homed at a root, which the collect pass alone answers;
+    impossible rows must come back None."""
     rng = np.random.default_rng(seed)
     report = OracleReport("query-oracle")
     for _ in range(networks):
@@ -279,12 +281,15 @@ def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
         targets = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                     replace=False))
         engine = HybridPropagator(net)
-        for _ in range(2):
-            picks = rng.integers(0, len(pool), size=4).tolist()
-            answers = engine.query_batch([pool[i] for i in picks], targets)
+        plan = initialize_potentials(engine.structure, net_factors(net)).plan
+        calls = [(rng.integers(0, len(pool), size=4).tolist(), targets) for _ in range(2)]
+        calls.append((list(range(len(pool))),
+                      sorted(v for v, c in plan.home.items() if c in plan.roots)))
+        for picks, asked in calls:
+            answers = engine.query_batch([pool[i] for i in picks], asked)
             for i, got in zip(picks, answers):
                 evidence = dict(pool[i].assignments)
-                for var in targets:
+                for var in asked:
                     report.cases += 1
                     p = _joint_marginal(joints[SUM_PRODUCT], arities, evidence, var, SUM_PRODUCT)
                     pi = _joint_marginal(joints[MAX_MIN], arities, evidence, var, MAX_MIN)

@@ -20,7 +20,6 @@ from .core import BayesNet, Evidence
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
-    ImpossibleEvidenceError,
     JunctionTree,
     Potential,
     build_tree_for_net,
@@ -46,6 +45,11 @@ ENTRY_BUDGET = 2 ** 16
 # CPT entries `transformed_factors` transforms at once: the kernel holds a
 # few temporaries per entry, so they stay bounded whatever the net's size.
 TRANSFORM_BUDGET = 2 ** 13
+
+
+class ImpossibleEvidenceError(RuntimeError):
+    """The asserted evidence has probability / possibility zero; raised by
+    `HybridPropagator.query`."""
 
 
 def prob_to_poss(p: Sequence[float]) -> np.ndarray:

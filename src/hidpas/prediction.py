@@ -28,6 +28,7 @@ from .core import (
     csv_records,
     finite_float,
 )
+from .features import category_states
 from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
@@ -170,11 +171,9 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
             values = list(map(attrgetter(name), alerts))
             if "" in values:
                 values = [v or EMPTY_STATE for v in values]
-        observed = sorted(set(values))
-        if len(observed) < 2:
-            observed = observed + ["__none__"]  # keep arity >= 2 for degenerate data
-        variables.append(Variable(cid, name, tuple(observed)))
-        index = {s: i for i, s in enumerate(observed)}
+        states = category_states(name, values)
+        variables.append(Variable(cid, name, states))
+        index = {s: i for i, s in enumerate(states)}
         data[:, cid] = list(map(index.__getitem__, values))
     dataset = DiscreteDataset(tuple(variables), data)
 

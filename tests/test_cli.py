@@ -54,6 +54,30 @@ def test_learn_detector_bad_order_name(tmp_path, capsys):
     assert "not_a_column" in capsys.readouterr().err
 
 
+def test_learn_detector_rejects_a_bad_category_before_learning(tmp_path, capsys, monkeypatch):
+    """An empty service cell cannot be a state label: the run stops before
+    K2 with an error naming the column, and writes no model."""
+    lines = open(TRAIN, encoding="utf-8").read().splitlines()
+    for i in (0, 5):
+        fields = lines[i].split(",")
+        fields[2] = ""
+        lines[i] = ",".join(fields)
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def k2_search(*args):
+        raise AssertionError("K2 ran")
+
+    monkeypatch.setattr("hidpas.detection.k2_search", k2_search)
+    model = tmp_path / "m.bn"
+    rc = run_command(["learn-detector", "--data", str(data), "--out", str(model),
+                      "--top-k", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "column 'service': value '' is not a state label" in err
+    assert not model.exists()
+
+
 def test_detect_missing_model_names_path(capsys, tmp_path):
     out = tmp_path / "alerts.csv"
     rc = run_command(["detect", "--model", "/no/model.bn",

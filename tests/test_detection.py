@@ -28,12 +28,15 @@ from hidpas.detection import (
 )
 from hidpas.features import (
     KDD_FEATURES,
+    NONE_STATE,
     NUMERIC,
     DataError,
     RawTable,
     load_kdd,
     parse_connection_fields,
 )
+
+from hidpas.model_io import load_detector, save_detector
 
 from conftest import data_path
 
@@ -97,9 +100,33 @@ def test_single_class_table_degenerates():
     columns = tuple(labels if i == idx else c for i, c in enumerate(table.columns))
     single = RawTable(table.names, table.kinds, columns)
     model = train_detector(single, DetectorConfig(top_k=2))
+    assert model.class_states == ("normal", NONE_STATE)
     result = classify_connection(model, record_from_table(single, 0))
     assert result.label == "normal"
-    assert result.triple[1] == pytest.approx(1.0)
+    n = single.row_count  # Laplace smoothing over the two states
+    assert result.triple[1] == pytest.approx((n + 1) / (n + 2))
+
+
+@pytest.mark.parametrize("single_class", [False, True])
+def test_constant_columns_save_load_and_classify(tmp_path, single_class):
+    """Every categorical constant (and the class too, if single_class): each
+    selected variable still has two states, so the saved detector loads and
+    classifies every row as the trained one does, up to the file's rounding."""
+    table = toy_table()
+    constant = {"protocol_type"} | ({"attack_type"} if single_class else set())
+    columns = tuple(np.full(table.row_count, col[0], dtype=object) if name in constant else col
+                    for name, col in zip(table.names, table.columns))
+    table = RawTable(table.names, table.kinds, columns)
+    model = train_detector(table, DetectorConfig(top_k=3))
+    assert "protocol_type" in model.features
+    path = str(tmp_path / "det.bn")
+    save_detector(model, path)
+    loaded = load_detector(path)
+    records = [record_from_table(table, row) for row in range(table.row_count)]
+    for got, want in zip(classify_connections(loaded, records),
+                         classify_connections(model, records)):
+        assert (got.label, got.low_confidence) == (want.label, want.low_confidence)
+        assert got.marginal.probability == pytest.approx(want.marginal.probability, abs=1e-9)
 
 
 def test_model_has_top_k_plus_class_variables(scenario_model):

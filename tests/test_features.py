@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import os
 import random
+import re
 import tempfile
 import warnings
 
@@ -16,6 +17,7 @@ from hidpas.features import (
     CATEGORICAL,
     KDD_FEATURES,
     LABEL_COLUMN,
+    NONE_STATE,
     NUMERIC,
     UNKNOWN_STATE,
     DataError,
@@ -23,6 +25,7 @@ from hidpas.features import (
     RawTable,
     apply_label_granularity,
     build_rules,
+    category_states,
     gini_rank,
     load_kdd,
     parse_rules,
@@ -507,6 +510,15 @@ def test_transform_reuse_is_idempotent():
     first = to_discrete_dataset(table, rules, selected)
     second = to_discrete_dataset(table, rules, selected)
     np.testing.assert_array_equal(first.rows, second.rows)
+
+
+def test_category_states_are_sorted_tokens_two_or_more():
+    assert category_states("flag", ["SF", "REJ", "SF"]) == ("REJ", "SF")
+    assert category_states("land", ["0", "0"]) == ("0", NONE_STATE)
+    for bad in ("", "a b", "a,b", "a\tb"):
+        message = f"column 'flag': value {bad!r} is not a state label"
+        with pytest.raises(DataError, match=re.escape(message)):
+            category_states("flag", ["SF", bad])
 
 
 def test_rules_round_trip_reproduces_dataset(tmp_path):

@@ -9,7 +9,6 @@ from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
 from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
-    ImpossibleEvidenceError,
     Potential,
     UndirectedGraph,
     build_tree,
@@ -27,7 +26,7 @@ from hidpas.jtree import (
     query_marginal,
 )
 from hidpas.oracles import enumerate_marginal, forest_net, random_evidence, random_net
-from hidpas.possibility import HybridPropagator, transformed_factors
+from hidpas.possibility import HybridPropagator, ImpossibleEvidenceError, transformed_factors
 
 
 def calibrate(jt, evidence=None, targets=None):
@@ -379,25 +378,34 @@ def test_pruned_calibration_reads_out_as_the_full_one(seed, rows):
 
 
 def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
-    """A target homed at the root needs no distribute message; one homed
-    deeper needs those on its root path only. Schedules are cached."""
-    jt = initialize_potentials(build_tree_for_net(chain5_net),
-                               net_factors(chain5_net), SUM_PRODUCT)
-    plan = jt.plan
-    assert len(jt.edges) == 3
-    root_var = jt.clusters[0][0]
-    at_root = plan.schedule(frozenset({plan.home[root_var]}))
-    assert [m.first for m in at_root.messages] == [True] * 3
-    assert plan.schedule(frozenset({plan.home[root_var]})) is at_root
-    leaf = next(c for c in range(len(jt.clusters)) if c not in plan.up.values())
-    to_leaf = plan.schedule(frozenset({leaf}))
-    path, c = set(), leaf
-    while c != 0:  # the root of the chain's one component
-        path.add(c)
-        c = plan.up[c]
-    assert {m.target for m in to_leaf.messages if not m.first} == path
-    assert to_leaf.clusters == path | {0}
-    assert len(plan.schedule().messages) == 6
+    """A calibration whose targets are all homed at a root runs the collect
+    messages only and leaves every other table None; one target homed off
+    the root runs the full calibration and keeps every table."""
+    for semiring, factors in ((SUM_PRODUCT, net_factors(chain5_net)),
+                              (MAX_MIN, transformed_factors(chain5_net))):
+        jt = initialize_potentials(build_tree_for_net(chain5_net), factors, semiring)
+        plan = jt.plan
+        assert len(jt.edges) == 3 and plan.roots == {0}
+        assert len(plan.collect) == len(plan.distribute) == 3
+        assert ([(m.source, m.target) for m in plan.collect]
+                == [(m.target, m.source) for m in reversed(plan.distribute)])
+        observed = evidence_matrix(jt, [Evidence({4: 1}), Evidence()])
+        full = propagate(jt, observed)
+        at_root = [v for v in jt.clusters[0] if plan.home[v] == 0]
+        off_root = [v for v in range(5) if plan.home[v] != 0]
+        assert at_root and off_root
+
+        collected = propagate(jt, observed, at_root)
+        assert collected.separator_tables == (None,) * 3
+        assert all(t is None for t in collected.cluster_tables[1:])
+        assert np.array_equal(collected.cluster_tables[0], full.cluster_tables[0])
+        for var in at_root:
+            assert np.array_equal(query_marginal(collected, var), query_marginal(full, var))
+
+        calibrated = propagate(jt, observed, at_root + off_root[:1])
+        for got, want in zip(calibrated.cluster_tables + calibrated.separator_tables,
+                             full.cluster_tables + full.separator_tables):
+            assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="absent from the tree"):
         calibrate(jt, Evidence(), [7])
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
-from hidpas.jtree import ImpossibleEvidenceError
 from hidpas import possibility
 from hidpas.oracles import (
     direct_power_transform,
@@ -19,6 +18,7 @@ from hidpas.oracles import (
 )
 from hidpas.possibility import (
     HybridMarginal,
+    ImpossibleEvidenceError,
     HybridPropagator,
     necessity,
     prob_to_poss,

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hidpas import possibility
 from hidpas.core import Evidence
-from hidpas.features import DataError
+from hidpas.detection import DetectorConfig, classify_connections, load_stream, train_detector
+from hidpas.features import DataError, load_kdd
 from hidpas.oracles import enumerate_marginal
 from hidpas.jtree import net_factors
 from hidpas.prediction import (
@@ -130,6 +132,34 @@ def test_classifier_labels_training_alerts(scenario_hypers):
     for h in scenario_hypers:
         for a in h.members:
             assert classify_alert(model, a).label == h.name
+
+
+def test_classify_runs_the_collect_pass_only_where_the_class_is_read_at_a_root(
+        scenario_hypers, monkeypatch):
+    """The fixture alert classifier's class variable is homed at a root, so
+    each classification calibrates without a distribute pass and its trees
+    hold no separator. The fixture detector's (top 4 features) is homed off
+    the root, so each of its classifications runs the full calibration."""
+    classifier = train_alert_classifier(scenario_hypers)
+    detector = train_detector(load_kdd(data_path("scenario", "detector_train.csv")),
+                              DetectorConfig(top_k=4))
+    homed = [m.engine._prob.plan.home[m.class_var] in m.engine._prob.plan.roots
+             for m in (classifier, detector)]
+    assert homed == [True, False]
+    calibrated = []
+    propagate = possibility.propagate
+    monkeypatch.setattr(possibility, "propagate",
+                        lambda *args: calibrated.append(propagate(*args)) or calibrated[-1])
+    for h in scenario_hypers:
+        classify_alert(classifier, h.members[0])
+    assert len(calibrated) == 2 * len(scenario_hypers)
+    assert all(s is None for jt in calibrated for s in jt.separator_tables)
+    assert all(jt.edges for jt in calibrated)
+    calibrated.clear()
+    classify_connections(detector, load_stream(data_path("scenario", "host_a.csv")))
+    assert len(calibrated) == 2
+    assert all(t is not None for jt in calibrated
+               for t in jt.cluster_tables + jt.separator_tables)
 
 
 def test_classifier_single_hyper_degenerates():
@@ -331,7 +361,7 @@ def test_predict_unknown_hyper_rejected(scenario_plan):
 
 def test_predict_contradictory_evidence_unsmoothed_model():
     """Steps that never co-occurred have zero joint mass without smoothing."""
-    from hidpas.jtree import ImpossibleEvidenceError
+    from hidpas.possibility import ImpossibleEvidenceError
 
     alerts = []
     for slot, which in ((0, "A"), (1, "B"), (2, "A"), (3, "B"),
