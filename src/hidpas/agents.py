@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
@@ -191,7 +191,9 @@ def load_sim_config(path: str) -> SimulationConfig:
     """Flat key = value file; hosts are `host.<id> = <stream path>` lines.
 
     Recognized keys: detector_model, alert_classifier, plan_model, selection,
-    theta, seed. Paths are resolved relative to the config file's directory.
+    theta, tau, seed. Paths are resolved relative to the config file's
+    directory. An unknown key, a key given twice and a host with an empty id
+    are data errors naming the file and line.
     """
     import os
 
@@ -203,8 +205,9 @@ def load_sim_config(path: str) -> SimulationConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    known = {f.name for f in fields(SimulationConfig)} - {"hosts"}
     hosts: dict[str, str] = {}
-    values: dict[str, tuple[str, int]] = {}  # key -> (value, line)
+    values: dict[str, tuple[str, int]] = {}  # key -> (value, line), host keys too
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -213,10 +216,15 @@ def load_sim_config(path: str) -> SimulationConfig:
             raise DataError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in values:
+            raise DataError(f"{path}:{lineno}: {key} repeats line {values[key][1]}")
+        if key == "host.":
+            raise DataError(f"{path}:{lineno}: host without an id (host.<id> = <stream path>)")
         if key.startswith("host."):
             hosts[key[len("host."):]] = resolve(value)
-        else:
-            values[key] = (value, lineno)
+        elif key not in known:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = (value, lineno)
 
     missing = [k for k in ("detector_model", "alert_classifier", "plan_model")
                if k not in values]

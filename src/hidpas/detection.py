@@ -9,6 +9,7 @@ returned flagged low-confidence.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,10 +74,11 @@ class DetectionAlert:
     probability: float
     possibility: float
 
-    def csv_row(self) -> str:
-        return (f"{self.timestamp:.12g},{self.host},{self.src_ip},{self.dst_ip},"
-                f"{self.attack_type},{self.necessity:.12g},"
-                f"{self.probability:.12g},{self.possibility:.12g}")
+    def csv_row(self) -> tuple[str, ...]:
+        """The fields of this alert's row under ALERT_CSV_HEADER."""
+        return (f"{self.timestamp:.12g}", self.host, self.src_ip, self.dst_ip,
+                self.attack_type, f"{self.necessity:.12g}",
+                f"{self.probability:.12g}", f"{self.possibility:.12g}")
 
     def to_payload(self) -> dict:
         return {
@@ -267,7 +269,8 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
 
 
 def write_alerts_csv(alerts: Sequence[DetectionAlert], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ALERT_CSV_HEADER + "\n")
-        for alert in alerts:
-            fh.write(alert.csv_row() + "\n")
+    """One row per alert, quoted as csv quotes it (a host or address holding a comma)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ALERT_CSV_HEADER.split(","))
+        writer.writerows(alert.csv_row() for alert in alerts)

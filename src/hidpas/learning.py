@@ -176,43 +176,6 @@ def k2_local_log_score(stats: CountStatistics) -> float:
     return float(k2_log_scores(stats.counts[None], lgamma)[0])
 
 
-def _by_arity(arities: list[int], candidates: list[int]) -> dict[int, list[int]]:
-    """Positions in candidates, grouped by the candidate's arity."""
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(candidates):
-        groups.setdefault(arities[c], []).append(i)
-    return groups
-
-
-def _candidate_scores(columns: np.ndarray, arities: list[int], var: int, cfg: np.ndarray,
-                      q: int, candidates: list[int], lgamma: np.ndarray) -> np.ndarray:
-    """Scores of var's parents, encoded per row in cfg (q configurations),
-    plus each candidate as the last parent; aligned with candidates.
-
-    columns holds the data column by column. Candidates of one arity are
-    counted together by one np.bincount, each offset into its own table, in
-    chunks of at most ENTRY_BUDGET keys or table entries (at least one
-    candidate per chunk).
-    """
-    n_rows = columns.shape[1]
-    r = arities[var]
-    scores = np.empty(len(candidates))
-    for a, idx in _by_arity(arities, candidates).items():
-        span = q * a * r
-        size = min(len(idx), max(1, ENTRY_BUDGET // max(n_rows, q * a * (r + 1))))
-        # key of row n for the i-th candidate c of a chunk:
-        # i * span + (cfg[n] * a + columns[c, n]) * r + columns[var, n]
-        base = cfg * (a * r) + columns[var] + np.arange(0, size * span, span)[:, None]
-        for start in range(0, len(idx), size):
-            part = idx[start:start + size]
-            keys = np.multiply(columns[[candidates[i] for i in part]], r, dtype=np.int64)
-            keys += base[:len(part)]
-            counts = np.bincount(keys.ravel(), minlength=len(part) * span)
-            scores[part] = k2_log_scores(counts.reshape(len(part), q * a, r), lgamma)
-            del counts  # so that two count tables are never held at once
-    return scores
-
-
 def _one_hot(columns: np.ndarray, arities: list[int],
              order: Sequence[int]) -> tuple[np.ndarray | None, np.ndarray]:
     """The float32 one-hot matrix of the data, given column by column, for
@@ -296,6 +259,38 @@ def _product_tables(columns: np.ndarray, onehot: np.ndarray, first: np.ndarray,
                 len(part), q * a, r)
 
 
+def _bincount_tables(columns: np.ndarray, arities: np.ndarray, var: np.ndarray,
+                     parents: np.ndarray, owner: np.ndarray, cand: np.ndarray):
+    """The tables _product_tables yields, from one int64 parent configuration
+    code per data row and variable of var: the candidates of one arity a are
+    counted together by offset np.bincount calls, in chunks of at most
+    ENTRY_BUDGET keys or table entries (at least one candidate per chunk)."""
+    r = int(arities[var[0]])
+    q = int(np.prod(arities[parents[0]]))
+    cfg = np.zeros((len(var), columns.shape[1]), dtype=np.int64)
+    for p in parents.T:
+        cfg *= arities[p, None]
+        cfg += columns[p]
+    cand_arity = arities[cand]
+    # arities in first-seen order: in a set's order the heap grows to a higher peak
+    for a in dict.fromkeys(cand_arity.tolist()):
+        sel = np.flatnonzero(cand_arity == a)
+        span = q * a * r
+        size = max(1, ENTRY_BUDGET // max(columns.shape[1], q * a * (r + 1)))
+        # key of row n for the i-th pair (var[o], c) of a chunk:
+        # i * span + (cfg[o, n] * a + columns[c, n]) * r + columns[var[o], n]
+        base = cfg * (a * r) + columns[var]
+        for start in range(0, len(sel), size):
+            part = sel[start:start + size]
+            keys = np.multiply(columns[cand[part]], r, dtype=np.int64)
+            keys += base[owner[part]]
+            keys += np.arange(0, len(part) * span, span)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=len(part) * span)
+            del keys
+            yield part, counts.reshape(len(part), q * a, r)
+            del counts  # so that two count tables are never held at once
+
+
 def _product_chunks(searching: list[int], parents: list[list[int]], q: list[int],
                     arities: list[int], onehot: np.ndarray) -> list[list[int]]:
     """searching, in order position, cut into runs of variables of one arity
@@ -328,20 +323,19 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
 
     Each variable's search depends only on its own parents, so the search runs
     in rounds: round k scores the k-th parent of every variable still
-    searching. A variable's candidates are counted on one of two paths,
-    chosen from the input alone. The product path (_product_tables) counts
-    those of a run of variables at once with one float32 matrix product of
-    their stacked key indicators Z (q * r rows by n each) and a one-hot
-    matrix X (n by 1 + sum(a - 1)) built once per search; a variable takes
-    it when X, its own part of Z and its part of the product each hold at
-    most PRODUCT_BUDGET entries, and a run's Z holds no more than X
-    (_product_chunks). Counts are integers no larger than n, and
-    PRODUCT_BUDGET <= 2**24 bounds n, so float32 holds them exactly whatever
-    order BLAS sums in. Otherwise, as for wide-arity data where a dense
-    product costs more than it saves, the bincount path (_candidate_scores)
-    counts one variable's candidates with offset np.bincount calls. Both
-    give the same tables, and each variable takes its first maximum in id
-    order either way, so the paths agree bit for bit.
+    searching. A round is one loop over runs of variables: _candidate_pairs
+    lists a run's (variable, candidate) pairs, a counter yields their count
+    tables as count_statistics counts them, k2_log_scores scores them, and
+    each variable takes its first maximum in id order. The product counter
+    (_product_tables) counts a run with one float32 matrix product of the
+    stacked key indicators Z (q * r rows by n each) and a one-hot matrix X
+    (n by 1 + sum(a - 1)) built once per search. A variable takes it when X,
+    its own part of Z and its part of the product each hold at most
+    PRODUCT_BUDGET entries; runs are cut so that their Z holds no more than X
+    (_product_chunks). Counts are integers no larger than n, which
+    PRODUCT_BUDGET <= 2**24 bounds, so float32 holds them exactly in any BLAS
+    order. Every other variable is a run of one on the bincount counter
+    (_bincount_tables), which holds one int64 configuration code per row.
     """
     n = len(data.variables)
     if sorted(config.order) != list(range(n)):
@@ -368,33 +362,29 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     q = [1] * n  # parent configurations of each variable
     searching = list(config.order[1:]) if config.max_parents else []
     while searching:
+        fits = {v for v in searching if onehot is not None
+                and q[v] * arity_list[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET}
+        runs = _product_chunks([v for v in searching if v in fits], parents, q, arity_list,
+                               onehot) + [[v] for v in searching if v not in fits]
         best: dict[int, tuple[int, float]] = {}
-        product = [v for v in searching if onehot is not None
-                   and q[v] * arity_list[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET]
-        for chunk in _product_chunks(product, parents, q, arity_list, onehot):
-            var = np.array(chunk)
-            held = np.array([parents[v] for v in chunk], dtype=np.int64)
+        for run in runs:
+            var = np.array(run)
+            held = np.array([parents[v] for v in run], dtype=np.int64)
             owner, cand = _candidate_pairs(pos, var, held)
+            if run[0] in fits:
+                tables = _product_tables(columns, onehot, first, arities, var, held, owner, cand)
+            else:
+                tables = _bincount_tables(columns, arities, var, held, owner, cand)
             scores = np.empty(len(owner))
-            for part, tables in _product_tables(columns, onehot, first, arities, var, held,
-                                                owner, cand):
-                scores[part] = k2_log_scores(tables, lgamma)
+            for part, table in tables:
+                scores[part] = k2_log_scores(table, lgamma)
+                del table  # so that the next table is counted without this one
             # the first maximum of each variable: lowest id wins ties
-            starts = np.searchsorted(owner, np.arange(len(chunk)))
+            starts = np.searchsorted(owner, np.arange(len(run)))
             top = np.maximum.reduceat(scores, starts)
             hits = np.flatnonzero(scores == top[owner])
             winners = cand[hits[np.searchsorted(hits, starts)]]
-            best.update(zip(chunk, zip(winners.tolist(), top.tolist())))
-        for v in searching:
-            if v in best:
-                continue
-            candidates = sorted(set(config.order[:pos[v]]) - set(parents[v]))
-            cfg = np.zeros(n_rows, dtype=np.int64)
-            for p in parents[v]:
-                cfg = cfg * arities[p] + data.rows[:, p]
-            scores = _candidate_scores(columns, arity_list, v, cfg, q[v], candidates, lgamma)
-            i = int(np.argmax(scores))  # the first maximum: lowest id wins ties
-            best[v] = candidates[i], float(scores[i])
+            best.update(zip(run, zip(winners.tolist(), top.tolist())))
         still = []
         for v in searching:
             c, score = best[v]

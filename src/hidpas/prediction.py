@@ -62,11 +62,7 @@ class AlertRecord:
         if not self.sensor or not self.attack_type:
             raise ValueError("sensor and attack_type are required")
 
-    def attributes(self) -> tuple[str, ...]:
-        return _attributes(self)
 
-
-_attributes = attrgetter(*ATTRIBUTE_FIELDS)
 # phase-1 cluster key: the sensor, then the attributes
 _phase1_key = attrgetter("sensor", *ATTRIBUTE_FIELDS)
 

@@ -236,6 +236,10 @@ def test_sim_config_missing_keys_rejected(tmp_path):
     ("tau = nan", "bad tau 'nan'"),
     ("seed = 1.5", "bad seed '1.5'"),
     ("selection = maximum", "bad selection 'maximum' \\(expected one of max, threshold\\)"),
+    ("thetaa = 0.9", "unknown key 'thetaa'"),
+    ("plan_model = q.bn", "plan_model repeats line 3"),
+    ("host.a = y.csv", "host.a repeats line 4"),
+    ("host. = x.csv", "host without an id"),
 ])
 def test_sim_config_rejects_a_bad_value_with_its_line(tmp_path, line, message):
     conf = tmp_path / "bad.conf"

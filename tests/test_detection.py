@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hidpas import possibility
 from hidpas.core import Evidence, finite_float
 from hidpas.detection import (
+    ALERT_CSV_HEADER,
     ConnectionRecord,
     DetectorConfig,
     _record_evidence,
@@ -401,6 +402,21 @@ def test_alert_csv_format(tmp_path, scenario_model):
     lines = out.read_text().splitlines()
     assert lines[0] == "timestamp,host,src_ip,dst_ip,type,necessity,probability,possibility"
     assert lines[1].split(",")[4] == "portsweep"
+
+
+def test_alert_csv_quotes_fields_holding_a_comma_or_quote(tmp_path, scenario_model):
+    text = open(data_path("scenario", "host_c.csv"), encoding="utf-8").read()
+    stream = tmp_path / "host_c.csv"
+    stream.write_text(text.replace(",10.0.0.5,", ',"10.0.0.1,evil",'), encoding="utf-8")
+    alerts = detect_stream(scenario_model, load_stream(str(stream)), 'host,"c"')
+    assert [a.src_ip for a in alerts] == ["10.0.0.1,evil"]
+    out = tmp_path / "alerts.csv"
+    write_alerts_csv(alerts, str(out))
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [8] * len(rows)
+    assert rows == [ALERT_CSV_HEADER.split(",")] + [list(a.csv_row()) for a in alerts]
+    assert rows[1][1:3] == ['host,"c"', "10.0.0.1,evil"]
 
 
 def test_detect_stream_alerts_do_not_depend_on_chunking(scenario_model, monkeypatch):

@@ -346,19 +346,19 @@ def counting_paths(mp: pytest.MonkeyPatch) -> dict[str, int]:
     ("product", "bincount"), and the matrix products the product path makes
     ("products", one per run of variables)."""
     calls = {"product": 0, "bincount": 0, "products": 0}
-    product_tables, candidate_scores = learning._product_tables, learning._candidate_scores
+    product_tables, bincount_tables = learning._product_tables, learning._bincount_tables
 
     def products(columns, onehot, first, arities, var, *rest):
         calls["product"] += len(var)
         calls["products"] += 1
         return product_tables(columns, onehot, first, arities, var, *rest)
 
-    def bincounts(*args):
-        calls["bincount"] += 1
-        return candidate_scores(*args)
+    def bincounts(columns, arities, var, *rest):
+        calls["bincount"] += len(var)
+        return bincount_tables(columns, arities, var, *rest)
 
     mp.setattr(learning, "_product_tables", products)
-    mp.setattr(learning, "_candidate_scores", bincounts)
+    mp.setattr(learning, "_bincount_tables", bincounts)
     return calls
 
 
@@ -372,12 +372,20 @@ def search_inputs(data: DiscreteDataset, order: tuple[int, ...]):
     return columns, arity, onehot, first, pos
 
 
+def bincount_tables(columns, onehot, first, arities, *pairs):
+    """_bincount_tables called as _product_tables is."""
+    return learning._bincount_tables(columns, arities, *pairs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 150),
        st.lists(st.integers(2, 5), min_size=2, max_size=5), st.integers(0, 2),
-       st.integers(0, 2), st.sampled_from([ENTRY_BUDGET, 1, 7]))
-def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k, budget):
-    # every variable with k random earlier parents; runs as k2_search cuts them
+       st.integers(0, 2), st.sampled_from([ENTRY_BUDGET, 1, 7]),
+       st.sampled_from([learning._product_tables, bincount_tables]))
+def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k, budget,
+                                               counter):
+    # every variable with k random earlier parents; runs as the product path
+    # cuts them, and each counter yields count_statistics's table per pair
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
@@ -400,9 +408,8 @@ def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k,
         owner, cand = learning._candidate_pairs(pos, var, held)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learning, "ENTRY_BUDGET", budget)
-            for part, tables in learning._product_tables(columns, onehot, first,
-                                                         np.array(arity), var, held,
-                                                         owner, cand):
+            for part, tables in counter(columns, onehot, first, np.array(arity), var,
+                                        held, owner, cand):
                 for i, table in zip(part, tables):
                     v, c = run[owner[i]], int(cand[i])
                     assert pos[c] < pos[v] and c not in parents[v]
