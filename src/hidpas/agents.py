@@ -192,8 +192,8 @@ def load_sim_config(path: str) -> SimulationConfig:
 
     Recognized keys: detector_model, alert_classifier, plan_model, selection,
     theta, tau, seed. Paths are resolved relative to the config file's
-    directory. An unknown key, a key given twice and a host with an empty id
-    are data errors naming the file and line.
+    directory. An unknown key, a key given twice, a host with an empty id and
+    an empty value are data errors naming the file and line.
     """
     import os
 
@@ -220,10 +220,12 @@ def load_sim_config(path: str) -> SimulationConfig:
             raise DataError(f"{path}:{lineno}: {key} repeats line {values[key][1]}")
         if key == "host.":
             raise DataError(f"{path}:{lineno}: host without an id (host.<id> = <stream path>)")
+        if not key.startswith("host.") and key not in known:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        if not value:
+            raise DataError(f"{path}:{lineno}: {key} has no value")
         if key.startswith("host."):
             hosts[key[len("host."):]] = resolve(value)
-        elif key not in known:
-            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = (value, lineno)
 
     missing = [k for k in ("detector_model", "alert_classifier", "plan_model")

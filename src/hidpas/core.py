@@ -28,12 +28,14 @@ class DataError(ValueError):
 
 
 def open_input(path: str, mode: str = "r", **kwargs) -> IO:
-    """open(path, mode, **kwargs) for reading; a missing file is a DataError
-    naming the path."""
+    """open(path, mode, **kwargs) for reading; a path that cannot be opened
+    (missing, a directory, unreadable) is a DataError naming the path."""
     try:
         return open(path, mode, **kwargs)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:

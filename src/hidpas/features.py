@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import methodcaller
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,31 +72,25 @@ KDD_FEATURES: tuple[tuple[str, str], ...] = (
 LABEL_COLUMN = "attack_type"
 
 # Standard 5-way grouping of the KDD attack labels.
-_CATEGORY_OF = {
-    "normal": "normal",
-    "back": "dos", "land": "dos", "neptune": "dos", "pod": "dos",
-    "smurf": "dos", "teardrop": "dos", "apache2": "dos", "udpstorm": "dos",
-    "processtable": "dos", "mailbomb": "dos",
-    "ipsweep": "probe", "nmap": "probe", "portsweep": "probe",
-    "satan": "probe", "mscan": "probe", "saint": "probe",
-    "ftp_write": "r2l", "guess_passwd": "r2l", "imap": "r2l",
-    "multihop": "r2l", "phf": "r2l", "spy": "r2l", "warezclient": "r2l",
-    "warezmaster": "r2l", "sendmail": "r2l", "named": "r2l",
-    "snmpgetattack": "r2l", "snmpguess": "r2l", "xlock": "r2l",
-    "xsnoop": "r2l", "worm": "r2l",
-    "buffer_overflow": "u2r", "loadmodule": "u2r", "perl": "u2r",
-    "rootkit": "u2r", "httptunnel": "u2r", "ps": "u2r",
-    "sqlattack": "u2r", "xterm": "u2r",
-}
+_CATEGORY_OF = {label: category for category, labels in (
+    ("normal", "normal"),
+    ("dos", "back land neptune pod smurf teardrop apache2 udpstorm processtable mailbomb"),
+    ("probe", "ipsweep nmap portsweep satan mscan saint"),
+    ("r2l", "ftp_write guess_passwd imap multihop phf spy warezclient warezmaster sendmail "
+            "named snmpgetattack snmpguess xlock xsnoop worm"),
+    ("u2r", "buffer_overflow loadmodule perl rootkit httptunnel ps sqlattack xterm"),
+) for label in labels.split()}
 
 
 @dataclass(frozen=True)
 class RawTable:
-    """Rectangular named columns, each categorical (str) or numeric (float)."""
+    """Named columns, categorical (str) or numeric (float), and their encodings."""
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
+    encodings: dict[str, tuple[list[str], np.ndarray]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -118,6 +111,16 @@ class RawTable:
 
     def kind(self, name: str) -> str:
         return self.kinds[self.names.index(name)]
+
+    def encoding(self, name: str) -> tuple[list[str], np.ndarray]:
+        """The column's sorted distinct values (numbers as str), each row's index into them."""
+        if name not in self.encodings:
+            col = self.column(name)
+            cells = (col.astype(str) if self.kind(name) == NUMERIC else col).tolist()
+            book = _Codebook()
+            codes = np.fromiter(map(book.__getitem__, cells), dtype=np.intp, count=len(cells))
+            self.encodings[name] = _merge(list(book), codes)
+        return self.encodings[name]
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,14 @@ _NUMERIC_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k == NUMERIC]
 _CATEGORICAL_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k != NUMERIC]
 
 
+class _Codebook(dict):
+    """Cell -> code: a column's distinct cells, numbered as first seen."""
+
+    def __missing__(self, cell: str) -> int:
+        code = self[cell] = len(self)
+        return code
+
+
 def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     """Parse a KDD-format connection file (41 features + trailing label).
 
@@ -155,62 +166,41 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     whitespace. on_bad is 'abort' (raise DataError with the line number) or
     'skip' (log and drop the row).
 
-    A well-formed file is parsed in bulk by numpy's C reader: one
-    ``np.loadtxt`` call for the numeric columns and one for the categorical
-    ones, whose tokenizer splits and unquotes fields as ``csv.reader`` does.
-    With ``usecols``, ``loadtxt`` silently accepts a row with extra fields,
-    so arity is proven apart: it raises on a row with too few, and the file
-    must hold exactly 41 commas per row it returned. A file that fails a
-    check (a bad arity, a non-numeric or non-finite number, a line of
-    spaces) is read again by the csv row reader, the one place that names
-    the failing line or skips it.
+    A well-formed file is parsed by one ``np.loadtxt`` call into a float
+    matrix of numbers and, per categorical cell, its code in the column's
+    _Codebook; loadtxt unquotes as ``csv.reader`` does and rejects a row of
+    another field count than the first. A file failing a check (arity, a bad
+    or non-finite number, a line of spaces, no rows) is read again by the
+    csv row reader, the one place that names the failing line or skips it.
     """
     if on_bad not in ("abort", "skip"):
         raise ValueError("on_bad must be 'abort' or 'skip'")
-    columns = _load_kdd_bulk(path)
-    if columns is None:
-        columns = _load_kdd_rows(path, on_bad)
-    return RawTable(_KDD_NAMES, _KDD_KINDS, tuple(columns))
-
-
-def _loadtxt_columns(path: str, usecols: list[int], dtype) -> np.ndarray:
-    """The usecols of every row, one array row per column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                          quotechar='"', usecols=usecols, ndmin=2, unpack=True)
-
-
-def _load_kdd_bulk(path: str) -> list[np.ndarray] | None:
-    """load_kdd's columns of a well-formed file, or None to read it by rows."""
-    with open_input(path, "rb") as fh:
-        commas = np.count_nonzero(np.frombuffer(fh.read(), dtype=np.uint8) == ord(","))
-    if commas == 0:
-        return None
-    try:
-        numeric = _loadtxt_columns(path, _NUMERIC_COLUMNS, float)
-        categorical = _loadtxt_columns(path, _CATEGORICAL_COLUMNS, object)
-    except ValueError:
-        return None
-    # the label's usecol is the last field, so every row has at least 42;
-    # 41 commas per row then leaves none with more, nor a comma in a quote
-    rows = numeric.shape[1]
-    if (commas != (len(_KDD_NAMES) - 1) * rows or categorical.shape[1] != rows
-            or not np.isfinite(numeric).all()):
-        return None
-    columns: list = [None] * len(_KDD_NAMES)
-    for i, col in zip(_NUMERIC_COLUMNS, np.ascontiguousarray(numeric)):
-        columns[i] = col
-    for i, cells in zip(_CATEGORICAL_COLUMNS, categorical):
-        stripped = map(str.strip, cells)
+    books = [_Codebook() for _ in _CATEGORICAL_COLUMNS]
+    converters = {i: book.__getitem__ for i, book in zip(_CATEGORICAL_COLUMNS, books)}
+    with open_input(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                converters=converters, encoding="utf-8")  # str, not bytes
+        except (ValueError, UserWarning):
+            matrix = None
+    if matrix is None or matrix.shape[1] != len(_KDD_NAMES) or not np.isfinite(matrix).all():
+        matrix, books = _load_kdd_rows(path, on_bad)
+    columns = dict(zip(_NUMERIC_COLUMNS, matrix.T[_NUMERIC_COLUMNS]))
+    encodings = {}
+    cell_codes = matrix.T[_CATEGORICAL_COLUMNS].astype(np.intp)
+    for i, book, codes in zip(_CATEGORICAL_COLUMNS, books, cell_codes):
+        cells = [c.strip() for c in book]  # and the label loses its dot
         if _KDD_NAMES[i] == LABEL_COLUMN:
-            stripped = map(methodcaller("rstrip", "."), stripped)
-        columns[i] = np.fromiter(stripped, dtype=object, count=rows)
-    return columns
+            cells = [c.rstrip(".") for c in cells]
+        levels, codes = encodings[_KDD_NAMES[i]] = _merge(cells, codes)
+        columns[i] = np.array(levels, dtype=object)[codes]
+    return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)], encodings)
 
 
-def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
-    """load_kdd's columns read row by row, reporting or skipping bad rows:
-    every wrong arity first, then each row holding a bad number."""
+def _load_kdd_rows(path: str, on_bad: str) -> tuple[np.ndarray, list[_Codebook]]:
+    """load_kdd's matrix and codebooks read by rows, reporting or skipping
+    bad rows: every wrong arity first, then each row holding a bad number."""
     expected = len(_KDD_NAMES)
     records: list[tuple[int, list[str]]] = []
     skipped = 0
@@ -221,6 +211,7 @@ def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
         else:
             records.append((lineno, rec))
 
+    books = [_Codebook() for _ in _CATEGORICAL_COLUMNS]
     rows: list[list] = []
     for lineno, rec in records:
         try:
@@ -229,14 +220,14 @@ def _load_kdd_rows(path: str, on_bad: str) -> list[np.ndarray]:
             bad_row(path, lineno, exc, on_bad, log)
             skipped += 1
             continue
-        row.append(rec[-1].strip().rstrip("."))
+        row.append(rec[-1])
+        for i, book in zip(_CATEGORICAL_COLUMNS, books):
+            row[i] = book[row[i]]
         rows.append(row)
 
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
-    columns = list(zip(*rows)) if rows else [()] * expected
-    return [np.array(col, dtype=float if kind == NUMERIC else object)
-            for col, kind in zip(columns, _KDD_KINDS)]
+    return np.array(rows, dtype=float).reshape(-1, expected), books
 
 
 def parse_connection_fields(rec: Sequence[str]) -> list:
@@ -263,26 +254,24 @@ def parse_connection_fields(rec: Sequence[str]) -> list:
 def apply_label_granularity(table: RawTable, granularity: str,
                             class_column: str = LABEL_COLUMN) -> RawTable:
     """Map specific attack labels to their 5-way category, or keep them as is."""
-    if granularity == "attack":
-        return table
-    if granularity != "category":
+    if granularity not in ("category", "attack"):
         raise ValueError("granularity must be 'category' or 'attack'")
+    if granularity == "attack" or table.kind(class_column) == NUMERIC:
+        return table  # numbers name no attack
     idx = table.names.index(class_column)
-    labels = table.columns[idx].tolist()
-    mapped = np.fromiter(map(_CATEGORY_OF.get, labels, labels), dtype=object,
-                         count=len(labels))
-    columns = tuple(mapped if i == idx else c for i, c in enumerate(table.columns))
-    return RawTable(table.names, table.kinds, columns)
+    levels, codes = table.encoding(class_column)
+    levels, codes = _merge([_CATEGORY_OF.get(v, v) for v in levels], codes)
+    columns = tuple(np.array(levels, dtype=object)[codes] if i == idx else c
+                    for i, c in enumerate(table.columns))
+    return RawTable(table.names, table.kinds, columns,
+                    {**table.encodings, class_column: (levels, codes)})
 
 
-def _encode(col: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """A column of str: its distinct values, sorted, and each row's index
-    into them, by one dict lookup per row."""
-    values = col.tolist()
-    levels = sorted(set(values))
+def _merge(cells: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Cells indexed by codes -> their sorted distinct values, each code's index into them."""
+    levels = sorted(set(cells))
     index = {v: i for i, v in enumerate(levels)}
-    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                               count=len(values))
+    return levels, np.array([index[v] for v in cells], dtype=np.intp)[codes]
 
 
 def _gini_rows(counts: np.ndarray) -> np.ndarray:
@@ -296,31 +285,43 @@ def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
     """Rank features by Gini impurity gain of the class under their split.
 
     gain(F) = Gini(class) - sum_v (n_v / n) * Gini(class | F = v), values are
-    grouped by exact equality for both categorical and numeric columns. Each
-    feature's (value, class) table is one bincount; the sum over v runs in
-    sorted value order, term after term, so gains are bit-identical to the
-    per-value loop this replaced.
+    grouped by exact equality for both categorical and numeric columns. A
+    categorical feature's (value, class) table is a bincount of its
+    encoding, a numeric one's counts runs of equal values in its rows sorted
+    by class, then by value. The sum over v runs in sorted value order, so
+    gains are bit-identical to the per-value loop this replaced.
     """
     if class_column not in table.names:
         raise ValueError(f"no column named {class_column!r}")
-    # class labels compare as str, whatever the column's kind
-    classes, class_codes = _encode(table.column(class_column).astype(str))
-    n_classes = len(classes)
-    base = float(_gini_rows(np.bincount(class_codes, minlength=n_classes)[None, :])[0])
+    classes, class_codes = table.encoding(class_column)  # labels compare as str
+    n_classes, n_rows = len(classes), len(class_codes)
+    class_sizes = np.bincount(class_codes, minlength=n_classes)
+    base = float(_gini_rows(class_sizes[None, :])[0])
     if base == 0.0:
         log.warning("class column %s is constant; all gains are 0", class_column)
 
-    n_rows = len(class_codes)
+    by_class = np.argsort(class_codes, kind="stable")
+    class_ends = np.cumsum(class_sizes)
+    run_class = np.repeat(np.arange(n_classes), class_sizes)
     gains = []
     for pos, name in enumerate(table.names):
         if name == class_column:
             continue
-        col = table.columns[pos]
         if table.kinds[pos] == NUMERIC:
-            values, codes = np.unique(col, return_inverse=True)
+            grouped = table.columns[pos][by_class]
+            for start, end in zip(class_ends - class_sizes, class_ends):
+                grouped[start:end].sort()  # few runs: np.unique below sees few values
+            new_run = np.ones(n_rows, dtype=bool)
+            np.not_equal(grouped[1:], grouped[:-1], out=new_run[1:])
+            new_run[class_ends[:-1]] = True  # a run never spans two classes
+            starts = np.flatnonzero(new_run)
+            values, codes = np.unique(grouped[starts], return_inverse=True)
+            weights, class_of = np.diff(starts, append=n_rows), run_class[starts]
         else:
-            values, codes = _encode(col)
-        joint = np.bincount(codes * n_classes + class_codes,
+            values, codes = table.encoding(name)
+            weights, class_of = None, class_codes
+        # float counts from weights are exact integers, so the gains match
+        joint = np.bincount(codes * n_classes + class_of, weights=weights,
                             minlength=len(values) * n_classes).reshape(len(values), n_classes)
         terms = (joint.sum(axis=1) / n_rows) * _gini_rows(joint)
         weighted = np.add.accumulate(terms)[-1] if len(terms) else 0.0
@@ -372,7 +373,7 @@ def build_rules(table: RawTable, selected: Sequence[str]) -> TransformRules:
         if table.kind(name) == NUMERIC:
             rules.means[name] = _mean_threshold(table.column(name), name)
         else:
-            rules.states[name] = category_states(name, table.column(name).tolist())
+            rules.states[name] = category_states(name, table.encoding(name)[0])
     return rules
 
 
@@ -386,22 +387,21 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
     variables: list[Variable] = []
     code_columns: list[np.ndarray] = []
     for out_id, name in enumerate(selected):
-        kind = table.kind(name)
-        col = table.column(name)
-        if kind == NUMERIC:
+        if table.kind(name) == NUMERIC:
             if name not in rules.means:
                 raise ValueError(f"no discretization rule for numeric column {name!r}")
-            codes = (np.asarray(col, dtype=float) >= rules.means[name]).astype(np.int64)
+            codes = (np.asarray(table.column(name), dtype=float)
+                     >= rules.means[name]).astype(np.int64)
             states: tuple[str, ...] = ("v1", "v2")
         else:
             if name not in rules.states:
                 raise ValueError(f"no state map for categorical column {name!r}")
             states = rules.states[name]
             lookup = {s: i for i, s in enumerate(states)}
-            unknown = len(states)
-            codes = np.fromiter(map(lookup.get, col.tolist(), repeat(unknown)),
-                                dtype=np.int64, count=len(col))
-            if np.any(codes == unknown):
+            levels, level_codes = table.encoding(name)
+            codes = np.array([lookup.get(v, len(states)) for v in levels],
+                             dtype=np.int64)[level_codes]
+            if np.any(codes == len(states)):
                 states = states + (UNKNOWN_STATE,)
         variables.append(Variable(out_id, name, states))
         code_columns.append(codes)

@@ -240,6 +240,9 @@ def test_sim_config_missing_keys_rejected(tmp_path):
     ("plan_model = q.bn", "plan_model repeats line 3"),
     ("host.a = y.csv", "host.a repeats line 4"),
     ("host. = x.csv", "host without an id"),
+    ("host.b =", "host.b has no value"),
+    ("seed =", "seed has no value"),
+    ("thetaa =", "unknown key 'thetaa'"),
 ])
 def test_sim_config_rejects_a_bad_value_with_its_line(tmp_path, line, message):
     conf = tmp_path / "bad.conf"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 
+import pytest
 
 from hidpas.cli import run_command
 
@@ -229,3 +230,23 @@ def test_simulate_cli_writes_event_log(tmp_path, capsys):
                         "--log", str(log2)]) == 0
     assert log1.read_bytes() == log2.read_bytes()
     assert "1 alerts, 1 predictions" in capsys.readouterr().out
+
+
+def test_learn_detector_on_a_path_it_cannot_read_names_it(tmp_path, capsys):
+    not_a_dir = tmp_path / "file.csv"
+    not_a_dir.write_text("x\n")
+    for data in (tmp_path, not_a_dir / "train.csv"):
+        rc = run_command(["learn-detector", "--data", str(data),
+                          "--out", str(tmp_path / "det.bn")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {data}: cannot read (") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["detector_model", "host.a"])
+def test_simulate_rejects_an_empty_value_with_its_line(tmp_path, capsys, key):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(f"alert_classifier = c.bn\nplan_model = p.bn\n{key} =\n")
+    rc = run_command(["simulate", "--config", str(conf)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {conf}:3: {key} has no value\n"

@@ -299,12 +299,32 @@ def test_load_kdd_extra_fields_are_not_read_past(tmp_path, extra):
         load_kdd(str(path))
 
 
+@pytest.mark.parametrize("change", [-1, 1])
+def test_load_kdd_rejects_rows_that_all_have_another_arity(tmp_path, change):
+    # every row alike: loadtxt sees no field count change and returns them
+    rng = random.Random(4)
+    rows = [_kdd_row(rng) for _ in range(3)]
+    rows = [row[:-1] if change < 0 else row + ["0"] for row in rows]
+    path = tmp_path / "conn.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"conn\\.csv:1: expected 42 fields, got {42 + change}"):
+        load_kdd(str(path))
+    assert load_kdd(str(path), "skip").row_count == 0
+
+
 def test_label_granularity_mapping():
     table = load_kdd(data_path("scenario", "detector_train.csv"))
     mapped = apply_label_granularity(table, "category")
     assert set(mapped.column("attack_type")) == {"normal", "probe"}
     same = apply_label_granularity(table, "attack")
     assert set(same.column("attack_type")) == {"normal", "portsweep"}
+
+
+def test_label_granularity_keeps_a_numeric_class_column():
+    table = small_table(x=[1.0, 2.0, 3.0], cls=[0.0, 1.0, 1.0])
+    assert apply_label_granularity(table, "category", "cls") is table
+    with pytest.raises(ValueError, match="granularity must be"):
+        apply_label_granularity(table, "label", "cls")
 
 
 # -- gini ranking ------------------------------------------------------------------
@@ -425,6 +445,27 @@ def test_gini_rank_equals_reference_on_ties_and_constant_class():
     assert [g for _, g in gini_rank(constant, "cls").entries] == [0.0, 0.0]
 
 
+def test_gini_rank_equals_reference_on_views_signed_zeros_and_a_one_row_class():
+    rng = np.random.default_rng(3)
+    rows = 300
+    records = np.zeros(rows, dtype=[("a", float), ("tag", "U3"), ("b", float)])
+    records["a"] = rng.integers(0, 6, rows)
+    records["b"] = rng.random(rows).round(1)
+    records["b"][40] = 2.0
+    cls = rng.choice(["x", "y", "z"], rows).astype(object)
+    cls[17] = "lonely"  # a class of a single row
+    table = RawTable(("a", "b", "zeros", "cls"), (NUMERIC,) * 3 + (CATEGORICAL,),
+                     (records["a"], records["b"], rng.choice([0.0, -0.0, 1.0], rows), cls))
+    assert not records["a"].flags.contiguous
+    assert np.signbit(table.column("zeros")).any()
+    assert _exact(gini_rank(table, "cls")) == _exact(reference_gini_rank(table, "cls"))
+    # a numeric class column is read as str; class 2.0 is a single row
+    numeric_class = RawTable(("a", "zeros", "k"), (NUMERIC,) * 3,
+                             (records["a"], table.column("zeros"), records["b"]))
+    assert (_exact(gini_rank(numeric_class, "k"))
+            == _exact(reference_gini_rank(numeric_class, "k")))
+
+
 # -- discretization ------------------------------------------------------------------
 
 def _mean_split(values):
@@ -500,6 +541,38 @@ def test_unseen_category_maps_to_reserved_state():
     ds = to_discrete_dataset(new, rules, ["svc", "cls"])
     assert ds.variables[0].states == ("http", "smtp", UNKNOWN_STATE)
     assert ds.rows[:, 0].tolist() == [2, 0]
+
+
+def test_unseen_category_maps_to_reserved_state_through_the_shared_encoding():
+    train = small_table(svc=["http", "smtp", "http"], cls=["n", "a", "n"])
+    rules = build_rules(train, ["svc", "cls"])
+    new = small_table(svc=["ntp_u", "http", "ntp_u", "smtp"], cls=["n", "n", "a", "a"])
+    gini_rank(new, "cls")  # encodes every categorical column of new
+    encoded = dict(new.encodings)
+    assert encoded["svc"] == (["http", "ntp_u", "smtp"], pytest.approx([1, 0, 1, 2]))
+    ds = to_discrete_dataset(new, rules, ["svc", "cls"])
+    assert all(new.encodings[name] is encoded[name] for name in ("svc", "cls"))
+    assert ds.variables[0].states == ("http", "smtp", UNKNOWN_STATE)
+    assert ds.rows[:, 0].tolist() == [2, 0, 2, 1]
+    assert ds.variables[1].states == ("a", "n") and ds.rows[:, 1].tolist() == [1, 1, 0, 0]
+
+
+def test_load_kdd_encodes_each_categorical_column_once(monkeypatch):
+    table = apply_label_granularity(load_kdd(data_path("scenario", "detector_train.csv")),
+                                    "category")
+    categorical = [n for n, k in zip(table.names, table.kinds) if k == CATEGORICAL]
+    assert sorted(table.encodings) == sorted(categorical)
+    for name in categorical:
+        levels, codes = table.encodings[name]
+        assert levels == sorted(set(table.column(name).tolist()))
+        assert [levels[c] for c in codes] == table.column(name).tolist()
+
+    def no_encoding(*args):
+        raise AssertionError("a column was encoded again")
+
+    monkeypatch.setattr(features, "_Codebook", no_encoding)
+    rules = build_rules(table, select_features(gini_rank(table, LABEL_COLUMN), 40))
+    to_discrete_dataset(table, rules, categorical)
 
 
 def test_transform_reuse_is_idempotent():
