@@ -14,7 +14,6 @@ from .core import (
 from .learning import (
     CountStatistics,
     DiscreteDataset,
-    LearnConfig,
     count_statistics,
     fit_cpts,
     k2_local_log_score,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BayesNet", "Cpt", "Dag", "Evidence", "Variable",
     "joint_probability", "parent_configurations", "validate_network",
-    "CountStatistics", "DiscreteDataset", "LearnConfig",
+    "CountStatistics", "DiscreteDataset",
     "count_statistics", "fit_cpts", "k2_local_log_score", "k2_search",
     "HybridMarginal", "HybridPropagator",
     "necessity", "prob_to_poss",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .core import DataError, finite_float, open_input
+from .core import DataError, finite_float, open_input, open_output
 from .model_io import load_classifier, load_detector, load_plan
 from .possibility import ImpossibleEvidenceError
 from .prediction import (
@@ -139,7 +139,7 @@ class SimulationResult:
     reports: list[PredictionReport] = field(default_factory=list)
 
     def write_ndjson(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             for msg in self.event_log:
                 fh.write(msg.to_json() + "\n")
 

@@ -132,7 +132,7 @@ def run_command(argv: list[str]) -> int:
 
     try:
         return handler(args)
-    except (DataError, FileNotFoundError, ValueError, ImpossibleEvidenceError) as exc:
+    except (DataError, ValueError, ImpossibleEvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,15 @@ def open_input(path: str, mode: str = "r", **kwargs) -> IO:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
+def open_output(path: str, **kwargs) -> IO:
+    """open(path, "w", encoding="utf-8", **kwargs); a path that cannot be
+    written (a directory, a missing parent) is a DataError naming the path."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
 def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
     """Each non-blank csv record of a UTF-8 file, with the physical line it
     starts on (a quoted newline makes a record span lines)."""

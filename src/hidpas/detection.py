@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import BayesNet, DataError, bad_row, csv_records, finite_float
+from .core import BayesNet, DataError, bad_row, csv_records, finite_float, open_output
 from .features import (
     KDD_FEATURES,
     NUMERIC,
@@ -27,7 +27,7 @@ from .features import (
     select_features,
     to_discrete_dataset,
 )
-from .learning import LearnConfig, fit_cpts, k2_search
+from .learning import fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
 log = logging.getLogger(__name__)
@@ -166,10 +166,7 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
         order = (name_to_id[config.class_column],) + tuple(
             name_to_id[n] for n in selected if n != config.class_column
         )
-    learn = LearnConfig(order=order,
-                        max_parents=min(config.max_parents, len(selected) - 1),
-                        smoothing=config.smoothing)
-    dag = k2_search(dataset, learn)
+    dag = k2_search(dataset, order, config.max_parents)
     net = fit_cpts(dataset, dag, config.smoothing)
     return DetectorModel(
         features=tuple(n for n in selected if n != config.class_column),
@@ -270,7 +267,7 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
 
 def write_alerts_csv(alerts: Sequence[DetectionAlert], path: str) -> None:
     """One row per alert, quoted as csv quotes it (a host or address holding a comma)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ALERT_CSV_HEADER.split(","))
         writer.writerows(alert.csv_row() for alert in alerts)

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import NOT_TOKEN, DataError, Variable, bad_row, csv_records, finite_float, open_input
+from .core import (NOT_TOKEN, DataError, Variable, bad_row, csv_records, finite_float,
+                   open_input, open_output)
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
@@ -84,13 +85,12 @@ _CATEGORY_OF = {label: category for category, labels in (
 
 @dataclass(frozen=True)
 class RawTable:
-    """Named columns, categorical (str) or numeric (float), and their encodings."""
+    """Named columns: a numeric column is a float array, a categorical one
+    its encoding, (sorted distinct values, each row's index into them)."""
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
-    encodings: dict[str, tuple[list[str], np.ndarray]] = field(
-        default_factory=dict, compare=False, repr=False)
+    columns: tuple[np.ndarray | tuple[list[str], np.ndarray], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -98,29 +98,22 @@ class RawTable:
         object.__setattr__(self, "columns", tuple(self.columns))
         if len(set(self.names)) != len(self.names):
             raise ValueError("column names must be unique")
-        lengths = {len(c) for c in self.columns}
-        if len(lengths) > 1:
+        if len({_rows(k, c) for k, c in zip(self.kinds, self.columns)}) > 1:
             raise ValueError("columns have differing lengths")
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return _rows(self.kinds[0], self.columns[0]) if self.columns else 0
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray | tuple[list[str], np.ndarray]:
         return self.columns[self.names.index(name)]
 
     def kind(self, name: str) -> str:
         return self.kinds[self.names.index(name)]
 
-    def encoding(self, name: str) -> tuple[list[str], np.ndarray]:
-        """The column's sorted distinct values (numbers as str), each row's index into them."""
-        if name not in self.encodings:
-            col = self.column(name)
-            cells = (col.astype(str) if self.kind(name) == NUMERIC else col).tolist()
-            book = _Codebook()
-            codes = np.fromiter(map(book.__getitem__, cells), dtype=np.intp, count=len(cells))
-            self.encodings[name] = _merge(list(book), codes)
-        return self.encodings[name]
+
+def _rows(kind: str, column) -> int:
+    return len(column if kind == NUMERIC else column[1])
 
 
 @dataclass(frozen=True)
@@ -187,15 +180,13 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     if matrix is None or matrix.shape[1] != len(_KDD_NAMES) or not np.isfinite(matrix).all():
         matrix, books = _load_kdd_rows(path, on_bad)
     columns = dict(zip(_NUMERIC_COLUMNS, matrix.T[_NUMERIC_COLUMNS]))
-    encodings = {}
     cell_codes = matrix.T[_CATEGORICAL_COLUMNS].astype(np.intp)
     for i, book, codes in zip(_CATEGORICAL_COLUMNS, books, cell_codes):
         cells = [c.strip() for c in book]  # and the label loses its dot
         if _KDD_NAMES[i] == LABEL_COLUMN:
             cells = [c.rstrip(".") for c in cells]
-        levels, codes = encodings[_KDD_NAMES[i]] = _merge(cells, codes)
-        columns[i] = np.array(levels, dtype=object)[codes]
-    return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)], encodings)
+        columns[i] = encode(cells, codes)
+    return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)])
 
 
 def _load_kdd_rows(path: str, on_bad: str) -> tuple[np.ndarray, list[_Codebook]]:
@@ -258,20 +249,21 @@ def apply_label_granularity(table: RawTable, granularity: str,
         raise ValueError("granularity must be 'category' or 'attack'")
     if granularity == "attack" or table.kind(class_column) == NUMERIC:
         return table  # numbers name no attack
+    columns = list(table.columns)
     idx = table.names.index(class_column)
-    levels, codes = table.encoding(class_column)
-    levels, codes = _merge([_CATEGORY_OF.get(v, v) for v in levels], codes)
-    columns = tuple(np.array(levels, dtype=object)[codes] if i == idx else c
-                    for i, c in enumerate(table.columns))
-    return RawTable(table.names, table.kinds, columns,
-                    {**table.encodings, class_column: (levels, codes)})
+    levels, codes = columns[idx]
+    columns[idx] = encode([_CATEGORY_OF.get(v, v) for v in levels], codes)
+    return RawTable(table.names, table.kinds, columns)
 
 
-def _merge(cells: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
-    """Cells indexed by codes -> their sorted distinct values, each code's index into them."""
+def encode(cells: Sequence, codes: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+    """A categorical column's form in a RawTable: the sorted distinct cells and
+    each row's index into them, where row r holds cells[codes[r]] (cells[r]
+    without codes)."""
     levels = sorted(set(cells))
     index = {v: i for i, v in enumerate(levels)}
-    return levels, np.array([index[v] for v in cells], dtype=np.intp)[codes]
+    lookup = np.array([index[v] for v in cells], dtype=np.intp)
+    return levels, lookup if codes is None else lookup[codes]
 
 
 def _gini_rows(counts: np.ndarray) -> np.ndarray:
@@ -288,12 +280,15 @@ def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
     grouped by exact equality for both categorical and numeric columns. A
     categorical feature's (value, class) table is a bincount of its
     encoding, a numeric one's counts runs of equal values in its rows sorted
-    by class, then by value. The sum over v runs in sorted value order, so
-    gains are bit-identical to the per-value loop this replaced.
+    by class, then by value. A numeric class column is encoded as str. The
+    sum over v runs in sorted value order, so gains are bit-identical to the
+    per-value loop this replaced.
     """
     if class_column not in table.names:
         raise ValueError(f"no column named {class_column!r}")
-    classes, class_codes = table.encoding(class_column)  # labels compare as str
+    classes, class_codes = (encode(table.column(class_column).astype(str).tolist())
+                            if table.kind(class_column) == NUMERIC
+                            else table.column(class_column))
     n_classes, n_rows = len(classes), len(class_codes)
     class_sizes = np.bincount(class_codes, minlength=n_classes)
     base = float(_gini_rows(class_sizes[None, :])[0])
@@ -318,7 +313,7 @@ def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
             values, codes = np.unique(grouped[starts], return_inverse=True)
             weights, class_of = np.diff(starts, append=n_rows), run_class[starts]
         else:
-            values, codes = table.encoding(name)
+            values, codes = table.columns[pos]
             weights, class_of = None, class_codes
         # float counts from weights are exact integers, so the gains match
         joint = np.bincount(codes * n_classes + class_of, weights=weights,
@@ -373,7 +368,7 @@ def build_rules(table: RawTable, selected: Sequence[str]) -> TransformRules:
         if table.kind(name) == NUMERIC:
             rules.means[name] = _mean_threshold(table.column(name), name)
         else:
-            rules.states[name] = category_states(name, table.encoding(name)[0])
+            rules.states[name] = category_states(name, table.column(name)[0])
     return rules
 
 
@@ -398,7 +393,7 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
                 raise ValueError(f"no state map for categorical column {name!r}")
             states = rules.states[name]
             lookup = {s: i for i, s in enumerate(states)}
-            levels, level_codes = table.encoding(name)
+            levels, level_codes = table.column(name)
             codes = np.array([lookup.get(v, len(states)) for v in levels],
                              dtype=np.int64)[level_codes]
             if np.any(codes == len(states)):
@@ -411,7 +406,7 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
 
 
 def save_rules(rules: TransformRules, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(format_rules(rules))
 
 

@@ -37,26 +37,6 @@ MAX_MIN = "max-min"
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
-    nodes: tuple[int, ...]
-    adjacency: Mapping[int, frozenset[int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        adj = {n: frozenset(self.adjacency.get(n, ())) for n in self.nodes}
-        for n, nbrs in adj.items():
-            if n in nbrs:
-                raise ValueError(f"self-loop on node {n}")
-            for m in nbrs:
-                if n not in adj.get(m, frozenset()):
-                    raise ValueError(f"asymmetric edge {n}-{m}")
-        object.__setattr__(self, "adjacency", adj)
-
-    def neighbors(self, node: int) -> frozenset[int]:
-        return self.adjacency[node]
-
-
-@dataclass(frozen=True)
 class Potential:
     """Nonnegative table over an ordered variable scope, one axis per variable."""
 
@@ -104,10 +84,10 @@ class JunctionTree:
         return out
 
 
-def moralize(dag: Dag) -> UndirectedGraph:
-    """Drop edge directions and connect every pair of co-parents."""
-    nodes = tuple(v.id for v in dag.variables)
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
+def moralize(dag: Dag) -> dict[int, frozenset[int]]:
+    """Drop edge directions and connect every pair of co-parents: each
+    variable id's neighbours in the moral graph."""
+    adj: dict[int, set[int]] = {v.id: set() for v in dag.variables}
     for child, parents in enumerate(dag.parents):
         for p in parents:
             adj[p].add(child)
@@ -116,10 +96,10 @@ def moralize(dag: Dag) -> UndirectedGraph:
             for b in parents[i + 1:]:
                 adj[a].add(b)
                 adj[b].add(a)
-    return UndirectedGraph(nodes, {n: frozenset(s) for n, s in adj.items()})
+    return {n: frozenset(s) for n, s in adj.items()}
 
 
-def choose_order(graph: UndirectedGraph) -> list[int]:
+def choose_order(graph: Mapping[int, frozenset[int]]) -> list[int]:
     """Greedy min-fill elimination ordering: repeatedly eliminate the node
     whose removal adds the fewest fill edges, breaking ties by lowest id.
 
@@ -129,14 +109,14 @@ def choose_order(graph: UndirectedGraph) -> list[int]:
     of them lowers its fill by one. The next node is the least (fill, id)
     on a heap whose stale entries are skipped.
     """
-    adj = {n: set(graph.adjacency[n]) for n in graph.nodes}
+    adj = {n: set(nbrs) for n, nbrs in graph.items()}
 
     def fill(n: int) -> int:
         nbrs = adj[n]
         linked = sum(len(adj[a] & nbrs) for a in nbrs)  # each edge among them twice
         return (len(nbrs) * (len(nbrs) - 1) - linked) // 2
 
-    fills = {n: fill(n) for n in graph.nodes}
+    fills = {n: fill(n) for n in adj}
     heap = [(f, n) for n, f in fills.items()]
     heapq.heapify(heap)
     out: list[int] = []
@@ -168,7 +148,7 @@ def choose_order(graph: UndirectedGraph) -> list[int]:
 
 
 def elimination_clusters(
-    graph: UndirectedGraph, order: Sequence[int]
+    graph: Mapping[int, frozenset[int]], order: Sequence[int]
 ) -> list[frozenset[int]]:
     """Eliminate nodes in order, collecting {node} | neighbors clusters.
 
@@ -176,9 +156,9 @@ def elimination_clusters(
     so the produced clusters triangulate the graph. Clusters contained in an
     earlier cluster are dropped.
     """
-    if sorted(order) != sorted(graph.nodes):
+    if sorted(order) != sorted(graph):
         raise ValueError("order must be a permutation of the graph nodes")
-    adj = {n: set(graph.adjacency[n]) for n in graph.nodes}
+    adj = {n: set(nbrs) for n, nbrs in graph.items()}
     clusters: list[frozenset[int]] = []
     for x in order:
         nbrs = adj.pop(x)

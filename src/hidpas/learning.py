@@ -86,20 +86,6 @@ class CountStatistics:
         return int(self.counts.shape[1])
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    order: tuple[int, ...]
-    max_parents: int = 2
-    smoothing: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if self.max_parents < 0:
-            raise ValueError("max_parents must be >= 0")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-
-
 def count_statistics(
     data: DiscreteDataset, var: int, parents: Sequence[int]
 ) -> CountStatistics:
@@ -306,16 +292,17 @@ def _product_chunks(searching: list[int], parents: list[list[int]], q: list[int]
     return [run for runs in kinds.values() for run in runs]
 
 
-def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
+def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> Dag:
     """Greedy parent selection along a fixed variable ordering.
 
     For each variable, repeatedly add the single earlier-order candidate that
     most increases the local log score; stop when no candidate strictly
-    increases it or the parent budget is exhausted. Among candidates whose
-    scores are bit-equal the lowest variable id wins. Scores that are equal
-    only mathematically are not ties: a binary column and its complement
-    give the same count table with rows swapped, summed in another order,
-    so the last bit of rounding picks between them, whichever id is lower.
+    increases it or the variable holds min(max_parents, earlier variables)
+    parents. Among candidates whose scores are bit-equal the lowest
+    variable id wins. Scores that are equal only mathematically are not
+    ties: a binary column and its complement give the same count table with
+    rows swapped, summed in another order, so the last bit of rounding picks
+    between them, whichever id is lower.
 
     Every score is summed sequentially in row-major order (k2_log_scores), so
     it is bit-identical to k2_local_log_score on count_statistics's table for
@@ -338,10 +325,10 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     (_bincount_tables), which holds one int64 configuration code per row.
     """
     n = len(data.variables)
-    if sorted(config.order) != list(range(n)):
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the dataset column ids")
-    if config.max_parents >= n > 0:
-        raise ValueError("max_parents must be < variable count")
+    if max_parents < 0:
+        raise ValueError("max_parents must be >= 0")
 
     arity_list = [v.arity for v in data.variables]
     arities = np.array(arity_list, dtype=np.int64)
@@ -349,10 +336,10 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
     n_rows = data.row_count
     # column-major and in the smallest integer type, so gathering candidates is cheap
     columns = data.rows.T.astype(np.min_scalar_type(max_arity - 1))
-    onehot, first = _one_hot(columns, arity_list, config.order)
+    onehot, first = _one_hot(columns, arity_list, order)
     lgamma = lgamma_table(n_rows + max_arity + 1)
     pos = np.empty(n, dtype=np.int64)
-    pos[list(config.order)] = np.arange(n)
+    pos[list(order)] = np.arange(n)
     current = np.empty(n)  # each variable's score under its parents so far
     for a in set(arity_list):
         same = np.flatnonzero(arities == a)
@@ -360,7 +347,7 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
         current[same] = k2_log_scores(counts.reshape(len(same), 1, a), lgamma)
     parents: list[list[int]] = [[] for _ in range(n)]
     q = [1] * n  # parent configurations of each variable
-    searching = list(config.order[1:]) if config.max_parents else []
+    searching = list(order[1:]) if max_parents else []
     while searching:
         fits = {v for v in searching if onehot is not None
                 and q[v] * arity_list[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET}
@@ -392,7 +379,7 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
                 parents[v].append(c)
                 q[v] *= arity_list[c]
                 current[v] = score
-                if len(parents[v]) < min(config.max_parents, pos[v]):
+                if len(parents[v]) < min(max_parents, pos[v]):
                     still.append(v)
         searching = still
     return Dag(variables=data.variables, parents=tuple(tuple(p) for p in parents))
@@ -400,6 +387,8 @@ def k2_search(data: DiscreteDataset, config: LearnConfig) -> Dag:
 
 def fit_cpts(data: DiscreteDataset, dag: Dag, smoothing: float = 1.0) -> BayesNet:
     """Smoothed frequency CPTs: (N_jk + s) / (N_j + r*s), uniform when both 0."""
+    if smoothing < 0:
+        raise ValueError("smoothing must be >= 0")
     if tuple(v.name for v in dag.variables) != tuple(v.name for v in data.variables):
         raise ValueError("dag variables do not match dataset columns")
     cpts = []

@@ -26,6 +26,7 @@ from .core import (
     Variable,
     finite_float,
     open_input,
+    open_output,
     parent_configurations,
     validate_network,
 )
@@ -104,7 +105,7 @@ def _config_label(cfg: tuple[int, ...]) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text)
 
 

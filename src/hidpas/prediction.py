@@ -27,9 +27,10 @@ from .core import (
     bad_row,
     csv_records,
     finite_float,
+    open_output,
 )
 from .features import category_states
-from .learning import DiscreteDataset, LearnConfig, fit_cpts, k2_search
+from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import Classification, HybridPropagator, classify
 
 log = logging.getLogger(__name__)
@@ -175,10 +176,7 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
 
     class_id = len(columns) - 1
     order = (class_id,) + tuple(range(class_id))
-    config = LearnConfig(order=order,
-                         max_parents=min(max_parents, len(columns) - 1),
-                         smoothing=smoothing)
-    net = fit_cpts(dataset, k2_search(dataset, config), smoothing)
+    net = fit_cpts(dataset, k2_search(dataset, order, max_parents), smoothing)
     return AlertClassifierModel(net=net, class_var=class_id, tau=tau)
 
 
@@ -307,10 +305,7 @@ def train_plan_model(tm: TransactionMatrix, max_parents: int = 2,
     )
     dataset = DiscreteDataset(variables, tm.occurrence)
     order = tuple(sorted(range(len(tm.names)), key=lambda i: (tm.earliest[i], i)))
-    config = LearnConfig(order=order,
-                         max_parents=min(max_parents, max(0, len(tm.names) - 1)),
-                         smoothing=smoothing)
-    net = fit_cpts(dataset, k2_search(dataset, config), smoothing)
+    net = fit_cpts(dataset, k2_search(dataset, order, max_parents), smoothing)
     return PlanModel(net=net, hyper_names=tm.names, tau=tau)
 
 
@@ -435,7 +430,7 @@ def load_alert_log(path: str) -> list[AlertRecord]:
 
 def write_hyper_csv(hypers: Sequence[HyperAlert], path: str) -> None:
     """One row per hyper-alert, quoted as csv quotes it (a name holding a comma)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("id", "name", "size", "earliest"))
         writer.writerows((h.id, h.name, h.size, f"{h.earliest:.12g}") for h in hypers)

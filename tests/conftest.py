@@ -6,9 +6,25 @@ import numpy as np
 import pytest
 
 from hidpas.core import BayesNet, Cpt, Dag, Variable
+from hidpas.features import NUMERIC, RawTable, encode
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SCENARIO_DIR = os.path.join(DATA_DIR, "scenario")
+
+
+def raw_table(names, kinds, columns) -> RawTable:
+    """A RawTable from columns of one value per row."""
+    return RawTable(names, kinds, [c if k == NUMERIC else encode(list(c))
+                                   for k, c in zip(kinds, columns)])
+
+
+def cells(table: RawTable, name: str) -> np.ndarray:
+    """A RawTable column as one value per row."""
+    column = table.column(name)
+    if table.kind(name) == NUMERIC:
+        return column
+    levels, codes = column
+    return np.array(levels, dtype=object)[codes]
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, SCENARIO_DIR
+from conftest import DATA_DIR, SCENARIO_DIR, cells, raw_table
 
 TRAIN = os.path.join(SCENARIO_DIR, "detector_train.csv")
 HISTORY = os.path.join(SCENARIO_DIR, "alert_history.csv")
@@ -94,8 +94,8 @@ def _sample_chain(rng: np.random.Generator, n_rows: int) -> np.ndarray:
 
 def test_criterion_4_k2_score_and_chain_recovery():
     from hidpas.core import Variable
-    from hidpas.learning import (DiscreteDataset, LearnConfig, count_statistics,
-                                 k2_local_log_score, k2_search)
+    from hidpas.learning import (DiscreteDataset, count_statistics, k2_local_log_score,
+                                 k2_search)
     from hidpas.oracles import k2_score_by_factorials
 
     with criterion(4, "K2 score matches factorials; chain recovered in >= 19/20 seeds"):
@@ -120,7 +120,7 @@ def test_criterion_4_k2_score_and_chain_recovery():
         for seed in range(20):
             rows = _sample_chain(np.random.default_rng(1000 + seed), 5000)
             data = DiscreteDataset(chain_vars, rows)
-            dag = k2_search(data, LearnConfig(order=(0, 1, 2), max_parents=2))
+            dag = k2_search(data, (0, 1, 2), 2)
             if dag.parents == ((), (0,), (1,)):
                 recovered += 1
         print(f"\nchain recovery: {recovered}/20 seeds", file=sys.stderr)
@@ -280,27 +280,27 @@ def test_criterion_8_kdd_sample_accuracy_if_supplied():
 
         from hidpas.detection import (ConnectionRecord, DetectorConfig,
                                       classify_connection, train_detector)
-        from hidpas.features import RawTable, apply_label_granularity, load_kdd
+        from hidpas.features import apply_label_granularity, load_kdd
 
         start = time.perf_counter()
         table = apply_label_granularity(load_kdd(path, on_bad="skip"), "category")
         rng = np.random.default_rng(0)
         held_out = rng.random(table.row_count) < 0.2
-        train_table = RawTable(table.names, table.kinds,
-                               tuple(c[~held_out] for c in table.columns))
+        columns = [cells(table, name) for name in table.names]
+        train_table = raw_table(table.names, table.kinds, [c[~held_out] for c in columns])
         model = train_detector(train_table, DetectorConfig(top_k=9))
 
         eval_idx = np.flatnonzero(held_out)
         if len(eval_idx) > 20000:
             eval_idx = rng.choice(eval_idx, size=20000, replace=False)
-        labels = table.column("attack_type")
+        labels = cells(table, "attack_type")
         correct = {"normal": 0, "dos": 0}
         total = {"normal": 0, "dos": 0}
         for i in eval_idx:
             truth = labels[i]
             if truth not in total:
                 continue
-            record = ConnectionRecord(tuple(table.columns[j][i] for j in range(41)))
+            record = ConnectionRecord(tuple(c[i] for c in columns[:41]))
             total[truth] += 1
             if classify_connection(model, record).label == truth:
                 correct[truth] += 1

@@ -207,21 +207,28 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_simulate_cli_writes_event_log(tmp_path, capsys):
-    model = tmp_path / "det.bn"
-    plan = tmp_path / "plan.bn"
-    clf = tmp_path / "clf.bn"
-    run_command(["learn-detector", "--data", TRAIN, "--out", str(model),
-                 "--top-k", "4", "--label-granularity", "attack", "--no-timestamp"])
-    run_command(["learn-plan", "--alerts", HISTORY, "--out", str(plan),
-                 "--classifier-out", str(clf), "--slot", "60", "--no-timestamp"])
-    conf = tmp_path / "sim.conf"
+@pytest.fixture(scope="module")
+def sim_conf(tmp_path_factory):
+    """A simulation config over a detector (det.bn beside it), plan and
+    classifier trained on the scenario."""
+    tmp = tmp_path_factory.mktemp("models")
+    model, plan, clf = tmp / "det.bn", tmp / "plan.bn", tmp / "clf.bn"
+    assert run_command(["learn-detector", "--data", TRAIN, "--out", str(model),
+                        "--top-k", "4", "--label-granularity", "attack", "--no-timestamp"]) == 0
+    assert run_command(["learn-plan", "--alerts", HISTORY, "--out", str(plan),
+                        "--classifier-out", str(clf), "--slot", "60", "--no-timestamp"]) == 0
+    conf = tmp / "sim.conf"
     conf.write_text(
         f"detector_model = {model}\nalert_classifier = {clf}\n"
         f"plan_model = {plan}\ntau = 0.7\n"
         f"host.host-a = {os.path.join(SCENARIO_DIR, 'host_a.csv')}\n"
         f"host.host-c = {os.path.join(SCENARIO_DIR, 'host_c.csv')}\n"
     )
+    return conf
+
+
+def test_simulate_cli_writes_event_log(tmp_path, capsys, sim_conf):
+    conf = sim_conf
     log1 = tmp_path / "e1.ndjson"
     log2 = tmp_path / "e2.ndjson"
     assert run_command(["simulate", "--config", str(conf), "--seed", "42",
@@ -250,3 +257,23 @@ def test_simulate_rejects_an_empty_value_with_its_line(tmp_path, capsys, key):
     rc = run_command(["simulate", "--config", str(conf)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {conf}:3: {key} has no value\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn-detector", "--data", TRAIN, "--out", "{out}", "--top-k", "2"],
+    ["learn-detector", "--data", TRAIN, "--out", "{tmp}/det.bn", "--top-k", "2",
+     "--rules", "{out}"],
+    ["detect", "--model", "{models}/det.bn", "--data", os.path.join(SCENARIO_DIR, "host_c.csv"),
+     "--host", "h", "--alerts-out", "{out}"],
+    ["aggregate", "--alerts", SYNTH, "--out", "{out}"],
+    ["simulate", "--config", "{models}/sim.conf", "--log", "{out}"],
+], ids=["model", "rules", "alerts", "hyper-alerts", "event-log"])
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
+def test_an_output_path_it_cannot_write_is_named(tmp_path, capsys, sim_conf, argv, missing):
+    out = tmp_path / "no" / "out" if missing else tmp_path
+    fields = {"out": out, "tmp": tmp_path, "models": sim_conf.parent}
+    rc = run_command([arg.format(**fields) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert err == f"error: {out}: cannot write ({reason})\n"

@@ -39,7 +39,7 @@ from hidpas.features import (
 
 from hidpas.model_io import load_detector, save_detector
 
-from conftest import data_path
+from conftest import cells, data_path, raw_table
 
 
 def toy_table(n_per_class: int = 12) -> RawTable:
@@ -60,11 +60,11 @@ def toy_table(n_per_class: int = 12) -> RawTable:
         else:
             columns.append(np.array([defaults["categorical"]] * 2 * n_per_class,
                                     dtype=object))
-    return RawTable(tuple(names), tuple(kinds), tuple(columns))
+    return raw_table(tuple(names), tuple(kinds), tuple(columns))
 
 
 def record_from_table(table: RawTable, row: int, **meta) -> ConnectionRecord:
-    values = tuple(table.columns[i][row] for i in range(41))
+    values = tuple(cells(table, name)[row] for name in table.names[:41])
     return ConnectionRecord(values, **meta)
 
 
@@ -89,7 +89,7 @@ def test_deterministic_class_forces_edge_and_perfect_training_fit(deterministic_
     assert linked
     for row in range(table.row_count):
         result = classify_connection(model, record_from_table(table, row))
-        assert result.label == table.column("attack_type")[row]
+        assert result.label == cells(table, "attack_type")[row]
         assert result.triple[1] == pytest.approx(1.0)
         assert result.marginal.gap(result.state) == pytest.approx(0.0)
 
@@ -97,9 +97,8 @@ def test_deterministic_class_forces_edge_and_perfect_training_fit(deterministic_
 def test_single_class_table_degenerates():
     table = toy_table()
     labels = np.array(["normal"] * table.row_count, dtype=object)
-    idx = table.names.index("attack_type")
-    columns = tuple(labels if i == idx else c for i, c in enumerate(table.columns))
-    single = RawTable(table.names, table.kinds, columns)
+    columns = [labels if name == "attack_type" else cells(table, name) for name in table.names]
+    single = raw_table(table.names, table.kinds, columns)
     model = train_detector(single, DetectorConfig(top_k=2))
     assert model.class_states == ("normal", NONE_STATE)
     result = classify_connection(model, record_from_table(single, 0))
@@ -115,9 +114,10 @@ def test_constant_columns_save_load_and_classify(tmp_path, single_class):
     classifies every row as the trained one does, up to the file's rounding."""
     table = toy_table()
     constant = {"protocol_type"} | ({"attack_type"} if single_class else set())
-    columns = tuple(np.full(table.row_count, col[0], dtype=object) if name in constant else col
-                    for name, col in zip(table.names, table.columns))
-    table = RawTable(table.names, table.kinds, columns)
+    columns = [cells(table, name) for name in table.names]
+    columns = [np.full(table.row_count, col[0], dtype=object) if name in constant else col
+               for name, col in zip(table.names, columns)]
+    table = raw_table(table.names, table.kinds, columns)
     model = train_detector(table, DetectorConfig(top_k=3))
     assert "protocol_type" in model.features
     path = str(tmp_path / "det.bn")

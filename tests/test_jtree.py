@@ -10,7 +10,6 @@ from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
     Potential,
-    UndirectedGraph,
     build_tree,
     build_tree_for_net,
     choose_order,
@@ -34,25 +33,25 @@ def calibrate(jt, evidence=None, targets=None):
     return propagate(jt, evidence_matrix(jt, [evidence]), targets)
 
 
-def graph(nodes, edges) -> UndirectedGraph:
+def graph(nodes, edges) -> dict:
     adj = {n: set() for n in nodes}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    return UndirectedGraph(tuple(nodes), {n: frozenset(s) for n, s in adj.items()})
+    return {n: frozenset(s) for n, s in adj.items()}
 
 
 # -- moralization --------------------------------------------------------------
 
 def test_moralize_marries_co_parents(collider_net):
     g = moralize(collider_net.dag)
-    assert g.neighbors(0) == frozenset({1, 2})
-    assert g.neighbors(1) == frozenset({0, 2})
+    assert g[0] == frozenset({1, 2})
+    assert g[1] == frozenset({0, 2})
 
 
 def test_moralize_chain_adds_nothing(chain5_net):
     g = moralize(chain5_net.dag)
-    edges = {frozenset((a, b)) for a in g.nodes for b in g.neighbors(a)}
+    edges = {frozenset((a, b)) for a in g for b in g[a]}
     assert edges == {frozenset((i, i + 1)) for i in range(4)}
 
 
@@ -61,7 +60,7 @@ def test_moralize_edgeless():
 
     dag = Dag((Variable(0, "a", ("0", "1")), Variable(1, "b", ("0", "1"))), ((), ()))
     g = moralize(dag)
-    assert g.neighbors(0) == frozenset() and g.neighbors(1) == frozenset()
+    assert g == {0: frozenset(), 1: frozenset()}
 
 
 # -- ordering -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hidpas.learning import (
     PRODUCT_BUDGET,
     SCORE_EPS,
     DiscreteDataset,
-    LearnConfig,
     count_statistics,
     fit_cpts,
     k2_local_log_score,
@@ -115,18 +114,18 @@ def test_log_score_matches_factorial_evaluation(xs, with_parent):
 
 
 def test_k2_search_adds_informative_edge(px_data):
-    dag = k2_search(px_data, LearnConfig(order=(0, 1), max_parents=1))
+    dag = k2_search(px_data, (0, 1), 1)
     assert dag.parents == ((), (0,))
 
 
 def test_k2_search_empty_data_yields_no_edges():
     empty = dataset(["a", "b", "c"], np.zeros((0, 3)))
-    dag = k2_search(empty, LearnConfig(order=(0, 1, 2), max_parents=2))
+    dag = k2_search(empty, (0, 1, 2), 2)
     assert all(p == () for p in dag.parents)
 
 
 def test_k2_search_zero_budget_yields_no_edges(px_data):
-    dag = k2_search(px_data, LearnConfig(order=(0, 1), max_parents=0))
+    dag = k2_search(px_data, (0, 1), 0)
     assert all(p == () for p in dag.parents)
 
 
@@ -135,7 +134,7 @@ def test_k2_search_respects_order():
     a = rng.integers(0, 2, 200)
     b = (a ^ (rng.random(200) < 0.05)).astype(int)
     data = dataset(["A", "B"], np.stack([a, b], axis=1))
-    dag = k2_search(data, LearnConfig(order=(1, 0), max_parents=1))
+    dag = k2_search(data, (1, 0), 1)
     # B precedes A in the order, so only A may gain a parent
     assert dag.parents[1] == ()
 
@@ -144,24 +143,44 @@ def test_k2_search_duplicate_column_tie_not_added():
     rng = np.random.default_rng(7)
     a = rng.integers(0, 2, 100)
     data = dataset(["A", "A2", "X"], np.stack([a, a.copy(), a ^ 1], axis=1))
-    dag = k2_search(data, LearnConfig(order=(0, 1, 2), max_parents=2))
+    dag = k2_search(data, (0, 1, 2), 2)
     # once A is a parent of X, its duplicate leaves counts unchanged and ties
     assert dag.parents[2] == (0,)
 
 
 def test_k2_search_invalid_order_rejected(px_data):
     with pytest.raises(ValueError):
-        k2_search(px_data, LearnConfig(order=(0, 0), max_parents=1))
+        k2_search(px_data, (0, 0), 1)
+
+
+def test_k2_search_budget_beyond_the_variable_count_is_the_full_budget():
+    # each variable's cap is min(max_parents, its earlier variables)
+    rng = np.random.default_rng(9)
+    data = mixed_dataset(rng, 200, [2, 3, 2], copies=1)
+    n = len(data.variables)
+    order = tuple(int(i) for i in rng.permutation(n))
+    full = k2_search(data, order, n - 1).parents
+    assert max(map(len, full)) >= 2
+    for max_parents in (n, n + 5):
+        assert k2_search(data, order, max_parents).parents == full
+    with pytest.raises(ValueError, match="max_parents must be >= 0"):
+        k2_search(data, order, -1)  # would act as a budget of 1
+
+
+def test_fit_cpts_rejects_negative_smoothing(px_data):
+    dag = k2_search(px_data, (0, 1), 1)
+    with pytest.raises(ValueError, match="smoothing must be >= 0"):
+        fit_cpts(px_data, dag, smoothing=-0.5)
 
 
 def test_fit_cpts_frequencies_without_smoothing(px_data):
-    dag = k2_search(px_data, LearnConfig(order=(1, 0), max_parents=0))
+    dag = k2_search(px_data, (1, 0), 0)
     net = fit_cpts(px_data, dag, smoothing=0.0)
     np.testing.assert_allclose(net.cpts[1].table, [[2 / 3, 1 / 3]])
 
 
 def test_fit_cpts_add_one_smoothing(px_data):
-    dag = k2_search(px_data, LearnConfig(order=(1, 0), max_parents=0))
+    dag = k2_search(px_data, (1, 0), 0)
     net = fit_cpts(px_data, dag, smoothing=1.0)
     np.testing.assert_allclose(net.cpts[1].table, [[0.6, 0.4]])
 
@@ -179,12 +198,12 @@ def test_fit_cpts_unseen_configuration_uniform():
 
 
 def test_fit_cpts_output_validates(px_data, chain5_net):
-    dag = k2_search(px_data, LearnConfig(order=(0, 1), max_parents=1))
+    dag = k2_search(px_data, (0, 1), 1)
     assert validate_network(fit_cpts(px_data, dag, smoothing=1.0)) == []
 
 
 def test_fit_cpts_rows_sum_to_one(px_data):
-    dag = k2_search(px_data, LearnConfig(order=(0, 1), max_parents=1))
+    dag = k2_search(px_data, (0, 1), 1)
     net = fit_cpts(px_data, dag, smoothing=0.5)
     for cpt in net.cpts:
         np.testing.assert_allclose(cpt.table.sum(axis=1), 1.0, atol=1e-12)
@@ -208,14 +227,14 @@ def reference_score(counts: np.ndarray) -> float:
     return score
 
 
-def reference_k2_search(data: DiscreteDataset, config: LearnConfig) -> tuple:
+def reference_k2_search(data: DiscreteDataset, order, max_parents: int) -> tuple:
     """Greedy K2 scoring one count_statistics table per candidate."""
     parent_sets: list[tuple[int, ...]] = [()] * len(data.variables)
-    for pos, var in enumerate(config.order):
-        candidates = set(config.order[:pos])
+    for pos, var in enumerate(order):
+        candidates = set(order[:pos])
         parents: list[int] = []
         current = reference_score(count_statistics(data, var, parents).counts)
-        while len(parents) < config.max_parents and candidates:
+        while len(parents) < max_parents and candidates:
             scored = [
                 (reference_score(count_statistics(data, var, parents + [c]).counts), c)
                 for c in sorted(candidates)
@@ -301,14 +320,12 @@ def test_k2_search_equals_reference_search(seed, n_rows, arities, copies, max_pa
     # on the product path
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
-    n = len(data.variables)
-    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n)),
-                         max_parents=min(max_parents, n - 1))
+    order = tuple(int(i) for i in rng.permutation(len(data.variables)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "ENTRY_BUDGET", budget)
         mp.setattr(learning, "PRODUCT_BUDGET", product_budget)
-        got = k2_search(data, config).parents
-    assert got == reference_k2_search(data, config)
+        got = k2_search(data, order, max_parents).parents
+    assert got == reference_k2_search(data, order, max_parents)
 
 
 def test_k2_search_equals_reference_on_chunked_candidates():
@@ -316,8 +333,8 @@ def test_k2_search_equals_reference_on_chunked_candidates():
     rng = np.random.default_rng(21)
     data = mixed_dataset(rng, 3000, [2, 2, 3, 2, 4, 2, 2, 5, 2, 2], copies=4)
     assert data.row_count * 4 < ENTRY_BUDGET < data.row_count * 12
-    config = LearnConfig(order=tuple(range(len(data.variables))), max_parents=3)
-    assert k2_search(data, config).parents == reference_k2_search(data, config)
+    order = tuple(range(len(data.variables)))
+    assert k2_search(data, order, 3).parents == reference_k2_search(data, order, 3)
 
 
 def test_k2_search_ties_go_to_lowest_id():
@@ -330,9 +347,8 @@ def test_k2_search_ties_go_to_lowest_id():
     x_given = [reference_score(count_statistics(data, 3, (c,)).counts) for c in range(3)]
     assert x_given[1] == x_given[2]
     for order in ((2, 1, 0, 3), (2, 1, 3, 0)):
-        config = LearnConfig(order=order, max_parents=1)
-        dag = k2_search(data, config)
-        assert dag.parents == reference_k2_search(data, config)
+        dag = k2_search(data, order, 1)
+        assert dag.parents == reference_k2_search(data, order, 1)
         if order[-1] == 0:  # notA comes after X: A2 and A tie
             assert dag.parents[3] == (1,)
         else:
@@ -429,7 +445,6 @@ def test_product_budget_edge_picks_the_path():
     rng = np.random.default_rng(4)
     data = mixed_dataset(rng, 300, [2, 3, 2, 4, 2, 5], copies=3)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
-    config = LearnConfig(order=order, max_parents=3)
     _, arity, onehot, first, _ = search_inputs(data, order)
     sizes = []
     tables = learning._product_tables
@@ -443,15 +458,15 @@ def test_product_budget_edge_picks_the_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "PRODUCT_BUDGET", 1 << 24)
         mp.setattr(learning, "_product_tables", sized)
-        k2_search(data, config)
-    expected = reference_k2_search(data, config)
+        k2_search(data, order, 3)
+    expected = reference_k2_search(data, order, 3)
     assert max(map(len, expected)) == 3  # rounds with q > 1
     assert max(sizes) > onehot.size  # so one entry under it keeps X
     for budget, only in ((max(sizes), "product"), (max(sizes) - 1, None)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learning, "PRODUCT_BUDGET", budget)
             calls = counting_paths(mp)
-            assert k2_search(data, config).parents == expected
+            assert k2_search(data, order, 3).parents == expected
         assert calls["product"] > 0
         assert calls["bincount"] == 0 if only else calls["bincount"] > 0
 
@@ -467,14 +482,12 @@ def test_lockstep_rounds_split_across_variables(seed, n_rows, arities, copies, m
     # by product and some by bincount, and products cover runs of variables
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
-    n = len(data.variables)
-    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n)),
-                         max_parents=min(max_parents, n - 1))
+    order = tuple(int(i) for i in rng.permutation(len(data.variables)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "ENTRY_BUDGET", budget)
         mp.setattr(learning, "PRODUCT_BUDGET", product_budget)
-        got = k2_search(data, config).parents
-    assert got == reference_k2_search(data, config)
+        got = k2_search(data, order, max_parents).parents
+    assert got == reference_k2_search(data, order, max_parents)
 
 
 def test_lockstep_mixes_paths_and_runs_in_one_search():
@@ -482,15 +495,14 @@ def test_lockstep_mixes_paths_and_runs_in_one_search():
     # product, while a wide variable's last search counts by bincount
     rng = np.random.default_rng(23)
     data = mixed_dataset(rng, 150, [5, 4, 5, 3, 5, 2, 2, 2], copies=4)
-    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(len(data.variables))),
-                         max_parents=3)
-    onehot = search_inputs(data, config.order)[2]
+    order = tuple(int(i) for i in rng.permutation(len(data.variables)))
+    onehot = search_inputs(data, order)[2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "PRODUCT_BUDGET", onehot.size)
         mp.setattr(learning, "ENTRY_BUDGET", 64)
         calls = counting_paths(mp)
-        got = k2_search(data, config).parents
-    assert got == reference_k2_search(data, config)
+        got = k2_search(data, order, 3).parents
+    assert got == reference_k2_search(data, order, 3)
     assert calls["bincount"] > 0 and calls["product"] > calls["products"] > 2
 
 
@@ -505,11 +517,11 @@ def test_k2_search_on_150_binary_columns():
         noise = rng.random(n_rows) < 0.1
         cols.append((cols[a] | cols[b]) ^ noise if i % 3 else cols[a] ^ noise)
     data = dataset([f"c{i}" for i in range(n_cols)], np.stack(cols, axis=1))
-    config = LearnConfig(order=tuple(int(i) for i in rng.permutation(n_cols)), max_parents=2)
+    order = tuple(int(i) for i in rng.permutation(n_cols))
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_paths(mp)
-        got = k2_search(data, config).parents
+        got = k2_search(data, order, 2).parents
     # every search of both rounds on the product path, in a handful of products
     assert calls["bincount"] == 0 and calls["product"] > n_cols
     assert calls["products"] <= 8
-    assert got == reference_k2_search(data, config)
+    assert got == reference_k2_search(data, order, 2)
