@@ -5,7 +5,6 @@ from .core import (
     BayesNet,
     Cpt,
     Dag,
-    Evidence,
     Variable,
     joint_probability,
     parent_configurations,
@@ -29,7 +28,7 @@ from .possibility import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BayesNet", "Cpt", "Dag", "Evidence", "Variable",
+    "BayesNet", "Cpt", "Dag", "Variable",
     "joint_probability", "parent_configurations", "validate_network",
     "CountStatistics", "DiscreteDataset",
     "count_statistics", "fit_cpts", "k2_local_log_score", "k2_search",

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .core import DataError, finite_float, open_input, open_output
+from .core import PARAMS, DataError, check_params, open_input, open_output
 from .model_io import load_classifier, load_detector, load_plan
 from .possibility import ImpossibleEvidenceError
 from .prediction import (
-    SELECTIONS,
     AlertClassifierModel,
     AlertRecord,
     PlanModel,
@@ -65,15 +64,17 @@ class SimulationConfig:
     detector_model: str
     alert_classifier: str
     plan_model: str
-    selection: str = "max"
-    theta: float = 0.5
+    selection: str = PARAMS["selection"].default
+    theta: float = PARAMS["theta"].default
     tau: float | None = None  # overrides the gap threshold stored in the models
-    seed: int = 0
+    seed: int = PARAMS["seed"].default
 
     def __post_init__(self):
         object.__setattr__(self, "hosts", dict(self.hosts))
         if not self.hosts:
             raise ValueError("at least one host is required")
+        check_params(selection=self.selection, theta=self.theta, seed=self.seed,
+                     **({} if self.tau is None else {"tau": self.tau}))
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ class IPAState:
 
     classifier: AlertClassifierModel
     plan: PlanModel
-    selection: str = "max"
-    theta: float = 0.5
+    selection: str = PARAMS["selection"].default
+    theta: float = PARAMS["theta"].default
     observed: tuple[str, ...] = ()
     terminated: bool = False
 
@@ -191,9 +192,10 @@ def load_sim_config(path: str) -> SimulationConfig:
     """Flat key = value file; hosts are `host.<id> = <stream path>` lines.
 
     Recognized keys: detector_model, alert_classifier, plan_model, selection,
-    theta, tau, seed. Paths are resolved relative to the config file's
-    directory. An unknown key, a key given twice, a host with an empty id and
-    an empty value are data errors naming the file and line.
+    theta, tau, seed; the last four are read by PARAMS. Paths are resolved
+    relative to the config file's directory. An unknown key, a key given
+    twice, a host with an empty id, an empty value and a value its setting's
+    rule rejects are data errors naming the file and line.
     """
     import os
 
@@ -207,6 +209,7 @@ def load_sim_config(path: str) -> SimulationConfig:
 
     known = {f.name for f in fields(SimulationConfig)} - {"hosts"}
     hosts: dict[str, str] = {}
+    settings = {}  # selection, theta, tau and seed, as given
     values: dict[str, tuple[str, int]] = {}  # key -> (value, line), host keys too
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -226,6 +229,11 @@ def load_sim_config(path: str) -> SimulationConfig:
             raise DataError(f"{path}:{lineno}: {key} has no value")
         if key.startswith("host."):
             hosts[key[len("host."):]] = resolve(value)
+        elif key in PARAMS:
+            try:
+                settings[key] = PARAMS[key].read(value)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad {key} {value!r} ({exc})") from None
         values[key] = (value, lineno)
 
     missing = [k for k in ("detector_model", "alert_classifier", "plan_model")
@@ -233,27 +241,10 @@ def load_sim_config(path: str) -> SimulationConfig:
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
 
-    def read(key: str, parse, default):
-        if key not in values:
-            return default
-        value, lineno = values[key]
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad {key} {value!r} ({exc})") from None
-
-    def selection(value: str) -> str:
-        if value not in SELECTIONS:
-            raise ValueError(f"expected one of {', '.join(SELECTIONS)}")
-        return value
-
     return SimulationConfig(
         hosts=hosts,
         detector_model=resolve(values["detector_model"][0]),
         alert_classifier=resolve(values["alert_classifier"][0]),
         plan_model=resolve(values["plan_model"][0]),
-        selection=read("selection", selection, "max"),
-        theta=read("theta", finite_float, 0.5),
-        tau=read("tau", finite_float, None),
-        seed=read("seed", int, 0),
+        **settings,
     )

@@ -11,12 +11,35 @@ import logging
 import os
 import sys
 
-from .core import DataError
+from .core import PARAMS, DataError, check_params
 
 log = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
+_LEARN = ("max_parents", "smoothing", "tau")  # the settings both learn commands take
+
+
+def _add_setting(p: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> None:
+    """Add flag as the setting PARAMS[name], its default and rule stated in
+    its help; a token outside the rule is a usage error naming the flag."""
+    param = PARAMS[name]
+
+    def read(token: str):
+        try:
+            return param.read(token)
+        except ValueError as exc:
+            kind = "int" if param.parse is int else "float"
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {token!r} ({exc})") from None
+
+    kwargs.setdefault("default", param.default)
+    shown = "" if kwargs["default"] is None else f"default {kwargs['default']}; "
+    kwargs["help"] = f"{kwargs.get('help', param.doc)} ({shown}{param.rule})"
+    if param.choices:
+        kwargs["choices"] = param.choices
+    else:
+        kwargs["type"] = read
+    p.add_argument(flag, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,12 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-granularity", choices=("category", "attack"),
                    default="category",
                    help="train on the 5-way category or the specific attack label")
-    p.add_argument("--top-k", type=int, default=9,
-                   help="number of ranked features to keep (default 9)")
-    p.add_argument("--max-parents", type=int, default=2)
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.5,
-                   help="informativeness gap threshold (default 0.5)")
+    for name in ("top_k",) + _LEARN:
+        _add_setting(p, "--" + name.replace("_", "-"), name)
     p.add_argument("--order", default=None,
                    help="comma-separated column names overriding the search order")
     p.add_argument("--rules", default=None,
@@ -73,28 +92,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output plan model path")
     p.add_argument("--classifier-out", default=None,
                    help="also train and save the alert classifier")
-    p.add_argument("--slot", type=float, default=60.0,
-                   help="time slot width in seconds (default 60)")
-    p.add_argument("--span", type=float, default=None,
-                   help="time range to cover (default: the whole log)")
+    _add_setting(p, "--slot", "slot")
+    _add_setting(p, "--span", "span")
     p.add_argument("--merge-key", default="attack_type")
-    p.add_argument("--max-parents", type=int, default=2)
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.5)
+    for name in _LEARN:
+        _add_setting(p, "--" + name.replace("_", "-"), name)
     p.add_argument("--no-timestamp", action="store_true")
+    p.set_defaults(parser=p)  # reports --span against --slot after parsing
 
     p = sub.add_parser("predict", help="predict unobserved hyper-alerts")
     p.add_argument("--model", required=True, help="plan model path")
     p.add_argument("--observed", required=True,
                    help="comma-separated observed hyper-alert names or ids")
-    p.add_argument("--select", choices=("max", "threshold"), default="max")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="probability floor for --select threshold")
+    _add_setting(p, "--select", "selection")
+    _add_setting(p, "--threshold", "theta", help="probability floor for --select threshold")
 
     p = sub.add_parser("simulate", help="run the two-layer agent simulation")
     p.add_argument("--config", required=True, help="key = value simulation config")
-    p.add_argument("--seed", type=int, default=None,
-                   help="overrides the seed in the config file")
+    _add_setting(p, "--seed", "seed", default=None,
+                 help=f"overrides the config file's seed, which is {PARAMS['seed'].default} "
+                      "unless the file sets it")
     p.add_argument("--log", dest="log_path", default=None,
                    help="write the event log as newline-delimited JSON")
 
@@ -115,6 +132,11 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "span", None) is not None:
+            try:
+                check_params(span=args.span, slot=args.slot)
+            except ValueError as exc:
+                args.parser.error(f"argument --span: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -145,14 +167,8 @@ def _cmd_learn_detector(args) -> int:
     table = load_kdd(args.data, on_bad="skip" if args.skip_bad_rows else "abort")
     table = apply_label_granularity(table, args.label_granularity, args.class_column)
     order = tuple(args.order.split(",")) if args.order else None
-    config = DetectorConfig(
-        class_column=args.class_column,
-        top_k=args.top_k,
-        max_parents=args.max_parents,
-        smoothing=args.smoothing,
-        tau=args.tau,
-        order=order,
-    )
+    config = DetectorConfig(class_column=args.class_column, top_k=args.top_k, order=order,
+                            **{name: getattr(args, name) for name in _LEARN})
     model = train_detector(table, config)
     save_detector(model, args.out, timestamp=not args.no_timestamp)
     if args.rules:
@@ -210,15 +226,14 @@ def _cmd_learn_plan(args) -> int:
 
     alerts = load_alert_log(args.alerts)
     hypers = aggregate_alerts(alerts, merge_key=args.merge_key)
+    learn = {name: getattr(args, name) for name in _LEARN}
     tm = build_transactions(hypers, dt=args.slot, span=args.span)
-    plan = train_plan_model(tm, max_parents=args.max_parents,
-                            smoothing=args.smoothing, tau=args.tau)
+    plan = train_plan_model(tm, **learn)
     save_plan(plan, args.out, timestamp=not args.no_timestamp)
     print(f"plan model over {len(plan.hyper_names)} hyper-alerts "
           f"({tm.slot_count} slots); saved to {args.out}")
     if args.classifier_out:
-        clf = train_alert_classifier(hypers, max_parents=args.max_parents,
-                                     smoothing=args.smoothing, tau=args.tau)
+        clf = train_alert_classifier(hypers, **learn)
         save_classifier(clf, args.classifier_out, timestamp=not args.no_timestamp)
         print(f"alert classifier saved to {args.classifier_out}")
     return 0

@@ -1,4 +1,5 @@
-"""Discrete Bayesian network data model: variables, DAG, CPTs, evidence.
+"""Discrete Bayesian network data model (variables, DAG, CPTs) and the
+learn and forecast settings.
 
 All state indices are 0-based internally; state labels are kept for I/O.
 Parent configurations are enumerated row-major with the last parent varying
@@ -10,10 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,6 +76,78 @@ def finite_float(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
     return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """A learn or forecast setting: its default (None: unset), the parser of
+    its spelling (int, finite_float, or str for one of `choices`) and the
+    rule a number obeys: `bound` (">= 0", "> 0" or none), and not below the
+    setting named by `floor`."""
+
+    default: object
+    parse: Callable[[str], object]
+    doc: str
+    bound: str = ""
+    choices: tuple[str, ...] = ()
+    floor: str = ""
+
+    @property
+    def rule(self) -> str:
+        """The rule in words, as --help and the README state it."""
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        rule = f"{'an integer' if self.parse is int else 'finite'} {self.bound}".rstrip()
+        return rule + (f", >= {self.floor}" if self.floor else "")
+
+    def broken(self, value: object) -> str | None:
+        """The part of the rule, the floor aside, that value breaks, or None."""
+        if value is None and self.default is None:
+            return None
+        if self.choices:
+            return None if value in self.choices else self.rule
+        if self.parse is int:
+            if not isinstance(value, numbers.Integral):
+                return "an integer"
+        elif not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            return "finite"
+        if self.bound == ">= 0" and value < 0 or self.bound == "> 0" and value <= 0:
+            return self.bound
+        return None
+
+    def read(self, token: str) -> object:
+        """The value token spells; the parser's ValueError, or `expected
+        <rule>` for a value outside the rule."""
+        value = self.parse(token)
+        if (broken := self.broken(value)) is not None:
+            raise ValueError(f"expected {broken}")
+        return value
+
+
+PARAMS = {
+    "top_k": Param(9, int, "number of ranked features to keep", ">= 0"),
+    "max_parents": Param(2, int, "K2 parent budget per variable", ">= 0"),
+    "smoothing": Param(1.0, finite_float, "CPT smoothing pseudo-count", ">= 0"),
+    "tau": Param(0.5, finite_float, "informativeness gap threshold"),
+    "slot": Param(60.0, finite_float, "time slot width in seconds", "> 0"),
+    "span": Param(None, finite_float, "time range to cover; unset covers the whole log", "> 0",
+                  floor="slot"),
+    "selection": Param("max", str, "forecast rule", choices=("max", "threshold")),
+    "theta": Param(0.5, finite_float, "probability floor of the threshold rule"),
+    "seed": Param(0, int, "simulation seed"),
+}
+
+
+def check_params(**values: object) -> None:
+    """ValueError `<name> must be <rule>` for the first setting whose value
+    breaks its rule in PARAMS, floors included."""
+    for name, value in values.items():
+        param = PARAMS[name]
+        if (broken := param.broken(value)) is not None:
+            raise ValueError(f"{name} must be {broken}")
+        low = values.get(param.floor)
+        if value is not None and low is not None and value < low:
+            raise ValueError(f"{name} must cover at least one {param.floor}")
 
 
 @dataclass(frozen=True)
@@ -197,19 +271,6 @@ class BayesNet:
             if v.name == name:
                 return v.id
         raise ValueError(f"no variable named {name!r}")
-
-
-@dataclass(frozen=True)
-class Evidence:
-    """Hard evidence: observed state index per variable."""
-
-    assignments: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", dict(self.assignments))
-
-    def __bool__(self) -> bool:
-        return bool(self.assignments)
 
 
 @dataclass(frozen=True)

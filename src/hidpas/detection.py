@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import BayesNet, DataError, bad_row, csv_records, finite_float, open_output
+from .core import (PARAMS, BayesNet, DataError, bad_row, check_params, csv_records,
+                   finite_float, open_output)
 from .features import (
     KDD_FEATURES,
     NUMERIC,
@@ -96,11 +97,15 @@ class DetectionAlert:
 @dataclass(frozen=True)
 class DetectorConfig:
     class_column: str = "attack_type"
-    top_k: int = 9
-    max_parents: int = 2
-    smoothing: float = 1.0
-    tau: float = 0.5
+    top_k: int = PARAMS["top_k"].default
+    max_parents: int = PARAMS["max_parents"].default
+    smoothing: float = PARAMS["smoothing"].default
+    tau: float = PARAMS["tau"].default
     order: tuple[str, ...] | None = None  # column names; default class-first
+
+    def __post_init__(self):
+        check_params(top_k=self.top_k, max_parents=self.max_parents,
+                     smoothing=self.smoothing, tau=self.tau)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BayesNet, Dag, Evidence
+from .core import BayesNet, Dag
 
 SUM_PRODUCT = "sum-product"
 MAX_MIN = "max-min"
@@ -455,16 +455,15 @@ def initialize_potentials(
 
 
 def evidence_matrix(jt: JunctionTree,
-                    rows: Iterable[Evidence | Mapping[int, int] | None]) -> np.ndarray:
+                    rows: Iterable[Mapping[int, int] | None]) -> np.ndarray:
     """Evidence rows as one (rows, width) state matrix for `propagate`:
     column v holds variable v's observed state, -1 if unobserved. A state
     must be an int or a numpy integer."""
     width = jt.plan.width
     matrix = []
     for evidence in rows:
-        observed = evidence.assignments if isinstance(evidence, Evidence) else evidence or {}
         row = [-1] * width
-        for var, state in observed.items():
+        for var, state in (evidence or {}).items():
             if not 0 <= var < width:
                 raise ValueError(f"evidence variable {var} is absent from the tree")
             if not isinstance(state, (int, np.integer)):

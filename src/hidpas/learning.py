@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Variable
+from .core import BayesNet, Cpt, Dag, Variable, check_params
 
 SCORE_EPS = 1e-12  # a candidate parent must beat the current score by this
 ENTRY_BUDGET = 1 << 14  # array entries per K2 scoring chunk; bounds its working memory
@@ -327,8 +327,7 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
     n = len(data.variables)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the dataset column ids")
-    if max_parents < 0:
-        raise ValueError("max_parents must be >= 0")
+    check_params(max_parents=max_parents)
 
     arity_list = [v.arity for v in data.variables]
     arities = np.array(arity_list, dtype=np.int64)
@@ -385,10 +384,9 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
     return Dag(variables=data.variables, parents=tuple(tuple(p) for p in parents))
 
 
-def fit_cpts(data: DiscreteDataset, dag: Dag, smoothing: float = 1.0) -> BayesNet:
+def fit_cpts(data: DiscreteDataset, dag: Dag, smoothing: float) -> BayesNet:
     """Smoothed frequency CPTs: (N_jk + s) / (N_j + r*s), uniform when both 0."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    check_params(smoothing=smoothing)
     if tuple(v.name for v in dag.variables) != tuple(v.name for v in data.variables):
         raise ValueError("dag variables do not match dataset columns")
     cpts = []

@@ -19,12 +19,12 @@ import numpy as np
 
 from .core import (
     NOT_TOKEN,
+    PARAMS,
     BayesNet,
     Cpt,
     DataError,
     Dag,
     Variable,
-    finite_float,
     open_input,
     open_output,
     parent_configurations,
@@ -313,7 +313,7 @@ def load_detector(path: str):
     net, extras = parse_network(_read_file(path), path)
     fields = _section(extras, path, "DETECTOR", {
         "class_var": _class_var(net),
-        "tau": finite_float,
+        "tau": PARAMS["tau"].read,
         "features": lambda token: tuple(token.split(",")) if token else (),
     })
     try:
@@ -340,7 +340,7 @@ def load_classifier(path: str):
 
     net, extras = parse_network(_read_file(path), path)
     fields = _section(extras, path, "CLASSIFIER",
-                      {"class_var": _class_var(net), "tau": finite_float})
+                      {"class_var": _class_var(net), "tau": PARAMS["tau"].read})
     return AlertClassifierModel(net=net, **fields)
 
 
@@ -370,7 +370,8 @@ def load_plan(path: str):
             raise ValueError(f"variable {var.id} is named {var.name!r}")
         return var.id
 
-    fields = _section(extras, path, "PLAN", {"tau": finite_float, "hyper": hyper}, repeated="hyper")
+    fields = _section(extras, path, "PLAN", {"tau": PARAMS["tau"].read, "hyper": hyper},
+                      repeated="hyper")
     if sorted(fields["hyper"]) != list(range(len(net.dag.variables))):
         raise DataError(f"{path}: PLAN needs one hyper line per variable, "
                         f"ids 0..{len(net.dag.variables) - 1}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Evidence, Variable
+from .core import BayesNet, Cpt, Dag, Variable
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -176,14 +176,13 @@ def forest_net(rng: np.random.Generator) -> BayesNet:
     return BayesNet(Dag(tuple(variables), tuple(parents)), tuple(cpts))
 
 
-def random_evidence(rng: np.random.Generator, net: BayesNet) -> Evidence:
+def random_evidence(rng: np.random.Generator, net: BayesNet) -> dict[int, int]:
     n = len(net.dag.variables)
     count = int(rng.integers(0, max(1, n // 2) + 1))
     if count == 0:
-        return Evidence()
+        return {}
     vars_ = rng.choice(n, size=count, replace=False)
-    return Evidence({int(v): int(rng.integers(0, net.dag.arity(int(v))))
-                     for v in vars_})
+    return {int(v): int(rng.integers(0, net.dag.arity(int(v)))) for v in vars_}
 
 
 def random_decreasing_distribution(rng: np.random.Generator, max_n: int = 10) -> np.ndarray:
@@ -245,7 +244,7 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
         cal = propagate(tree, evidence_matrix(tree, [ev]))
         impossible = not cal.possible[0]
         for var in range(len(arities)):
-            expected = enumerate_marginal(factors, arities, dict(ev.assignments), var, mode)
+            expected = enumerate_marginal(factors, arities, ev, var, mode)
             report.cases += 1
             if impossible or expected is None:
                 if impossible != (expected is None):
@@ -288,11 +287,10 @@ def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
         for picks, asked in calls:
             answers = engine.query_batch([pool[i] for i in picks], asked)
             for i, got in zip(picks, answers):
-                evidence = dict(pool[i].assignments)
                 for var in asked:
                     report.cases += 1
-                    p = _joint_marginal(joints[SUM_PRODUCT], arities, evidence, var, SUM_PRODUCT)
-                    pi = _joint_marginal(joints[MAX_MIN], arities, evidence, var, MAX_MIN)
+                    p = _joint_marginal(joints[SUM_PRODUCT], arities, pool[i], var, SUM_PRODUCT)
+                    pi = _joint_marginal(joints[MAX_MIN], arities, pool[i], var, MAX_MIN)
                     if got is None or p is None or pi is None:
                         if not (got is None and (p is None or pi is None)):
                             report.failures += 1

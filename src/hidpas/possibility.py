@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BayesNet, Evidence
+from .core import BayesNet
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -270,7 +270,7 @@ class HybridPropagator:
         self._memo: dict[tuple[bytes, tuple[int, ...]], dict[int, HybridMarginal] | None] = {}
         self._memo_weight = 0
 
-    def query(self, evidence: Evidence | Mapping[int, int] | None,
+    def query(self, evidence: Mapping[int, int] | None,
               targets: Sequence[int]) -> dict[int, HybridMarginal]:
         """The batch of one; raises ImpossibleEvidenceError where
         `query_batch` answers None."""
@@ -280,7 +280,7 @@ class HybridPropagator:
                 "evidence has zero probability/possibility in this network")
         return marginals
 
-    def query_batch(self, evidence: Sequence[Evidence | Mapping[int, int] | None],
+    def query_batch(self, evidence: Sequence[Mapping[int, int] | None],
                     targets: Sequence[int]) -> list[dict[int, HybridMarginal] | None]:
         """One dict of marginals per evidence row, or None for a row whose
         evidence has zero probability or possibility. Each row equals `query`
@@ -382,7 +382,7 @@ def classify(engine: HybridPropagator, class_var: int, tau: float,
         if posterior is None:
             logger.warning("impossible evidence for record; falling back to prior")
             if prior is None:
-                prior = engine.query(Evidence(), [class_var])[class_var]
+                prior = engine.query({}, [class_var])[class_var]
             marginal, low = prior, True
         else:
             marginal, low = posterior[class_var], False

@@ -20,11 +20,12 @@ import numpy as np
 
 from .core import (
     NOT_TOKEN,
+    PARAMS,
     BayesNet,
     DataError,
-    Evidence,
     Variable,
     bad_row,
+    check_params,
     csv_records,
     finite_float,
     open_output,
@@ -42,7 +43,6 @@ ABSENT, PRESENT = 0, 1
 # State label under which the classifier stores an attribute left empty;
 # labels are saved as tokens and cannot be empty.
 EMPTY_STATE = "__empty__"
-SELECTIONS = ("max", "threshold")  # forecast rules of predict_attacks
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,11 @@ class AlertClassifierModel:
 
 
 def train_alert_classifier(hypers: Sequence[HyperAlert],
-                           max_parents: int = 2,
-                           smoothing: float = 1.0,
-                           tau: float = 0.5) -> AlertClassifierModel:
+                           max_parents: int = PARAMS["max_parents"].default,
+                           smoothing: float = PARAMS["smoothing"].default,
+                           tau: float = PARAMS["tau"].default) -> AlertClassifierModel:
     """Learn attribute -> hyper-alert structure from the labeled members."""
+    check_params(max_parents=max_parents, smoothing=smoothing, tau=tau)
     if not hypers:
         raise ValueError("no hyper-alerts to train on")
     alerts = [a for h in hypers for a in h.members]
@@ -229,11 +230,11 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
                        span: float | None = None) -> TransactionMatrix:
     """Mark each hyper-alert present in every slot holding one of its members.
 
-    start defaults to the earliest alert; span defaults to covering the whole
-    log. Alerts outside [start, start + span) are ignored and counted.
+    dt is the slot width (the `slot` setting). start defaults to the earliest
+    alert; span defaults to covering the whole log. Alerts outside
+    [start, start + span) are ignored and counted.
     """
-    if dt <= 0:
-        raise ValueError("slot width must be positive")
+    check_params(slot=dt, span=span)
     if not hypers:
         raise ValueError("no hyper-alerts")
     sizes = [len(h.members) for h in hypers]
@@ -245,8 +246,6 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
     if start is None:
         start = float(stamps.min())
     if span is not None:
-        if span < dt:
-            raise ValueError("span must cover at least one slot")
         m = math.ceil(span / dt)
         limit = start + span
     else:
@@ -295,9 +294,12 @@ class PlanModel:
             raise ValueError(f"no hyper-alert named {hyper!r}") from None
 
 
-def train_plan_model(tm: TransactionMatrix, max_parents: int = 2,
-                     smoothing: float = 1.0, tau: float = 0.5) -> PlanModel:
+def train_plan_model(tm: TransactionMatrix,
+                     max_parents: int = PARAMS["max_parents"].default,
+                     smoothing: float = PARAMS["smoothing"].default,
+                     tau: float = PARAMS["tau"].default) -> PlanModel:
     """Slots are observations; K2 runs in earliest-occurrence order."""
+    check_params(max_parents=max_parents, smoothing=smoothing, tau=tau)
     if tm.slot_count < 1 or not tm.names:
         raise ValueError("transaction matrix must have at least one slot and one hyper-alert")
     variables = tuple(
@@ -362,17 +364,17 @@ class PredictionReport:
 
 
 def predict_attacks(model: PlanModel, observed: Iterable[str | int],
-                    selection: str = "max", theta: float = 0.5) -> PredictionReport:
+                    selection: str = PARAMS["selection"].default,
+                    theta: float = PARAMS["theta"].default) -> PredictionReport:
     """Forecast unobserved hyper-alerts given the observed ones as evidence.
 
     Observation asserts `present`; unobserved steps are never asserted
     absent. `max` selects the informative node(s) of highest probability;
     `threshold` selects every informative node with probability >= theta.
     """
-    if selection not in SELECTIONS:
-        raise ValueError("selection must be 'max' or 'threshold'")
+    check_params(selection=selection, theta=theta)
     observed_ids = sorted({model.var_of(h) for h in observed})
-    evidence = Evidence({vid: PRESENT for vid in observed_ids})
+    evidence = {vid: PRESENT for vid in observed_ids}
     targets = [i for i in range(len(model.hyper_names)) if i not in observed_ids]
 
     marginals = model.engine.query(evidence, targets) if targets else {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_learn_detector_bad_order_name(tmp_path, capsys):
 def test_learn_detector_rejects_a_bad_category_before_learning(tmp_path, capsys, monkeypatch):
     """An empty service cell cannot be a state label: the run stops before
     K2 with an error naming the column, and writes no model."""
-    lines = open(TRAIN, encoding="utf-8").read().splitlines()
+    lines = Path(TRAIN).read_text(encoding="utf-8").splitlines()
     for i in (0, 5):
         fields = lines[i].split(",")
         fields[2] = ""

@@ -12,7 +12,6 @@ from hidpas.core import (
     Cpt,
     Dag,
     DataError,
-    Evidence,
     Variable,
     bad_row,
     csv_records,
@@ -163,9 +162,9 @@ def test_validated_net_supports_joint_without_index_errors(chain5_net):
 def test_evidence_checks_state_range(two_node_net):
     # Evidence is range-checked where it meets a network: in the engine.
     engine = HybridPropagator(two_node_net)
-    engine.query(Evidence({0: 1}), [1])
+    engine.query({0: 1}, [1])
     with pytest.raises(ValueError, match="out of range"):
-        engine.query(Evidence({0: 2}), [1])
+        engine.query({0: 2}, [1])
 
 
 # -- input files ------------------------------------------------------------------

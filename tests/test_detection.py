@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidpas import possibility
-from hidpas.core import Evidence, finite_float
+from hidpas.core import finite_float
 from hidpas.detection import (
     ALERT_CSV_HEADER,
     ConnectionRecord,
@@ -162,7 +163,6 @@ def test_symmetric_model_breaks_ties_by_state_order():
 def test_probability_component_equals_plain_jt_classification(scenario_model):
     """The possibility bracket influences selection only; P comes from plain
     sum-product propagation of the same evidence."""
-    from hidpas.core import Evidence
     from hidpas.detection import _record_evidence
     from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net, evidence_matrix,
                               initialize_potentials, net_factors, propagate,
@@ -174,7 +174,7 @@ def test_probability_component_equals_plain_jt_classification(scenario_model):
     for record in records:
         evidence, _ = _record_evidence(scenario_model, record)
         result = classify_connection(scenario_model, record)
-        plain = query_marginal(propagate(jt, evidence_matrix(jt, [Evidence(evidence)])),
+        plain = query_marginal(propagate(jt, evidence_matrix(jt, [evidence])),
                                scenario_model.class_var)[0]
         assert tuple(plain) == result.marginal.probability
 
@@ -209,7 +209,7 @@ def test_alert_count_never_exceeds_records(scenario_model):
 
 
 def test_load_stream_plain_kdd_synthesizes_timestamps(tmp_path):
-    lines = open(data_path("scenario", "detector_train.csv")).readlines()[:3]
+    lines = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines(True)[:3]
     path = tmp_path / "plain.csv"
     path.write_text("".join(lines))
     records = load_stream(str(path))
@@ -234,7 +234,7 @@ def test_load_stream_rejects_bad_row(tmp_path):
 
 @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon"])
 def test_load_stream_rejects_a_non_finite_timestamp(tmp_path, stamp):
-    lines = open(data_path("scenario", "host_c.csv")).read().splitlines()
+    lines = Path(data_path("scenario", "host_c.csv")).read_text().splitlines()
     path = tmp_path / "stamps.csv"
     path.write_text("\n".join([lines[0], stamp + lines[1][lines[1].index(","):], lines[2]]) + "\n")
     with pytest.raises(DataError, match=f"stamps.csv:2: bad timestamp '{stamp}'"):
@@ -405,7 +405,7 @@ def test_alert_csv_format(tmp_path, scenario_model):
 
 
 def test_alert_csv_quotes_fields_holding_a_comma_or_quote(tmp_path, scenario_model):
-    text = open(data_path("scenario", "host_c.csv"), encoding="utf-8").read()
+    text = Path(data_path("scenario", "host_c.csv")).read_text(encoding="utf-8")
     stream = tmp_path / "host_c.csv"
     stream.write_text(text.replace(",10.0.0.5,", ',"10.0.0.1,evil",'), encoding="utf-8")
     alerts = detect_stream(scenario_model, load_stream(str(stream)), 'host,"c"')
@@ -469,7 +469,7 @@ def test_impossible_row_falls_back_to_prior_alone(deterministic_model, caplog):
         results = classify_connections(model, [normal, impossible, attack])
     assert [r.getMessage() for r in caplog.records] == [
         "impossible evidence for record; falling back to prior"]
-    prior = model.engine.query(Evidence(), [model.class_var])[model.class_var]
+    prior = model.engine.query({}, [model.class_var])[model.class_var]
     assert results[1].marginal == prior and results[1].low_confidence
     for record, result in zip((normal, attack), (results[0], results[2])):
         assert result == classify_connection(model, record)

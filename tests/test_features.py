@@ -6,6 +6,7 @@ import random
 import re
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_load_kdd_wrong_arity_reports_line(tmp_path):
 
 
 def test_load_kdd_skip_mode_drops_bad_rows(tmp_path):
-    good = open(data_path("scenario", "detector_train.csv")).readlines()[0]
+    good = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines(True)[0]
     mixed = tmp_path / "mixed.csv"
     mixed.write_text(good + "not,enough,fields\n" + good)
     table = load_kdd(str(mixed), on_bad="skip")
@@ -76,7 +77,8 @@ def test_load_kdd_skip_mode_drops_bad_rows(tmp_path):
 
 
 def test_load_kdd_unparseable_numeric(tmp_path):
-    row = open(data_path("scenario", "detector_train.csv")).readline().split(",")
+    line = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines(True)[0]
+    row = line.split(",")
     row[0] = "abc"  # duration must be numeric
     bad = tmp_path / "nan.csv"
     bad.write_text(",".join(row))
@@ -85,7 +87,7 @@ def test_load_kdd_unparseable_numeric(tmp_path):
 
 
 def test_load_kdd_names_physical_line_after_quoted_newline(tmp_path, caplog):
-    row = open(data_path("scenario", "detector_train.csv")).readline().rstrip("\n").split(",")
+    row = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines()[0].split(",")
     spanning = list(row)
     spanning[1] = '"tc\np"'  # a quoted newline: this record holds lines 1-2
     bad = list(row)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
+from hidpas.core import BayesNet, Cpt, Dag, Variable
 from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -196,7 +196,7 @@ def test_initialize_rejects_unplaceable_factor():
 def test_propagate_prior_marginal(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = calibrate(jt, Evidence())
+    cal = calibrate(jt, {})
     np.testing.assert_allclose(query_marginal(cal, 1)[0], [0.38, 0.62], atol=1e-12)
     np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.4, 0.6], atol=1e-12)
 
@@ -204,7 +204,7 @@ def test_propagate_prior_marginal(two_node_net):
 def test_propagate_posterior_matches_bayes_rule(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = calibrate(jt, Evidence({1: 1}))
+    cal = calibrate(jt, {1: 1})
     np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.08 / 0.62, 0.54 / 0.62],
                                atol=1e-12)
 
@@ -213,21 +213,21 @@ def test_propagate_maxmin_hand_example(two_node_net):
     fa = Potential((0,), np.array([1.0, 0.4]))
     fb = Potential((0, 1), np.array([[1.0, 0.3], [0.7, 1.0]]))
     jt = initialize_potentials(build_tree_for_net(two_node_net), [fa, fb], MAX_MIN)
-    cal = calibrate(jt, Evidence())
+    cal = calibrate(jt, {})
     np.testing.assert_allclose(query_marginal(cal, 1)[0], [1.0, 0.4], atol=1e-15)
 
 
 def test_query_on_evidence_variable_is_degenerate(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = calibrate(jt, Evidence({0: 1}))
+    cal = calibrate(jt, {0: 1})
     np.testing.assert_allclose(query_marginal(cal, 0)[0], [0.0, 1.0], atol=1e-15)
 
 
 def test_query_unknown_variable_rejected(two_node_net):
     jt = initialize_potentials(build_tree_for_net(two_node_net),
                                net_factors(two_node_net), SUM_PRODUCT)
-    cal = calibrate(jt, Evidence())
+    cal = calibrate(jt, {})
     with pytest.raises(ValueError):
         query_marginal(cal, 17)
 
@@ -242,7 +242,7 @@ def test_impossible_evidence_raises():
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
     ))
     jt = initialize_potentials(build_tree_for_net(net), net_factors(net), SUM_PRODUCT)
-    assert not calibrate(jt, Evidence({1: 1})).possible[0]
+    assert not calibrate(jt, {1: 1}).possible[0]
 
 
 def test_calibration_consistency_across_clusters():
@@ -274,12 +274,12 @@ def test_maxmin_evidence_monotonicity():
         factors = transformed_factors(net)
         structure = build_tree_for_net(net)
         init = initialize_potentials(structure, factors, MAX_MIN)
-        ev = dict(random_evidence(rng, net).assignments)
+        ev = random_evidence(rng, net)
         if not ev:
             continue
         partial = dict(list(ev.items())[:-1])
-        more = calibrate(init, Evidence(ev))
-        less = calibrate(init, Evidence(partial))
+        more = calibrate(init, ev)
+        less = calibrate(init, partial)
         if not (more.possible[0] and less.possible[0]):
             continue
         for var in range(len(net.dag.variables)):
@@ -304,7 +304,7 @@ def test_oracle_equivalence_spot_checks():
                 cal = None
             for var in range(len(arities)):
                 expected = enumerate_marginal(factors, arities,
-                                              dict(ev.assignments), var, semiring)
+                                              ev, var, semiring)
                 if cal is None or expected is None:
                     assert (cal is None) == (expected is None)
                     continue
@@ -388,7 +388,7 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
         assert len(plan.collect) == len(plan.distribute) == 3
         assert ([(m.source, m.target) for m in plan.collect]
                 == [(m.target, m.source) for m in reversed(plan.distribute)])
-        observed = evidence_matrix(jt, [Evidence({4: 1}), Evidence()])
+        observed = evidence_matrix(jt, [{4: 1}, {}])
         full = propagate(jt, observed)
         at_root = [v for v in jt.clusters[0] if plan.home[v] == 0]
         off_root = [v for v in range(5) if plan.home[v] != 0]
@@ -406,7 +406,7 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
                              full.cluster_tables + full.separator_tables):
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="absent from the tree"):
-        calibrate(jt, Evidence(), [7])
+        calibrate(jt, {}, [7])
 
 
 def test_batched_propagate_checks_evidence_range(two_node_net):
@@ -415,9 +415,9 @@ def test_batched_propagate_checks_evidence_range(two_node_net):
     with pytest.raises(ValueError, match="out of range for variable 1"):
         propagate(jt, np.array([[0, -1], [1, 2]]))
     with pytest.raises(ValueError, match="out of range"):
-        calibrate(jt, Evidence({0: -1}))
+        calibrate(jt, {0: -1})
     with pytest.raises(ValueError, match="absent from the tree"):
-        calibrate(jt, Evidence({5: 0}))
+        calibrate(jt, {5: 0})
     with pytest.raises(ValueError, match="shape"):
         propagate(jt, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="integer"):
@@ -432,12 +432,12 @@ def test_only_an_uncalibrated_tree_propagates_and_only_a_calibrated_one_reads(tw
     with pytest.raises(ValueError, match="uncalibrated"):
         marginal_from_cluster(jt, 0, jt.clusters[0][0])
     with pytest.raises(ValueError, match="evidence_matrix"):
-        propagate(jt, Evidence({0: 1}))
-    cal = calibrate(jt, Evidence({0: 1}))
+        propagate(jt, {0: 1})
+    cal = calibrate(jt, {0: 1})
     with pytest.raises(ValueError, match="already calibrated"):
-        propagate(cal, evidence_matrix(jt, [Evidence()]))
+        propagate(cal, evidence_matrix(jt, [{}]))
     with pytest.raises(ValueError, match="already calibrated"):
-        calibrate(calibrate(jt, Evidence(), [1]), Evidence(), [0])
+        calibrate(calibrate(jt, {}, [1]), {}, [0])
 
 
 def two_roots(pa, pb) -> BayesNet:
@@ -454,11 +454,11 @@ def test_maxmin_forest_cap_matches_oracle():
     factors = transformed_factors(net)
     jt = initialize_potentials(build_tree_for_net(net), factors, MAX_MIN)
     assert len(jt.clusters) == 2 and not jt.edges
-    got = query_marginal(calibrate(jt, Evidence({0: 1})), 1)[0]
+    got = query_marginal(calibrate(jt, {0: 1}), 1)[0]
     expected = enumerate_marginal(factors, [2, 2], {0: 1}, 1, MAX_MIN)
     np.testing.assert_allclose(got, expected, atol=1e-12)
     np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
-    uncapped = query_marginal(calibrate(jt, Evidence()), 1)[0]
+    uncapped = query_marginal(calibrate(jt, {}), 1)[0]
     np.testing.assert_allclose(uncapped, [1.0, 0.3], atol=1e-12)
 
 
@@ -483,8 +483,7 @@ def test_forest_oracle_both_semirings():
             if not cal.possible[0]:
                 cal = None
             for var in range(len(arities)):
-                expected = enumerate_marginal(factors, arities, dict(ev.assignments),
-                                              var, semiring)
+                expected = enumerate_marginal(factors, arities, ev, var, semiring)
                 if cal is None or expected is None:
                     assert (cal is None) == (expected is None)
                     continue
@@ -493,7 +492,7 @@ def test_forest_oracle_both_semirings():
                 component = {c: k for k, (clusters, _) in enumerate(jt.plan.components)
                              for c in clusters}
                 if semiring == MAX_MIN and component[jt.plan.home[var]] not in {
-                        component[jt.plan.home[v]] for v in ev.assignments}:
+                        component[jt.plan.home[v]] for v in ev}:
                     capped += int(not np.allclose(
-                        got, query_marginal(calibrate(jt, Evidence()), var)[0]))
+                        got, query_marginal(calibrate(jt, {}), var)[0]))
     assert capped > 0  # evidence in one component moved another's marginal

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import BayesNet, Cpt, Dag, Evidence, Variable
+from hidpas.core import BayesNet, Cpt, Dag, Variable
 from hidpas import possibility
 from hidpas.oracles import (
     direct_power_transform,
@@ -170,7 +170,7 @@ def test_marginal_informative_cases():
 # -- hybrid propagation --------------------------------------------------------------
 
 def test_hybrid_two_node_matches_both_oracles(two_node_net):
-    hm = HybridPropagator(two_node_net).query(Evidence(), [1])[1]
+    hm = HybridPropagator(two_node_net).query({}, [1])[1]
     np.testing.assert_allclose(hm.probability, [0.38, 0.62], atol=1e-12)
     arities = [v.arity for v in two_node_net.dag.variables]
     expected_pi = enumerate_marginal(transformed_factors(two_node_net), arities,
@@ -187,7 +187,7 @@ def test_hybrid_deterministic_net_degenerates():
         Cpt(0, (), np.array([[0.0, 1.0]])),
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.0, 1.0]])),
     ))
-    result = HybridPropagator(net).query(Evidence({0: 1}), [1])[1]
+    result = HybridPropagator(net).query({0: 1}, [1])[1]
     assert result.triple(1) == (1.0, 1.0, 1.0)
     assert result.triple(0) == (0.0, 0.0, 0.0)
 
@@ -195,7 +195,7 @@ def test_hybrid_deterministic_net_degenerates():
 def test_hybrid_single_root_composes_transform():
     c = Variable(0, "C", ("x", "y", "z"))
     net = BayesNet(Dag((c,), ((),)), (Cpt(0, (), np.array([[0.5, 0.3, 0.2]])),))
-    hm = HybridPropagator(net).query(Evidence(), [0])[0]
+    hm = HybridPropagator(net).query({}, [0])[0]
     assert hm.necessity == (0.5, 0.0, 0.0)
     assert hm.probability == (0.5, 0.3, 0.2)
     assert hm.possibility == (1.0, 0.5, 0.2)
@@ -210,7 +210,7 @@ def test_hybrid_impossible_evidence_raises(two_node_net):
         Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
     ))
     with pytest.raises(ImpossibleEvidenceError):
-        HybridPropagator(net).query(Evidence({1: 1}), [1])
+        HybridPropagator(net).query({1: 1}, [1])
 
 
 def test_hybrid_probability_component_bit_identical_to_plain():
@@ -259,9 +259,9 @@ def test_hybrid_sandwich_violations_reported_not_asserted():
 
 def test_hybrid_propagator_is_reusable(two_node_net):
     engine = HybridPropagator(two_node_net)
-    first = engine.query(Evidence(), [1])[1]
-    second = engine.query(Evidence({0: 1}), [1])[1]
-    third = engine.query(Evidence(), [1])[1]
+    first = engine.query({}, [1])[1]
+    second = engine.query({0: 1}, [1])[1]
+    third = engine.query({}, [1])[1]
     assert first == third  # engine state is not consumed by queries
     np.testing.assert_allclose(second.probability, [0.1, 0.9], atol=1e-12)
 
@@ -321,19 +321,19 @@ def test_memo_evicts_the_oldest_entry_past_its_cap(two_node_net, monkeypatch):
 
 def test_memo_hits_do_not_share_the_callers_dict(two_node_net):
     engine = HybridPropagator(two_node_net)
-    first = engine.query(Evidence({0: 1}), [1])
+    first = engine.query({0: 1}, [1])
     expected = dict(first)
     first[1] = None
     first[7] = "changed"
-    assert engine.query(Evidence({0: 1}), [1]) == expected
+    assert engine.query({0: 1}, [1]) == expected
     assert engine.query_batch([{0: 1}], [1]) == [expected]
 
 
 def test_memo_still_checks_every_row(two_node_net):
     engine = HybridPropagator(two_node_net)
-    engine.query(Evidence({0: 1}), [1])
+    engine.query({0: 1}, [1])
     with pytest.raises(ValueError):
-        engine.query(Evidence({0: 2}), [1])
+        engine.query({0: 2}, [1])
     engine.query_batch([{0: 0}, {0: 1}], [1])
     with pytest.raises(ValueError, match="out of range for variable 1"):
         engine.query_batch([{0: 0}, {1: 2}, {0: 1}], [1])

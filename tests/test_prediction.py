@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidpas import possibility
-from hidpas.core import Evidence
 from hidpas.detection import DetectorConfig, classify_connections, load_stream, train_detector
 from hidpas.features import DataError, load_kdd
 from hidpas.oracles import enumerate_marginal
@@ -408,7 +407,7 @@ def plan_edges(plan) -> list[tuple[str, str]]:
 def present_given_present(plan, parent: str, child: str) -> tuple[float, float, float]:
     """N, P, Π of child present, given parent present."""
     pid, cid = plan.var_of(parent), plan.var_of(child)
-    return plan.engine.query(Evidence({pid: PRESENT}), [cid])[cid].triple(PRESENT)
+    return plan.engine.query({pid: PRESENT}, [cid])[cid].triple(PRESENT)
 
 
 def test_plan_edge_strength_matches_enumeration(scenario_plan):
