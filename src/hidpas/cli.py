@@ -43,6 +43,12 @@ def _add_setting(p: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> 
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .features import KDD_FEATURES, LABEL_COLUMN
+    from .prediction import ATTRIBUTE_FIELDS
+
+    merge_key = {"default": "attack_type", "choices": ATTRIBUTE_FIELDS, "metavar": "FIELD",
+                 "help": "alert attribute defining an attack-plan step: one of "
+                         f"{', '.join(ATTRIBUTE_FIELDS)} (default attack_type)"}
     parser = argparse.ArgumentParser(
         prog="hidpas",
         description=("Hybrid probabilistic-possibilistic Bayesian networks for "
@@ -54,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="train the connection classifier from labeled data")
     p.add_argument("--data", required=True, help="KDD-format connection CSV")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--class-column", default="attack_type")
+    p.add_argument("--class-column", default=LABEL_COLUMN, metavar="COLUMN",
+                   choices=[name for name, _ in KDD_FEATURES] + [LABEL_COLUMN],
+                   help=f"class column: {LABEL_COLUMN} (default) or a KDD feature name")
     p.add_argument("--label-granularity", choices=("category", "attack"),
                    default="category",
                    help="train on the 5-way category or the specific attack label")
@@ -83,8 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="aggregate an alert log into hyper-alerts")
     p.add_argument("--alerts", required=True)
     p.add_argument("--out", required=True, help="output hyper-alert CSV")
-    p.add_argument("--merge-key", default="attack_type",
-                   help="attribute defining an attack-plan step (default attack_type)")
+    p.add_argument("--merge-key", **merge_key)
 
     p = sub.add_parser("learn-plan",
                        help="learn the attack-plan model (and optionally the alert classifier)")
@@ -94,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also train and save the alert classifier")
     _add_setting(p, "--slot", "slot")
     _add_setting(p, "--span", "span")
-    p.add_argument("--merge-key", default="attack_type")
+    p.add_argument("--merge-key", **merge_key)
     for name in _LEARN:
         _add_setting(p, "--" + name.replace("_", "-"), name)
     p.add_argument("--no-timestamp", action="store_true")

@@ -2,8 +2,9 @@
 learn and forecast settings.
 
 All state indices are 0-based internally; state labels are kept for I/O.
-Parent configurations are enumerated row-major with the last parent varying
-fastest, and that ordering is part of the CPT file contract.
+A CPT's layout is stated once, by Dag.cpt_shape: a (q, r) table is that
+shape in numpy C order, so parent configurations run row-major with the last
+parent varying fastest. That ordering is part of the CPT file contract.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import IO, Callable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -197,15 +197,11 @@ class Dag:
     def arity(self, vid: int) -> int:
         return self.variable(vid).arity
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for child, ps in enumerate(self.parents):
-            for p in ps:
-                yield p, child
-
-    def topological_order(self) -> list[int] | None:
-        """Kahn's algorithm; None if the graph has a directed cycle."""
-        order, _ = self._kahn()
-        return order if len(order) == len(self.variables) else None
+    def cpt_shape(self, vid: int) -> tuple[int, ...]:
+        """Each parent's arity, then vid's: a (q, r) CPT table of vid is this
+        shape in numpy C order, one row per parent configuration."""
+        arity = self.arity(vid)  # raises on an unknown id
+        return tuple(map(self.arity, self.parents[vid])) + (arity,)
 
     def _kahn(self) -> tuple[list[int], list[int]]:
         """Kahn's peeling: the variables peeled, in order, and the ids left
@@ -234,8 +230,8 @@ class Dag:
 class Cpt:
     """Conditional probability table for one variable.
 
-    table has shape (q, r): one row per parent configuration in
-    parent_configurations order, one column per child state.
+    table has shape (q, r): Dag.cpt_shape in numpy C order, one row per
+    parent configuration and one column per child state.
     """
 
     variable: int
@@ -287,21 +283,9 @@ class Violation:
 
 
 def parent_configurations(net: BayesNet, var: int) -> list[tuple[int, ...]]:
-    """All parent-state configurations of var, last parent varying fastest.
-
-    A variable with no parents yields the single empty configuration.
-    """
-    net.dag.variable(var)  # raises on unknown id
-    parents = net.dag.parents[var]
-    return list(product(*(range(net.dag.arity(p)) for p in parents)))
-
-
-def config_index(parent_arities: Sequence[int], config: Sequence[int]) -> int:
-    """Row index of a parent configuration under the row-major convention."""
-    idx = 0
-    for arity, state in zip(parent_arities, config):
-        idx = idx * arity + state
-    return idx
+    """All parent-state configurations of var in CPT row order, last parent
+    varying fastest; a variable with no parents has the one empty one."""
+    return list(np.ndindex(net.dag.cpt_shape(var)[:-1]))
 
 
 def joint_probability(net: BayesNet, assignment: Mapping[int, int]) -> float:
@@ -311,10 +295,8 @@ def joint_probability(net: BayesNet, assignment: Mapping[int, int]) -> float:
         raise ValueError(f"assignment misses variables {missing}")
     prob = 1.0
     for var in net.dag.variables:
-        cpt = net.cpts[var.id]
-        arities = [net.dag.arity(p) for p in cpt.parents]
-        row = config_index(arities, [assignment[p] for p in cpt.parents])
-        prob *= float(cpt.table[row, assignment[var.id]])
+        table = net.cpts[var.id].table.reshape(net.dag.cpt_shape(var.id))
+        prob *= float(table[tuple(assignment[p] for p in (*net.dag.parents[var.id], var.id))])
     return prob
 
 
@@ -364,9 +346,8 @@ def validate_network(net: BayesNet) -> list[Violation]:
             continue
         if any(not 0 <= p < n for p in cpt.parents):
             continue  # already reported on the dag side
-        q = 1
-        for p in cpt.parents:
-            q *= net.dag.arity(p)
+        shape = net.dag.cpt_shape(var.id)
+        q = math.prod(shape[:-1])
         if cpt.table.shape != (q, var.arity):
             out.append(
                 Violation(var.id, "cpt-shape",
@@ -376,11 +357,7 @@ def validate_network(net: BayesNet) -> list[Violation]:
         if not np.all((cpt.table >= 0) & (cpt.table <= 1)):  # NaN fails both
             out.append(Violation(var.id, "range", "CPT entry outside [0, 1]"))
         sums = cpt.table.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        configs = parent_configurations(net, var.id)
-        for j in bad:
-            out.append(
-                Violation(var.id, "row-sum",
-                          f"row {configs[j]} sums to {sums[j]:.12g}, not 1")
-            )
+        for j in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
+            config = tuple(map(int, np.unravel_index(j, shape[:-1])))
+            out.append(Violation(var.id, "row-sum", f"row {config} sums to {sums[j]:.12g}, not 1"))
     return out

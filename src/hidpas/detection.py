@@ -82,16 +82,9 @@ class DetectionAlert:
                 f"{self.probability:.12g}", f"{self.possibility:.12g}")
 
     def to_payload(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "host": self.host,
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "type": self.attack_type,
-            "necessity": self.necessity,
-            "probability": self.probability,
-            "possibility": self.possibility,
-        }
+        payload = dict(vars(self))
+        payload["type"] = payload.pop("attack_type")
+        return payload
 
 
 @dataclass(frozen=True)
@@ -145,10 +138,6 @@ class DetectorModel:
                 rule = var.state_index()
             out.append((name, var.id, FEATURE_COLUMNS[name], rule))
         return tuple(out)
-
-    @property
-    def class_states(self) -> tuple[str, ...]:
-        return self.net.variable(self.class_var).states
 
 
 def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -> DetectorModel:

@@ -106,10 +106,15 @@ class RawTable:
         return _rows(self.kinds[0], self.columns[0]) if self.columns else 0
 
     def column(self, name: str) -> np.ndarray | tuple[list[str], np.ndarray]:
-        return self.columns[self.names.index(name)]
+        return self.columns[self._position(name)]
 
     def kind(self, name: str) -> str:
-        return self.kinds[self.names.index(name)]
+        return self.kinds[self._position(name)]
+
+    def _position(self, name: str) -> int:
+        if name not in self.names:
+            raise ValueError(f"no column named {name!r}")
+        return self.names.index(name)
 
 
 def _rows(kind: str, column) -> int:
@@ -122,12 +127,6 @@ class FeatureRanking:
 
     class_column: str
     entries: tuple[tuple[str, float], ...]
-
-    def gain(self, name: str) -> float:
-        for n, g in self.entries:
-            if n == name:
-                return g
-        raise ValueError(f"no feature named {name!r}")
 
 
 @dataclass
@@ -284,8 +283,6 @@ def gini_rank(table: RawTable, class_column: str) -> FeatureRanking:
     sum over v runs in sorted value order, so gains are bit-identical to the
     per-value loop this replaced.
     """
-    if class_column not in table.names:
-        raise ValueError(f"no column named {class_column!r}")
     classes, class_codes = (encode(table.column(class_column).astype(str).tolist())
                             if table.kind(class_column) == NUMERIC
                             else table.column(class_column))

@@ -60,8 +60,9 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis once calibrated. A collect-only calibration holds None for
-    every non-root cluster table and every separator table.
+    batch axis once calibrated. Separator tables are None until then, and a
+    collect-only calibration holds None for every non-root cluster table and
+    every separator table.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -411,11 +412,12 @@ def initialize_potentials(
 ) -> JunctionTree:
     """Assign each factor to its lowest-index containing cluster.
 
-    Cluster and separator tables start at the multiplicative identity (1 for
-    both semirings); factors are multiplied in (sum-product) or min-combined
-    (max-min). The returned tree carries its compiled calibration plan; a
-    tree already initialized over the same arities lends its plan, so both
-    semirings of one net share one.
+    Cluster tables start at the multiplicative identity (1 for both
+    semirings); factors are multiplied in (sum-product) or min-combined
+    (max-min). The tree holds no separator tables until it is calibrated.
+    The returned tree carries its compiled calibration plan; a tree already
+    initialized over the same arities lends its plan, so both semirings of
+    one net share one.
     """
     if semiring not in SEMIRINGS:
         raise ValueError(f"unknown semiring {semiring!r}")
@@ -440,15 +442,14 @@ def initialize_potentials(
             raise RuntimeError(f"factor over {f.scope} fits no cluster; tree is malformed")
         tables[home] = combine(tables[home], _embed(f.table, f.scope, jt.clusters[home]))
 
-    seps = [np.ones(tuple(arities[v] for v in sep)) for _, _, sep in jt.edges]
-    for t in tables + seps:
+    for t in tables:
         t.setflags(write=False)
     return replace(
         jt,
         semiring=semiring,
         arities=dict(arities),
         cluster_tables=tuple(tables),
-        separator_tables=tuple(seps),
+        separator_tables=None,
         plan=plan,
         possible=None,
     )
@@ -499,15 +500,14 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
     plan = jt.plan
     sr = SEMIRINGS[jt.semiring]
     tables = [t[np.newaxis] for t in jt.cluster_tables]
-    seps = [s[np.newaxis] for s in jt.separator_tables]
+    seps = [None] * len(jt.edges)
 
     for var in np.flatnonzero((observed >= 0).any(axis=0)).tolist():
         mask = plan.indicators[var][observed[:, var]]
         for cluster, shape in plan.holders[var]:
             tables[cluster] = tables[cluster] * mask.reshape(shape)
 
-    # a collect message is the first over its edge: the separator still
-    # holds ones, so it is absorbed as is (dividing by one is exact)
+    # a collect message is the first over its edge, so it is absorbed as is
     for source, target, edge, axes, shape in plan.collect:
         message = sr.marginalize.reduce(tables[source], axis=axes)
         tables[target] = sr.combine(tables[target], message.reshape(shape))
@@ -611,12 +611,8 @@ def marginal_from_cluster(
 
 def net_factors(net: BayesNet) -> list[Potential]:
     """One potential per CPT with scope (parents..., child)."""
-    out = []
-    for var in net.dag.variables:
-        cpt = net.cpts[var.id]
-        shape = tuple(net.dag.arity(p) for p in cpt.parents) + (var.arity,)
-        out.append(Potential(cpt.parents + (var.id,), cpt.table.reshape(shape)))
-    return out
+    return [Potential(cpt.parents + (v,), cpt.table.reshape(net.dag.cpt_shape(v)))
+            for v, cpt in enumerate(net.cpts)]
 
 
 def build_tree_for_net(net: BayesNet) -> JunctionTree:

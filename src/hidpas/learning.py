@@ -92,27 +92,19 @@ def count_statistics(
     """Exact N_ijk counts; configurations never seen in the data count 0."""
     n_cols = len(data.variables)
     parents = tuple(parents)
-    if not 0 <= var < n_cols:
-        raise ValueError(f"unknown column id {var}")
-    for p in parents:
-        if not 0 <= p < n_cols:
-            raise ValueError(f"unknown column id {p}")
+    for c in (var, *parents):
+        if not 0 <= c < n_cols:
+            raise ValueError(f"unknown column id {c}")
     if var in parents:
         raise ValueError("variable cannot be its own parent")
-
-    r = data.variables[var].arity
-    q = 1
-    for p in parents:
-        q *= data.variables[p].arity
-
-    if data.row_count == 0:
-        return CountStatistics(var, parents, np.zeros((q, r), dtype=np.int64))
-
-    cfg = np.zeros(data.row_count, dtype=np.int64)
-    for p in parents:
-        cfg = cfg * data.variables[p].arity + data.rows[:, p]
-    flat = np.bincount(cfg * r + data.rows[:, var], minlength=q * r)
-    return CountStatistics(var, parents, flat.reshape(q, r))
+    # the layout of var's table: a Dag of just these columns, var last under
+    # the others, so its size does not grow with the dataset's width
+    cols = (*parents, var)
+    shape = Dag([data.variables[c] for c in cols],
+                [()] * len(parents) + [range(len(parents))]).cpt_shape(len(parents))
+    keys = np.ravel_multi_index(tuple(data.rows[:, c] for c in cols), shape)
+    counts = np.bincount(keys, minlength=math.prod(shape))
+    return CountStatistics(var, parents, counts.reshape(-1, shape[-1]))
 
 
 def lgamma_table(size: int) -> np.ndarray:

@@ -144,10 +144,7 @@ def random_net(rng: np.random.Generator, max_vars: int = 8,
     dag = Dag(variables, tuple(parents))
     cpts = []
     for i, var in enumerate(variables):
-        q = 1
-        for p in parents[i]:
-            q *= variables[p].arity
-        rows = rng.random((q, var.arity)) + 0.05  # keep rows off exact zero
+        rows = rng.random(dag.cpt_shape(i)).reshape(-1, var.arity) + 0.05  # off exact zero
         rows /= rows.sum(axis=1, keepdims=True)
         cpts.append(Cpt(i, parents[i], rows))
     return BayesNet(dag, tuple(cpts))

@@ -244,12 +244,8 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
         ends = np.cumsum([len(tables[i]) for i in members])
         for i, part in zip(members, np.split(rows, ends[:-1])):
             poss[i] = part
-    out = []
-    for var, rows in zip(net.dag.variables, poss):
-        cpt = net.cpts[var.id]
-        shape = tuple(net.dag.arity(p) for p in cpt.parents) + (var.arity,)
-        out.append(Potential(cpt.parents + (var.id,), rows.reshape(shape)))
-    return out
+    return [Potential(net.cpts[v].parents + (v,), rows.reshape(net.dag.cpt_shape(v)))
+            for v, rows in enumerate(poss)]
 
 
 class HybridPropagator:

@@ -321,14 +321,9 @@ class PredictionRow:
     selected: bool
 
     def to_payload(self) -> dict:
-        return {
-            "hyper_alert": self.hyper_name,
-            "necessity": self.necessity,
-            "probability": self.probability,
-            "possibility": self.possibility,
-            "informative": self.informative,
-            "selected": self.selected,
-        }
+        payload = dict(vars(self))
+        payload["hyper_alert"] = payload.pop("hyper_name")
+        return payload
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def test_cycle_names_cycle_and_downstream_variables():
     flat = np.full((1, 2), 0.5)
     net = BayesNet(dag, tuple(
         Cpt(i, ps, np.repeat(flat, 2 ** len(ps), axis=0)) for i, ps in enumerate(parents)))
-    assert dag.topological_order() is None
+    assert dag._kahn() == ([0, 4], [1, 2, 3])
     assert [str(v) for v in validate_network(net)] == [
         "[cycle] directed cycle through variables [1, 2, 3]"]
 
@@ -104,6 +104,12 @@ def test_parent_configurations_row_major_last_parent_fastest():
     assert parent_configurations(net, 2) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
+    assert dag.cpt_shape(2) == (2, 3, 2) and dag.cpt_shape(0) == (2,)
+    table = np.ones((6, 2)) / 2
+    table[4] = [0.25, 0.5]  # the row of P1 = 1, P2 = 1
+    bad = BayesNet(dag, net.cpts[:2] + (Cpt(2, (0, 1), table),))
+    assert [v.message for v in validate_network(bad)] == ["row (1, 1) sums to 0.75, not 1"]
+    assert joint_probability(bad, {0: 1, 1: 1, 2: 1}) == pytest.approx(0.5 / 6)
 
 
 def test_parent_configurations_is_deterministic(chain5_net):

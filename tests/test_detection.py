@@ -101,7 +101,7 @@ def test_single_class_table_degenerates():
     columns = [labels if name == "attack_type" else cells(table, name) for name in table.names]
     single = raw_table(table.names, table.kinds, columns)
     model = train_detector(single, DetectorConfig(top_k=2))
-    assert model.class_states == ("normal", NONE_STATE)
+    assert model.net.variable(model.class_var).states == ("normal", NONE_STATE)
     result = classify_connection(model, record_from_table(single, 0))
     assert result.label == "normal"
     n = single.row_count  # Laplace smoothing over the two states
@@ -157,7 +157,7 @@ def test_symmetric_model_breaks_ties_by_state_order():
     model = train_detector(table, DetectorConfig(top_k=0, smoothing=1.0))
     # no features: classification sees the bare class prior, which is uniform
     result = classify_connection(model, record_from_table(table, 0))
-    assert result.label == model.class_states[0]
+    assert result.label == model.net.variable(model.class_var).states[0]
 
 
 def test_probability_component_equals_plain_jt_classification(scenario_model):

@@ -343,17 +343,25 @@ def test_label_granularity_keeps_a_numeric_class_column():
 def test_gini_gain_perfect_separator():
     table = small_table(cls=["a", "a", "b", "b"], f=["x", "x", "y", "y"])
     ranking = gini_rank(table, "cls")
-    assert ranking.gain("f") == pytest.approx(0.5)
+    assert dict(ranking.entries)["f"] == pytest.approx(0.5)
 
 
 def test_gini_gain_constant_feature_zero():
     table = small_table(cls=["a", "a", "b", "b"], f=["x", "x", "x", "x"])
-    assert gini_rank(table, "cls").gain("f") == pytest.approx(0.0)
+    assert dict(gini_rank(table, "cls").entries)["f"] == pytest.approx(0.0)
 
 
 def test_gini_gain_class_against_itself():
     table = small_table(cls=["a", "a", "b", "b"], copy=["a", "a", "b", "b"])
-    assert gini_rank(table, "cls").gain("copy") == pytest.approx(0.5)
+    assert dict(gini_rank(table, "cls").entries)["copy"] == pytest.approx(0.5)
+
+
+def test_an_unknown_column_is_named():
+    table = small_table(cls=["a", "b"], f=[1.0, 2.0])
+    for lookup in (table.column, table.kind, lambda name: gini_rank(table, name),
+                   lambda name: apply_label_granularity(table, "category", name)):
+        with pytest.raises(ValueError, match="^no column named 'nope'$"):
+            lookup("nope")
 
 
 def test_gini_constant_class_warns_all_zero(caplog):

@@ -32,8 +32,8 @@ HISTORY = os.path.join(SCENARIO_DIR, "alert_history.csv")
 STREAM = os.path.join(SCENARIO_DIR, "host_c.csv")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # The input flag of each subcommand; the tests pass a path that does not exist
-INPUT = {"learn-detector": "--data", "learn-plan": "--alerts", "predict": "--model",
-         "simulate": "--config"}
+INPUT = {"learn-detector": "--data", "learn-plan": "--alerts", "aggregate": "--alerts",
+         "predict": "--model", "simulate": "--config"}
 
 
 def _fail(*args, **kwargs):
@@ -58,12 +58,16 @@ def _fail(*args, **kwargs):
     ("predict", "--threshold", "nan"),
     ("predict", "--select", "maximum"),
     ("simulate", "--seed", "1.5"),
+    ("learn-detector", "--class-column", "nope"),
+    ("learn-plan", "--merge-key", "foo"),
+    ("aggregate", "--merge-key", "foo"),
 ])
 def test_a_bad_setting_is_a_usage_error_before_any_file_is_opened(
         tmp_path, capsys, command, option, value):
     missing = tmp_path / "missing.csv"
     out = tmp_path / "out.bn"
     rest = {"learn-detector": ["--out", str(out)], "learn-plan": ["--out", str(out)],
+            "aggregate": ["--out", str(out)],
             "predict": ["--observed", "portsweep", "--select", "threshold"],
             "simulate": []}[command]
     assert run_command([command, INPUT[command], str(missing)] + rest + [option, value]) == 2
