@@ -110,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict unobserved hyper-alerts")
     p.add_argument("--model", required=True, help="plan model path")
     p.add_argument("--observed", required=True,
-                   help="comma-separated observed hyper-alert names or ids")
+                   help="comma-separated observed hyper-alerts, each a name, or an id "
+                        "where no hyper-alert has that name")
     _add_setting(p, "--select", "selection")
     _add_setting(p, "--threshold", "theta", help="probability floor for --select threshold")
 
@@ -251,11 +252,7 @@ def _cmd_predict(args) -> int:
     from .prediction import predict_attacks
 
     model = load_plan(args.model)
-    observed = []
-    for token in args.observed.split(","):
-        token = token.strip()
-        if token:
-            observed.append(int(token) if token.isdigit() else token)
+    observed = [token for token in map(str.strip, args.observed.split(",")) if token]
     report = predict_attacks(model, observed, selection=args.select,
                              theta=args.threshold)
     print(f"observed: {', '.join(report.observed) or '(none)'}")

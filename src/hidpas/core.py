@@ -227,33 +227,19 @@ class Dag:
 
 
 @dataclass(frozen=True)
-class Cpt:
-    """Conditional probability table for one variable.
-
-    table has shape (q, r): Dag.cpt_shape in numpy C order, one row per
-    parent configuration and one column per child state.
-    """
-
-    variable: int
-    parents: tuple[int, ...]
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        tbl = np.asarray(self.table, dtype=float)
-        tbl.setflags(write=False)
-        object.__setattr__(self, "table", tbl)
-
-
-@dataclass(frozen=True)
 class BayesNet:
-    """A DAG plus one CPT per variable (aligned by variable id)."""
+    """A DAG plus one CPT per variable id: a float64 (q, r) table in the
+    shape Dag.cpt_shape gives, its rows the configurations of the Dag's
+    parents of that variable. Tables are stored read-only."""
 
     dag: Dag
-    cpts: tuple[Cpt, ...]
+    cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cpts", tuple(self.cpts))
+        tables = tuple(np.asarray(t, dtype=np.float64) for t in self.cpts)
+        for table in tables:
+            table.setflags(write=False)
+        object.__setattr__(self, "cpts", tables)
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -295,7 +281,7 @@ def joint_probability(net: BayesNet, assignment: Mapping[int, int]) -> float:
         raise ValueError(f"assignment misses variables {missing}")
     prob = 1.0
     for var in net.dag.variables:
-        table = net.cpts[var.id].table.reshape(net.dag.cpt_shape(var.id))
+        table = net.cpts[var.id].reshape(net.dag.cpt_shape(var.id))
         prob *= float(table[tuple(assignment[p] for p in (*net.dag.parents[var.id], var.id))])
     return prob
 
@@ -333,31 +319,19 @@ def validate_network(net: BayesNet) -> list[Violation]:
         out.append(Violation(None, "missing-cpt", f"{len(net.cpts)} CPTs for {n} variables"))
         return out
 
-    for var in net.dag.variables:
-        cpt = net.cpts[var.id]
-        if cpt.variable != var.id:
-            out.append(Violation(var.id, "cpt-mismatch", f"CPT is for variable {cpt.variable}"))
-            continue
-        if tuple(cpt.parents) != tuple(net.dag.parents[var.id]):
-            out.append(
-                Violation(var.id, "cpt-mismatch",
-                          f"CPT parents {cpt.parents} != dag parents {net.dag.parents[var.id]}")
-            )
-            continue
-        if any(not 0 <= p < n for p in cpt.parents):
+    for vid, (var, table) in enumerate(zip(net.dag.variables, net.cpts)):
+        if any(not 0 <= p < n for p in net.dag.parents[vid]):
             continue  # already reported on the dag side
-        shape = net.dag.cpt_shape(var.id)
+        shape = net.dag.cpt_shape(vid)
         q = math.prod(shape[:-1])
-        if cpt.table.shape != (q, var.arity):
-            out.append(
-                Violation(var.id, "cpt-shape",
-                          f"table shape {cpt.table.shape} != ({q}, {var.arity})")
-            )
+        if table.shape != (q, var.arity):
+            out.append(Violation(vid, "cpt-shape",
+                                 f"table shape {table.shape} != ({q}, {var.arity})"))
             continue
-        if not np.all((cpt.table >= 0) & (cpt.table <= 1)):  # NaN fails both
-            out.append(Violation(var.id, "range", "CPT entry outside [0, 1]"))
-        sums = cpt.table.sum(axis=1)
+        if not np.all((table >= 0) & (table <= 1)):  # NaN fails both
+            out.append(Violation(vid, "range", "CPT entry outside [0, 1]"))
+        sums = table.sum(axis=1)
         for j in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
             config = tuple(map(int, np.unravel_index(j, shape[:-1])))
-            out.append(Violation(var.id, "row-sum", f"row {config} sums to {sums[j]:.12g}, not 1"))
+            out.append(Violation(vid, "row-sum", f"row {config} sums to {sums[j]:.12g}, not 1"))
     return out

@@ -149,12 +149,13 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
 
     name_to_id = {v.name: v.id for v in dataset.variables}
     if config.order is not None:
-        unknown = [n for n in config.order if n not in name_to_id]
-        if unknown:
-            raise ValueError(
-                f"order names {unknown} are not among the selected columns "
-                f"{sorted(name_to_id)}"
-            )
+        for fault, names in (
+                ("names unknown columns", [n for n in config.order if n not in name_to_id]),
+                ("repeats", [n for n in dict.fromkeys(config.order) if config.order.count(n) > 1]),
+                ("misses", [n for n in name_to_id if n not in config.order])):
+            if names:
+                raise ValueError(f"order {fault} {names}: each of the selected columns "
+                                 f"{sorted(name_to_id)} must appear once")
         order = tuple(name_to_id[n] for n in config.order)
     else:
         order = (name_to_id[config.class_column],) + tuple(

@@ -610,9 +610,9 @@ def marginal_from_cluster(
 
 
 def net_factors(net: BayesNet) -> list[Potential]:
-    """One potential per CPT with scope (parents..., child)."""
-    return [Potential(cpt.parents + (v,), cpt.table.reshape(net.dag.cpt_shape(v)))
-            for v, cpt in enumerate(net.cpts)]
+    """One potential per CPT with scope (the Dag's parents..., child)."""
+    return [Potential((*net.dag.parents[v], v), table.reshape(net.dag.cpt_shape(v)))
+            for v, table in enumerate(net.cpts)]
 
 
 def build_tree_for_net(net: BayesNet) -> JunctionTree:

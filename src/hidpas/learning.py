@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Variable, check_params
+from .core import BayesNet, Dag, Variable, check_params
 
 SCORE_EPS = 1e-12  # a candidate parent must beat the current score by this
 ENTRY_BUDGET = 1 << 14  # array entries per K2 scoring chunk; bounds its working memory
@@ -59,37 +59,9 @@ class DiscreteDataset:
         return int(self.rows.shape[0])
 
 
-@dataclass(frozen=True)
-class CountStatistics:
-    """Frequency counts for one variable under a parent set.
-
-    counts has shape (q, r): parent configurations (row-major, last parent
-    fastest) by child states. marginals are the per-configuration totals.
-    """
-
-    variable: int
-    parents: tuple[int, ...]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def arity(self) -> int:
-        return int(self.counts.shape[1])
-
-
-def count_statistics(
-    data: DiscreteDataset, var: int, parents: Sequence[int]
-) -> CountStatistics:
-    """Exact N_ijk counts; configurations never seen in the data count 0."""
+def count_statistics(data: DiscreteDataset, var: int, parents: Sequence[int]) -> np.ndarray:
+    """Exact N_ijk counts, an int64 (q, r) table laid out as var's CPT under
+    parents; configurations never seen in the data count 0."""
     n_cols = len(data.variables)
     parents = tuple(parents)
     for c in (var, *parents):
@@ -104,7 +76,7 @@ def count_statistics(
                 [()] * len(parents) + [range(len(parents))]).cpt_shape(len(parents))
     keys = np.ravel_multi_index(tuple(data.rows[:, c] for c in cols), shape)
     counts = np.bincount(keys, minlength=math.prod(shape))
-    return CountStatistics(var, parents, counts.reshape(-1, shape[-1]))
+    return counts.astype(np.int64, copy=False).reshape(-1, shape[-1])
 
 
 def lgamma_table(size: int) -> np.ndarray:
@@ -144,14 +116,15 @@ def k2_log_scores(counts: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
     return total
 
 
-def k2_local_log_score(stats: CountStatistics) -> float:
-    """Natural log of the local marginal-likelihood score.
+def k2_local_log_score(counts: np.ndarray) -> float:
+    """Natural log of the local marginal-likelihood score of a (q, r) count
+    table, as count_statistics gives.
 
     Per configuration j: lgamma(r) - lgamma(N_j + r) + sum_k lgamma(N_jk + 1).
     Zero-count configurations contribute exactly 0.
     """
-    lgamma = lgamma_table(int(stats.counts.sum()) + stats.arity + 1)
-    return float(k2_log_scores(stats.counts[None], lgamma)[0])
+    lgamma = lgamma_table(int(counts.sum()) + counts.shape[1] + 1)
+    return float(k2_log_scores(counts[None], lgamma)[0])
 
 
 def _one_hot(columns: np.ndarray, arities: list[int],
@@ -383,14 +356,14 @@ def fit_cpts(data: DiscreteDataset, dag: Dag, smoothing: float) -> BayesNet:
         raise ValueError("dag variables do not match dataset columns")
     cpts = []
     for var in dag.variables:
-        stats = count_statistics(data, var.id, dag.parents[var.id])
-        counts = stats.counts.astype(float)
+        counts = count_statistics(data, var.id, dag.parents[var.id])
         r = var.arity
-        denom = stats.marginals.astype(float) + r * smoothing
+        denom = counts.sum(axis=1).astype(float) + r * smoothing
+        counts = counts.astype(float)
         table = np.empty_like(counts)
         empty = denom == 0  # only possible with smoothing 0
         if np.any(~empty):
             table[~empty] = (counts[~empty] + smoothing) / denom[~empty, None]
         table[empty] = 1.0 / r
-        cpts.append(Cpt(var.id, dag.parents[var.id], table))
-    return BayesNet(dag=dag, cpts=tuple(cpts))
+        cpts.append(table)
+    return BayesNet(dag, cpts)

@@ -21,7 +21,6 @@ from .core import (
     NOT_TOKEN,
     PARAMS,
     BayesNet,
-    Cpt,
     DataError,
     Dag,
     Variable,
@@ -55,7 +54,7 @@ def format_network(net: BayesNet, timestamp: bool = True) -> str:
     for child, parents in enumerate(net.dag.parents):
         for p in parents:
             lines.append(f"{p} -> {child}")
-    rows = _spelled_rows([net.cpts[var.id].table for var in net.dag.variables])
+    rows = _spelled_rows([net.cpts[var.id] for var in net.dag.variables])
     for var in net.dag.variables:
         lines.append(f"CPT {var.id}")
         # configurations first: zip stops at their end without taking a row
@@ -213,8 +212,6 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
         if not (0 <= parent < len(variables) and 0 <= child < len(variables)):
             raise DataError(f"{path}: edge names an unknown variable: {ln!r}")
         parent_lists[child].append(parent)
-    parents = tuple(tuple(ps) for ps in parent_lists)
-    dag = Dag(tuple(variables), parents)
     cpts = []
     labels: list[list[str]] = []
     known: dict[str, float] = {}
@@ -236,9 +233,8 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
                                 f"values for {var.arity} states")
             rows.append(row)
             labels[-1].append(label)
-        table = np.array(rows, dtype=float).reshape(len(rows), var.arity)
-        cpts.append(Cpt(var.id, parents[var.id], table))
-    net = BayesNet(dag, tuple(cpts))
+        cpts.append(np.array(rows, dtype=float).reshape(len(rows), var.arity))
+    net = BayesNet(Dag(variables, parent_lists), cpts)
     for var, var_labels in zip(variables, labels):
         for label, cfg in zip(var_labels, parent_configurations(net, var.id)):
             if label != _config_label(cfg):

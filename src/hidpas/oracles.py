@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BayesNet, Cpt, Dag, Variable
+from .core import BayesNet, Dag, Variable
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -26,7 +26,6 @@ from .jtree import (
     propagate,
     query_marginal,
 )
-from .learning import CountStatistics
 from .possibility import HybridPropagator, necessity, prob_to_poss, transformed_factors
 
 
@@ -112,15 +111,15 @@ def direct_power_transform(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def k2_score_by_factorials(stats: CountStatistics) -> float:
-    """Log of the exact factorial product form, kept exact via Fractions."""
-    r = stats.arity
+def k2_score_by_factorials(counts: np.ndarray) -> float:
+    """Log of the exact factorial product form of a (q, r) count table, kept
+    exact via Fractions."""
+    r = counts.shape[1]
     value = Fraction(1)
-    for j in range(stats.counts.shape[0]):
-        n_j = int(stats.marginals[j])
-        value *= Fraction(math.factorial(r - 1), math.factorial(n_j + r - 1))
-        for n_jk in stats.counts[j]:
-            value *= math.factorial(int(n_jk))
+    for row in counts.tolist():
+        value *= Fraction(math.factorial(r - 1), math.factorial(sum(row) + r - 1))
+        for n_jk in row:
+            value *= math.factorial(n_jk)
     return math.log(value.numerator) - math.log(value.denominator)
 
 
@@ -146,8 +145,8 @@ def random_net(rng: np.random.Generator, max_vars: int = 8,
     for i, var in enumerate(variables):
         rows = rng.random(dag.cpt_shape(i)).reshape(-1, var.arity) + 0.05  # off exact zero
         rows /= rows.sum(axis=1, keepdims=True)
-        cpts.append(Cpt(i, parents[i], rows))
-    return BayesNet(dag, tuple(cpts))
+        cpts.append(rows)
+    return BayesNet(dag, cpts)
 
 
 def forest_net(rng: np.random.Generator) -> BayesNet:
@@ -164,13 +163,13 @@ def forest_net(rng: np.random.Generator) -> BayesNet:
                       for v in part.dag.variables]
         parents += [tuple(base + p for p in ps) for ps in part.dag.parents]
         for cpt in part.cpts:
-            table = cpt.table.copy()
+            table = cpt.copy()
             zero = rng.random(table.shape) < 0.2
             zero[np.arange(len(table)), table.argmax(axis=1)] = False
             table[zero] = 0.0
             table /= table.sum(axis=1, keepdims=True)
-            cpts.append(Cpt(base + cpt.variable, tuple(base + p for p in cpt.parents), table))
-    return BayesNet(Dag(tuple(variables), tuple(parents)), tuple(cpts))
+            cpts.append(table)
+    return BayesNet(Dag(variables, parents), cpts)
 
 
 def random_evidence(rng: np.random.Generator, net: BayesNet) -> dict[int, int]:

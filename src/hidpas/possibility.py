@@ -217,7 +217,7 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
     variable order, then row order, and the first bad row raises as
     `prob_to_poss` raises on it alone.
     """
-    tables = [net.cpts[var.id].table for var in net.dag.variables]
+    tables = net.cpts
     bad = next((i for i, t in enumerate(tables) if t.ndim != 2 or t.shape[1] == 0),
                len(tables))
     groups: dict[int, list[int]] = {}
@@ -244,7 +244,7 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
         ends = np.cumsum([len(tables[i]) for i in members])
         for i, part in zip(members, np.split(rows, ends[:-1])):
             poss[i] = part
-    return [Potential(net.cpts[v].parents + (v,), rows.reshape(net.dag.cpt_shape(v)))
+    return [Potential((*net.dag.parents[v], v), rows.reshape(net.dag.cpt_shape(v)))
             for v, rows in enumerate(poss)]
 
 

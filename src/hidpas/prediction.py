@@ -284,14 +284,17 @@ class PlanModel:
         return HybridPropagator(self.net)
 
     def var_of(self, hyper: str | int) -> int:
-        if isinstance(hyper, int):
-            if not 0 <= hyper < len(self.hyper_names):
-                raise ValueError(f"no hyper-alert with id {hyper}")
-            return hyper
-        try:
+        """The variable of a hyper-alert: a token is its name if one has it,
+        and its id otherwise, an int or a string of ASCII digits."""
+        if hyper in self.hyper_names:
             return self.hyper_names.index(hyper)
-        except ValueError:
-            raise ValueError(f"no hyper-alert named {hyper!r}") from None
+        if isinstance(hyper, str):
+            if not (hyper.isascii() and hyper.isdigit()):
+                raise ValueError(f"no hyper-alert named {hyper!r}")
+            hyper = int(hyper)
+        if not 0 <= hyper < len(self.hyper_names):
+            raise ValueError(f"no hyper-alert with id {hyper}")
+        return hyper
 
 
 def train_plan_model(tm: TransactionMatrix,

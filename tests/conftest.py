@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hidpas.core import BayesNet, Cpt, Dag, Variable
+from hidpas.core import BayesNet, Dag, Variable
 from hidpas.features import NUMERIC, RawTable, encode
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -34,8 +34,8 @@ def two_node_net() -> BayesNet:
     b = Variable(1, "B", ("b0", "b1"))
     dag = Dag((a, b), ((), (0,)))
     return BayesNet(dag, (
-        Cpt(0, (), np.array([[0.4, 0.6]])),
-        Cpt(1, (0,), np.array([[0.8, 0.2], [0.1, 0.9]])),
+        np.array([[0.4, 0.6]]),
+        np.array([[0.8, 0.2], [0.1, 0.9]]),
     ))
 
 
@@ -47,11 +47,11 @@ def collider_net() -> BayesNet:
     c = Variable(2, "C", ("0", "1"))
     dag = Dag((a, b, c), ((), (), (0, 1)))
     return BayesNet(dag, (
-        Cpt(0, (), np.array([[0.3, 0.7]])),
-        Cpt(1, (), np.array([[0.6, 0.4]])),
-        Cpt(2, (0, 1), np.array([
+        np.array([[0.3, 0.7]]),
+        np.array([[0.6, 0.4]]),
+        np.array([
             [0.9, 0.1], [0.5, 0.5], [0.4, 0.6], [0.2, 0.8],
-        ])),
+        ]),
     ))
 
 
@@ -72,7 +72,7 @@ def chain5_net() -> BayesNet:
         q = 1 if not parents[v.id] else variables[parents[v.id][0]].arity
         rows = rng.random((q, v.arity)) + 0.1
         rows /= rows.sum(axis=1, keepdims=True)
-        cpts.append(Cpt(v.id, parents[v.id], rows))
+        cpts.append(rows)
     return BayesNet(Dag(variables, parents), tuple(cpts))
 
 

@@ -109,9 +109,9 @@ def test_criterion_4_k2_score_and_chain_recovery():
                 ) if n else np.zeros((0, 2), dtype=np.int64)
                 data = DiscreteDataset(variables, rows)
                 for parents in ((), (0,)):
-                    stats = count_statistics(data, 1, parents)
-                    got = k2_local_log_score(stats)
-                    expected = k2_score_by_factorials(stats)
+                    counts = count_statistics(data, 1, parents)
+                    got = k2_local_log_score(counts)
+                    expected = k2_score_by_factorials(counts)
                     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
         chain_vars = tuple(Variable(i, name, ("0", "1"))

@@ -129,6 +129,21 @@ def test_learn_plan_and_predict(tmp_path, capsys):
     assert "teardrop" in out
 
 
+def test_predict_reads_a_digit_token_as_a_name_before_an_id(tmp_path, capsys):
+    """Merged on dst_port, the hyper-alerts are named 445 (id 0) and 80 (id 1)."""
+    plan = tmp_path / "plan.bn"
+    assert run_command(["learn-plan", "--alerts", HISTORY, "--out", str(plan),
+                        "--merge-key", "dst_port", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    for token, observed in (("80", "80"), ("445", "445"), ("0", "445"), ("1", "80")):
+        assert run_command(["predict", "--model", str(plan), "--observed", token]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"observed: {observed}"
+    for token, error in (("2", "no hyper-alert with id 2"),
+                         ("\u00b2", "no hyper-alert named '\u00b2'")):
+        assert run_command(["predict", "--model", str(plan), "--observed", token]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_learn_plan_classifier_with_an_empty_port(tmp_path, capsys):
     from hidpas.model_io import load_classifier
     from hidpas.prediction import AlertRecord, EMPTY_STATE, classify_alert

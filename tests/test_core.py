@@ -9,7 +9,6 @@ import pytest
 from hidpas.agents import load_sim_config
 from hidpas.core import (
     BayesNet,
-    Cpt,
     Dag,
     DataError,
     Variable,
@@ -21,6 +20,7 @@ from hidpas.core import (
 )
 from hidpas.detection import load_stream
 from hidpas.features import load_kdd
+from hidpas.learning import DiscreteDataset, count_statistics
 from hidpas.model_io import load_classifier, load_detector, load_plan
 from hidpas.possibility import HybridPropagator
 from hidpas.prediction import load_alert_log
@@ -30,13 +30,32 @@ def test_valid_two_node_net_has_empty_report(two_node_net):
     assert validate_network(two_node_net) == []
 
 
+def test_a_net_freezes_its_tables_and_counts_are_int64_tables():
+    a = Variable(0, "A", ("0", "1"))
+    b = Variable(1, "B", ("0", "1", "2"))
+    ints = np.array([[1, 0, 0], [0, 1, 1]])  # writable
+    net = BayesNet(Dag((a, b), ((), (0,))), [[[0.25, 0.75]], ints])
+    assert isinstance(net.cpts, tuple) and len(net.cpts) == 2
+    for table in net.cpts:
+        assert table.dtype == np.float64 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+    assert net.cpts[0].tolist() == [[0.25, 0.75]]
+    assert net.cpts[1].tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+    assert ints.flags.writeable  # converted, so the caller's array is left as it was
+    data = DiscreteDataset((a, b), [[0, 0], [1, 1], [1, 2], [1, 2]])
+    table = count_statistics(data, 1, (0,))
+    assert table.dtype == np.int64 and table.shape == (2, 3)
+    assert table.tolist() == [[1, 0, 0], [0, 1, 2]]
+
+
 def test_two_cycle_reports_one_cycle_violation():
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     dag = Dag((a, b), ((1,), (0,)))  # A <- B and B <- A
     net = BayesNet(dag, (
-        Cpt(0, (1,), np.array([[0.5, 0.5], [0.5, 0.5]])),
-        Cpt(1, (0,), np.array([[0.5, 0.5], [0.5, 0.5]])),
+        np.array([[0.5, 0.5], [0.5, 0.5]]),
+        np.array([[0.5, 0.5], [0.5, 0.5]]),
     ))
     cycles = [v for v in validate_network(net) if v.kind == "cycle"]
     assert len(cycles) == 1
@@ -49,7 +68,7 @@ def test_cycle_names_cycle_and_downstream_variables():
     dag = Dag(vs, parents)
     flat = np.full((1, 2), 0.5)
     net = BayesNet(dag, tuple(
-        Cpt(i, ps, np.repeat(flat, 2 ** len(ps), axis=0)) for i, ps in enumerate(parents)))
+        np.repeat(flat, 2 ** len(ps), axis=0) for ps in parents))
     assert dag._kahn() == ([0, 4], [1, 2, 3])
     assert [str(v) for v in validate_network(net)] == [
         "[cycle] directed cycle through variables [1, 2, 3]"]
@@ -57,7 +76,7 @@ def test_cycle_names_cycle_and_downstream_variables():
 
 def test_bad_row_sum_is_reported_with_row():
     a = Variable(0, "A", ("0", "1"))
-    net = BayesNet(Dag((a,), ((),)), (Cpt(0, (), np.array([[0.5, 0.6]])),))
+    net = BayesNet(Dag((a,), ((),)), (np.array([[0.5, 0.6]]),))
     report = validate_network(net)
     assert len(report) == 1
     assert report[0].kind == "row-sum"
@@ -70,16 +89,20 @@ def test_validation_catches_shape_and_reference_problems():
     b = Variable(1, "B", ("0", "1", "2"))
     dag = Dag((a, b), ((), (0, 7)))
     net = BayesNet(dag, (
-        Cpt(0, (), np.array([[0.5, 0.5]])),
-        Cpt(1, (0, 7), np.ones((1, 3)) / 3),
+        np.array([[0.5, 0.5]]),
+        np.ones((1, 3)) / 3,
     ))
     kinds = {v.kind for v in validate_network(net)}
     assert "unknown-parent" in kinds
+    # a variable whose id is not its position is reported, and its table read by position
+    misnumbered = BayesNet(Dag((Variable(5, "A", ("0", "1")), b), ((), ())), net.cpts)
+    assert [str(v) for v in validate_network(misnumbered)] == [
+        "[id] var 0: variable at position 0 has id 5"]
 
 
 def test_arity_below_two_is_reported():
     a = Variable(0, "A", ("only",))
-    net = BayesNet(Dag((a,), ((),)), (Cpt(0, (), np.array([[1.0]])),))
+    net = BayesNet(Dag((a,), ((),)), (np.array([[1.0]]),))
     assert any(v.kind == "arity" for v in validate_network(net))
 
 
@@ -97,9 +120,9 @@ def test_parent_configurations_row_major_last_parent_fastest():
     x = Variable(2, "X", ("0", "1"))
     dag = Dag((p1, p2, x), ((), (), (0, 1)))
     net = BayesNet(dag, (
-        Cpt(0, (), np.array([[0.5, 0.5]])),
-        Cpt(1, (), np.ones((1, 3)) / 3),
-        Cpt(2, (0, 1), np.ones((6, 2)) / 2),
+        np.array([[0.5, 0.5]]),
+        np.ones((1, 3)) / 3,
+        np.ones((6, 2)) / 2,
     ))
     assert parent_configurations(net, 2) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
@@ -107,7 +130,7 @@ def test_parent_configurations_row_major_last_parent_fastest():
     assert dag.cpt_shape(2) == (2, 3, 2) and dag.cpt_shape(0) == (2,)
     table = np.ones((6, 2)) / 2
     table[4] = [0.25, 0.5]  # the row of P1 = 1, P2 = 1
-    bad = BayesNet(dag, net.cpts[:2] + (Cpt(2, (0, 1), table),))
+    bad = BayesNet(dag, net.cpts[:2] + (table,))
     assert [v.message for v in validate_network(bad)] == ["row (1, 1) sums to 0.75, not 1"]
     assert joint_probability(bad, {0: 1, 1: 1, 2: 1}) == pytest.approx(0.5 / 6)
 
@@ -131,15 +154,15 @@ def test_joint_probability_zero_entry_annihilates():
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     net = BayesNet(Dag((a, b), ((), (0,))), (
-        Cpt(0, (), np.array([[1.0, 0.0]])),
-        Cpt(1, (0,), np.array([[0.5, 0.5], [0.5, 0.5]])),
+        np.array([[1.0, 0.0]]),
+        np.array([[0.5, 0.5], [0.5, 0.5]]),
     ))
     assert joint_probability(net, {0: 1, 1: 0}) == 0.0
 
 
 def test_joint_probability_single_root():
     a = Variable(0, "A", ("0", "1"))
-    net = BayesNet(Dag((a,), ((),)), (Cpt(0, (), np.array([[0.3, 0.7]])),))
+    net = BayesNet(Dag((a,), ((),)), (np.array([[0.3, 0.7]]),))
     assert joint_probability(net, {0: 1}) == pytest.approx(0.7)
 
 

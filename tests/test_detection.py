@@ -135,6 +135,21 @@ def test_model_has_top_k_plus_class_variables(scenario_model):
     assert len(scenario_model.net.dag.variables) == 5  # 4 features + class
 
 
+def test_an_order_naming_each_selected_column_but_once_fails_before_k2(scenario_model,
+                                                                       monkeypatch):
+    table = load_kdd(data_path("scenario", "detector_train.csv"))
+    names = [v.name for v in scenario_model.net.variables]  # the 4 features and the class
+    monkeypatch.setattr("hidpas.detection.k2_search", lambda *args: pytest.fail("K2 ran"))
+    features = [n for n in names if n != "attack_type"]
+    for order, fault in ((["attack_type"], f"misses {features}"),
+                         (names + ["attack_type"], "repeats ['attack_type']"),
+                         (names + ["nope", "nope"], "names unknown columns ['nope', 'nope']")):
+        with pytest.raises(ValueError) as err:
+            train_detector(table, DetectorConfig(top_k=4, order=tuple(order)))
+        assert str(err.value) == (f"order {fault}: each of the selected columns "
+                                  f"{sorted(names)} must appear once")
+
+
 def test_classification_probabilities_sum_to_one(scenario_model):
     records = load_stream(data_path("scenario", "host_c.csv"))
     for record in records:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import BayesNet, Cpt, Dag, Variable
+from hidpas.core import BayesNet, Dag, Variable
 from hidpas.jtree import (
     SUM_PRODUCT,
     MAX_MIN,
@@ -212,8 +212,7 @@ def star_net(arities: Sequence[int], tables: Sequence[np.ndarray]) -> BayesNet:
     variables = tuple(Variable(i, f"v{i}", tuple(f"s{k}" for k in range(a)))
                       for i, a in enumerate(arities))
     parents = tuple(() if i == 0 else (0,) for i in range(len(arities)))
-    cpts = tuple(Cpt(i, parents[i], t) for i, t in enumerate(tables))
-    return BayesNet(Dag(variables, parents), cpts)
+    return BayesNet(Dag(variables, parents), tables)
 
 
 @st.composite
@@ -227,7 +226,7 @@ def star_nets(draw):
 
 
 def reference_factors(net: BayesNet) -> list[np.ndarray]:
-    return [np.vstack([reference_prob_to_poss(row) for row in cpt.table]) for cpt in net.cpts]
+    return [np.vstack([reference_prob_to_poss(row) for row in table]) for table in net.cpts]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
-"""Every name a hidpas module imports is used in that module.
+"""Every name a hidpas module imports is used in that module, and every
+name hidpas exports is bound.
 
-__init__.py is left out: it imports names to re-export them.
+__init__.py is left out of the first check: it imports names to re-export
+them.
 """
 
 from __future__ import annotations
@@ -38,3 +40,12 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert MODULES and unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_every_exported_name_is_bound():
+    import hidpas
+
+    assert [name for name in hidpas.__all__ if not hasattr(hidpas, name)] == []
+    namespace: dict = {}
+    exec("from hidpas import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(hidpas.__all__)

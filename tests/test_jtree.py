@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import BayesNet, Cpt, Dag, Variable
+from hidpas.core import BayesNet, Dag, Variable
 from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -233,13 +233,13 @@ def test_query_unknown_variable_rejected(two_node_net):
 
 
 def test_impossible_evidence_raises():
-    from hidpas.core import BayesNet, Cpt, Dag, Variable
+    from hidpas.core import BayesNet, Dag, Variable
 
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     net = BayesNet(Dag((a, b), ((), (0,))), (
-        Cpt(0, (), np.array([[1.0, 0.0]])),
-        Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
+        np.array([[1.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.5, 0.5]]),
     ))
     jt = initialize_potentials(build_tree_for_net(net), net_factors(net), SUM_PRODUCT)
     assert not calibrate(jt, {1: 1}).possible[0]
@@ -443,8 +443,7 @@ def test_only_an_uncalibrated_tree_propagates_and_only_a_calibrated_one_reads(tw
 def two_roots(pa, pb) -> BayesNet:
     """Two unconnected binary roots: a forest of two one-cluster trees."""
     variables = (Variable(0, "A", ("0", "1")), Variable(1, "B", ("0", "1")))
-    return BayesNet(Dag(variables, ((), ())), (Cpt(0, (), np.array([pa])),
-                                               Cpt(1, (), np.array([pb]))))
+    return BayesNet(Dag(variables, ((), ())), (np.array([pa]), np.array([pb])))
 
 
 def test_maxmin_forest_cap_matches_oracle():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidpas import model_io
-from hidpas.core import BayesNet, Cpt, Dag, Variable, parent_configurations, validate_network
+from hidpas.core import BayesNet, Dag, Variable, parent_configurations, validate_network
 from hidpas.features import DataError
 from hidpas.model_io import (
     FORMAT_HEADER,
@@ -37,7 +37,7 @@ def test_round_trip_preserves_structure_and_tables(two_node_net, chain5_net, col
         assert [v.name for v in back.dag.variables] == [v.name for v in net.dag.variables]
         assert back.dag.parents == net.dag.parents
         for a, b in zip(back.cpts, net.cpts):
-            np.testing.assert_allclose(a.table, b.table, atol=1e-11)
+            np.testing.assert_allclose(a, b, atol=1e-11)
         assert validate_network(back) == []
 
 
@@ -154,7 +154,7 @@ def per_value_cpt_lines(net: BayesNet) -> list[str]:
     for var in net.dag.variables:
         lines.append(f"CPT {var.id}")
         for j, cfg in enumerate(parent_configurations(net, var.id)):
-            row = " ".join(f"{p:.12g}" for p in net.cpts[var.id].table[j])
+            row = " ".join(f"{p:.12g}" for p in net.cpts[var.id][j])
             lines.append("(" + ",".join(str(c) for c in cfg) + f") : {row}")
     return lines
 
@@ -163,7 +163,7 @@ def net_of(arities: list[int], parents: list[tuple[int, ...]], tables) -> BayesN
     variables = tuple(Variable(i, f"v{i}", tuple(f"s{k}" for k in range(a)))
                       for i, a in enumerate(arities))
     dag = Dag(variables, tuple(parents))
-    return BayesNet(dag, tuple(Cpt(i, parents[i], t) for i, t in enumerate(tables)))
+    return BayesNet(dag, tables)
 
 
 def cpt_lines(net: BayesNet) -> list[str]:

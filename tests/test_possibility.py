@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas.core import BayesNet, Cpt, Dag, Variable
+from hidpas.core import BayesNet, Dag, Variable
 from hidpas import possibility
 from hidpas.oracles import (
     direct_power_transform,
@@ -184,8 +184,8 @@ def test_hybrid_deterministic_net_degenerates():
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     net = BayesNet(Dag((a, b), ((), (0,))), (
-        Cpt(0, (), np.array([[0.0, 1.0]])),
-        Cpt(1, (0,), np.array([[1.0, 0.0], [0.0, 1.0]])),
+        np.array([[0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
     ))
     result = HybridPropagator(net).query({0: 1}, [1])[1]
     assert result.triple(1) == (1.0, 1.0, 1.0)
@@ -194,7 +194,7 @@ def test_hybrid_deterministic_net_degenerates():
 
 def test_hybrid_single_root_composes_transform():
     c = Variable(0, "C", ("x", "y", "z"))
-    net = BayesNet(Dag((c,), ((),)), (Cpt(0, (), np.array([[0.5, 0.3, 0.2]])),))
+    net = BayesNet(Dag((c,), ((),)), (np.array([[0.5, 0.3, 0.2]]),))
     hm = HybridPropagator(net).query({}, [0])[0]
     assert hm.necessity == (0.5, 0.0, 0.0)
     assert hm.probability == (0.5, 0.3, 0.2)
@@ -206,8 +206,8 @@ def test_hybrid_impossible_evidence_raises(two_node_net):
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     net = BayesNet(Dag((a, b), ((), (0,))), (
-        Cpt(0, (), np.array([[1.0, 0.0]])),
-        Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
+        np.array([[1.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.5, 0.5]]),
     ))
     with pytest.raises(ImpossibleEvidenceError):
         HybridPropagator(net).query({1: 1}, [1])
@@ -358,8 +358,8 @@ def deterministic_root_net() -> BayesNet:
     a = Variable(0, "A", ("0", "1"))
     b = Variable(1, "B", ("0", "1"))
     return BayesNet(Dag((a, b), ((), (0,))), (
-        Cpt(0, (), np.array([[1.0, 0.0]])),
-        Cpt(1, (0,), np.array([[1.0, 0.0], [0.5, 0.5]])),
+        np.array([[1.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.5, 0.5]]),
     ))
 
 

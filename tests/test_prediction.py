@@ -387,7 +387,7 @@ def test_predict_report_table_format(scenario_plan):
 def test_evidence_relevance_on_dependent_pair(scenario_plan):
     """Observing a parent moves the child's probability when CPT rows differ."""
     t = scenario_plan.hyper_names.index("teardrop")
-    rows = scenario_plan.net.cpts[t].table
+    rows = scenario_plan.net.cpts[t]
     assert not np.allclose(rows[0], rows[1])
     prior = predict_attacks(scenario_plan, [])
     cond = predict_attacks(scenario_plan, ["portsweep"])
