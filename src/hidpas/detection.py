@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -103,41 +103,43 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Everything needed to classify connections: features, rules, net, tau."""
+    """Everything needed to classify connections: features, rules, net, tau.
+
+    Each feature is a KDD feature held by a variable of the net other than
+    the class variable, and a numeric one has a threshold rule; a model that
+    breaks this raises ValueError when built."""
 
     features: tuple[str, ...]
     rules: TransformRules
     net: BayesNet
     class_var: int
     tau: float
+    # per feature: (name, variable id, record column, rule), where the rule
+    # is a numeric threshold or a category's state index map
+    evidence_encoding: tuple[tuple[str, int, int, float | dict[str, int]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         self.net.variable(self.class_var)
         kinds = dict(KDD_FEATURES)
+        encoding = []
         for name in self.features:
-            self.net.var_id(name)  # raises when the net lacks the feature
-            if kinds.get(name) == NUMERIC and name not in self.rules.means:
+            var = self.net.variable(self.net.var_id(name))
+            if name not in kinds:
+                raise ValueError(f"feature {name!r} is not a KDD feature")
+            if var.id == self.class_var:
+                raise ValueError(f"feature {name!r} is the class variable")
+            if kinds[name] != NUMERIC:
+                rule = var.state_index()
+            elif (rule := self.rules.means.get(name)) is None:
                 raise ValueError(f"numeric feature {name!r} has no threshold rule")
+            encoding.append((name, var.id, FEATURE_COLUMNS[name], rule))
+        object.__setattr__(self, "evidence_encoding", tuple(encoding))
 
     @cached_property
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
-
-    @cached_property
-    def evidence_encoding(self) -> tuple[tuple[str, int, int, float | dict[str, int]], ...]:
-        """Per feature: (name, variable id, record column, rule), where the
-        rule is a numeric threshold or a category's state index map."""
-        kinds = dict(KDD_FEATURES)
-        out = []
-        for name in self.features:
-            var = self.net.variable(self.net.var_id(name))
-            if kinds[name] == NUMERIC:
-                rule = self.rules.means[name]
-            else:
-                rule = var.state_index()
-            out.append((name, var.id, FEATURE_COLUMNS[name], rule))
-        return tuple(out)
 
 
 def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -> DetectorModel:

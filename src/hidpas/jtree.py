@@ -1,9 +1,9 @@
 """Junction-tree construction and semiring-parameterized message passing.
 
 Two calibration modes share one tree structure: sum-product for probability
-marginals and max-min for possibility marginals. The max-min mode needs no
-separator division because min is idempotent; distribute-phase messages
-simply overwrite separators and are absorbed by min.
+marginals and max-min for possibility marginals. A sum-product distribute
+message is divided by the collect message over its edge; the max-min mode
+needs no division because min is idempotent.
 
 Initializing potentials compiles the tree's structural work once: the
 message schedule, each message's axes and shapes, and each variable's
@@ -14,10 +14,11 @@ evidence set; a single query is the batch of one. It flags the rows with no
 mass and reads them out as zeros; raising on them, bounding a batch's memory
 and memoizing answers is left to `possibility.HybridPropagator`.
 
-The plan holds two schedules: every component's collect messages, and
-every component's distribute messages. A root is calibrated once its
-collect pass ends, so a calibration whose targets are all read at roots
-runs the collect messages only; any other runs both.
+The plan compiles one schedule, every component's collect messages, and
+replays it in reverse for the distribute pass, each message's source and
+target swapped. A root is calibrated once its collect pass ends, so a calibration
+whose targets are all read at roots runs the collect messages only; any
+other runs both. A calibrated tree holds its cluster tables and `possible`.
 """
 
 from __future__ import annotations
@@ -60,17 +61,14 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis once calibrated. Separator tables are None until then, and a
-    collect-only calibration holds None for every non-root cluster table and
-    every separator table.
+    batch axis once calibrated. A collect-only calibration holds None for
+    every non-root cluster table.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]
     semiring: str | None = None
-    arities: Mapping[int, int] | None = None
     cluster_tables: tuple[np.ndarray | None, ...] | None = None
-    separator_tables: tuple[np.ndarray | None, ...] | None = None
     plan: Plan | None = None
     possible: np.ndarray | None = None  # per evidence row; None until calibrated
 
@@ -270,14 +268,13 @@ class Semiring:
     """The operations of one calibration mode.
 
     combine joins two tables, marginalize is the ufunc whose reduce sums or
-    maxes axes out, and update turns a new message and the separator's
-    previous one into the factor the target absorbs: their quotient for
-    sum-product, the message itself for idempotent min. Under max-min the
+    maxes axes out, and update turns a distribute message and the collect
+    message over its edge into the factor the target absorbs: their quotient
+    for sum-product, the message itself for idempotent min. Under max-min the
     normalizing constants of forest components do not cancel, so evidence
     in one component caps the others (caps_components).
     """
 
-    name: str
     combine: np.ufunc
     marginalize: np.ufunc
     update: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -285,8 +282,8 @@ class Semiring:
 
 
 SEMIRINGS = {
-    SUM_PRODUCT: Semiring(SUM_PRODUCT, np.multiply, np.add, _divide, False),
-    MAX_MIN: Semiring(MAX_MIN, np.minimum, np.maximum, _overwrite, True),
+    SUM_PRODUCT: Semiring(np.multiply, np.add, _divide, False),
+    MAX_MIN: Semiring(np.minimum, np.maximum, _overwrite, True),
 }
 
 
@@ -296,7 +293,6 @@ class Message(NamedTuple):
 
     source: int
     target: int
-    edge: int
     axes: tuple[int, ...]
     shape: tuple[int, ...]
 
@@ -311,8 +307,8 @@ class Plan:
     """
 
     collect: tuple[Message, ...]  # every component's, leaves towards the root
-    distribute: tuple[Message, ...]  # every component's, the root outwards
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (clusters, root first; edges)
+    distribute: tuple[Message, ...]  # collect reversed, source and target swapped
+    components: tuple[tuple[int, ...], ...]  # each component's clusters, root first
     roots: frozenset[int]
     arity: np.ndarray  # per variable id, 0 for ids absent from the tree
     indicators: Mapping[int, np.ndarray]  # (arity + 1, arity): one-hot rows, then all ones
@@ -325,56 +321,39 @@ class Plan:
         return len(self.arity)
 
 
-def _components_and_schedule(jt: JunctionTree):
-    """Per tree component: (root, collect order) with parent edge bookkeeping.
+def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
+    """Schedules, message axes and shapes, evidence holders and read-out
+    clusters of a tree; scopes and separators must be sorted. Each
+    component is walked depth-first from its lowest cluster index, and its
+    collect messages run children before parents."""
 
-    collect order is a post-order list of (node, parent, edge index); the
-    distribute phase replays it reversed.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(jt.clusters))}
-    for e, (i, j, _) in enumerate(jt.edges):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
+    def message(source: int, target: int, sep: frozenset[int]) -> Message:
+        axes = tuple(1 + i for i, v in enumerate(jt.clusters[source]) if v not in sep)
+        shape = (-1,) + tuple(arities[v] if v in sep else 1 for v in jt.clusters[target])
+        return Message(source, target, axes, shape)
+
+    adj: dict[int, list[tuple[int, frozenset[int]]]] = {i: [] for i in range(len(jt.clusters))}
+    for i, j, sep in jt.edges:
+        adj[i].append((j, frozenset(sep)))
+        adj[j].append((i, frozenset(sep)))
+    links: list[tuple[int, int, frozenset[int]]] = []  # (child, parent, separator)
+    components = []
     seen: set[int] = set()
-    plans = []
     for root in range(len(jt.clusters)):
         if root in seen:
             continue
         seen.add(root)
-        stack: list[tuple[int, int, int]] = [(root, -1, -1)]
-        visit: list[tuple[int, int, int]] = []
+        stack = [(root, -1, frozenset())]
+        visit = []
         while stack:
-            node, par, edge = stack.pop()
-            visit.append((node, par, edge))
-            for nb, e in adj[node]:
+            node, par, sep = stack.pop()
+            visit.append((node, par, sep))
+            for nb, nb_sep in adj[node]:
                 if nb != par:
                     seen.add(nb)
-                    stack.append((nb, node, e))
-        # children before parents
-        order = [entry for entry in reversed(visit) if entry[1] != -1]
-        plans.append((root, order))
-    return plans
-
-
-def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
-    """Schedules, message axes and shapes, evidence holders and read-out
-    clusters of a tree; scopes and separators must be sorted."""
-
-    def message(source: int, target: int, edge: int) -> Message:
-        sep = seps[edge]
-        axes = tuple(1 + i for i, v in enumerate(jt.clusters[source]) if v not in sep)
-        shape = (-1,) + tuple(arities[v] if v in sep else 1 for v in jt.clusters[target])
-        return Message(source, target, edge, axes, shape)
-
-    seps = [frozenset(sep) for _, _, sep in jt.edges]
-    collect: list[Message] = []
-    distribute: list[Message] = []
-    components = []
-    for root, order in _components_and_schedule(jt):
-        collect += [message(node, par, edge) for node, par, edge in order]
-        distribute += [message(par, node, edge) for node, par, edge in reversed(order)]
-        components.append(((root,) + tuple(node for node, _, _ in order),
-                           tuple(edge for _, _, edge in order)))
+                    stack.append((nb, node, nb_sep))
+        links += reversed(visit[1:])
+        components.append(tuple(node for node, _, _ in visit))
 
     containing: dict[int, list[int]] = {}
     for i, scope in enumerate(jt.clusters):
@@ -393,10 +372,10 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
         indicators[size] = np.vstack([np.eye(size), np.ones((1, size))])
         indicators[size].setflags(write=False)
     return Plan(
-        collect=tuple(collect),
-        distribute=tuple(distribute),
+        collect=tuple(message(node, par, sep) for node, par, sep in links),
+        distribute=tuple(message(par, node, sep) for node, par, sep in reversed(links)),
         components=tuple(components),
-        roots=frozenset(clusters[0] for clusters, _ in components),
+        roots=frozenset(clusters[0] for clusters in components),
         arity=arity,
         indicators={v: indicators[arities[v]] for v in variables},
         holders=holders,
@@ -414,9 +393,8 @@ def initialize_potentials(
 
     Cluster tables start at the multiplicative identity (1 for both
     semirings); factors are multiplied in (sum-product) or min-combined
-    (max-min). The tree holds no separator tables until it is calibrated.
-    The returned tree carries its compiled calibration plan; a tree already
-    initialized over the same arities lends its plan, so both semirings of
+    (max-min). The returned tree carries its compiled calibration plan; a
+    tree whose plan has the factors' arities lends it, so both semirings of
     one net share one.
     """
     if semiring not in SEMIRINGS:
@@ -430,7 +408,9 @@ def initialize_potentials(
         for v in c:
             if v not in arities:
                 raise ValueError(f"no factor mentions cluster variable {v}")
-    plan = jt.plan if jt.plan is not None and jt.arities == arities else _compile_plan(jt, arities)
+    plan = jt.plan
+    if plan is None or {v: plan.arity[v] for v in plan.home} != arities:
+        plan = _compile_plan(jt, arities)
 
     combine = SEMIRINGS[semiring].combine
     scopes = [frozenset(c) for c in jt.clusters]
@@ -447,9 +427,7 @@ def initialize_potentials(
     return replace(
         jt,
         semiring=semiring,
-        arities=dict(arities),
         cluster_tables=tuple(tables),
-        separator_tables=None,
         plan=plan,
         possible=None,
     )
@@ -496,11 +474,11 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
     batch row per evidence row. A table keeps batch length 1 until evidence
     or a message varies it by row. Components share no table, so running
     every collect message before any distribute message is exact. Returns
-    (cluster tables, separator tables, possible)."""
+    (cluster tables, possible)."""
     plan = jt.plan
     sr = SEMIRINGS[jt.semiring]
     tables = [t[np.newaxis] for t in jt.cluster_tables]
-    seps = [None] * len(jt.edges)
+    collected = []  # the distribute pass pops its edge's collect message
 
     for var in np.flatnonzero((observed >= 0).any(axis=0)).tolist():
         mask = plan.indicators[var][observed[:, var]]
@@ -508,17 +486,17 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
             tables[cluster] = tables[cluster] * mask.reshape(shape)
 
     # a collect message is the first over its edge, so it is absorbed as is
-    for source, target, edge, axes, shape in plan.collect:
+    for source, target, axes, shape in plan.collect:
         message = sr.marginalize.reduce(tables[source], axis=axes)
         tables[target] = sr.combine(tables[target], message.reshape(shape))
-        seps[edge] = message
-    for source, target, edge, axes, shape in plan.distribute if full else ():
+        collected.append(message)
+    for source, target, axes, shape in plan.distribute if full else ():
         message = sr.marginalize.reduce(tables[source], axis=axes)
-        tables[target] = sr.combine(tables[target], sr.update(message, seps[edge]).reshape(shape))
-        seps[edge] = message
+        tables[target] = sr.combine(tables[target],
+                                    sr.update(message, collected.pop()).reshape(shape))
 
     possible = np.ones(len(observed), dtype=bool)
-    for clusters, _ in plan.components:
+    for clusters in plan.components:
         root = tables[clusters[0]]
         possible &= root.reshape(len(root), -1).any(axis=1)
 
@@ -528,19 +506,17 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
         # possibility at that component's best value. Every calibrated
         # max-min cluster of a component has the same maximum, its root's.
         tops = np.zeros((len(plan.components), len(observed)))
-        for top, (clusters, _) in zip(tops, plan.components):
+        for top, clusters in zip(tops, plan.components):
             root = tables[clusters[0]]
             np.maximum(top, root.reshape(len(root), -1).max(axis=1), out=top)
-        for k, (clusters, edges) in enumerate(plan.components):
+        for k, clusters in enumerate(plan.components):
             cap = np.delete(tops, k, axis=0).min(axis=0)
             if not np.any(cap < 1.0):
                 continue
             cap = np.where(cap < 1.0, cap, np.inf)
             for c in clusters if full else clusters[:1]:
                 tables[c] = np.minimum(tables[c], cap.reshape((-1,) + (1,) * (tables[c].ndim - 1)))
-            for e in edges if full else ():
-                seps[e] = np.minimum(seps[e], cap.reshape((-1,) + (1,) * (seps[e].ndim - 1)))
-    return tables, seps, possible
+    return tables, possible
 
 
 def propagate(jt: JunctionTree, observed: np.ndarray,
@@ -555,7 +531,7 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
 
     Given targets all read at roots, only the collect messages run: the
     roots read out bit-identical to a full calibration, and every other
-    cluster table and every separator table is None.
+    cluster table is None.
     """
     if jt.plan is None:
         raise ValueError("potentials must be initialized before propagation")
@@ -568,14 +544,12 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
             raise ValueError(f"variable {var} is absent from the tree")
         full = full or plan.home[var] not in plan.roots
     _check_observed(plan, observed)
-    tables, seps, possible = _calibrate(jt, observed, full)
-    for t in tables + seps:
+    tables, possible = _calibrate(jt, observed, full)
+    for t in tables:
         t.setflags(write=False)
     if not full:
         tables = [t if c in plan.roots else None for c, t in enumerate(tables)]
-        seps = [None] * len(seps)
-    return replace(jt, cluster_tables=tuple(tables), separator_tables=tuple(seps),
-                   possible=possible)
+    return replace(jt, cluster_tables=tuple(tables), possible=possible)
 
 
 def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.ndarray:

@@ -315,7 +315,7 @@ def load_detector(path: str):
     try:
         rules = parse_rules("\n".join(extras.get("RULES", [])))
         return DetectorModel(rules=rules, net=net, **fields)
-    except ValueError as exc:  # bad rules, or features the net or rules lack
+    except ValueError as exc:  # bad rules, or a feature the model cannot read
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -337,7 +337,10 @@ def load_classifier(path: str):
     net, extras = parse_network(_read_file(path), path)
     fields = _section(extras, path, "CLASSIFIER",
                       {"class_var": _class_var(net), "tau": PARAMS["tau"].read})
-    return AlertClassifierModel(net=net, **fields)
+    try:
+        return AlertClassifierModel(net=net, **fields)
+    except ValueError as exc:  # an attribute field the net lacks, or the class variable
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- plan model ---------------------------------------------------------------
@@ -372,4 +375,7 @@ def load_plan(path: str):
         raise DataError(f"{path}: PLAN needs one hyper line per variable, "
                         f"ids 0..{len(net.dag.variables) - 1}")
     hyper_names = tuple(v.name for v in net.dag.variables)
-    return PlanModel(net=net, hyper_names=hyper_names, tau=fields["tau"])
+    try:
+        return PlanModel(net=net, hyper_names=hyper_names, tau=fields["tau"])
+    except ValueError as exc:  # states other than absent,present
+        raise DataError(f"{path}: {exc}") from None

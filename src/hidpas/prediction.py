@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -40,6 +40,7 @@ ALERT_LOG_HEADER = "timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type
 ATTRIBUTE_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "attack_type")
 CLASS_COLUMN = "hyper_alert"
 ABSENT, PRESENT = 0, 1
+OCCURRENCE = ("absent", "present")  # a plan variable's states, by ABSENT and PRESENT
 # State label under which the classifier stores an attribute left empty;
 # labels are saved as tokens and cannot be empty.
 EMPTY_STATE = "__empty__"
@@ -130,24 +131,30 @@ def phase1_cluster_count(log_records: Sequence[AlertRecord]) -> int:
 
 @dataclass(frozen=True)
 class AlertClassifierModel:
-    """Bayesian classifier from alert attributes to hyper-alert names."""
+    """Bayesian classifier from alert attributes to hyper-alert names. Each
+    attribute field is a variable of the net other than the class variable;
+    a model that breaks this raises ValueError when built."""
 
     net: BayesNet
     class_var: int
     tau: float
+    # per attribute field: (name, variable id, state index map)
+    evidence_encoding: tuple[tuple[str, int, dict[str, int]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.net.variable(self.class_var)
+        encoding = []
+        for name in ATTRIBUTE_FIELDS:
+            var = self.net.variable(self.net.var_id(name))
+            if var.id == self.class_var:
+                raise ValueError(f"attribute {name!r} is the class variable")
+            encoding.append((name, var.id, var.state_index()))
+        object.__setattr__(self, "evidence_encoding", tuple(encoding))
 
     @cached_property
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
-
-    @cached_property
-    def evidence_encoding(self) -> tuple[tuple[str, int, dict[str, int]], ...]:
-        """Per attribute field: (name, variable id, state index map)."""
-        out = []
-        for name in ATTRIBUTE_FIELDS:
-            var = self.net.variable(self.net.var_id(name))
-            out.append((name, var.id, var.state_index()))
-        return tuple(out)
 
 
 def train_alert_classifier(hypers: Sequence[HyperAlert],
@@ -273,11 +280,18 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
 
 @dataclass(frozen=True)
 class PlanModel:
-    """Binary occurrence network over hyper-alerts, with the gap threshold."""
+    """Binary occurrence network over hyper-alerts, with the gap threshold.
+    Every variable has the states OCCURRENCE; another net raises ValueError."""
 
     net: BayesNet
     hyper_names: tuple[str, ...]
     tau: float
+
+    def __post_init__(self):
+        for var in self.net.dag.variables:
+            if var.states != OCCURRENCE:
+                raise ValueError(f"hyper-alert {var.name!r} has states {','.join(var.states)}, "
+                                 f"not {','.join(OCCURRENCE)}")
 
     @cached_property
     def engine(self) -> HybridPropagator:
@@ -306,7 +320,7 @@ def train_plan_model(tm: TransactionMatrix,
     if tm.slot_count < 1 or not tm.names:
         raise ValueError("transaction matrix must have at least one slot and one hyper-alert")
     variables = tuple(
-        Variable(i, name, ("absent", "present")) for i, name in enumerate(tm.names)
+        Variable(i, name, OCCURRENCE) for i, name in enumerate(tm.names)
     )
     dataset = DiscreteDataset(variables, tm.occurrence)
     order = tuple(sorted(range(len(tm.names)), key=lambda i: (tm.earliest[i], i)))

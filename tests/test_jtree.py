@@ -395,18 +395,39 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
         assert at_root and off_root
 
         collected = propagate(jt, observed, at_root)
-        assert collected.separator_tables == (None,) * 3
         assert all(t is None for t in collected.cluster_tables[1:])
         assert np.array_equal(collected.cluster_tables[0], full.cluster_tables[0])
         for var in at_root:
             assert np.array_equal(query_marginal(collected, var), query_marginal(full, var))
 
         calibrated = propagate(jt, observed, at_root + off_root[:1])
-        for got, want in zip(calibrated.cluster_tables + calibrated.separator_tables,
-                             full.cluster_tables + full.separator_tables):
+        assert len(calibrated.cluster_tables) == len(full.cluster_tables) == 4
+        for got, want in zip(calibrated.cluster_tables, full.cluster_tables):
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="absent from the tree"):
         calibrate(jt, {}, [7])
+
+
+def test_distribute_replays_collect_in_reverse_on_a_forest():
+    """On forests of several multi-cluster components, the distribute
+    schedule is the whole collect schedule reversed with source and target
+    swapped (so the last component distributes first), and the components
+    partition the clusters, each led by its root."""
+    rng = np.random.default_rng(5)
+    forests = 0
+    while forests < 5:
+        net = forest_net(rng)
+        jt = build_tree_for_net(net)
+        plan = initialize_potentials(jt, net_factors(net)).plan
+        if sum(len(clusters) > 1 for clusters in plan.components) < 2:
+            continue
+        forests += 1
+        assert ([(m.target, m.source) for m in plan.distribute]
+                == [(m.source, m.target) for m in reversed(plan.collect)])
+        assert sorted(c for clusters in plan.components for c in clusters) == list(
+            range(len(jt.clusters)))
+        assert plan.roots == {clusters[0] for clusters in plan.components}
+        assert plan.distribute[0].source in [c for c in plan.components if len(c) > 1][-1]
 
 
 def test_batched_propagate_checks_evidence_range(two_node_net):
@@ -488,7 +509,7 @@ def test_forest_oracle_both_semirings():
                     continue
                 got = query_marginal(cal, var)[0]
                 np.testing.assert_allclose(got, expected, atol=tol)
-                component = {c: k for k, (clusters, _) in enumerate(jt.plan.components)
+                component = {c: k for k, clusters in enumerate(jt.plan.components)
                              for c in clusters}
                 if semiring == MAX_MIN and component[jt.plan.home[var]] not in {
                         component[jt.plan.home[v]] for v in ev}:

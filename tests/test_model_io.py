@@ -406,15 +406,27 @@ def saved_models(tmp_path_factory):
      r"rules line \d+: cannot parse 'src_bytes mean=nan'"),
     ("detector", "src_bytes mean=", "src_bytes mean=1e400",
      r"rules line \d+: cannot parse 'src_bytes mean=1e400'"),
+    ("detector", ("0 service ", "features "),
+     ("0 foo domain_u,http,private", "features foo,flag,src_bytes,dst_bytes"),
+     r"feature 'foo' is not a KDD feature"),
+    ("detector", "class_var ", "class_var 0", r"feature 'service' is the class variable"),
+    ("classifier", "2 dst_ip ", "2 foo 192.168.1.10,__none__", r"no variable named 'dst_ip'"),
+    ("classifier", "class_var ", "class_var 0", r"attribute 'src_ip' is the class variable"),
+    ("plan", "0 portsweep ", "0 portsweep present,absent",
+     r"hyper-alert 'portsweep' has states present,absent, not absent,present"),
 ])
 def test_model_sections_validated_on_load(tmp_path, saved_models, kind, prefix, new, bad):
+    """Each row replaces the first line starting with a prefix by a new line
+    (or drops it); a row of several prefixes makes several replacements."""
     from hidpas.model_io import load_classifier, load_detector, load_plan
 
     lines = saved_models[kind].splitlines()
-    i = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+    edits = zip(prefix, new) if isinstance(prefix, tuple) else [(prefix, new)]
+    for prefix, new in edits:
+        i = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[i:i + 1] = [new] if new else []
     path = tmp_path / f"{kind}.bn"
-    path.write_text("\n".join(lines[:i] + ([new] if new else []) + lines[i + 1:]) + "\n",
-                    encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     load = {"detector": load_detector, "classifier": load_classifier, "plan": load_plan}[kind]
     with pytest.raises(DataError, match=re.escape(f"{path}: ") + bad):
         load(str(path))
@@ -445,3 +457,49 @@ def test_saved_models_load_back_to_the_same_text(tmp_path, saved_models):
         path = tmp_path / f"{kind}.bn"
         path.write_text(saved_models[kind], encoding="utf-8")
         assert fmt(load(str(path)), timestamp=False) == saved_models[kind]
+
+
+MUTANT_TOKENS = ("", "-1", "nan", "1e400", "->", "0,1", "99")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("detector", "classifier", "plan")),
+       st.sampled_from(("drop", "copy", "token")), st.data())
+def test_mutated_models_load_and_answer_or_fail_naming_the_path(
+        tmp_path_factory, saved_models, kind, mutation, data):
+    """A saved model with one line dropped or doubled, or one space-separated
+    token replaced (by one of the file's own tokens or a hostile one), either
+    loads into a model that answers or raises a DataError naming the path."""
+    from hidpas.detection import detect_stream, load_stream
+    from hidpas.model_io import load_classifier, load_detector, load_plan
+    from hidpas.prediction import AlertRecord, classify_alert, predict_attacks
+
+    from conftest import data_path
+
+    text = saved_models[kind]
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "copy":
+        lines.insert(i, lines[i])
+    else:
+        words = lines[i].split(" ")
+        words[data.draw(st.integers(0, len(words) - 1))] = data.draw(
+            st.sampled_from(sorted(set(text.split())) + list(MUTANT_TOKENS)))
+        lines[i] = " ".join(words)
+    path = tmp_path_factory.mktemp("mutant") / f"{kind}.bn"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    load = {"detector": load_detector, "classifier": load_classifier, "plan": load_plan}[kind]
+    try:
+        model = load(str(path))
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    if kind == "detector":
+        detect_stream(model, load_stream(data_path("scenario", "host_a.csv"))[:5], "host_a")
+    elif kind == "classifier":
+        classify_alert(model, AlertRecord(0.0, "s1", "10.0.0.5", "2001", "192.168.1.10",
+                                          "445", "portsweep"))
+    else:
+        predict_attacks(model, [model.hyper_names[0]])

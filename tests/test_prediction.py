@@ -137,7 +137,7 @@ def test_classify_runs_the_collect_pass_only_where_the_class_is_read_at_a_root(
         scenario_hypers, monkeypatch):
     """The fixture alert classifier's class variable is homed at a root, so
     each classification calibrates without a distribute pass and its trees
-    hold no separator. The fixture detector's (top 4 features) is homed off
+    hold no table off the roots. The fixture detector's (top 4 features) is homed off
     the root, so each of its classifications runs the full calibration."""
     classifier = train_alert_classifier(scenario_hypers)
     detector = train_detector(load_kdd(data_path("scenario", "detector_train.csv")),
@@ -152,13 +152,13 @@ def test_classify_runs_the_collect_pass_only_where_the_class_is_read_at_a_root(
     for h in scenario_hypers:
         classify_alert(classifier, h.members[0])
     assert len(calibrated) == 2 * len(scenario_hypers)
-    assert all(s is None for jt in calibrated for s in jt.separator_tables)
+    assert all(t is None for jt in calibrated
+               for c, t in enumerate(jt.cluster_tables) if c not in jt.plan.roots)
     assert all(jt.edges for jt in calibrated)
     calibrated.clear()
     classify_connections(detector, load_stream(data_path("scenario", "host_a.csv")))
     assert len(calibrated) == 2
-    assert all(t is not None for jt in calibrated
-               for t in jt.cluster_tables + jt.separator_tables)
+    assert all(t is not None for jt in calibrated for t in jt.cluster_tables)
 
 
 def test_classifier_single_hyper_degenerates():
