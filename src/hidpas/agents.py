@@ -15,6 +15,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
@@ -34,28 +35,22 @@ log = logging.getLogger(__name__)
 
 ALERT = "alert"
 PREDICTION = "prediction"
-SHUTDOWN = "shutdown"
 
 
 @dataclass(frozen=True)
 class AgentMessage:
     kind: str
     sender: str
-    payload: DetectionAlert | PredictionReport | None = None
+    payload: DetectionAlert | PredictionReport
 
     def __post_init__(self):
-        ok = (
-            (self.kind == ALERT and isinstance(self.payload, DetectionAlert))
-            or (self.kind == PREDICTION and isinstance(self.payload, PredictionReport))
-            or (self.kind == SHUTDOWN and self.payload is None)
-        )
-        if not ok:
+        if not ((self.kind == ALERT and isinstance(self.payload, DetectionAlert))
+                or (self.kind == PREDICTION and isinstance(self.payload, PredictionReport))):
             raise ValueError(f"payload type does not match message kind {self.kind!r}")
 
     def to_json(self) -> str:
-        payload = self.payload.to_payload() if self.payload is not None else None
         return json.dumps({"kind": self.kind, "sender": self.sender,
-                           "payload": payload}, sort_keys=True)
+                           "payload": self.payload.to_payload()}, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,6 @@ class IPAState:
     selection: str = PARAMS["selection"].default
     theta: float = PARAMS["theta"].default
     observed: tuple[str, ...] = ()
-    terminated: bool = False
 
 
 def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[AgentMessage, ...]]:
@@ -95,11 +89,7 @@ def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[Ag
     A prediction is emitted only when the alert maps to a hyper-alert not
     seen before (repeat evidence would reproduce the previous report).
     """
-    if state.terminated:
-        return state, ()
-    if message.kind == SHUTDOWN:
-        return replace(state, terminated=True), ()
-    if message.kind != ALERT or not isinstance(message.payload, DetectionAlert):
+    if message.kind != ALERT:
         log.warning("dropping malformed message kind=%r from %s",
                     message.kind, message.sender)
         return state, ()
@@ -118,7 +108,7 @@ def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[Ag
     if result.label in state.observed:
         return state, ()
     new_state = replace(state, observed=state.observed + (result.label,))
-    known = [h for h in new_state.observed if _in_plan(state.plan, h)]
+    known = [h for h in new_state.observed if h in state.plan.hyper_names]
     try:
         report = predict_attacks(state.plan, known, state.selection, state.theta)
     except ImpossibleEvidenceError:
@@ -128,10 +118,6 @@ def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[Ag
                     "plan model", known)
         return new_state, ()
     return new_state, (AgentMessage(PREDICTION, "ipa", report),)
-
-
-def _in_plan(plan: PlanModel, hyper: str) -> bool:
-    return hyper in plan.hyper_names
 
 
 @dataclass
@@ -158,33 +144,22 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         detector = replace(detector, tau=config.tau)
         classifier = replace(classifier, tau=config.tau)
         plan = replace(plan, tau=config.tau)
-    streams = {}
-    for host, path in sorted(config.hosts.items()):
-        streams[host] = load_stream(path)
-
-    queues: dict[str, list[DetectionAlert]] = {
-        host: detect_stream(detector, records, host)
-        for host, records in streams.items()
-    }
-
+    queues = {host: detect_stream(detector, load_stream(path), host)
+              for host, path in sorted(config.hosts.items())}
     order = sorted(queues)
     random.Random(config.seed).shuffle(order)
 
     state = IPAState(classifier=classifier, plan=plan,
                      selection=config.selection, theta=config.theta)
     result = SimulationResult()
-    while any(queues.values()):
-        for host in order:
-            if not queues[host]:
-                continue
-            alert = queues[host].pop(0)
-            message = AgentMessage(ALERT, host, alert)
+    # each round takes the next alert of every host that has one left
+    for arrivals in zip_longest(*(queues[host] for host in order)):
+        for alert in (a for a in arrivals if a is not None):
+            message = AgentMessage(ALERT, alert.host, alert)
             result.event_log.append(message)
             state, emitted = ipa_step(state, message)
-            for out in emitted:
-                result.event_log.append(out)
-                if out.kind == PREDICTION:
-                    result.reports.append(out.payload)
+            result.event_log.extend(emitted)
+            result.reports.extend(out.payload for out in emitted)
     return result
 
 

@@ -42,6 +42,18 @@ def _add_setting(p: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> 
     p.add_argument(flag, **kwargs)
 
 
+def _at_least(low: int):
+    """Reader of an integer option whose value below low is a usage error."""
+    def read(token: str) -> int:
+        try:
+            if (value := int(token)) >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r} (expected >= {low})")
+    return read
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .features import KDD_FEATURES, LABEL_COLUMN
     from .prediction import ATTRIBUTE_FIELDS
@@ -125,9 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="cross-check fast inference paths against brute force")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--networks", type=int, default=200)
-    p.add_argument("--transforms", type=int, default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=1)
+    p.add_argument("--networks", type=_at_least(1), default=200)
+    p.add_argument("--transforms", type=_at_least(1), default=1000)
 
     return parser
 

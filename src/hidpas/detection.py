@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (PARAMS, BayesNet, DataError, bad_row, check_params, csv_records,
+from .core import (PARAMS, DataError, Variable, bad_row, check_params, csv_records,
                    finite_float, open_output)
 from .features import (
     KDD_FEATURES,
@@ -29,7 +28,7 @@ from .features import (
     to_discrete_dataset,
 )
 from .learning import fit_cpts, k2_search
-from .possibility import Classification, HybridPropagator, classify
+from .possibility import Classification, ClassifierModel
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +36,9 @@ NORMAL_LABEL = "normal"
 
 ALERT_CSV_HEADER = "timestamp,host,src_ip,dst_ip,type,necessity,probability,possibility"
 
-# Column of each feature in ConnectionRecord.values.
+# Column of each feature in ConnectionRecord.values, and its kind.
 FEATURE_COLUMNS = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
+_KINDS = dict(KDD_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -102,44 +102,26 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class DetectorModel:
-    """Everything needed to classify connections: features, rules, net, tau.
+class DetectorModel(ClassifierModel):
+    """A connection classifier: each evidence field is a KDD feature, read
+    off its column of `ConnectionRecord.values`, and a numeric one has a
+    threshold rule; a model that breaks this raises ValueError when built."""
 
-    Each feature is a KDD feature held by a variable of the net other than
-    the class variable, and a numeric one has a threshold rule; a model that
-    breaks this raises ValueError when built."""
-
-    features: tuple[str, ...]
     rules: TransformRules
-    net: BayesNet
-    class_var: int
-    tau: float
-    # per feature: (name, variable id, record column, rule), where the rule
-    # is a numeric threshold or a category's state index map
-    evidence_encoding: tuple[tuple[str, int, int, float | dict[str, int]], ...] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        self.net.variable(self.class_var)
-        kinds = dict(KDD_FEATURES)
-        encoding = []
-        for name in self.features:
-            var = self.net.variable(self.net.var_id(name))
-            if name not in kinds:
-                raise ValueError(f"feature {name!r} is not a KDD feature")
-            if var.id == self.class_var:
-                raise ValueError(f"feature {name!r} is the class variable")
-            if kinds[name] != NUMERIC:
-                rule = var.state_index()
-            elif (rule := self.rules.means.get(name)) is None:
-                raise ValueError(f"numeric feature {name!r} has no threshold rule")
-            encoding.append((name, var.id, FEATURE_COLUMNS[name], rule))
-        object.__setattr__(self, "evidence_encoding", tuple(encoding))
+    def _field(self, var: Variable, place: int) -> tuple[int, float | dict[str, int]]:
+        kind = _KINDS.get(var.name)
+        if kind is None:
+            raise ValueError(f"feature {var.name!r} is not a KDD feature")
+        if kind != NUMERIC:
+            return FEATURE_COLUMNS[var.name], var.state_index()
+        if (mean := self.rules.means.get(var.name)) is None:
+            raise ValueError(f"numeric feature {var.name!r} has no threshold rule")
+        return FEATURE_COLUMNS[var.name], mean
 
-    @cached_property
-    def engine(self) -> HybridPropagator:
-        return HybridPropagator(self.net)
+    @property
+    def features(self) -> tuple[str, ...]:
+        return tuple(name for name, *_ in self.fields)
 
 
 def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -> DetectorModel:
@@ -166,7 +148,6 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
     dag = k2_search(dataset, order, config.max_parents)
     net = fit_cpts(dataset, dag, config.smoothing)
     return DetectorModel(
-        features=tuple(n for n in selected if n != config.class_column),
         rules=rules,
         net=net,
         class_var=name_to_id[config.class_column],
@@ -174,29 +155,11 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
     )
 
 
-def _record_evidence(model: DetectorModel, record: ConnectionRecord
-                     ) -> tuple[dict[int, int], list[str]]:
-    """Discretize one record into evidence; unseen category values carry no
-    information under the model and are left unasserted."""
-    evidence: dict[int, int] = {}
-    unknown: list[str] = []
-    for name, var, column, rule in model.evidence_encoding:
-        raw = record.values[column]
-        if not isinstance(rule, dict):
-            evidence[var] = 0 if float(raw) < rule else 1
-        elif (state := rule.get(str(raw))) is not None:
-            evidence[var] = state
-        else:
-            unknown.append(f"{name}={raw}")
-    return evidence, unknown
-
-
 def classify_connections(model: DetectorModel, records: Sequence[ConnectionRecord]
                          ) -> list[Classification]:
     """Classify records through one batched calibration; each result equals
     classify_connection on that record alone."""
-    rows = [_record_evidence(model, record) for record in records]
-    return classify(model.engine, model.class_var, model.tau, rows, log)
+    return model.classify((record.values for record in records), log)
 
 
 def classify_connection(model: DetectorModel, record: ConnectionRecord) -> Classification:

@@ -552,7 +552,7 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
     return replace(jt, cluster_tables=tuple(tables), possible=possible)
 
 
-def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.ndarray:
+def query_marginal(jt: JunctionTree, var: int) -> np.ndarray:
     """(rows, arity) marginals of a calibrated tree over one variable, read
     off its home cluster.
 
@@ -563,13 +563,11 @@ def query_marginal(jt: JunctionTree, var: int, normalize: bool = True) -> np.nda
         raise ValueError("tree is not calibrated")
     if var not in jt.plan.home:
         raise ValueError(f"variable {var} is absent from the tree")
-    return marginal_from_cluster(jt, jt.plan.home[var], var, normalize)
+    return marginal_from_cluster(jt, jt.plan.home[var], var)
 
 
-def marginal_from_cluster(
-    jt: JunctionTree, cluster: int, var: int, normalize: bool = True
-) -> np.ndarray:
-    """Marginals read off one specific containing cluster (for agreement checks)."""
+def marginal_from_cluster(jt: JunctionTree, cluster: int, var: int) -> np.ndarray:
+    """`query_marginal` read off one specific containing cluster (for agreement checks)."""
     scope = jt.clusters[cluster]
     if var not in scope:
         raise ValueError(f"variable {var} not in cluster {cluster}")
@@ -578,8 +576,7 @@ def marginal_from_cluster(
         raise ValueError(f"cluster {cluster} is uncalibrated")
     reduce = SEMIRINGS[jt.semiring].marginalize.reduce
     out = reduce(table, axis=tuple(1 + i for i, v in enumerate(scope) if v != var))
-    if normalize:
-        out = _divide(out, reduce(out, axis=-1, keepdims=True))
+    out = _divide(out, reduce(out, axis=-1, keepdims=True))
     return np.broadcast_to(out, (len(jt.possible), out.shape[-1]))
 
 

@@ -312,11 +312,16 @@ def load_detector(path: str):
         "tau": PARAMS["tau"].read,
         "features": lambda token: tuple(token.split(",")) if token else (),
     })
+    features = fields.pop("features")
     try:
         rules = parse_rules("\n".join(extras.get("RULES", [])))
-        return DetectorModel(rules=rules, net=net, **fields)
+        model = DetectorModel(rules=rules, net=net, **fields)
     except ValueError as exc:  # bad rules, or a feature the model cannot read
         raise DataError(f"{path}: {exc}") from None
+    if features != model.features:
+        raise DataError(f"{path}: features {','.join(features)!r} must list the net's variables "
+                        f"other than class_var in id order: {','.join(model.features)!r}")
+    return model
 
 
 # -- alert classifier ---------------------------------------------------------
@@ -374,8 +379,7 @@ def load_plan(path: str):
     if sorted(fields["hyper"]) != list(range(len(net.dag.variables))):
         raise DataError(f"{path}: PLAN needs one hyper line per variable, "
                         f"ids 0..{len(net.dag.variables) - 1}")
-    hyper_names = tuple(v.name for v in net.dag.variables)
     try:
-        return PlanModel(net=net, hyper_names=hyper_names, tau=fields["tau"])
+        return PlanModel(net=net, tau=fields["tau"])
     except ValueError as exc:  # states other than absent,present
         raise DataError(f"{path}: {exc}") from None

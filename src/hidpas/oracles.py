@@ -205,7 +205,9 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        """No failure, and at least one case: a suite that checked nothing
+        has not passed."""
+        return self.failures == 0 and self.cases > 0
 
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"

@@ -1,4 +1,4 @@
-"""Probability-to-possibility transformation, necessity, hybrid propagation.
+"""Probability-to-possibility transformation, necessity, hybrid propagation, classification.
 
 The transformation sorts the distribution, assigns each state the sum of all
 probabilities not larger than its own (grouped so ties share one value), and
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BayesNet
+from .core import BayesNet, Variable
 from .jtree import (
     MAX_MIN,
     SUM_PRODUCT,
@@ -361,33 +362,77 @@ class Classification:
         return self.marginal.triple(self.state)
 
 
-def classify(engine: HybridPropagator, class_var: int, tau: float,
-             rows: Sequence[tuple[Mapping[int, int], Sequence[str]]],
-             logger: logging.Logger) -> list[Classification]:
-    """Classify encoded rows, each (evidence, unknown values), through one
-    batched query; each result equals the row classified alone.
+@dataclass(frozen=True)
+class ClassifierModel:
+    """A net read as a classifier of its class variable, with the gap
+    threshold of `select_state`.
 
-    A row whose evidence has zero mass under the model gets the class prior
-    instead, flagged low-confidence, with a warning on the caller's logger.
-    """
-    posteriors = engine.query_batch([evidence for evidence, _ in rows], [class_var])
-    states = engine.net.variable(class_var).states
-    prior = None
-    results = []
-    for (_, unknown), posterior in zip(rows, posteriors):
-        if posterior is None:
-            logger.warning("impossible evidence for record; falling back to prior")
-            if prior is None:
-                prior = engine.query({}, [class_var])[class_var]
-            marginal, low = prior, True
-        else:
-            marginal, low = posterior[class_var], False
-        state, uninformative = select_state(marginal, tau)
-        results.append(Classification(
-            label=states[state],
-            state=state,
-            marginal=marginal,
-            low_confidence=low or uninformative,
-            unknown_values=tuple(unknown),
-        ))
-    return results
+    Its evidence fields are the net's variables other than the class, in id
+    order, each (name, variable id, column in a row, rule). The rule is a
+    threshold, below which a value asserts state 0 and otherwise state 1, or
+    the variable's state map. `_field` gives each field its column and rule;
+    a subclass overrides it to check the fields, raising ValueError for a
+    model it cannot read."""
+
+    net: BayesNet
+    class_var: int
+    tau: float
+    fields: tuple[tuple[str, int, int, float | dict[str, int]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.net.variable(self.class_var)
+        variables = [v for v in self.net.dag.variables if v.id != self.class_var]
+        object.__setattr__(self, "fields", tuple(
+            (var.name, var.id, *self._field(var, place)) for place, var in enumerate(variables)))
+
+    def _field(self, var: Variable, place: int) -> tuple[int, float | dict[str, int]]:
+        """The column and rule of var's field, the place-th field: by default
+        the column is that place and the rule var's state map."""
+        return place, var.state_index()
+
+    @cached_property
+    def engine(self) -> HybridPropagator:
+        return HybridPropagator(self.net)
+
+    def classify(self, rows: Iterable[Sequence], logger: logging.Logger) -> list[Classification]:
+        """Classify rows of raw values through one batched query; each result
+        equals the row classified alone.
+
+        A field whose column holds None is unobserved, and a value its state
+        map lacks is left unasserted and reported in `unknown_values`. A row
+        whose evidence has zero mass under the model gets the class prior
+        instead, flagged low-confidence, with a warning on the caller's
+        logger.
+        """
+        evidence, unknown = [], []
+        for row in rows:
+            asserted, missed = {}, []
+            for name, var, column, rule in self.fields:
+                raw = row[column]
+                if raw is None:
+                    continue
+                if not isinstance(rule, dict):
+                    asserted[var] = 0 if float(raw) < rule else 1
+                elif (state := rule.get(str(raw))) is not None:
+                    asserted[var] = state
+                else:
+                    missed.append(f"{name}={raw}")
+            evidence.append(asserted)
+            unknown.append(tuple(missed))
+        posteriors = self.engine.query_batch(evidence, [self.class_var])
+        states = self.net.variable(self.class_var).states
+        prior = None
+        results = []
+        for missed, posterior in zip(unknown, posteriors):
+            if posterior is None:
+                logger.warning("impossible evidence for record; falling back to prior")
+                if prior is None:
+                    prior = self.engine.query({}, [self.class_var])[self.class_var]
+                marginal, low = prior, True
+            else:
+                marginal, low = posterior[self.class_var], False
+            state, uninformative = select_state(marginal, self.tau)
+            results.append(Classification(states[state], state, marginal,
+                                          low or uninformative, missed))
+        return results

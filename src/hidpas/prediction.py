@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -32,7 +32,7 @@ from .core import (
 )
 from .features import category_states
 from .learning import DiscreteDataset, fit_cpts, k2_search
-from .possibility import Classification, HybridPropagator, classify
+from .possibility import Classification, ClassifierModel, HybridPropagator
 
 log = logging.getLogger(__name__)
 
@@ -130,31 +130,17 @@ def phase1_cluster_count(log_records: Sequence[AlertRecord]) -> int:
 # -- alert classification -----------------------------------------------------
 
 @dataclass(frozen=True)
-class AlertClassifierModel:
-    """Bayesian classifier from alert attributes to hyper-alert names. Each
-    attribute field is a variable of the net other than the class variable;
-    a model that breaks this raises ValueError when built."""
-
-    net: BayesNet
-    class_var: int
-    tau: float
-    # per attribute field: (name, variable id, state index map)
-    evidence_encoding: tuple[tuple[str, int, dict[str, int]], ...] = field(
-        init=False, repr=False, compare=False)
+class AlertClassifierModel(ClassifierModel):
+    """Bayesian classifier from alert attributes to hyper-alert names: its
+    evidence fields are ATTRIBUTE_FIELDS, in that order; a model whose net
+    holds other fields raises ValueError when built."""
 
     def __post_init__(self):
-        self.net.variable(self.class_var)
-        encoding = []
-        for name in ATTRIBUTE_FIELDS:
-            var = self.net.variable(self.net.var_id(name))
-            if var.id == self.class_var:
-                raise ValueError(f"attribute {name!r} is the class variable")
-            encoding.append((name, var.id, var.state_index()))
-        object.__setattr__(self, "evidence_encoding", tuple(encoding))
-
-    @cached_property
-    def engine(self) -> HybridPropagator:
-        return HybridPropagator(self.net)
+        super().__post_init__()
+        names = tuple(name for name, *_ in self.fields)
+        if names != ATTRIBUTE_FIELDS:
+            raise ValueError(f"attribute fields are {','.join(ATTRIBUTE_FIELDS)} in id order, "
+                             f"not {','.join(names)}")
 
 
 def train_alert_classifier(hypers: Sequence[HyperAlert],
@@ -190,17 +176,7 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
 
 def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> Classification:
     """Assert the alert's attributes as evidence; empty fields stay unobserved."""
-    evidence: dict[int, int] = {}
-    unknown: list[str] = []
-    for name, var, states in model.evidence_encoding:
-        value = getattr(alert, name)
-        if value == "":
-            continue
-        if (state := states.get(value)) is not None:
-            evidence[var] = state
-        else:
-            unknown.append(f"{name}={value}")
-    return classify(model.engine, model.class_var, model.tau, [(evidence, unknown)], log)[0]
+    return model.classify([[getattr(alert, f) or None for f in ATTRIBUTE_FIELDS]], log)[0]
 
 
 # -- transactions and the plan model ------------------------------------------
@@ -281,10 +257,10 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
 @dataclass(frozen=True)
 class PlanModel:
     """Binary occurrence network over hyper-alerts, with the gap threshold.
+    Each variable is a hyper-alert, named as the variable is (`hyper_names`).
     Every variable has the states OCCURRENCE; another net raises ValueError."""
 
     net: BayesNet
-    hyper_names: tuple[str, ...]
     tau: float
 
     def __post_init__(self):
@@ -296,6 +272,10 @@ class PlanModel:
     @cached_property
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
+
+    @cached_property
+    def hyper_names(self) -> tuple[str, ...]:
+        return tuple(var.name for var in self.net.dag.variables)
 
     def var_of(self, hyper: str | int) -> int:
         """The variable of a hyper-alert: a token is its name if one has it,
@@ -325,7 +305,7 @@ def train_plan_model(tm: TransactionMatrix,
     dataset = DiscreteDataset(variables, tm.occurrence)
     order = tuple(sorted(range(len(tm.names)), key=lambda i: (tm.earliest[i], i)))
     net = fit_cpts(dataset, k2_search(dataset, order, max_parents), smoothing)
-    return PlanModel(net=net, hyper_names=tm.names, tau=tau)
+    return PlanModel(net=net, tau=tau)
 
 
 @dataclass(frozen=True)

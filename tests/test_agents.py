@@ -8,7 +8,6 @@ import pytest
 from hidpas.agents import (
     ALERT,
     PREDICTION,
-    SHUTDOWN,
     AgentMessage,
     IPAState,
     SimulationConfig,
@@ -77,7 +76,6 @@ def test_message_payload_kind_enforced():
         AgentMessage(PREDICTION, "x", sample_alert())
     with pytest.raises(ValueError):
         AgentMessage(ALERT, "x", None)
-    AgentMessage(SHUTDOWN, "x")
 
 
 def test_simulation_three_hosts_one_alert_one_prediction(sim_setup):
@@ -146,16 +144,6 @@ def test_ipa_step_first_alert_emits_one_prediction(sim_setup):
     state = IPAState(classifier=classifier, plan=plan)
     _, out = ipa_step(state, AgentMessage(ALERT, "h", sample_alert()))
     assert len(out) == 1 and out[0].kind == PREDICTION
-
-
-def test_ipa_step_shutdown_terminates(sim_setup):
-    classifier = load_classifier(sim_setup.alert_classifier)
-    plan = load_plan(sim_setup.plan_model)
-    state = IPAState(classifier=classifier, plan=plan)
-    state, out = ipa_step(state, AgentMessage(SHUTDOWN, "sys"))
-    assert out == () and state.terminated
-    state2, out2 = ipa_step(state, AgentMessage(ALERT, "h", sample_alert()))
-    assert out2 == () and state2.terminated
 
 
 def test_event_log_replays_through_ipa_step(sim_setup):

@@ -199,6 +199,13 @@ def test_oracle_check_small_run(capsys):
     assert out.count(": ok") == 4
 
 
+def test_an_oracle_suite_without_cases_has_not_passed():
+    from hidpas.oracles import OracleReport
+
+    assert not OracleReport("empty").passed
+    assert OracleReport("one", cases=1).passed
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     """Identical argv + inputs yield byte-identical outputs (timestamps off)."""
     outputs = []

@@ -20,7 +20,6 @@ from hidpas.detection import (
     ALERT_CSV_HEADER,
     ConnectionRecord,
     DetectorConfig,
-    _record_evidence,
     classify_connection,
     classify_connections,
     detect_stream,
@@ -67,6 +66,22 @@ def toy_table(n_per_class: int = 12) -> RawTable:
 def record_from_table(table: RawTable, row: int, **meta) -> ConnectionRecord:
     values = tuple(cells(table, name)[row] for name in table.names[:41])
     return ConnectionRecord(values, **meta)
+
+
+def reference_evidence(model, record: ConnectionRecord) -> dict[int, int]:
+    """The evidence a detector asserts for a record, read off the model's
+    net and rules: every variable but the class, a numeric feature at or
+    above its mean in state 1, a category by its state label if it has one."""
+    kinds, evidence = dict(KDD_FEATURES), {}
+    for var in model.net.dag.variables:
+        if var.id == model.class_var:
+            continue
+        raw = record.value(var.name)
+        if kinds[var.name] == NUMERIC:
+            evidence[var.id] = int(float(raw) >= model.rules.means[var.name])
+        elif str(raw) in var.states:
+            evidence[var.id] = var.states.index(str(raw))
+    return evidence
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +193,6 @@ def test_symmetric_model_breaks_ties_by_state_order():
 def test_probability_component_equals_plain_jt_classification(scenario_model):
     """The possibility bracket influences selection only; P comes from plain
     sum-product propagation of the same evidence."""
-    from hidpas.detection import _record_evidence
     from hidpas.jtree import (SUM_PRODUCT, build_tree_for_net, evidence_matrix,
                               initialize_potentials, net_factors, propagate,
                               query_marginal)
@@ -187,7 +201,7 @@ def test_probability_component_equals_plain_jt_classification(scenario_model):
     jt = initialize_potentials(build_tree_for_net(scenario_model.net),
                                net_factors(scenario_model.net), SUM_PRODUCT)
     for record in records:
-        evidence, _ = _record_evidence(scenario_model, record)
+        evidence = reference_evidence(scenario_model, record)
         result = classify_connection(scenario_model, record)
         plain = query_marginal(propagate(jt, evidence_matrix(jt, [evidence])),
                                scenario_model.class_var)[0]
@@ -461,7 +475,7 @@ def test_classify_connections_calibrates_within_the_entry_budget(scenario_model,
     records = [r for name in ("detector_train", "host_a", "host_b", "host_c")
                for r in load_stream(data_path("scenario", f"{name}.csv"))]
     fresh = replace(scenario_model)
-    distinct = {tuple(sorted(_record_evidence(fresh, r)[0].items())) for r in records}
+    distinct = {tuple(sorted(reference_evidence(fresh, r).items())) for r in records}
     calls = []
     propagate = possibility.propagate
     monkeypatch.setattr(possibility, "propagate",

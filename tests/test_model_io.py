@@ -399,7 +399,9 @@ def saved_models(tmp_path_factory):
     ("classifier", "CLASSIFIER", "PLAN", r"no CLASSIFIER section"),
     ("detector", "tau ", "tau abc", r"bad DETECTOR line 'tau abc'"),
     ("detector", "class_var ", "class_var -1", r"bad DETECTOR line 'class_var -1': bad id"),
-    ("detector", "features ", "features src_bytes,nope", r"no variable named 'nope'"),
+    ("detector", "features ", "features src_bytes,nope",
+     r"features 'src_bytes,nope' must list the net's variables other than class_var in "
+     r"id order: 'service,flag,src_bytes,dst_bytes'"),
     ("detector", "features ", None, r"DETECTOR needs one 'features' line, not 0"),
     ("detector", "RULES", "RULES\nsrc_bytes mean", r"rules line 1: cannot parse"),
     ("detector", "src_bytes mean=", "src_bytes mean=nan",
@@ -409,9 +411,13 @@ def saved_models(tmp_path_factory):
     ("detector", ("0 service ", "features "),
      ("0 foo domain_u,http,private", "features foo,flag,src_bytes,dst_bytes"),
      r"feature 'foo' is not a KDD feature"),
-    ("detector", "class_var ", "class_var 0", r"feature 'service' is the class variable"),
-    ("classifier", "2 dst_ip ", "2 foo 192.168.1.10,__none__", r"no variable named 'dst_ip'"),
-    ("classifier", "class_var ", "class_var 0", r"attribute 'src_ip' is the class variable"),
+    ("detector", "class_var ", "class_var 0", r"feature 'attack_type' is not a KDD feature"),
+    ("classifier", "2 dst_ip ", "2 foo 192.168.1.10,__none__",
+     r"attribute fields are src_ip,src_port,dst_ip,dst_port,attack_type in id order, "
+     r"not src_ip,src_port,foo,dst_port,attack_type"),
+    ("classifier", "class_var ", "class_var 0",
+     r"attribute fields are src_ip,src_port,dst_ip,dst_port,attack_type in id order, "
+     r"not src_port,dst_ip,dst_port,attack_type,hyper_alert"),
     ("plan", "0 portsweep ", "0 portsweep present,absent",
      r"hyper-alert 'portsweep' has states present,absent, not absent,present"),
 ])
@@ -430,6 +436,27 @@ def test_model_sections_validated_on_load(tmp_path, saved_models, kind, prefix, 
     load = {"detector": load_detector, "classifier": load_classifier, "plan": load_plan}[kind]
     with pytest.raises(DataError, match=re.escape(f"{path}: ") + bad):
         load(str(path))
+
+
+@pytest.mark.parametrize("features", [
+    "flag,src_bytes,dst_bytes",  # omits service
+    "service,flag,src_bytes,dst_bytes,attack_type",  # adds the class variable
+    "service,flag,src_bytes,dst_bytes,duration",  # adds a feature the net lacks
+    "flag,service,src_bytes,dst_bytes",  # reorders
+])
+def test_a_detector_features_line_that_disagrees_with_its_net_fails_to_load(
+        tmp_path, saved_models, features):
+    """The features line lists the net's variables other than the class, in
+    id order; a detector whose line says otherwise does not load, rather than
+    classify with another set of features than its file states."""
+    from hidpas.model_io import load_detector
+
+    text = re.sub(r"^features .*$", f"features {features}", saved_models["detector"],
+                  flags=re.MULTILINE)
+    path = tmp_path / "detector.bn"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: features {features!r}")):
+        load_detector(str(path))
 
 
 def test_detector_without_features_loads_back(tmp_path):

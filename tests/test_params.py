@@ -61,16 +61,22 @@ def _fail(*args, **kwargs):
     ("learn-detector", "--class-column", "nope"),
     ("learn-plan", "--merge-key", "foo"),
     ("aggregate", "--merge-key", "foo"),
+    ("oracle-check", "--seed", "-1"),
+    ("oracle-check", "--networks", "0"),
+    ("oracle-check", "--networks", "-3"),
+    ("oracle-check", "--transforms", "0"),
 ])
 def test_a_bad_setting_is_a_usage_error_before_any_file_is_opened(
-        tmp_path, capsys, command, option, value):
+        tmp_path, capsys, monkeypatch, command, option, value):
+    monkeypatch.setattr("hidpas.oracles.run_all", _fail)
     missing = tmp_path / "missing.csv"
     out = tmp_path / "out.bn"
     rest = {"learn-detector": ["--out", str(out)], "learn-plan": ["--out", str(out)],
             "aggregate": ["--out", str(out)],
             "predict": ["--observed", "portsweep", "--select", "threshold"],
-            "simulate": []}[command]
-    assert run_command([command, INPUT[command], str(missing)] + rest + [option, value]) == 2
+            "simulate": [], "oracle-check": []}[command]
+    given = [INPUT[command], str(missing)] if command in INPUT else []
+    assert run_command([command] + given + rest + [option, value]) == 2
     err = capsys.readouterr().err
     assert f"argument {option}:" in err, err
     assert "file not found" not in err and not out.exists()

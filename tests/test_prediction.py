@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,6 +303,15 @@ def test_plan_model_single_slot_no_edges():
     assert tm.slot_count == 1
     plan = train_plan_model(tm)
     assert all(p == () for p in plan.net.dag.parents)
+
+
+def test_plan_hyper_names_are_its_net_variable_names(scenario_plan):
+    """A plan's hyper-alerts are named by its net's variables, so the two
+    cannot disagree: the same plan over another net reads that net's names."""
+    assert scenario_plan.hyper_names == tuple(v.name for v in scenario_plan.net.dag.variables)
+    other = train_plan_model(build_transactions(
+        aggregate_alerts([alert(1, "A"), alert(2, "B")]), dt=60.0))
+    assert replace(scenario_plan, net=other.net).hyper_names == ("A", "B")
 
 
 def test_plan_model_order_follows_earliest_occurrence(scenario_plan):
