@@ -174,7 +174,7 @@ def run_command(argv: list[str]) -> int:
 
     try:
         return handler(args)
-    except (DataError, ValueError, ImpossibleEvidenceError) as exc:
+    except (DataError, ImpossibleEvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -185,6 +185,8 @@ def _cmd_learn_detector(args) -> int:
     from .model_io import save_detector
 
     table = load_kdd(args.data, on_bad="skip" if args.skip_bad_rows else "abort")
+    if not table.row_count:
+        raise DataError(f"{args.data}: no connection rows to learn from")
     table = apply_label_granularity(table, args.label_granularity, args.class_column)
     order = tuple(args.order.split(",")) if args.order else None
     config = DetectorConfig(class_column=args.class_column, top_k=args.top_k, order=order,
@@ -214,10 +216,12 @@ def _cmd_transform(args) -> int:
     from .possibility import necessity, prob_to_poss
 
     raw = args.probabilities or sys.stdin.read().split()
-    values = [float(x) for x in raw]
-    if not values:
+    if not raw:
         raise DataError("no probability values supplied")
-    pi = prob_to_poss(values)
+    try:
+        pi = prob_to_poss([float(x) for x in raw])
+    except ValueError as exc:  # a token that is not a number, or not a distribution
+        raise DataError(f"bad probability vector '{' '.join(raw)}': {exc}") from None
     n = necessity(pi)
     print("pi: " + " ".join(f"{x:.12g}" for x in pi))
     print("N:  " + " ".join(f"{x:.12g}" for x in n))
@@ -245,6 +249,8 @@ def _cmd_learn_plan(args) -> int:
                              train_plan_model)
 
     alerts = load_alert_log(args.alerts)
+    if not alerts:
+        raise DataError(f"{args.alerts}: no alerts to learn from")
     hypers = aggregate_alerts(alerts, merge_key=args.merge_key)
     learn = {name: getattr(args, name) for name in _LEARN}
     tm = build_transactions(hypers, dt=args.slot, span=args.span)

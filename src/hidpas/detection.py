@@ -105,9 +105,22 @@ class DetectorConfig:
 class DetectorModel(ClassifierModel):
     """A connection classifier: each evidence field is a KDD feature, read
     off its column of `ConnectionRecord.values`, and a numeric one has a
-    threshold rule; a model that breaks this raises ValueError when built."""
+    threshold rule; every rule names a variable of the net, and a states
+    rule lists that variable's states. A model that breaks this raises
+    ValueError when built."""
 
     rules: TransformRules
+
+    def __post_init__(self):
+        super().__post_init__()
+        variables = {var.name: var for var in self.net.dag.variables}
+        for name in (*self.rules.means, *self.rules.states):
+            if name not in variables:
+                raise ValueError(f"rule for {name!r}, which is not a variable of the net")
+        for name, states in self.rules.states.items():
+            if states != variables[name].states:
+                raise ValueError(f"rule {name} states={','.join(states)} differs from the "
+                                 f"net's states {','.join(variables[name].states)}")
 
     def _field(self, var: Variable, place: int) -> tuple[int, float | dict[str, int]]:
         kind = _KINDS.get(var.name)
@@ -138,8 +151,8 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
                 ("repeats", [n for n in dict.fromkeys(config.order) if config.order.count(n) > 1]),
                 ("misses", [n for n in name_to_id if n not in config.order])):
             if names:
-                raise ValueError(f"order {fault} {names}: each of the selected columns "
-                                 f"{sorted(name_to_id)} must appear once")
+                raise DataError(f"order {fault} {names}: each of the selected columns "
+                                f"{sorted(name_to_id)} must appear once")
         order = tuple(name_to_id[n] for n in config.order)
     else:
         order = (name_to_id[config.class_column],) + tuple(

@@ -60,23 +60,27 @@ class DiscreteDataset:
 
 
 def count_statistics(data: DiscreteDataset, var: int, parents: Sequence[int]) -> np.ndarray:
-    """Exact N_ijk counts, an int64 (q, r) table laid out as var's CPT under
-    parents; configurations never seen in the data count 0."""
-    n_cols = len(data.variables)
+    """Exact N_ijk counts (_count_table), an int64 (q, r) table laid out as
+    var's CPT under parents; configurations never seen in the data count 0."""
     parents = tuple(parents)
     for c in (var, *parents):
-        if not 0 <= c < n_cols:
+        if not 0 <= c < len(data.variables):
             raise ValueError(f"unknown column id {c}")
     if var in parents:
         raise ValueError("variable cannot be its own parent")
-    # the layout of var's table: a Dag of just these columns, var last under
-    # the others, so its size does not grow with the dataset's width
-    cols = (*parents, var)
-    shape = Dag([data.variables[c] for c in cols],
-                [()] * len(parents) + [range(len(parents))]).cpt_shape(len(parents))
-    keys = np.ravel_multi_index(tuple(data.rows[:, c] for c in cols), shape)
-    counts = np.bincount(keys, minlength=math.prod(shape))
-    return counts.astype(np.int64, copy=False).reshape(-1, shape[-1])
+    return _count_table(data.rows.T, [v.arity for v in data.variables], (*parents, var))
+
+
+def _count_table(columns: np.ndarray, arities: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """The (q, r) table counting the last of cols under the others, from data
+    given column by column: np.bincount of each row's code over cols in the
+    C order Dag.cpt_shape states, the last column varying fastest."""
+    code = columns[cols[0]].astype(np.int64)
+    for c in cols[1:]:
+        code *= arities[c]
+        np.add(code, columns[c], out=code, casting="unsafe")  # a uint64 column too
+    counts = np.bincount(code, minlength=math.prod(arities[c] for c in cols))
+    return counts.reshape(-1, arities[cols[-1]])
 
 
 def lgamma_table(size: int) -> np.ndarray:
@@ -210,36 +214,12 @@ def _product_tables(columns: np.ndarray, onehot: np.ndarray, first: np.ndarray,
                 len(part), q * a, r)
 
 
-def _bincount_tables(columns: np.ndarray, arities: np.ndarray, var: np.ndarray,
-                     parents: np.ndarray, owner: np.ndarray, cand: np.ndarray):
-    """The tables _product_tables yields, from one int64 parent configuration
-    code per data row and variable of var: the candidates of one arity a are
-    counted together by offset np.bincount calls, in chunks of at most
-    ENTRY_BUDGET keys or table entries (at least one candidate per chunk)."""
-    r = int(arities[var[0]])
-    q = int(np.prod(arities[parents[0]]))
-    cfg = np.zeros((len(var), columns.shape[1]), dtype=np.int64)
-    for p in parents.T:
-        cfg *= arities[p, None]
-        cfg += columns[p]
-    cand_arity = arities[cand]
-    # arities in first-seen order: in a set's order the heap grows to a higher peak
-    for a in dict.fromkeys(cand_arity.tolist()):
-        sel = np.flatnonzero(cand_arity == a)
-        span = q * a * r
-        size = max(1, ENTRY_BUDGET // max(columns.shape[1], q * a * (r + 1)))
-        # key of row n for the i-th pair (var[o], c) of a chunk:
-        # i * span + (cfg[o, n] * a + columns[c, n]) * r + columns[var[o], n]
-        base = cfg * (a * r) + columns[var]
-        for start in range(0, len(sel), size):
-            part = sel[start:start + size]
-            keys = np.multiply(columns[cand[part]], r, dtype=np.int64)
-            keys += base[owner[part]]
-            keys += np.arange(0, len(part) * span, span)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=len(part) * span)
-            del keys
-            yield part, counts.reshape(len(part), q * a, r)
-            del counts  # so that two count tables are never held at once
+def _pair_tables(columns: np.ndarray, arities: Sequence[int], var: np.ndarray,
+                 parents: np.ndarray, owner: np.ndarray, cand: np.ndarray):
+    """The tables _product_tables yields, one pair at a time, each counted by
+    _count_table over the variable's parents, the candidate and the variable."""
+    for i, (o, c) in enumerate(zip(owner.tolist(), cand.tolist())):
+        yield [i], _count_table(columns, arities, (*parents[o].tolist(), c, int(var[o])))[None]
 
 
 def _product_chunks(searching: list[int], parents: list[list[int]], q: list[int],
@@ -269,9 +249,9 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
     rows swapped, summed in another order, so the last bit of rounding picks
     between them, whichever id is lower.
 
-    Every score is summed sequentially in row-major order (k2_log_scores), so
-    it is bit-identical to k2_local_log_score on count_statistics's table for
-    the same parents, and so are the ties and the learned structure.
+    Every score is summed sequentially in row-major order (k2_log_scores) on
+    count_statistics's table for the same parents, so it is bit-identical to
+    k2_local_log_score on it, and so are the ties and the learned structure.
 
     Each variable's search depends only on its own parents, so the search runs
     in rounds: round k scores the k-th parent of every variable still
@@ -286,8 +266,8 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
     PRODUCT_BUDGET entries; runs are cut so that their Z holds no more than X
     (_product_chunks). Counts are integers no larger than n, which
     PRODUCT_BUDGET <= 2**24 bounds, so float32 holds them exactly in any BLAS
-    order. Every other variable is a run of one on the bincount counter
-    (_bincount_tables), which holds one int64 configuration code per row.
+    order. Every other variable is a run of one on the pair counter
+    (_pair_tables), which counts each of its pairs as count_statistics does.
     """
     n = len(data.variables)
     if sorted(order) != list(range(n)):
@@ -307,8 +287,8 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
     current = np.empty(n)  # each variable's score under its parents so far
     for a in set(arity_list):
         same = np.flatnonzero(arities == a)
-        counts = np.array([np.bincount(columns[v], minlength=a) for v in same])
-        current[same] = k2_log_scores(counts.reshape(len(same), 1, a), lgamma)
+        counts = np.array([_count_table(columns, arity_list, [v]) for v in same])
+        current[same] = k2_log_scores(counts, lgamma)
     parents: list[list[int]] = [[] for _ in range(n)]
     q = [1] * n  # parent configurations of each variable
     searching = list(order[1:]) if max_parents else []
@@ -325,7 +305,7 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
             if run[0] in fits:
                 tables = _product_tables(columns, onehot, first, arities, var, held, owner, cand)
             else:
-                tables = _bincount_tables(columns, arities, var, held, owner, cand)
+                tables = _pair_tables(columns, arity_list, var, held, owner, cand)
             scores = np.empty(len(owner))
             for part, table in tables:
                 scores[part] = k2_log_scores(table, lgamma)

@@ -284,10 +284,10 @@ class PlanModel:
             return self.hyper_names.index(hyper)
         if isinstance(hyper, str):
             if not (hyper.isascii() and hyper.isdigit()):
-                raise ValueError(f"no hyper-alert named {hyper!r}")
+                raise DataError(f"no hyper-alert named {hyper!r}")
             hyper = int(hyper)
         if not 0 <= hyper < len(self.hyper_names):
-            raise ValueError(f"no hyper-alert with id {hyper}")
+            raise DataError(f"no hyper-alert with id {hyper}")
         return hyper
 
 

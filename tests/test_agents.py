@@ -138,6 +138,29 @@ def test_ipa_step_is_pure_and_replayable(sim_setup):
     assert out2 == () and state2.observed == state1a.observed
 
 
+def test_ipa_step_skips_a_prediction_on_impossible_evidence(sim_setup, caplog):
+    """In this plan x rules out portsweep, so observing both has zero mass
+    and y cannot be forecast: the IPA logs the skip, emits nothing, and
+    still records the alert's hyper-alert as observed."""
+    import numpy as np
+
+    from hidpas.core import BayesNet, Dag, Variable
+    from hidpas.prediction import OCCURRENCE, PlanModel
+
+    names = ("x", "portsweep", "y")
+    dag = Dag([Variable(i, name, OCCURRENCE) for i, name in enumerate(names)], [(), (0,), ()])
+    cpts = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([[0.5, 0.5]])]
+    plan = PlanModel(BayesNet(dag, cpts), tau=0.7)
+    state = IPAState(classifier=load_classifier(sim_setup.alert_classifier), plan=plan,
+                     observed=("x",))
+    with caplog.at_level("WARNING", logger="hidpas.agents"):
+        new_state, out = ipa_step(state, AgentMessage(ALERT, "host-c", sample_alert()))
+    assert out == ()
+    assert new_state.observed == ("x", "portsweep")
+    assert [r.getMessage() for r in caplog.records] == [
+        "prediction skipped: observed set ['x', 'portsweep'] has zero mass in the plan model"]
+
+
 def test_ipa_step_first_alert_emits_one_prediction(sim_setup):
     classifier = load_classifier(sim_setup.alert_classifier)
     plan = load_plan(sim_setup.plan_model)

@@ -38,3 +38,30 @@ def test_layer_probes_install_and_uninstall():
         tracer.uninstall()
     for (owner, attr), original in patched.items():
         assert vars(owner)[attr] is original
+
+
+def test_count_statistics_probe_counts_cpt_fits_only():
+    """With the probes installed, each net's fit_cpts records one
+    learning.count_statistics call per variable and K2 records none, so the
+    benchmark's learning.count_statistics_calls counts CPT fits only."""
+    from hidpas.features import load_kdd
+
+    from conftest import data_path
+
+    table = load_kdd(data_path("scenario", "detector_train.csv"))
+    hypers = prediction.aggregate_alerts(
+        prediction.load_alert_log(data_path("scenario", "alert_history.csv")))
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install_layer_probes(tracer)
+        nets = [detection.train_detector(table, detection.DetectorConfig(top_k=4)).net,
+                prediction.train_plan_model(prediction.build_transactions(hypers, dt=60.0)).net,
+                prediction.train_alert_classifier(hypers).net]
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[nid] for nid, *_ in tracer.spans]
+    callers = [names[parent] for name, (*_, parent) in zip(names, tracer.spans)
+               if name == "learning.count_statistics"]
+    assert names.count("learning.k2_search") == names.count("learning.fit_cpts") == 3
+    assert callers == ["learning.fit_cpts"] * sum(len(net.dag.variables) for net in nets)

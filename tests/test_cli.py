@@ -39,6 +39,26 @@ def test_transform_bad_vector_is_data_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokens, bad", [
+    (["0.5", "0.1"], "probabilities sum to 0.6, not 1"),
+    (["0.5", "half"], "could not convert string to float: 'half'"),
+])
+def test_transform_names_a_vector_it_cannot_read(capsys, tokens, bad):
+    assert run_command(["transform", *tokens]) == 1
+    assert capsys.readouterr().err == f"error: bad probability vector '{' '.join(tokens)}': {bad}\n"
+
+
+def test_a_fault_that_is_not_a_data_error_propagates(monkeypatch):
+    """Only a DataError or impossible evidence is reported as `error: ...`;
+    any other exception, such as a bare ValueError from a bug, surfaces."""
+    def transform(args):
+        raise ValueError("shapes (2,) and (3,) not aligned")
+
+    monkeypatch.setattr("hidpas.cli._cmd_transform", transform)
+    with pytest.raises(ValueError, match="not aligned"):
+        run_command(["transform", "0.5", "0.5"])
+
+
 def test_transform_reads_stdin(capsys, monkeypatch):
     import io
 
@@ -78,6 +98,40 @@ def test_learn_detector_rejects_a_bad_category_before_learning(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "column 'service': value '' is not a state label" in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("content, flags", [
+    ("", []),  # an empty file
+    ("1,2,3\n", ["--skip-bad-rows"]),  # every row skipped
+])
+def test_learn_detector_without_rows_names_its_file(tmp_path, capsys, monkeypatch, content,
+                                                    flags):
+    def gini_rank(*args):
+        raise AssertionError("ranking ran")
+
+    monkeypatch.setattr("hidpas.detection.gini_rank", gini_rank)
+    data = tmp_path / "train.csv"
+    data.write_text(content, encoding="utf-8")
+    model = tmp_path / "m.bn"
+    assert run_command(["learn-detector", "--data", str(data), "--out", str(model),
+                        *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {data}: no connection rows to learn from\n")
+    assert not model.exists()
+
+
+def test_learn_plan_on_a_log_without_alerts_names_its_file(tmp_path, capsys, monkeypatch):
+    def aggregate_alerts(*args, **kwargs):
+        raise AssertionError("aggregation ran")
+
+    monkeypatch.setattr("hidpas.prediction.aggregate_alerts", aggregate_alerts)
+    log = tmp_path / "alerts.csv"
+    log.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n",
+                   encoding="utf-8")
+    plan = tmp_path / "plan.bn"
+    assert run_command(["learn-plan", "--alerts", str(log), "--out", str(plan)]) == 1
+    assert capsys.readouterr().err == f"error: {log}: no alerts to learn from\n"
+    assert not plan.exists()
 
 
 def test_detect_missing_model_names_path(capsys, tmp_path):

@@ -46,6 +46,18 @@ def test_count_statistics_no_parents_is_histogram(px_data):
     assert count_statistics(px_data, 1, ()).tolist() == [[2, 1]]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+def test_count_statistics_reads_any_integer_rows(dtype):
+    # a dataset keeps its integer type; uint64 does not add to int64 codes in place
+    rows = [[0, 1, 2], [1, 0, 2], [1, 0, 2], [0, 1, 0]]
+    variables = tuple(Variable(i, f"v{i}", ("0", "1", "2")) for i in range(3))
+    data = DiscreteDataset(variables, np.array(rows, dtype=dtype))
+    assert count_statistics(data, 2, (0, 1)).tolist() == [
+        [0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 0, 2], [0, 0, 0], [0, 0, 0],
+        [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert k2_search(data, (0, 1, 2), 2).parents == reference_k2_search(data, (0, 1, 2), 2)
+
+
 def test_count_statistics_empty_dataset():
     empty = dataset(["P", "X"], np.zeros((0, 2)))
     assert count_statistics(empty, 1, (0,)).tolist() == [[0, 0], [0, 0]]
@@ -327,7 +339,7 @@ def test_k2_search_equals_reference_search(seed, n_rows, arities, copies, max_pa
 
 
 def test_k2_search_equals_reference_on_chunked_candidates():
-    # 3000 rows: only a few candidates fit one bincount under the budget
+    # 3000 rows and 15 columns, more than the property tests draw
     rng = np.random.default_rng(21)
     data = mixed_dataset(rng, 3000, [2, 2, 3, 2, 4, 2, 2, 5, 2, 2], copies=4)
     assert data.row_count * 4 < ENTRY_BUDGET < data.row_count * 12
@@ -357,22 +369,22 @@ def test_k2_search_ties_go_to_lowest_id():
 
 def counting_paths(mp: pytest.MonkeyPatch) -> dict[str, int]:
     """Counts the (variable, round) searches each counting path scores
-    ("product", "bincount"), and the matrix products the product path makes
+    ("product", "pair"), and the matrix products the product path makes
     ("products", one per run of variables)."""
-    calls = {"product": 0, "bincount": 0, "products": 0}
-    product_tables, bincount_tables = learning._product_tables, learning._bincount_tables
+    calls = {"product": 0, "pair": 0, "products": 0}
+    product_tables, pair_tables = learning._product_tables, learning._pair_tables
 
     def products(columns, onehot, first, arities, var, *rest):
         calls["product"] += len(var)
         calls["products"] += 1
         return product_tables(columns, onehot, first, arities, var, *rest)
 
-    def bincounts(columns, arities, var, *rest):
-        calls["bincount"] += len(var)
-        return bincount_tables(columns, arities, var, *rest)
+    def pairs(columns, arities, var, *rest):
+        calls["pair"] += len(var)
+        return pair_tables(columns, arities, var, *rest)
 
     mp.setattr(learning, "_product_tables", products)
-    mp.setattr(learning, "_bincount_tables", bincounts)
+    mp.setattr(learning, "_pair_tables", pairs)
     return calls
 
 
@@ -386,16 +398,16 @@ def search_inputs(data: DiscreteDataset, order: tuple[int, ...]):
     return columns, arity, onehot, first, pos
 
 
-def bincount_tables(columns, onehot, first, arities, *pairs):
-    """_bincount_tables called as _product_tables is."""
-    return learning._bincount_tables(columns, arities, *pairs)
+def pair_tables(columns, onehot, first, arities, *pairs):
+    """_pair_tables called as _product_tables is."""
+    return learning._pair_tables(columns, arities, *pairs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 150),
        st.lists(st.integers(2, 5), min_size=2, max_size=5), st.integers(0, 2),
        st.integers(0, 2), st.sampled_from([ENTRY_BUDGET, 1, 7]),
-       st.sampled_from([learning._product_tables, bincount_tables]))
+       st.sampled_from([learning._product_tables, pair_tables]))
 def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k, budget,
                                                counter):
     # every variable with k random earlier parents; runs as the product path
@@ -438,7 +450,7 @@ def test_product_tables_equal_count_statistics(seed, n_rows, arities, copies, k,
 def test_product_budget_edge_picks_the_path():
     # a variable takes the product path when X (n by 1 + sum(a - 1)), its own
     # q * r rows of Z and of the product fit the budget: at the largest of them
-    # every search takes it, one entry under it some search counts by bincount
+    # every search takes it, one entry under it some search counts by pairs
     assert PRODUCT_BUDGET <= 2 ** 24  # float32 counts stay exact
     rng = np.random.default_rng(4)
     data = mixed_dataset(rng, 300, [2, 3, 2, 4, 2, 5], copies=3)
@@ -466,7 +478,7 @@ def test_product_budget_edge_picks_the_path():
             calls = counting_paths(mp)
             assert k2_search(data, order, 3).parents == expected
         assert calls["product"] > 0
-        assert calls["bincount"] == 0 if only else calls["bincount"] > 0
+        assert calls["pair"] == 0 if only else calls["pair"] > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,7 +489,7 @@ def test_product_budget_edge_picks_the_path():
 def test_lockstep_rounds_split_across_variables(seed, n_rows, arities, copies, max_parents,
                                                 budget, product_budget):
     # budgets between the paths' extremes: in one round some variables count
-    # by product and some by bincount, and products cover runs of variables
+    # by product and some by pairs, and products cover runs of variables
     rng = np.random.default_rng(seed)
     data = mixed_dataset(rng, n_rows, arities, copies)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
@@ -490,7 +502,7 @@ def test_lockstep_rounds_split_across_variables(seed, n_rows, arities, copies, m
 
 def test_lockstep_mixes_paths_and_runs_in_one_search():
     # the smallest budget that keeps X: a round stacks several variables per
-    # product, while a wide variable's last search counts by bincount
+    # product, while a wide variable's last search counts by pairs
     rng = np.random.default_rng(23)
     data = mixed_dataset(rng, 150, [5, 4, 5, 3, 5, 2, 2, 2], copies=4)
     order = tuple(int(i) for i in rng.permutation(len(data.variables)))
@@ -501,7 +513,7 @@ def test_lockstep_mixes_paths_and_runs_in_one_search():
         calls = counting_paths(mp)
         got = k2_search(data, order, 3).parents
     assert got == reference_k2_search(data, order, 3)
-    assert calls["bincount"] > 0 and calls["product"] > calls["products"] > 2
+    assert calls["pair"] > 0 and calls["product"] > calls["products"] > 2
 
 
 def test_k2_search_on_150_binary_columns():
@@ -520,6 +532,6 @@ def test_k2_search_on_150_binary_columns():
         calls = counting_paths(mp)
         got = k2_search(data, order, 2).parents
     # every search of both rounds on the product path, in a handful of products
-    assert calls["bincount"] == 0 and calls["product"] > n_cols
+    assert calls["pair"] == 0 and calls["product"] > n_cols
     assert calls["products"] <= 8
     assert got == reference_k2_search(data, order, 2)

@@ -420,6 +420,10 @@ def saved_models(tmp_path_factory):
      r"not src_port,dst_ip,dst_port,attack_type,hyper_alert"),
     ("plan", "0 portsweep ", "0 portsweep present,absent",
      r"hyper-alert 'portsweep' has states present,absent, not absent,present"),
+    ("detector", "service states=", "service states=ftp,telnet",
+     r"rule service states=ftp,telnet differs from the net's states domain_u,http,private"),
+    ("detector", "RULES", "RULES\nbogus mean=1.0",
+     r"rule for 'bogus', which is not a variable of the net"),
 ])
 def test_model_sections_validated_on_load(tmp_path, saved_models, kind, prefix, new, bad):
     """Each row replaces the first line starting with a prefix by a new line

@@ -257,6 +257,28 @@ def test_hybrid_sandwich_violations_reported_not_asserted():
     assert cases > 0
 
 
+def test_post_propagation_breaches_are_logged_at_debug_level(caplog):
+    """query_batch logs each target whose interval misses its probability,
+    at DEBUG level only."""
+    rng = np.random.default_rng(29)
+    cases = [(net, random_evidence(rng, net)) for net in (random_net(rng) for _ in range(40))]
+    expected = []
+    with caplog.at_level("DEBUG", logger="hidpas.possibility"):
+        for net, ev in cases:
+            [marginals] = HybridPropagator(net).query_batch([ev], range(len(net.dag.variables)))
+            for var, hm in (marginals or {}).items():
+                if (breach := hm.sandwich_violation()) > 0:
+                    expected.append(f"post-propagation interval breach {breach:.3g} "
+                                    f"on variable {var}")
+    assert expected
+    assert [r.getMessage() for r in caplog.records] == expected
+    caplog.clear()
+    with caplog.at_level("INFO", logger="hidpas.possibility"):
+        for net, ev in cases:
+            HybridPropagator(net).query_batch([ev], range(len(net.dag.variables)))
+    assert caplog.records == []
+
+
 def test_hybrid_propagator_is_reusable(two_node_net):
     engine = HybridPropagator(two_node_net)
     first = engine.query({}, [1])[1]
