@@ -191,7 +191,10 @@ def _cmd_learn_detector(args) -> int:
     order = tuple(args.order.split(",")) if args.order else None
     config = DetectorConfig(class_column=args.class_column, top_k=args.top_k, order=order,
                             **{name: getattr(args, name) for name in _LEARN})
-    model = train_detector(table, config)
+    try:
+        model = train_detector(table, config)
+    except DataError as exc:  # a cell that is no state label, or an --order fault
+        raise DataError(f"{args.data}: {exc}") from None
     save_detector(model, args.out, timestamp=not args.no_timestamp)
     if args.rules:
         save_rules(model.rules, args.rules)

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import logging
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (PARAMS, DataError, Variable, bad_row, check_params, csv_records,
                    finite_float, open_output)
 from .features import (
+    CATEGORICAL,
     KDD_FEATURES,
     NUMERIC,
     RawTable,
@@ -24,6 +28,7 @@ from .features import (
     build_rules,
     gini_rank,
     parse_connection_fields,
+    read_matrix,
     select_features,
     to_discrete_dataset,
 )
@@ -37,8 +42,12 @@ NORMAL_LABEL = "normal"
 ALERT_CSV_HEADER = "timestamp,host,src_ip,dst_ip,type,necessity,probability,possibility"
 
 # Column of each feature in ConnectionRecord.values, and its kind.
-FEATURE_COLUMNS = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
+_COLUMN = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
 _KINDS = dict(KDD_FEATURES)
+# A ConnectionStream's matrix columns: timestamp, source and destination
+# address, then the 41 features.
+_STREAM_KINDS = (NUMERIC, CATEGORICAL, CATEGORICAL) + tuple(_KINDS.values())
+_STREAM_CELLS = [i for i, kind in enumerate(_STREAM_KINDS) if kind != NUMERIC]
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,64 @@ class ConnectionRecord:
 
     def value(self, feature: str):
         try:
-            return self.values[FEATURE_COLUMNS[feature]]
+            return self.values[_COLUMN[feature]]
         except KeyError:
             raise ValueError(f"unknown feature {feature!r}") from None
+
+
+class ConnectionStream:
+    """Connection records held by column, as `load_stream` reads them.
+
+    Row r of the float matrix is a record's timestamp, source and
+    destination address, then its 41 feature values; a categorical value
+    (an address too) is its code in the column's cells, `cells[c][code]`.
+    An int index or iteration gives ConnectionRecords. A slice is a stream
+    of its rows of the same matrix, made at a cost that does not grow with
+    the stream, and it shares the evidence a model reads off the stream.
+    """
+
+    def __init__(self, matrix: np.ndarray, cells: dict[int, list[str]],
+                 rows: np.ndarray | None = None, evidence: list | None = None):
+        self.matrix, self.cells, self._evidence = matrix, cells, evidence or [None]
+        self.rows = np.arange(len(matrix)) if rows is None else rows
+
+    @classmethod
+    def of_records(cls, records: Iterable[ConnectionRecord]) -> ConnectionStream:
+        """A stream as it is, or records as a stream: numeric values as
+        floats, categorical values and addresses as their str."""
+        if isinstance(records, ConnectionStream):
+            return records
+        books: dict[int, dict[str, int]] = {c: {} for c in _STREAM_CELLS}
+        matrix = [[books[c].setdefault(str(v), len(books[c])) if c in books else float(v)
+                   for c, v in enumerate((r.timestamp, r.src_ip, r.dst_ip, *r.values))]
+                  for r in records]
+        return cls(np.array(matrix, dtype=float).reshape(-1, len(_STREAM_KINDS)),
+                   {c: list(book) for c, book in books.items()})
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        return ConnectionStream(self.matrix, self.cells, self.rows[key], self._evidence)
+
+    def __iter__(self) -> Iterator[ConnectionRecord]:
+        for row in self.matrix[self.rows].tolist():
+            for c in _STREAM_CELLS:
+                row[c] = self.cells[c][int(row[c])]
+            yield ConnectionRecord(row[3:], *row[:3])
+
+    def evidence(self, model: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
+        """`model.encode` of these records, read off the encoding of the
+        whole stream, which is made once per model."""
+        if self._evidence[0] is None or self._evidence[0][0] is not model:
+            columns = [self.matrix[:, c] if kind == NUMERIC else
+                       (self.cells[c], self.matrix[:, c].astype(np.intp))
+                       for c, kind in enumerate(_STREAM_KINDS[3:], 3)]
+            self._evidence[0] = (model, *model.encode(len(self.matrix), columns))
+        _, observed, unknown = self._evidence[0]
+        return observed[self.rows], unknown[self.rows]
 
 
 @dataclass(frozen=True)
@@ -104,7 +168,8 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class DetectorModel(ClassifierModel):
     """A connection classifier: each evidence field is a KDD feature, read
-    off its column of `ConnectionRecord.values`, and a numeric one has a
+    off its column of a stream's 41 features (the order of
+    `ConnectionRecord.values`), and a numeric one has a
     threshold rule; every rule names a variable of the net, and a states
     rule lists that variable's states. A model that breaks this raises
     ValueError when built."""
@@ -127,10 +192,10 @@ class DetectorModel(ClassifierModel):
         if kind is None:
             raise ValueError(f"feature {var.name!r} is not a KDD feature")
         if kind != NUMERIC:
-            return FEATURE_COLUMNS[var.name], var.state_index()
+            return _COLUMN[var.name], var.state_index()
         if (mean := self.rules.means.get(var.name)) is None:
             raise ValueError(f"numeric feature {var.name!r} has no threshold rule")
-        return FEATURE_COLUMNS[var.name], mean
+        return _COLUMN[var.name], mean
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -168,11 +233,11 @@ def train_detector(table: RawTable, config: DetectorConfig = DetectorConfig()) -
     )
 
 
-def classify_connections(model: DetectorModel, records: Sequence[ConnectionRecord]
+def classify_connections(model: DetectorModel, records: Iterable[ConnectionRecord]
                          ) -> list[Classification]:
-    """Classify records through one batched calibration; each result equals
-    classify_connection on that record alone."""
-    return model.classify((record.values for record in records), log)
+    """Classify a stream, or records, through one batched calibration; each
+    result equals classify_connection on that record alone."""
+    return model.classify(*ConnectionStream.of_records(records).evidence(model), log)
 
 
 def classify_connection(model: DetectorModel, record: ConnectionRecord) -> Classification:
@@ -182,28 +247,18 @@ def classify_connection(model: DetectorModel, record: ConnectionRecord) -> Class
 
 def detect_stream(model: DetectorModel, records: Iterable[ConnectionRecord],
                   host: str) -> list[DetectionAlert]:
-    """Classify a record stream in one batched call, emitting one alert per
-    non-normal result; the alerts do not depend on how the stream is split."""
-    records = list(records)
-    alerts: list[DetectionAlert] = []
-    for record, result in zip(records, classify_connections(model, records)):
-        if result.label == NORMAL_LABEL:
-            continue
-        n, p, pi = result.triple
-        alerts.append(DetectionAlert(
-            timestamp=record.timestamp,
-            host=host,
-            src_ip=record.src_ip,
-            dst_ip=record.dst_ip,
-            attack_type=result.label,
-            necessity=n,
-            probability=p,
-            possibility=pi,
-        ))
-    return alerts
+    """Classify a stream, or records, in one batched call, emitting one
+    alert per non-normal result; the alerts do not depend on how the stream
+    is split."""
+    stream = ConnectionStream.of_records(records)
+    return [DetectionAlert(ts, host, stream.cells[1][int(src)], stream.cells[2][int(dst)],
+                           result.label, *result.triple)
+            for (ts, src, dst), result in zip(stream.matrix[stream.rows, :3].tolist(),
+                                              classify_connections(model, stream))
+            if result.label != NORMAL_LABEL]
 
 
-def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
+def load_stream(path: str, on_bad: str = "abort") -> ConnectionStream:
     """Read a connection stream.
 
     Accepted row shapes:
@@ -212,10 +267,28 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
           in seconds, so a skipped row leaves no gap.
       44 or 45 fields: `timestamp,src_ip,dst_ip` prefix followed by the 41
           features (and optional ignored label).
+
+    A stream whose every row has the shape of its first is read by
+    `read_matrix`; any other is read row by row below, the one place that
+    names or skips a bad line.
     """
     if on_bad not in ("abort", "skip"):
         raise ValueError("on_bad must be 'abort' or 'skip'")
+    with closing(csv_records(path)) as peek:
+        _, first = next(peek, (0, []))
     n_feat = len(KDD_FEATURES)
+    extra = len(first) - n_feat  # 0 or 1 plain, 3 or 4 prefixed; 1 or 4 with a label
+    plain = extra in (0, 1)
+    read = (extra in (0, 1, 3, 4)
+            and read_matrix(path, _STREAM_KINDS[3 * plain:] + (CATEGORICAL,) * (extra % 3)))
+    if read:
+        matrix, books = read
+        if plain:  # stamped by row index, from no address
+            matrix = np.column_stack((np.arange(len(matrix)), np.zeros((len(matrix), 2)), matrix))
+            books = [{"": 0}, {"": 0}] + books
+        return ConnectionStream(matrix[:, :len(_STREAM_KINDS)],
+                                {c: [cell.strip() for cell in book]
+                                 for c, book in zip(_STREAM_CELLS, books)})
     records: list[ConnectionRecord] = []
     for lineno, rec in csv_records(path):
         try:
@@ -235,7 +308,7 @@ def load_stream(path: str, on_bad: str = "abort") -> list[ConnectionRecord]:
                 raise DataError(f"unexpected field count {len(rec)}")
         except DataError as exc:
             bad_row(path, lineno, exc, on_bad, log)
-    return records
+    return ConnectionStream.of_records(records)
 
 
 def write_alerts_csv(alerts: Sequence[DetectionAlert], path: str) -> None:

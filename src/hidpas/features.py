@@ -156,28 +156,13 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
 
     Labels lose their trailing dot and categorical cells their surrounding
     whitespace. on_bad is 'abort' (raise DataError with the line number) or
-    'skip' (log and drop the row).
-
-    A well-formed file is parsed by one ``np.loadtxt`` call into a float
-    matrix of numbers and, per categorical cell, its code in the column's
-    _Codebook; loadtxt unquotes as ``csv.reader`` does and rejects a row of
-    another field count than the first. A file failing a check (arity, a bad
-    or non-finite number, a line of spaces, no rows) is read again by the
-    csv row reader, the one place that names the failing line or skips it.
+    'skip' (log and drop the row). A well-formed file is read by
+    `read_matrix`, any other by the csv row reader, the one place that
+    names the failing line or skips it.
     """
     if on_bad not in ("abort", "skip"):
         raise ValueError("on_bad must be 'abort' or 'skip'")
-    books = [_Codebook() for _ in _CATEGORICAL_COLUMNS]
-    converters = {i: book.__getitem__ for i, book in zip(_CATEGORICAL_COLUMNS, books)}
-    with open_input(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
-        try:
-            matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                converters=converters, encoding="utf-8")  # str, not bytes
-        except (ValueError, UserWarning):
-            matrix = None
-    if matrix is None or matrix.shape[1] != len(_KDD_NAMES) or not np.isfinite(matrix).all():
-        matrix, books = _load_kdd_rows(path, on_bad)
+    matrix, books = read_matrix(path, _KDD_KINDS) or _load_kdd_rows(path, on_bad)
     columns = dict(zip(_NUMERIC_COLUMNS, matrix.T[_NUMERIC_COLUMNS]))
     cell_codes = matrix.T[_CATEGORICAL_COLUMNS].astype(np.intp)
     for i, book, codes in zip(_CATEGORICAL_COLUMNS, books, cell_codes):
@@ -186,6 +171,29 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
             cells = [c.rstrip(".") for c in cells]
         columns[i] = encode(cells, codes)
     return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)])
+
+
+def read_matrix(path: str, kinds: Sequence[str]
+                ) -> tuple[np.ndarray, list[_Codebook]] | None:
+    """A csv file of one field per kind in every row, read by one
+    ``np.loadtxt`` call (which unquotes as ``csv.reader`` does): a float
+    matrix of its numbers and, per categorical cell, its code in the
+    column's _Codebook (the codebooks in column order). None for a file
+    that fails a check (another field count in any row, a bad or non-finite
+    number, a line of spaces, no rows), which the caller reads by rows."""
+    categorical = [i for i, kind in enumerate(kinds) if kind != NUMERIC]
+    books = [_Codebook() for _ in categorical]
+    converters = {i: book.__getitem__ for i, book in zip(categorical, books)}
+    with open_input(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                converters=converters, encoding="utf-8")  # str, not bytes
+        except (ValueError, UserWarning):
+            return None
+    if matrix.shape[1] != len(kinds) or not np.isfinite(matrix).all():
+        return None
+    return matrix, books
 
 
 def _load_kdd_rows(path: str, on_bad: str) -> tuple[np.ndarray, list[_Codebook]]:

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -205,7 +205,8 @@ class HybridMarginal:
 def select_state(marginal: HybridMarginal, tau: float) -> tuple[int, bool]:
     """Most probable informative state, the lowest index on ties; when no
     state is informative, the plain argmax flagged uninformative (True)."""
-    informative = [k for k in range(marginal.arity) if marginal.informative(k, tau)]
+    informative = [k for k, (n, pi) in enumerate(zip(marginal.necessity, marginal.possibility))
+                   if pi - n <= tau]  # HybridMarginal.informative, without a call per state
     pool = informative or range(marginal.arity)
     return max(pool, key=marginal.probability.__getitem__), not informative
 
@@ -277,11 +278,12 @@ class HybridPropagator:
                 "evidence has zero probability/possibility in this network")
         return marginals
 
-    def query_batch(self, evidence: Sequence[Mapping[int, int] | None],
+    def query_batch(self, evidence: np.ndarray | Sequence[Mapping[int, int] | None],
                     targets: Sequence[int]) -> list[dict[int, HybridMarginal] | None]:
         """One dict of marginals per evidence row, or None for a row whose
         evidence has zero probability or possibility. Each row equals `query`
-        on that row alone, bit for bit.
+        on that row alone, bit for bit. The rows are an `evidence_matrix`, or
+        the evidence dicts it is made from.
 
         Rows already answered for these targets come from the memo; the
         distinct others are calibrated together, pruned to the targets'
@@ -291,7 +293,8 @@ class HybridPropagator:
         Each caller gets its own dicts.
         """
         targets = tuple(targets)
-        observed = evidence_matrix(self._prob, evidence)
+        observed = (evidence if isinstance(evidence, np.ndarray)
+                    else evidence_matrix(self._prob, evidence))
         keys = [(row.tobytes(), targets) for row in observed]
         found = {}
         misses: dict[tuple[bytes, tuple[int, ...]], int] = {}  # key -> its first row
@@ -395,32 +398,39 @@ class ClassifierModel:
     def engine(self) -> HybridPropagator:
         return HybridPropagator(self.net)
 
-    def classify(self, rows: Iterable[Sequence], logger: logging.Logger) -> list[Classification]:
-        """Classify rows of raw values through one batched query; each result
+    def encode(self, rows: int, columns: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """The evidence matrix of rows held by column, and per row (an object
+        array) the `name=value` texts of its values that a state map lacks.
+        columns[c] is column c: for a threshold field a float array, a value
+        below the threshold asserting state 0 and any other state 1; for a
+        state-map field (cells, codes), row r holding cells[codes[r]]; or
+        None, a column no row observes."""
+        observed = np.full((rows, len(self.net.dag.variables)), -1, dtype=np.intp)
+        unknown = np.empty(rows, dtype=object)
+        unknown.fill(())
+        for name, var, column, rule in self.fields:
+            if columns[column] is None:
+                continue
+            if not isinstance(rule, dict):
+                observed[:, var] = np.where(columns[column] < rule, 0, 1)
+                continue
+            cells, codes = columns[column]
+            states = np.array([rule.get(cell, -1) for cell in cells], dtype=np.intp)[codes]
+            observed[:, var] = states
+            for row in np.flatnonzero(states < 0).tolist():
+                unknown[row] += (f"{name}={cells[codes[row]]}",)
+        return observed, unknown
+
+    def classify(self, observed: np.ndarray, unknown: Sequence[tuple[str, ...]],
+                 logger: logging.Logger) -> list[Classification]:
+        """Classify the rows of an evidence matrix made by `encode`, given
+        each row's unknown values, through one batched query; each result
         equals the row classified alone.
 
-        A field whose column holds None is unobserved, and a value its state
-        map lacks is left unasserted and reported in `unknown_values`. A row
-        whose evidence has zero mass under the model gets the class prior
-        instead, flagged low-confidence, with a warning on the caller's
-        logger.
+        A row whose evidence has zero mass under the model gets the class prior
+        instead, flagged low-confidence, with a warning on the caller's logger.
         """
-        evidence, unknown = [], []
-        for row in rows:
-            asserted, missed = {}, []
-            for name, var, column, rule in self.fields:
-                raw = row[column]
-                if raw is None:
-                    continue
-                if not isinstance(rule, dict):
-                    asserted[var] = 0 if float(raw) < rule else 1
-                elif (state := rule.get(str(raw))) is not None:
-                    asserted[var] = state
-                else:
-                    missed.append(f"{name}={raw}")
-            evidence.append(asserted)
-            unknown.append(tuple(missed))
-        posteriors = self.engine.query_batch(evidence, [self.class_var])
+        posteriors = self.engine.query_batch(observed, [self.class_var])
         states = self.net.variable(self.class_var).states
         prior = None
         results = []

@@ -30,7 +30,7 @@ from .core import (
     finite_float,
     open_output,
 )
-from .features import category_states
+from .features import category_states, encode
 from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import Classification, ClassifierModel, HybridPropagator
 
@@ -176,7 +176,9 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
 
 def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> Classification:
     """Assert the alert's attributes as evidence; empty fields stay unobserved."""
-    return model.classify([[getattr(alert, f) or None for f in ATTRIBUTE_FIELDS]], log)[0]
+    columns = [encode([value]) if (value := getattr(alert, f)) else None
+               for f in ATTRIBUTE_FIELDS]
+    return model.classify(*model.encode(1, columns), log)[0]
 
 
 # -- transactions and the plan model ------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidpas.cli import run_command
 
@@ -98,6 +103,25 @@ def test_learn_detector_rejects_a_bad_category_before_learning(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "column 'service': value '' is not a state label" in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("cell, shown", [
+    ("", "''"),  # an empty cell
+    (" a b ", "'a b'"),  # a space inside
+    ('"a,b"', "'a,b'"),  # a quoted comma
+])
+def test_learn_detector_names_its_file_for_a_cell_that_is_no_state_label(tmp_path, capsys,
+                                                                        cell, shown):
+    lines = Path(TRAIN).read_text(encoding="utf-8").splitlines()
+    fields = lines[3].split(",")
+    fields[2] = cell  # service
+    lines[3] = ",".join(fields)
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_command(["learn-detector", "--data", str(data), "--out", str(tmp_path / "m.bn"),
+                        "--top-k", "4"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {data}: column 'service': value {shown} is not a state label; ")
 
 
 @pytest.mark.parametrize("content, flags", [
@@ -354,3 +378,61 @@ def test_an_output_path_it_cannot_write_is_named(tmp_path, capsys, sim_conf, arg
     assert rc == 1
     reason = "No such file or directory" if missing else "Is a directory"
     assert err == f"error: {out}: cannot write ({reason})\n"
+
+
+# -- input fuzzing ---------------------------------------------------------------
+
+FUZZ_CELLS = ["", " ", "a b", "a,b", '"', '"x"', "nan", "inf", "-1", "1e400", "0", "7.5",
+              "tcp", "SF", "normal.", "\u00fc", "1" * 30]
+
+
+@st.composite
+def mutated_csv(draw, path: str) -> str:
+    """The csv text of path after one to four random cell replacements,
+    drops and duplications."""
+    rows = [line.split(",") for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(0, len(row) - 1))
+        action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if action == "replace":
+            row[cell] = draw(st.sampled_from(FUZZ_CELLS))
+        elif action == "drop":
+            del row[cell]
+        else:
+            row.insert(cell, row[cell])
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _run_on(text: str, argv: list[str], work: str) -> tuple[int, str, str]:
+    data = os.path.join(work, "input.csv")
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run_command([arg.format(data=data, work=work) for arg in argv])
+    return rc, err.getvalue(), data
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory) -> str:
+    model = str(tmp_path_factory.mktemp("fuzz") / "det.bn")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(["learn-detector", "--data", TRAIN, "--out", model]) == 0
+    return model
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_mutated_input_runs_or_fails_naming_its_path(fuzz_model, data):
+    """detect on a mutated host stream and learn-detector on a mutated
+    training file each exit 0, or exit 1 with an error naming the input."""
+    for source, argv in (
+            (os.path.join(SCENARIO_DIR, "host_a.csv"),
+             ["detect", "--model", fuzz_model, "--data", "{data}", "--host", "h",
+              "--alerts-out", "{work}/alerts.csv"]),
+            (TRAIN, ["learn-detector", "--data", "{data}", "--out", "{work}/det.bn"])):
+        with tempfile.TemporaryDirectory() as work:
+            rc, err, path = _run_on(data.draw(mutated_csv(source)), argv, work)
+        last = err.rstrip("\n").rsplit("\n", 1)[-1]  # after any warnings
+        assert rc == 0 or (rc == 1 and last.startswith(f"error: {path}")), (rc, err)

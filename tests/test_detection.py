@@ -19,6 +19,7 @@ from hidpas.core import finite_float
 from hidpas.detection import (
     ALERT_CSV_HEADER,
     ConnectionRecord,
+    DetectionAlert,
     DetectorConfig,
     classify_connection,
     classify_connections,
@@ -258,7 +259,7 @@ def test_load_stream_rejects_bad_row(tmp_path):
     path.write_text("1,2,3,4\n")
     with pytest.raises(Exception):
         load_stream(str(path))
-    assert load_stream(str(path), on_bad="skip") == []
+    assert list(load_stream(str(path), on_bad="skip")) == []
 
 
 @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon"])
@@ -398,7 +399,7 @@ class _Collect(logging.Handler):
 
 def _stream_outcome(load, path: str, on_bad: str):
     try:
-        return load(path, on_bad)
+        return list(load(path, on_bad))
     except DataError as exc:
         return "DataError", str(exc)
 
@@ -421,6 +422,78 @@ def test_load_stream_equals_reference_loop(text, on_bad):
             logger.removeHandler(handler)
     assert got == expected
     assert handler.messages == warned
+
+
+def test_load_stream_reads_a_well_formed_stream_in_bulk(tmp_path, monkeypatch):
+    """Streams whose rows all have one shape (plain or prefixed, with or
+    without a label; quoted and spaced cells, blank lines, CRLF) never reach
+    the row reader, and read as the reference loop reads them."""
+    rng = random.Random(11)
+    texts = {name: Path(data_path("scenario", f"{name}.csv")).read_text(encoding="utf-8")
+             for name in ("host_a", "host_c", "detector_train")}
+    for shape in range(4):
+        rows = []
+        while len(rows) < 12:
+            row = _stream_row(rng, 0.3, 0.3)
+            if len(row) - len(KDD_FEATURES) == (0, 1, 3, 4)[shape]:
+                rows.append(",".join(row))
+        texts[f"shape{shape}"] = "\r\n".join(rows[:6] + [""] + rows[6:]) + "\r\n"
+    expected = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected[name] = _stream_outcome(lambda p, b: reference_load_stream(p, b, []),
+                                         str(path), "abort")
+
+    def no_row_reader(*args):
+        raise AssertionError("a well-formed stream went to the row reader")
+
+    monkeypatch.setattr("hidpas.detection.parse_connection_fields", no_row_reader)
+    for name in texts:
+        assert _stream_outcome(load_stream, str(tmp_path / f"{name}.csv"), "abort") == \
+            expected[name]
+        assert len(expected[name]) in (3, 12, 40)
+
+
+STREAM_POOL = ["normal", "dos", "unknown", "impossible"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(STREAM_POOL), max_size=12), st.data())
+def test_a_stream_whole_or_cut_classifies_as_each_record_alone(deterministic_model, picks,
+                                                               data):
+    """classify_connections and detect_stream over a read stream, whole or
+    cut at random points, and over any slice of it, equal
+    classify_connection on each of its records alone."""
+    model, table = deterministic_model
+    pool = {"normal": list(record_from_table(table, 0).values),
+            "dos": list(record_from_table(table, table.row_count - 1).values)}
+    pool["unknown"] = pool["normal"][:1] + ["icmp"] + pool["normal"][2:]  # protocol_type
+    pool["impossible"] = [-1.0] + pool["dos"][1:]  # a duration below the mean
+    lines = [",".join(map(str, [10.0 * i, f"10.0.0.{i}", "192.168.1.10", *pool[pick]]))
+             for i, pick in enumerate(picks)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        stream = load_stream(path)
+    records = list(stream)
+    assert [r.values[1] for r in records] == [pool[pick][1] for pick in picks]
+    alone = [classify_connection(model, record) for record in records]
+    alerts = [DetectionAlert(r.timestamp, "h", r.src_ip, r.dst_ip, c.label, *c.triple)
+              for r, c in zip(records, alone) if c.label != "normal"]
+    assert classify_connections(model, stream) == alone
+    assert detect_stream(model, stream, "h") == alerts
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    parts = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    assert [c for part in parts for c in classify_connections(model, part)] == alone
+    assert [a for part in parts for a in detect_stream(model, part, "h")] == alerts
+    key = slice(*data.draw(st.tuples(st.integers(-14, 14) | st.none(),
+                                     st.integers(-14, 14) | st.none(),
+                                     st.sampled_from([None, 1, 2, -1, -3]))))
+    assert list(stream[key]) == records[key]
+    assert classify_connections(model, stream[key]) == alone[key]
+    assert [stream[i] for i in range(-len(records), len(records))] == records + records
 
 
 def test_alert_csv_format(tmp_path, scenario_model):
