@@ -19,7 +19,7 @@ from itertools import zip_longest
 from typing import Mapping
 
 from .detection import DetectionAlert, detect_stream, load_stream
-from .core import PARAMS, DataError, check_params, open_input, open_output
+from .core import PARAMS, DataError, check_params, open_output, open_text
 from .model_io import load_classifier, load_detector, load_plan
 from .possibility import ImpossibleEvidenceError
 from .prediction import (
@@ -174,7 +174,7 @@ def load_sim_config(path: str) -> SimulationConfig:
     """
     import os
 
-    with open_input(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
 
     base = os.path.dirname(os.path.abspath(path))

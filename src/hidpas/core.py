@@ -14,8 +14,9 @@ import logging
 import math
 import numbers
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,17 +30,6 @@ class DataError(ValueError):
     """Malformed input data, reported with file/line context."""
 
 
-def open_input(path: str, mode: str = "r", **kwargs) -> IO:
-    """open(path, mode, **kwargs) for reading; a path that cannot be opened
-    (missing, a directory, unreadable) is a DataError naming the path."""
-    try:
-        return open(path, mode, **kwargs)
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-
-
 def open_output(path: str, **kwargs) -> IO:
     """open(path, "w", encoding="utf-8", **kwargs); a path that cannot be
     written (a directory, a missing parent) is a DataError naming the path."""
@@ -49,10 +39,36 @@ def open_output(path: str, **kwargs) -> IO:
         raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
+@contextmanager
+def open_text(path: str, **kwargs) -> Iterator[IO]:
+    """open(path, encoding="utf-8", **kwargs) for a with block. A path that
+    cannot be opened (missing, a directory, unreadable) is a DataError
+    naming it, and a file that is not UTF-8 one naming the line of its
+    first byte that does not decode."""
+    try:
+        fh = open(path, encoding="utf-8", **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    try:
+        with fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")  # the error's offset is into a buffer, not the file
+        except UnicodeDecodeError as first:
+            exc = first
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
     """Each non-blank csv record of a UTF-8 file, with the physical line it
     starts on (a quoted newline makes a record span lines)."""
-    with open_input(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         end = 0
         for rec in reader:
@@ -76,6 +92,35 @@ def finite_float(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
     return value
+
+
+class RowView:
+    """Records held by column, or a view of some of them: `rows` names each
+    one's row in the columns, which a view shares. A subclass stores the
+    columns, sets `rows` to all of them, and gives `_of_list` and
+    `__iter__`. An int index gives a record, any other a view of those rows.
+    """
+
+    rows: np.ndarray
+
+    @classmethod
+    def of_records(cls, records: Iterable) -> RowView:
+        """Columns as they are, or records as columns."""
+        return records if isinstance(records, cls) else cls._of_list(list(records))
+
+    def at(self, rows: np.ndarray) -> RowView:
+        """The records at these rows of the columns, as a view."""
+        view = object.__new__(type(self))  # the columns shared, not copied
+        view.__dict__.update(self.__dict__, rows=rows)
+        return view
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        return self.at(self.rows[key])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (PARAMS, DataError, Variable, bad_row, check_params, csv_records,
+from .core import (PARAMS, DataError, RowView, Variable, bad_row, check_params, csv_records,
                    finite_float, open_output)
 from .features import (
     CATEGORICAL,
@@ -71,7 +71,7 @@ class ConnectionRecord:
             raise ValueError(f"unknown feature {feature!r}") from None
 
 
-class ConnectionStream:
+class ConnectionStream(RowView):
     """Connection records held by column, as `load_stream` reads them.
 
     Row r of the float matrix is a record's timestamp, source and
@@ -82,31 +82,19 @@ class ConnectionStream:
     the stream, and it shares the evidence a model reads off the stream.
     """
 
-    def __init__(self, matrix: np.ndarray, cells: dict[int, list[str]],
-                 rows: np.ndarray | None = None, evidence: list | None = None):
-        self.matrix, self.cells, self._evidence = matrix, cells, evidence or [None]
-        self.rows = np.arange(len(matrix)) if rows is None else rows
+    def __init__(self, matrix: np.ndarray, cells: dict[int, list[str]]):
+        self.matrix, self.cells, self._evidence = matrix, cells, [None]
+        self.rows = np.arange(len(matrix))
 
     @classmethod
-    def of_records(cls, records: Iterable[ConnectionRecord]) -> ConnectionStream:
-        """A stream as it is, or records as a stream: numeric values as
-        floats, categorical values and addresses as their str."""
-        if isinstance(records, ConnectionStream):
-            return records
+    def _of_list(cls, records: list[ConnectionRecord]) -> ConnectionStream:
+        """Numeric values as floats, categorical values and addresses as their str."""
         books: dict[int, dict[str, int]] = {c: {} for c in _STREAM_CELLS}
         matrix = [[books[c].setdefault(str(v), len(books[c])) if c in books else float(v)
                    for c, v in enumerate((r.timestamp, r.src_ip, r.dst_ip, *r.values))]
                   for r in records]
         return cls(np.array(matrix, dtype=float).reshape(-1, len(_STREAM_KINDS)),
                    {c: list(book) for c, book in books.items()})
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return next(iter(self[[key]]))
-        return ConnectionStream(self.matrix, self.cells, self.rows[key], self._evidence)
 
     def __iter__(self) -> Iterator[ConnectionRecord]:
         for row in self.matrix[self.rows].tolist():

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (NOT_TOKEN, DataError, Variable, bad_row, csv_records, finite_float,
-                   open_input, open_output)
+                   open_output, open_text)
 from .learning import DiscreteDataset
 
 log = logging.getLogger(__name__)
@@ -173,22 +173,26 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)])
 
 
-def read_matrix(path: str, kinds: Sequence[str]
+def read_matrix(path: str, kinds: Sequence[str], skiprows: int = 0
                 ) -> tuple[np.ndarray, list[_Codebook]] | None:
-    """A csv file of one field per kind in every row, read by one
-    ``np.loadtxt`` call (which unquotes as ``csv.reader`` does): a float
-    matrix of its numbers and, per categorical cell, its code in the
-    column's _Codebook (the codebooks in column order). None for a file
-    that fails a check (another field count in any row, a bad or non-finite
-    number, a line of spaces, no rows), which the caller reads by rows."""
+    """A csv file of one field per kind in every row after its first
+    skiprows lines, read by one ``np.loadtxt`` call (which unquotes as
+    ``csv.reader`` does): a float matrix of its numbers and, per categorical
+    cell, its code in the column's _Codebook (the codebooks in column
+    order). None for a file that fails a check (another field count in any
+    row, a bad or non-finite number, a line of spaces, no rows), which the
+    caller reads by rows; a file that is not UTF-8 is a DataError."""
     categorical = [i for i, kind in enumerate(kinds) if kind != NUMERIC]
     books = [_Codebook() for _ in categorical]
     converters = {i: book.__getitem__ for i, book in zip(categorical, books)}
-    with open_input(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+    with open_text(path, newline="") as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
         try:
             matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                converters=converters, encoding="utf-8")  # str, not bytes
+                                skiprows=skiprows, converters=converters,
+                                encoding="utf-8")  # str, not bytes
+        except UnicodeDecodeError:
+            raise  # open_text's DataError
         except (ValueError, UserWarning):
             return None
     if matrix.shape[1] != len(kinds) or not np.isfinite(matrix).all():

@@ -24,8 +24,8 @@ from .core import (
     DataError,
     Dag,
     Variable,
-    open_input,
     open_output,
+    open_text,
     parent_configurations,
     validate_network,
 )
@@ -247,7 +247,7 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
 
 
 def _read_file(path: str) -> str:
-    with open_input(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return fh.read()
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     PARAMS,
     BayesNet,
     DataError,
+    RowView,
     Variable,
     bad_row,
     check_params,
@@ -30,7 +32,7 @@ from .core import (
     finite_float,
     open_output,
 )
-from .features import category_states, encode
+from .features import CATEGORICAL, NUMERIC, category_states, encode, read_matrix
 from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import Classification, ClassifierModel, HybridPropagator
 
@@ -65,8 +67,50 @@ class AlertRecord:
             raise ValueError("sensor and attack_type are required")
 
 
-# phase-1 cluster key: the sensor, then the attributes
-_phase1_key = attrgetter("sensor", *ATTRIBUTE_FIELDS)
+LOG_FIELDS = ("sensor",) + ATTRIBUTE_FIELDS  # an AlertLog's cell columns
+
+
+class AlertLog(RowView):
+    """Alerts held by column, as `load_alert_log` reads them.
+
+    `stamps` holds each alert's timestamp, and `fields` the `encode` form of
+    each of LOG_FIELDS: (sorted distinct cells, each alert's index into
+    them). An int index or iteration gives AlertRecords.
+    """
+
+    def __init__(self, stamps: np.ndarray, fields: list[tuple[list[str], np.ndarray]]):
+        self.stamps, self.fields = stamps, fields
+        self.rows = np.arange(len(stamps))
+
+    @classmethod
+    def _of_list(cls, records: list[AlertRecord]) -> AlertLog:
+        return cls(np.array([a.timestamp for a in records], dtype=float),
+                   [encode([getattr(a, f) for a in records]) for f in LOG_FIELDS])
+
+    def __iter__(self) -> Iterator[AlertRecord]:
+        cells = [[levels[c] for c in codes.tolist()] for levels, codes in self.columns]
+        return map(AlertRecord, self.timestamps.tolist(), *cells)
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self.stamps[self.rows]
+
+    @property
+    def columns(self) -> list[tuple[list[str], np.ndarray]]:
+        """Per field of LOG_FIELDS, its distinct cells and each alert's index into them."""
+        return [(levels, codes[self.rows]) for levels, codes in self.fields]
+
+
+def _first_seen_groups(columns: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, int]:
+    """Each row's group under the joint value of code columns, groups
+    numbered in order of first occurrence, and the number of groups."""
+    key = 0
+    for levels, codes in columns:  # renumbered per column, so key < rows * cells
+        _, first, key = np.unique(key * len(levels) + codes, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[key], len(first)
 
 
 @dataclass(frozen=True)
@@ -80,7 +124,7 @@ class HyperAlert:
     id: int
     name: str
     attributes: tuple[str, ...]
-    members: tuple[AlertRecord, ...]
+    members: AlertLog
 
     @property
     def size(self) -> int:
@@ -88,43 +132,51 @@ class HyperAlert:
 
     @property
     def earliest(self) -> float:
-        return min(a.timestamp for a in self.members)
+        return min(self.members.timestamps.tolist())  # the first of 0.0 and -0.0
 
 
-def aggregate_alerts(log_records: Sequence[AlertRecord],
+def aggregate_alerts(log_records: AlertLog | Sequence[AlertRecord],
                      merge_key: str = "attack_type") -> list[HyperAlert]:
     """Two-phase aggregation into hyper-alerts.
 
     Phase 1 groups alerts identical in (sensor, src_ip, src_port, dst_ip,
     dst_port, attack_type); phase 2 merges phase-1 clusters that share the
     merge key, which names the attack-plan step (EMPTY_STATE for an empty
-    key, as names cannot be empty). Ids follow first occurrence.
+    key, as names cannot be empty). Ids follow first occurrence; a hyper's
+    members are its clusters in order of first occurrence, each in log order.
     """
     if merge_key not in ATTRIBUTE_FIELDS:
         raise ValueError(f"merge key must be one of {ATTRIBUTE_FIELDS}")
+    log = AlertLog.of_records(log_records)
+    columns = log.columns
+    cluster, clusters = _first_seen_groups(columns)
+    levels, codes = columns[LOG_FIELDS.index(merge_key)]
+    names, name_of = encode([cell or EMPTY_STATE for cell in levels], codes)
+    step, _ = _first_seen_groups([(names, name_of)])  # a step's first cluster comes first
+    order = np.argsort(step * clusters + cluster, kind="stable")
+    starts = np.flatnonzero(np.diff(step[order], prepend=-1))
+    shared = []  # per field, each hyper's shared cell, or ""
+    for levels, codes in columns[1:]:
+        ordered = codes[order]
+        low, high = (np.minimum.reduceat(ordered, starts).tolist(),
+                     np.maximum.reduceat(ordered, starts).tolist())
+        shared.append([levels[lo] if lo == hi else "" for lo, hi in zip(low, high)])
+    return [HyperAlert(hid, names[name_of[rows[0]]], attributes, log[rows])
+            for hid, (rows, attributes) in enumerate(zip(np.split(order, starts[1:]),
+                                                         zip(*shared)))]
 
-    phase1: dict[tuple, list[AlertRecord]] = {}
-    for alert in log_records:
-        phase1.setdefault(_phase1_key(alert), []).append(alert)
 
-    place = 1 + ATTRIBUTE_FIELDS.index(merge_key)  # the merge key's place in a phase-1 key
-    merged: dict[str, list[tuple]] = {}
-    for key in phase1:
-        merged.setdefault(key[place] or EMPTY_STATE, []).append(key)
-
-    out: list[HyperAlert] = []
-    for hid, (step, keys) in enumerate(merged.items()):
-        # a member's attributes are its cluster key's, so the keys give the shared ones
-        shared = tuple(values[0] if len(set(values)) == 1 else ""
-                       for values in list(zip(*keys))[1:])
-        members = tuple(a for key in keys for a in phase1[key])
-        out.append(HyperAlert(id=hid, name=step, attributes=shared, members=members))
-    return out
-
-
-def phase1_cluster_count(log_records: Sequence[AlertRecord]) -> int:
+def phase1_cluster_count(log_records: AlertLog | Sequence[AlertRecord]) -> int:
     """Number of clusters before the plan-step merge (for reporting)."""
-    return len(set(map(_phase1_key, log_records)))
+    return _first_seen_groups(AlertLog.of_records(log_records).columns)[1]
+
+
+def _joined(hypers: Sequence[HyperAlert]) -> AlertLog:
+    """Every hyper's members, in order, as one view of the log they share."""
+    logs = [h.members for h in hypers]
+    if any(m.fields is not logs[0].fields for m in logs):
+        raise ValueError("hyper-alerts must come from one aggregation")
+    return logs[0].at(np.concatenate([m.rows for m in logs]))
 
 
 # -- alert classification -----------------------------------------------------
@@ -151,24 +203,19 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     check_params(max_parents=max_parents, smoothing=smoothing, tau=tau)
     if not hypers:
         raise ValueError("no hyper-alerts to train on")
-    alerts = [a for h in hypers for a in h.members]
-    columns = ATTRIBUTE_FIELDS + (CLASS_COLUMN,)
-    variables = []
-    data = np.empty((len(alerts), len(columns)), dtype=np.int64)
-    for cid, name in enumerate(columns):
-        if name == CLASS_COLUMN:
-            values = [h.name for h in hypers for _ in h.members]
-        else:
-            values = list(map(attrgetter(name), alerts))
-            if "" in values:
-                values = [v or EMPTY_STATE for v in values]
-        states = category_states(name, values)
+    columns = _joined(hypers).columns[1:] + [  # the attributes, then the class
+        ([h.name for h in hypers], np.repeat(range(len(hypers)), [h.size for h in hypers]))]
+    variables, data = [], []
+    for cid, (name, (levels, codes)) in enumerate(zip(ATTRIBUTE_FIELDS + (CLASS_COLUMN,),
+                                                      columns)):
+        labels = [cell or EMPTY_STATE for cell in levels]
+        states = category_states(name, [labels[c] for c in np.unique(codes).tolist()])
+        index = {s: i for i, s in enumerate(states)}  # a label no member holds is no state
         variables.append(Variable(cid, name, states))
-        index = {s: i for i, s in enumerate(states)}
-        data[:, cid] = list(map(index.__getitem__, values))
-    dataset = DiscreteDataset(tuple(variables), data)
+        data.append(np.array([index.get(label, -1) for label in labels], dtype=np.int64)[codes])
+    dataset = DiscreteDataset(tuple(variables), np.column_stack(data))
 
-    class_id = len(columns) - 1
+    class_id = len(ATTRIBUTE_FIELDS)
     order = (class_id,) + tuple(range(class_id))
     net = fit_cpts(dataset, k2_search(dataset, order, max_parents), smoothing)
     return AlertClassifierModel(net=net, class_var=class_id, tau=tau)
@@ -225,9 +272,7 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
     sizes = [len(h.members) for h in hypers]
     if not all(sizes):
         raise ValueError("every hyper-alert needs a member")
-    get_stamp = attrgetter("timestamp")
-    stamps = np.fromiter((get_stamp(a) for h in hypers for a in h.members),
-                         dtype=np.float64, count=sum(sizes))
+    stamps = _joined(hypers).timestamps
     if start is None:
         start = float(stamps.min())
     if span is not None:
@@ -397,15 +442,27 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
 
 # -- alert log I/O -------------------------------------------------------------
 
-def load_alert_log(path: str) -> list[AlertRecord]:
+def load_alert_log(path: str) -> AlertLog:
     """CSV whose first non-blank record is the header
-    timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type."""
+    timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type, then one
+    alert per record, its cells stripped. A body that `read_matrix` reads
+    and whose cells pass the row checks is taken as read; any other is read
+    by the row loop below, the one place that names a bad line."""
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (0, None))
+        if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
+            raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
+        body, _ = next(records, (0, None))  # the line the first alert starts on
+    read = body and read_matrix(path, (NUMERIC,) + (CATEGORICAL,) * 6, skiprows=body - 1)
+    if read:
+        matrix, books = read
+        cells = [[cell.strip() for cell in book] for book in books]
+        if not (NOT_TOKEN.search("\0".join(map("\0".join, cells)))
+                or "" in cells[0] or "" in cells[-1]):  # a bad cell, an empty sensor or type
+            return AlertLog(matrix[:, 0].copy(),
+                            list(map(encode, cells, matrix.T[1:].astype(np.intp))))
     out: list[AlertRecord] = []
-    records = csv_records(path)
-    _, header = next(records, (0, None))
-    if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
-        raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
-    for lineno, rec in records:
+    for lineno, rec in islice(csv_records(path), 1, None):  # after the header
         try:
             if len(rec) != 7:
                 raise DataError(f"expected 7 fields, got {len(rec)}")
@@ -421,7 +478,7 @@ def load_alert_log(path: str) -> list[AlertRecord]:
             out.append(AlertRecord(ts, *fields))
         except ValueError as exc:  # DataError, or AlertRecord's own checks
             bad_row(path, lineno, exc, "abort", log)
-    return out
+    return AlertLog.of_records(out)
 
 
 def write_hyper_csv(hypers: Sequence[HyperAlert], path: str) -> None:

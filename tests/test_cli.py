@@ -387,8 +387,8 @@ FUZZ_CELLS = ["", " ", "a b", "a,b", '"', '"x"', "nan", "inf", "-1", "1e400", "0
 
 
 @st.composite
-def mutated_csv(draw, path: str) -> str:
-    """The csv text of path after one to four random cell replacements,
+def mutated_csv(draw, path: str) -> bytes:
+    """The csv bytes of path after one to four random cell replacements,
     drops and duplications."""
     rows = [line.split(",") for line in Path(path).read_text(encoding="utf-8").splitlines()]
     for _ in range(draw(st.integers(1, 4))):
@@ -401,17 +401,17 @@ def mutated_csv(draw, path: str) -> str:
             del row[cell]
         else:
             row.insert(cell, row[cell])
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    return ("\n".join(",".join(row) for row in rows) + "\n").encode("utf-8")
 
 
-def _run_on(text: str, argv: list[str], work: str) -> tuple[int, str, str]:
-    data = os.path.join(work, "input.csv")
-    with open(data, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _run_on(data: bytes, argv: list[str], work: str) -> tuple[int, str, str]:
+    path = os.path.join(work, "input.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = run_command([arg.format(data=data, work=work) for arg in argv])
-    return rc, err.getvalue(), data
+        rc = run_command([arg.format(data=path, work=work) for arg in argv])
+    return rc, err.getvalue(), path
 
 
 @pytest.fixture(scope="module")
@@ -422,17 +422,39 @@ def fuzz_model(tmp_path_factory) -> str:
     return model
 
 
+def _input_commands(model: str) -> list[tuple[str, list[str]]]:
+    """Each csv-reading command, on the file it reads; {data} is the input."""
+    return [(os.path.join(SCENARIO_DIR, "host_a.csv"),
+             ["detect", "--model", model, "--data", "{data}", "--host", "h",
+              "--alerts-out", "{work}/alerts.csv"]),
+            (TRAIN, ["learn-detector", "--data", "{data}", "--out", "{work}/det.bn"]),
+            (HISTORY, ["learn-plan", "--alerts", "{data}", "--out", "{work}/plan.bn",
+                       "--classifier-out", "{work}/clf.bn"]),
+            (HISTORY, ["aggregate", "--alerts", "{data}", "--out", "{work}/hypers.csv"])]
+
+
+@pytest.mark.parametrize("command", range(4), ids=["detect", "learn-detector", "learn-plan",
+                                                     "aggregate"])
+def test_an_input_that_is_not_utf8_fails_naming_its_line(fuzz_model, tmp_path, command):
+    source, argv = _input_commands(fuzz_model)[command]
+    rc, err, path = _run_on(Path(source).read_bytes() + b"\xff\xfe\n", argv, str(tmp_path))
+    lines = Path(source).read_text(encoding="utf-8").count("\n")
+    assert (rc, err) == (1, f"error: {path}:{lines + 1}: not UTF-8 text (invalid start byte)\n")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_a_mutated_input_runs_or_fails_naming_its_path(fuzz_model, data):
-    """detect on a mutated host stream and learn-detector on a mutated
-    training file each exit 0, or exit 1 with an error naming the input."""
-    for source, argv in (
-            (os.path.join(SCENARIO_DIR, "host_a.csv"),
-             ["detect", "--model", fuzz_model, "--data", "{data}", "--host", "h",
-              "--alerts-out", "{work}/alerts.csv"]),
-            (TRAIN, ["learn-detector", "--data", "{data}", "--out", "{work}/det.bn"])):
-        with tempfile.TemporaryDirectory() as work:
-            rc, err, path = _run_on(data.draw(mutated_csv(source)), argv, work)
-        last = err.rstrip("\n").rsplit("\n", 1)[-1]  # after any warnings
-        assert rc == 0 or (rc == 1 and last.startswith(f"error: {path}")), (rc, err)
+    """detect on a mutated host stream, learn-detector on a mutated training
+    file, and learn-plan and aggregate on a mutated alert log each exit 0, or
+    exit 1 with an error naming the input; with a byte pair that is not
+    UTF-8 written anywhere in the mutated file, each exits 1 so."""
+    for source, argv in _input_commands(fuzz_model):
+        mutated = data.draw(mutated_csv(source))
+        at = data.draw(st.integers(0, len(mutated)))
+        for text in (mutated, mutated[:at] + b"\xff\xfe" + mutated[at:]):
+            with tempfile.TemporaryDirectory() as work:
+                rc, err, path = _run_on(text, argv, work)
+            last = err.rstrip("\n").rsplit("\n", 1)[-1]  # after any warnings
+            assert rc == 0 and text is mutated or (
+                rc == 1 and last.startswith(f"error: {path}")), (rc, err)

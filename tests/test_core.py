@@ -19,7 +19,7 @@ from hidpas.core import (
     validate_network,
 )
 from hidpas.detection import load_stream
-from hidpas.features import load_kdd
+from hidpas.features import load_kdd, read_matrix
 from hidpas.learning import DiscreteDataset, count_statistics
 from hidpas.model_io import load_classifier, load_detector, load_plan
 from hidpas.possibility import HybridPropagator
@@ -222,3 +222,24 @@ def test_a_missing_input_file_is_a_data_error_naming_it(tmp_path, load):
     with pytest.raises(DataError) as err:
         load(path)
     assert str(err.value) == f"{path}: file not found"
+
+
+@pytest.mark.parametrize("load", [load_kdd, load_stream, load_alert_log, load_detector,
+                                  load_classifier, load_plan, load_sim_config],
+                         ids=lambda load: load.__name__)
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_path, load):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                     b"1,ids1,a,b,c,d,scan\n2,ids1,a,b,c,d,sc\xff\xfe\n")
+    with pytest.raises(DataError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
+
+def test_csv_records_and_read_matrix_name_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"1,a\n" * 5000 + b"2,\xc3\n")  # past the reader's first chunk
+    with pytest.raises(DataError, match=rf"^{path}:5001: not UTF-8 text"):
+        list(csv_records(str(path)))
+    with pytest.raises(DataError, match=rf"^{path}:5001: not UTF-8 text"):
+        read_matrix(str(path), ("numeric", "categorical"))

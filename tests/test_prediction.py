@@ -2,22 +2,30 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas import possibility
+from hidpas import possibility, prediction
 from hidpas.detection import DetectorConfig, classify_connections, load_stream, train_detector
 from hidpas.features import DataError, load_kdd
 from hidpas.oracles import enumerate_marginal
 from hidpas.jtree import net_factors
 from hidpas.prediction import (
+    ALERT_LOG_HEADER,
     ATTRIBUTE_FIELDS,
     EMPTY_STATE,
+    LOG_FIELDS,
     PRESENT,
+    AlertLog,
     AlertRecord,
     HyperAlert,
     aggregate_alerts,
@@ -63,11 +71,8 @@ def test_aggregation_partitions_the_input():
     log = load_alert_log(data_path("alerts_synthetic.csv"))
     hypers = aggregate_alerts(log)
     assert sum(h.size for h in hypers) == len(log)
-    seen = set()
-    for h in hypers:
-        for a in h.members:
-            assert id(a) not in seen
-            seen.add(id(a))
+    rows = [r for h in hypers for r in h.members.rows.tolist()]
+    assert sorted(rows) == list(range(len(log)))
 
 
 def test_synthetic_log_designed_structure():
@@ -490,7 +495,8 @@ def test_load_alert_log_header_is_the_first_non_blank_record(tmp_path):
     path.write_text("\n \t\n"
                     "timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
                     "1,ids1,a,b,c,d,scan\n")
-    assert load_alert_log(str(path)) == [AlertRecord(1.0, "ids1", "a", "b", "c", "d", "scan")]
+    assert list(load_alert_log(str(path))) == [
+        AlertRecord(1.0, "ids1", "a", "b", "c", "d", "scan")]
 
 
 def test_load_alert_log_field_count(tmp_path):
@@ -539,25 +545,108 @@ def test_hyper_csv_quotes_a_name_holding_a_comma(tmp_path):
     assert path.read_text().splitlines()[1:] == ['0,"a,b",1,1', '1,"say ""x""",1,2', "2,scan,1,3"]
 
 
+# The cells of generated alert logs: an address or port may be empty; a
+# sensor or attack type may not. Each is padded and quoted at random below.
+LOG_CELLS = {"sensor": ["ids1", "ids-2", "\u00fc"], "src_ip": ["", "10.0.0.5", "10.0.0.6"],
+             "src_port": ["", "2001", "80"], "dst_ip": ["", "192.168.1.10", 'q"t'],
+             "dst_port": ["", "445", "0"], "attack_type": ["scan", "dos", "a\"b", "__empty__"]}
+LOG_STAMPS = ["0", "1.5", "-3", "1e3", "+.5", "007", "-0", "60", "59.999"]
+
+
+@st.composite
+def alert_log_files(draw) -> str:
+    """A well-formed alert log: padded and quoted cells, empty ports, blank
+    lines before the header (and at random, lines of spaces after it),
+    duplicate rows, LF or CRLF line ends."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    quote_rate = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    pad_rate = draw(st.sampled_from([0.0, 0.3]))
+
+    def cell(value: str) -> str:
+        if rng.random() < pad_rate:
+            value = rng.choice([" ", "\t"]) + value + rng.choice(["", " "])
+        if rng.random() < quote_rate or '"' in value:
+            value = '"' + value.replace('"', '""') + '"'
+        return value
+
+    rows = [",".join([cell(rng.choice(LOG_STAMPS))]
+                     + [cell(rng.choice(LOG_CELLS[f])) for f in LOG_FIELDS])
+            for _ in range(draw(st.integers(1, 30)))]
+    for _ in range(draw(st.integers(0, 5))):  # duplicate rows
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+    if draw(st.booleans()):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(["", " \t"]))
+    header = ",".join(cell(h) for h in ALERT_LOG_HEADER.split(","))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    before = draw(st.sampled_from(["", newline, " " + newline + newline]))
+    return before + newline.join([header] + rows) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alert_log_files(), st.sampled_from(ATTRIBUTE_FIELDS))
+def test_alert_log_equals_the_row_loop_and_aggregates_as_the_reference(text, merge_key):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alerts.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        log = load_alert_log(path)
+        with mock.patch.object(prediction, "read_matrix", return_value=None):
+            records = list(load_alert_log(path))  # read by the row loop
+    assert list(log) == records
+    assert list(map(repr, log.timestamps.tolist())) == [repr(a.timestamp) for a in records]
+    got = aggregate_alerts(log, merge_key)
+    # earliest as the hyper CSV writes it: -0 and 0 compare equal but print apart
+    assert [(h.id, h.name, h.attributes, h.members.rows.tolist(), f"{h.earliest:.12g}")
+            for h in got] == \
+        [(*hyper, f"{min(records[row].timestamp for row in hyper[-1]):.12g}")
+         for hyper in reference_aggregate(records, merge_key)]
+    assert phase1_cluster_count(log) == len(
+        {(a.sensor,) + tuple(getattr(a, f) for f in ATTRIBUTE_FIELDS) for a in records})
+
+
+def test_load_alert_log_reads_a_well_formed_log_in_bulk(tmp_path, monkeypatch):
+    """Logs whose bodies hold no line of spaces never reach the row loop."""
+    texts = [Path(data_path("scenario", "alert_history.csv")).read_text(encoding="utf-8"),
+             Path(data_path("alerts_synthetic.csv")).read_text(encoding="utf-8"),
+             ' \n\n"timestamp" ,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\r\n'
+             '" 1 ",ids1, a ,,"c",,scan \r\n\r\n2,"ids1",a,"",c,445,"a""b"\r\n']
+    expected = []
+    with mock.patch.object(prediction, "read_matrix", return_value=None):
+        for i, text in enumerate(texts):
+            (tmp_path / f"{i}.csv").write_text(text, encoding="utf-8", newline="")
+            expected.append(list(load_alert_log(str(tmp_path / f"{i}.csv"))))
+
+    def no_row_loop(*args):
+        raise AssertionError("a well-formed log went to the row loop")
+
+    monkeypatch.setattr(prediction, "finite_float", no_row_loop)
+    for i, records in enumerate(expected):
+        assert list(load_alert_log(str(tmp_path / f"{i}.csv"))) == records
+    assert expected[2] == [AlertRecord(1.0, "ids1", "a", "", "c", "", "scan"),
+                           AlertRecord(2.0, "ids1", "a", "", "c", "445", 'a"b')]
+
+
 # -- bulk walks against per-member references ------------------------------------------
 
-def reference_aggregate(log_records, merge_key="attack_type") -> list[HyperAlert]:
-    """Two-phase aggregation over every member, one attribute at a time."""
+def reference_aggregate(log_records, merge_key="attack_type") -> list[tuple]:
+    """Two-phase aggregation over every member, one attribute at a time:
+    each hyper-alert's (id, name, attributes, member rows)."""
     phase1: dict[tuple, list] = {}
-    for a in log_records:
+    for row, a in enumerate(log_records):
         key = (a.sensor,) + tuple(getattr(a, f) for f in ATTRIBUTE_FIELDS)
-        phase1.setdefault(key, []).append(a)
+        phase1.setdefault(key, []).append(row)
     merged: dict[str, list] = {}
-    for members in phase1.values():
-        merged.setdefault(getattr(members[0], merge_key) or EMPTY_STATE, []).append(members)
+    for rows in phase1.values():
+        first = log_records[rows[0]]
+        merged.setdefault(getattr(first, merge_key) or EMPTY_STATE, []).append(rows)
     out = []
     for hid, (step, clusters) in enumerate(merged.items()):
-        members = tuple(a for cluster in clusters for a in cluster)
+        rows = [row for cluster in clusters for row in cluster]
         shared = []
         for f in ATTRIBUTE_FIELDS:
-            values = {getattr(a, f) for a in members}
+            values = {getattr(log_records[row], f) for row in rows}
             shared.append(values.pop() if len(values) == 1 else "")
-        out.append(HyperAlert(hid, step, tuple(shared), members))
+        out.append((hid, step, tuple(shared), rows))
     return out
 
 
@@ -602,14 +691,37 @@ alert_records = st.lists(
 @given(alert_records, st.sampled_from(ATTRIBUTE_FIELDS))
 def test_aggregate_equals_per_member_reference(records, merge_key):
     got = aggregate_alerts(records, merge_key)
-    expected = reference_aggregate(records, merge_key)
-    assert [(h.id, h.name, h.attributes) for h in got] == \
-        [(h.id, h.name, h.attributes) for h in expected]
-    # the same alert objects, in the same order
-    assert [[id(a) for a in h.members] for h in got] == \
-        [[id(a) for a in h.members] for h in expected]
+    # the same log rows, in the same order
+    assert [(h.id, h.name, h.attributes, h.members.rows.tolist()) for h in got] == \
+        reference_aggregate(records, merge_key)
+    assert [list(h.members) for h in got] == \
+        [[records[row] for row in rows] for *_, rows in reference_aggregate(records, merge_key)]
     assert phase1_cluster_count(records) == len(
         {(a.sensor,) + tuple(getattr(a, f) for f in ATTRIBUTE_FIELDS) for a in records})
+
+
+def test_aggregate_renumbers_a_phase1_key_that_would_overflow():
+    # 2**11 cells in each of six columns: a mixed-radix key of all six codes
+    # would set (0, 0, 0, 0, 0, 0) and (2**9, 0, 0, 0, 0, 0) 2**64 apart,
+    # so an int64 key that wrapped would merge their alerts into one cluster
+    cells = [f"{j:04d}" for j in range(2 ** 11)]
+    records = [AlertRecord(float(j), *[cell] * 6) for j, cell in enumerate(cells)]
+    records.append(AlertRecord(-1.0, cells[2 ** 9], *[cells[0]] * 5))
+    got = aggregate_alerts(records)
+    assert [(h.id, h.name, h.attributes, h.members.rows.tolist()) for h in got] == \
+        reference_aggregate(records)
+    assert phase1_cluster_count(records) == len(records)
+
+
+def test_alert_log_views_index_their_rows():
+    log = load_alert_log(data_path("alerts_synthetic.csv"))
+    records = list(log)
+    view = log[[7, 3, 9]]
+    assert view.rows.tolist() == [7, 3, 9] and len(view) == 3
+    assert view[1] == records[3] and view[-1] == records[9]
+    assert list(view[1:]) == [records[3], records[9]]
+    assert view.timestamps.tolist() == [records[i].timestamp for i in (7, 3, 9)]
+    assert AlertLog.of_records(view) is view and list(AlertLog.of_records(records)) == records
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,6 +757,15 @@ def test_transactions_slot_edges_equal_the_reference():
         occ, earliest, _, ignored = reference_transactions(hypers, dt, *window)
         assert tm.occurrence.tolist() == occ.tolist(), window
         assert tm.earliest == earliest and tm.ignored == ignored, window
+
+
+def test_hyper_alerts_of_two_aggregations_are_refused():
+    records = [AlertRecord(1.0, "s1", "", "", "", "", "scan")]
+    mixed = aggregate_alerts(records) + aggregate_alerts(records)
+    for learn in (lambda: build_transactions(mixed, dt=1.0),
+                  lambda: train_alert_classifier(mixed)):
+        with pytest.raises(ValueError, match="one aggregation"):
+            learn()
 
 
 def test_transactions_reject_a_hyper_alert_without_members():
