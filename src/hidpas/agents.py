@@ -212,7 +212,7 @@ def load_sim_config(path: str) -> SimulationConfig:
         values[key] = (value, lineno)
 
     missing = [k for k in ("detector_model", "alert_classifier", "plan_model")
-               if k not in values]
+               if k not in values] + ["host.<id>"] * (not hosts)
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
 

@@ -16,7 +16,7 @@ import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,35 +92,6 @@ def finite_float(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
     return value
-
-
-class RowView:
-    """Records held by column, or a view of some of them: `rows` names each
-    one's row in the columns, which a view shares. A subclass stores the
-    columns, sets `rows` to all of them, and gives `_of_list` and
-    `__iter__`. An int index gives a record, any other a view of those rows.
-    """
-
-    rows: np.ndarray
-
-    @classmethod
-    def of_records(cls, records: Iterable) -> RowView:
-        """Columns as they are, or records as columns."""
-        return records if isinstance(records, cls) else cls._of_list(list(records))
-
-    def at(self, rows: np.ndarray) -> RowView:
-        """The records at these rows of the columns, as a view."""
-        view = object.__new__(type(self))  # the columns shared, not copied
-        view.__dict__.update(self.__dict__, rows=rows)
-        return view
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return next(iter(self[[key]]))
-        return self.at(self.rows[key])
 
 
 @dataclass(frozen=True)

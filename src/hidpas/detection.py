@@ -13,23 +13,25 @@ import csv
 import logging
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (PARAMS, DataError, RowView, Variable, bad_row, check_params, csv_records,
+from .core import (PARAMS, DataError, Variable, bad_row, check_params, csv_records,
                    finite_float, open_output)
 from .features import (
     CATEGORICAL,
     KDD_FEATURES,
     NUMERIC,
     RawTable,
+    RowView,
     TransformRules,
     build_rules,
     gini_rank,
     parse_connection_fields,
     read_matrix,
     select_features,
+    table_of,
     to_discrete_dataset,
 )
 from .learning import fit_cpts, k2_search
@@ -44,10 +46,6 @@ ALERT_CSV_HEADER = "timestamp,host,src_ip,dst_ip,type,necessity,probability,poss
 # Column of each feature in ConnectionRecord.values, and its kind.
 _COLUMN = {name: i for i, (name, _) in enumerate(KDD_FEATURES)}
 _KINDS = dict(KDD_FEATURES)
-# A ConnectionStream's matrix columns: timestamp, source and destination
-# address, then the 41 features.
-_STREAM_KINDS = (NUMERIC, CATEGORICAL, CATEGORICAL) + tuple(_KINDS.values())
-_STREAM_CELLS = [i for i, kind in enumerate(_STREAM_KINDS) if kind != NUMERIC]
 
 
 @dataclass(frozen=True)
@@ -72,44 +70,32 @@ class ConnectionRecord:
 
 
 class ConnectionStream(RowView):
-    """Connection records held by column, as `load_stream` reads them.
+    """Connection records held by column, as `load_stream` reads them: a
+    record's timestamp, source and destination address, then its 41
+    feature values. A slice shares the evidence a model reads off the
+    stream."""
 
-    Row r of the float matrix is a record's timestamp, source and
-    destination address, then its 41 feature values; a categorical value
-    (an address too) is its code in the column's cells, `cells[c][code]`.
-    An int index or iteration gives ConnectionRecords. A slice is a stream
-    of its rows of the same matrix, made at a cost that does not grow with
-    the stream, and it shares the evidence a model reads off the stream.
-    """
+    NAMES = ("timestamp", "src_ip", "dst_ip") + tuple(_COLUMN)
+    KINDS = (NUMERIC, CATEGORICAL, CATEGORICAL) + tuple(_KINDS.values())
 
-    def __init__(self, matrix: np.ndarray, cells: dict[int, list[str]]):
-        self.matrix, self.cells, self._evidence = matrix, cells, [None]
-        self.rows = np.arange(len(matrix))
+    def __init__(self, table: RawTable):
+        super().__init__(table)
+        self._evidence = [None]
 
-    @classmethod
-    def _of_list(cls, records: list[ConnectionRecord]) -> ConnectionStream:
-        """Numeric values as floats, categorical values and addresses as their str."""
-        books: dict[int, dict[str, int]] = {c: {} for c in _STREAM_CELLS}
-        matrix = [[books[c].setdefault(str(v), len(books[c])) if c in books else float(v)
-                   for c, v in enumerate((r.timestamp, r.src_ip, r.dst_ip, *r.values))]
-                  for r in records]
-        return cls(np.array(matrix, dtype=float).reshape(-1, len(_STREAM_KINDS)),
-                   {c: list(book) for c, book in books.items()})
+    @staticmethod
+    def values(record: ConnectionRecord) -> tuple:
+        return (record.timestamp, record.src_ip, record.dst_ip, *record.values)
 
-    def __iter__(self) -> Iterator[ConnectionRecord]:
-        for row in self.matrix[self.rows].tolist():
-            for c in _STREAM_CELLS:
-                row[c] = self.cells[c][int(row[c])]
-            yield ConnectionRecord(row[3:], *row[:3])
+    @staticmethod
+    def record(timestamp: float, src_ip: str, dst_ip: str, *values) -> ConnectionRecord:
+        return ConnectionRecord(values, timestamp, src_ip, dst_ip)
 
     def evidence(self, model: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
         """`model.encode` of these records, read off the encoding of the
         whole stream, which is made once per model."""
         if self._evidence[0] is None or self._evidence[0][0] is not model:
-            columns = [self.matrix[:, c] if kind == NUMERIC else
-                       (self.cells[c], self.matrix[:, c].astype(np.intp))
-                       for c, kind in enumerate(_STREAM_KINDS[3:], 3)]
-            self._evidence[0] = (model, *model.encode(len(self.matrix), columns))
+            table = self.table
+            self._evidence[0] = (model, *model.encode(table.row_count, table.columns[3:]))
         _, observed, unknown = self._evidence[0]
         return observed[self.rows], unknown[self.rows]
 
@@ -239,10 +225,10 @@ def detect_stream(model: DetectorModel, records: Iterable[ConnectionRecord],
     alert per non-normal result; the alerts do not depend on how the stream
     is split."""
     stream = ConnectionStream.of_records(records)
-    return [DetectionAlert(ts, host, stream.cells[1][int(src)], stream.cells[2][int(dst)],
-                           result.label, *result.triple)
-            for (ts, src, dst), result in zip(stream.matrix[stream.rows, :3].tolist(),
-                                              classify_connections(model, stream))
+    (sources, src), (destinations, dst) = stream.column(1), stream.column(2)
+    return [DetectionAlert(ts, host, sources[s], destinations[d], result.label, *result.triple)
+            for ts, s, d, result in zip(stream.column(0).tolist(), src.tolist(), dst.tolist(),
+                                        classify_connections(model, stream))
             if result.label != NORMAL_LABEL]
 
 
@@ -267,16 +253,15 @@ def load_stream(path: str, on_bad: str = "abort") -> ConnectionStream:
     n_feat = len(KDD_FEATURES)
     extra = len(first) - n_feat  # 0 or 1 plain, 3 or 4 prefixed; 1 or 4 with a label
     plain = extra in (0, 1)
-    read = (extra in (0, 1, 3, 4)
-            and read_matrix(path, _STREAM_KINDS[3 * plain:] + (CATEGORICAL,) * (extra % 3)))
+    kinds = ConnectionStream.KINDS[3 * plain:] + (CATEGORICAL,) * (extra % 3)
+    read = extra in (0, 1, 3, 4) and read_matrix(path, kinds)
     if read:
-        matrix, books = read
+        matrix, cells = read
         if plain:  # stamped by row index, from no address
             matrix = np.column_stack((np.arange(len(matrix)), np.zeros((len(matrix), 2)), matrix))
-            books = [{"": 0}, {"": 0}] + books
-        return ConnectionStream(matrix[:, :len(_STREAM_KINDS)],
-                                {c: [cell.strip() for cell in book]
-                                 for c, book in zip(_STREAM_CELLS, books)})
+            cells = [[""], [""]] + cells
+        return ConnectionStream(table_of(ConnectionStream.NAMES, ConnectionStream.KINDS,
+                                         matrix, cells))
     records: list[ConnectionRecord] = []
     for lineno, rec in csv_records(path):
         try:

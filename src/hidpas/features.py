@@ -1,4 +1,4 @@
-"""Connection-table ingestion, Gini feature ranking, mean discretization.
+"""Column store and record views, KDD ingestion, Gini ranking, mean discretization.
 
 The KDD connection format is headerless CSV: 41 fixed features plus one
 trailing label, with labels dot-terminated in the original files.
@@ -10,7 +10,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,8 +139,6 @@ class TransformRules:
 
 _KDD_NAMES = tuple(n for n, _ in KDD_FEATURES) + (LABEL_COLUMN,)
 _KDD_KINDS = tuple(k for _, k in KDD_FEATURES) + (CATEGORICAL,)
-_NUMERIC_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k == NUMERIC]
-_CATEGORICAL_COLUMNS = [i for i, k in enumerate(_KDD_KINDS) if k != NUMERIC]
 
 
 class _Codebook(dict):
@@ -162,26 +160,22 @@ def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     """
     if on_bad not in ("abort", "skip"):
         raise ValueError("on_bad must be 'abort' or 'skip'")
-    matrix, books = read_matrix(path, _KDD_KINDS) or _load_kdd_rows(path, on_bad)
-    columns = dict(zip(_NUMERIC_COLUMNS, matrix.T[_NUMERIC_COLUMNS]))
-    cell_codes = matrix.T[_CATEGORICAL_COLUMNS].astype(np.intp)
-    for i, book, codes in zip(_CATEGORICAL_COLUMNS, books, cell_codes):
-        cells = [c.strip() for c in book]  # and the label loses its dot
-        if _KDD_NAMES[i] == LABEL_COLUMN:
-            cells = [c.rstrip(".") for c in cells]
-        columns[i] = encode(cells, codes)
-    return RawTable(_KDD_NAMES, _KDD_KINDS, [columns[i] for i in sorted(columns)])
+    read = read_matrix(path, _KDD_KINDS)
+    table = table_of(_KDD_NAMES, _KDD_KINDS, *read) if read else _load_kdd_rows(path, on_bad)
+    levels, codes = table.columns[-1]
+    return RawTable(_KDD_NAMES, _KDD_KINDS,
+                    table.columns[:-1] + (encode([c.rstrip(".") for c in levels], codes),))
 
 
 def read_matrix(path: str, kinds: Sequence[str], skiprows: int = 0
-                ) -> tuple[np.ndarray, list[_Codebook]] | None:
+                ) -> tuple[np.ndarray, list[list[str]]] | None:
     """A csv file of one field per kind in every row after its first
     skiprows lines, read by one ``np.loadtxt`` call (which unquotes as
-    ``csv.reader`` does): a float matrix of its numbers and, per categorical
-    cell, its code in the column's _Codebook (the codebooks in column
-    order). None for a file that fails a check (another field count in any
-    row, a bad or non-finite number, a line of spaces, no rows), which the
-    caller reads by rows; a file that is not UTF-8 is a DataError."""
+    ``csv.reader`` does): a float matrix of its numbers and each categorical
+    cell's code, and per categorical column its distinct cells, stripped, in
+    code order. None for a file that fails a check (another field count in
+    any row, a bad or non-finite number, a line of spaces, no rows), which
+    the caller reads by rows; a file that is not UTF-8 is a DataError."""
     categorical = [i for i, kind in enumerate(kinds) if kind != NUMERIC]
     books = [_Codebook() for _ in categorical]
     converters = {i: book.__getitem__ for i, book in zip(categorical, books)}
@@ -197,12 +191,32 @@ def read_matrix(path: str, kinds: Sequence[str], skiprows: int = 0
             return None
     if matrix.shape[1] != len(kinds) or not np.isfinite(matrix).all():
         return None
-    return matrix, books
+    return matrix, [[cell.strip() for cell in book] for book in books]
 
 
-def _load_kdd_rows(path: str, on_bad: str) -> tuple[np.ndarray, list[_Codebook]]:
-    """load_kdd's matrix and codebooks read by rows, reporting or skipping
-    bad rows: every wrong arity first, then each row holding a bad number."""
+def table_of(names: Sequence[str], kinds: Sequence[str], matrix: np.ndarray,
+             cells: Sequence[list[str]]) -> RawTable:
+    """A `read_matrix` result as a table of its first len(names) columns:
+    numbers copied, categorical columns in `encode` form."""
+    cells = iter(cells)
+    return RawTable(names, kinds, [matrix[:, i].copy() if kind == NUMERIC
+                                   else encode(next(cells), matrix[:, i].astype(np.intp))
+                                   for i, kind in enumerate(kinds)])
+
+
+def table_of_rows(names: Sequence[str], kinds: Sequence[str], rows: Iterable[Sequence]
+                  ) -> RawTable:
+    """Rows of values as a table: numbers as float, other values as str in
+    `encode` form."""
+    columns = list(zip(*rows)) or [()] * len(names)
+    return RawTable(names, kinds, [np.array(column, dtype=float) if kind == NUMERIC
+                                   else encode([str(value) for value in column])
+                                   for kind, column in zip(kinds, columns)])
+
+
+def _load_kdd_rows(path: str, on_bad: str) -> RawTable:
+    """load_kdd's table read by rows, reporting or skipping bad rows: every
+    wrong arity first, then each row holding a bad number."""
     expected = len(_KDD_NAMES)
     records: list[tuple[int, list[str]]] = []
     skipped = 0
@@ -213,23 +227,69 @@ def _load_kdd_rows(path: str, on_bad: str) -> tuple[np.ndarray, list[_Codebook]]
         else:
             records.append((lineno, rec))
 
-    books = [_Codebook() for _ in _CATEGORICAL_COLUMNS]
     rows: list[list] = []
     for lineno, rec in records:
         try:
-            row = parse_connection_fields(rec[:-1])
+            rows.append(parse_connection_fields(rec[:-1]) + [rec[-1].strip()])
         except DataError as exc:
             bad_row(path, lineno, exc, on_bad, log)
             skipped += 1
-            continue
-        row.append(rec[-1])
-        for i, book in zip(_CATEGORICAL_COLUMNS, books):
-            row[i] = book[row[i]]
-        rows.append(row)
 
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
-    return np.array(rows, dtype=float).reshape(-1, expected), books
+    return table_of_rows(_KDD_NAMES, _KDD_KINDS, rows)
+
+
+class RowView:
+    """Records held by column in a RawTable, or a view of some of them:
+    `rows` names each one's row of the table, which a view shares. A
+    subclass gives its table's NAMES and KINDS, a record's `values` in that
+    order and the `record` of such values. An int index gives a record, any
+    other a view of those rows."""
+
+    NAMES: tuple[str, ...]
+    KINDS: tuple[str, ...]
+
+    def __init__(self, table: RawTable):
+        self.table, self.rows = table, np.arange(table.row_count)
+
+    @classmethod
+    def of_records(cls, records: Iterable) -> RowView:
+        """A view as it is, or records as a table (numbers as float, other
+        values as str)."""
+        if isinstance(records, cls):
+            return records
+        return cls(table_of_rows(cls.NAMES, cls.KINDS, map(cls.values, records)))
+
+    def at(self, rows: np.ndarray) -> RowView:
+        """The records at these rows of the table, as a view."""
+        view = object.__new__(type(self))  # the table shared, not copied
+        view.__dict__.update(self.__dict__, rows=rows)
+        return view
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        return self.at(self.rows[key])
+
+    def column(self, i: int) -> np.ndarray | tuple[list[str], np.ndarray]:
+        """Column i at these rows: a float array, or (levels, each row's code)."""
+        if self.KINDS[i] == NUMERIC:
+            return self.table.columns[i][self.rows]
+        levels, codes = self.table.columns[i]
+        return levels, codes[self.rows]
+
+    @property
+    def columns(self) -> list[np.ndarray | tuple[list[str], np.ndarray]]:
+        return [self.column(i) for i in range(len(self.NAMES))]
+
+    def __iter__(self) -> Iterator:
+        return map(self.record, *(column.tolist() if kind == NUMERIC
+                                  else [column[0][c] for c in column[1].tolist()]
+                                  for kind, column in zip(self.KINDS, self.columns)))
 
 
 def parse_connection_fields(rec: Sequence[str]) -> list:

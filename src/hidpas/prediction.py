@@ -15,7 +15,8 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .core import (
     PARAMS,
     BayesNet,
     DataError,
-    RowView,
     Variable,
     bad_row,
     check_params,
@@ -32,7 +32,8 @@ from .core import (
     finite_float,
     open_output,
 )
-from .features import CATEGORICAL, NUMERIC, category_states, encode, read_matrix
+from .features import (CATEGORICAL, NUMERIC, RowView, category_states, encode, read_matrix,
+                       table_of)
 from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import Classification, ClassifierModel, HybridPropagator
 
@@ -71,34 +72,17 @@ LOG_FIELDS = ("sensor",) + ATTRIBUTE_FIELDS  # an AlertLog's cell columns
 
 
 class AlertLog(RowView):
-    """Alerts held by column, as `load_alert_log` reads them.
+    """Alerts held by column, as `load_alert_log` reads them: a timestamp,
+    then each of LOG_FIELDS."""
 
-    `stamps` holds each alert's timestamp, and `fields` the `encode` form of
-    each of LOG_FIELDS: (sorted distinct cells, each alert's index into
-    them). An int index or iteration gives AlertRecords.
-    """
-
-    def __init__(self, stamps: np.ndarray, fields: list[tuple[list[str], np.ndarray]]):
-        self.stamps, self.fields = stamps, fields
-        self.rows = np.arange(len(stamps))
-
-    @classmethod
-    def _of_list(cls, records: list[AlertRecord]) -> AlertLog:
-        return cls(np.array([a.timestamp for a in records], dtype=float),
-                   [encode([getattr(a, f) for a in records]) for f in LOG_FIELDS])
-
-    def __iter__(self) -> Iterator[AlertRecord]:
-        cells = [[levels[c] for c in codes.tolist()] for levels, codes in self.columns]
-        return map(AlertRecord, self.timestamps.tolist(), *cells)
+    NAMES = ("timestamp",) + LOG_FIELDS
+    KINDS = (NUMERIC,) + (CATEGORICAL,) * len(LOG_FIELDS)
+    values = attrgetter(*NAMES)
+    record = AlertRecord
 
     @property
     def timestamps(self) -> np.ndarray:
-        return self.stamps[self.rows]
-
-    @property
-    def columns(self) -> list[tuple[list[str], np.ndarray]]:
-        """Per field of LOG_FIELDS, its distinct cells and each alert's index into them."""
-        return [(levels, codes[self.rows]) for levels, codes in self.fields]
+        return self.column(0)
 
 
 def _first_seen_groups(columns: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, int]:
@@ -148,7 +132,7 @@ def aggregate_alerts(log_records: AlertLog | Sequence[AlertRecord],
     if merge_key not in ATTRIBUTE_FIELDS:
         raise ValueError(f"merge key must be one of {ATTRIBUTE_FIELDS}")
     log = AlertLog.of_records(log_records)
-    columns = log.columns
+    columns = log.columns[1:]  # LOG_FIELDS
     cluster, clusters = _first_seen_groups(columns)
     levels, codes = columns[LOG_FIELDS.index(merge_key)]
     names, name_of = encode([cell or EMPTY_STATE for cell in levels], codes)
@@ -168,13 +152,13 @@ def aggregate_alerts(log_records: AlertLog | Sequence[AlertRecord],
 
 def phase1_cluster_count(log_records: AlertLog | Sequence[AlertRecord]) -> int:
     """Number of clusters before the plan-step merge (for reporting)."""
-    return _first_seen_groups(AlertLog.of_records(log_records).columns)[1]
+    return _first_seen_groups(AlertLog.of_records(log_records).columns[1:])[1]
 
 
 def _joined(hypers: Sequence[HyperAlert]) -> AlertLog:
     """Every hyper's members, in order, as one view of the log they share."""
     logs = [h.members for h in hypers]
-    if any(m.fields is not logs[0].fields for m in logs):
+    if any(m.table is not logs[0].table for m in logs):
         raise ValueError("hyper-alerts must come from one aggregation")
     return logs[0].at(np.concatenate([m.rows for m in logs]))
 
@@ -203,7 +187,7 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     check_params(max_parents=max_parents, smoothing=smoothing, tau=tau)
     if not hypers:
         raise ValueError("no hyper-alerts to train on")
-    columns = _joined(hypers).columns[1:] + [  # the attributes, then the class
+    columns = _joined(hypers).columns[2:] + [  # the attributes, then the class
         ([h.name for h in hypers], np.repeat(range(len(hypers)), [h.size for h in hypers]))]
     variables, data = [], []
     for cid, (name, (levels, codes)) in enumerate(zip(ATTRIBUTE_FIELDS + (CLASS_COLUMN,),
@@ -453,14 +437,12 @@ def load_alert_log(path: str) -> AlertLog:
         if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
             raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
         body, _ = next(records, (0, None))  # the line the first alert starts on
-    read = body and read_matrix(path, (NUMERIC,) + (CATEGORICAL,) * 6, skiprows=body - 1)
+    read = body and read_matrix(path, AlertLog.KINDS, skiprows=body - 1)
     if read:
-        matrix, books = read
-        cells = [[cell.strip() for cell in book] for book in books]
+        matrix, cells = read
         if not (NOT_TOKEN.search("\0".join(map("\0".join, cells)))
                 or "" in cells[0] or "" in cells[-1]):  # a bad cell, an empty sensor or type
-            return AlertLog(matrix[:, 0].copy(),
-                            list(map(encode, cells, matrix.T[1:].astype(np.intp))))
+            return AlertLog(table_of(AlertLog.NAMES, AlertLog.KINDS, matrix, cells))
     out: list[AlertRecord] = []
     for lineno, rec in islice(csv_records(path), 1, None):  # after the header
         try:

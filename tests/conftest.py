@@ -27,6 +27,15 @@ def cells(table: RawTable, name: str) -> np.ndarray:
     return np.array(levels, dtype=object)[codes]
 
 
+def shown(column) -> list[str]:
+    """A column of a table or a view as the repr of each row's value (so
+    -0.0 is not 0.0)."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    levels, codes = column
+    return [repr(levels[code]) for code in codes.tolist()]
+
+
 @pytest.fixture
 def two_node_net() -> BayesNet:
     """A -> B with P(A=1)=0.6, P(B=1|A=0)=0.2, P(B=1|A=1)=0.9."""

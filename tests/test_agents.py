@@ -239,6 +239,9 @@ def test_sim_config_missing_keys_rejected(tmp_path):
     conf.write_text("host.a = x.csv\n")
     with pytest.raises(DataError, match="missing keys"):
         load_sim_config(str(conf))
+    conf.write_text("detector_model = d.bn\nalert_classifier = c.bn\nplan_model = p.bn\n")
+    with pytest.raises(DataError, match=r"bad.conf: missing keys \['host.<id>'\]$"):
+        load_sim_config(str(conf))
 
 
 @pytest.mark.parametrize("line, message", [

@@ -284,6 +284,42 @@ def test_an_oracle_suite_without_cases_has_not_passed():
     assert OracleReport("one", cases=1).passed
 
 
+def _reversed_marginal(cal, var):
+    from hidpas.jtree import query_marginal
+
+    return query_marginal(cal, var)[..., ::-1]
+
+
+# Per oracle suite: the attribute that, replaced, makes the engine it checks
+# answer wrongly, and the wrong answer.
+WRONG_ENGINES = {
+    "probabilistic-oracle": ("check_probabilistic", "hidpas.oracles.query_marginal",
+                             _reversed_marginal),
+    "possibilistic-oracle": ("check_possibilistic", "hidpas.oracles.query_marginal",
+                             _reversed_marginal),
+    "query-oracle": ("check_query_path", "hidpas.possibility.HybridPropagator._calibrate",
+                     lambda self, observed, targets: [None] * len(observed)),
+    "transform-oracle": ("check_transform", "hidpas.oracles.prob_to_poss",
+                         lambda p: p[::-1].copy()),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WRONG_ENGINES))
+def test_an_oracle_suite_fails_on_a_wrong_engine(monkeypatch, capsys, suite):
+    from hidpas import oracles
+
+    check, target, wrong = WRONG_ENGINES[suite]
+    monkeypatch.setattr(target, wrong)
+    report = getattr(oracles, check)(3, 10)
+    assert report.name == suite and report.cases > 0
+    assert report.failures > 0 and not report.passed
+    rc = run_command(["oracle-check", "--seed", "3", "--networks", "10", "--transforms", "25"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1 and len(lines) == 4
+    assert {line.split(":")[0] for line in lines if ": FAIL (" in line} == \
+        {name for name, (_, replaced, _) in WRONG_ENGINES.items() if replaced == target}
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     """Identical argv + inputs yield byte-identical outputs (timestamps off)."""
     outputs = []
@@ -458,3 +494,57 @@ def test_a_mutated_input_runs_or_fails_naming_its_path(fuzz_model, data):
             last = err.rstrip("\n").rsplit("\n", 1)[-1]  # after any warnings
             assert rc == 0 and text is mutated or (
                 rc == 1 and last.startswith(f"error: {path}")), (rc, err)
+
+
+SIM_VALUES = ["abc", "max", "threshold", "0", "-1", "0.25", "7", "1e400", "nan", "", "host."]
+SIM_EXTRA_LINES = ["colour = red", "host = a", "hosts.a = b", "seed = 3",
+                   "selection = threshold", "theta = 2"]
+
+
+@st.composite
+def mutated_sim_conf(draw, conf: Path) -> bytes:
+    """A simulation config after one to four random line drops and
+    duplications, value replacements (tokens, numbers, empty values, a bare
+    `host.`, other model and stream paths) and added lines, some with unknown
+    keys; one time in four with a byte pair that is not UTF-8 written into it."""
+    paths = [str(p) for p in sorted(conf.parent.glob("*.bn"))] + [
+        TRAIN, HISTORY, os.path.join(SCENARIO_DIR, "host_b.csv")]
+    lines = conf.read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(["drop", "duplicate", "replace", "add"]))
+        at = draw(st.integers(0, max(0, len(lines) - 1)))
+        if action == "add" or not lines:
+            lines.insert(at, draw(st.sampled_from(SIM_EXTRA_LINES)))
+        elif action == "drop":
+            del lines[at]
+        elif action == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = lines[at].partition("=")[0] + "= " + draw(
+                st.sampled_from(SIM_VALUES + paths))
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff\xfe" + text[at:]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_mutated_sim_config_runs_or_fails_naming_its_path(sim_conf, data):
+    """simulate on a mutated config exits 0, or exits 1 with an error naming
+    the config or a file the config names."""
+    text = data.draw(mutated_sim_conf(sim_conf))
+    with tempfile.TemporaryDirectory() as work:
+        conf = os.path.join(work, "sim.conf")
+        with open(conf, "wb") as fh:
+            fh.write(text)
+        values = (line.partition("=")[2].strip()
+                  for line in text.decode("utf-8", "replace").splitlines())
+        named = [conf] + [os.path.join(work, value) for value in values if value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run_command(["simulate", "--config", conf, "--seed", "1"])
+    last = err.getvalue().rstrip("\n").rsplit("\n", 1)[-1]  # after any warnings
+    assert rc == 0 or rc == 1 and any(last.startswith(f"error: {path}:") for path in named), \
+        (rc, err.getvalue())

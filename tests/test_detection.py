@@ -8,6 +8,7 @@ import random
 import tempfile
 from pathlib import Path
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from hidpas.core import finite_float
 from hidpas.detection import (
     ALERT_CSV_HEADER,
     ConnectionRecord,
+    ConnectionStream,
     DetectionAlert,
     DetectorConfig,
+    DetectorModel,
     classify_connection,
     classify_connections,
     detect_stream,
@@ -40,7 +43,7 @@ from hidpas.features import (
 
 from hidpas.model_io import load_detector, save_detector
 
-from conftest import cells, data_path, raw_table
+from conftest import cells, data_path, raw_table, shown
 
 
 def toy_table(n_per_class: int = 12) -> RawTable:
@@ -494,6 +497,43 @@ def test_a_stream_whole_or_cut_classifies_as_each_record_alone(deterministic_mod
     assert list(stream[key]) == records[key]
     assert classify_connections(model, stream[key]) == alone[key]
     assert [stream[i] for i in range(-len(records), len(records))] == records + records
+
+
+def _table_columns(columns) -> list:
+    return [column.tolist() if isinstance(column, np.ndarray)
+            else (column[0], column[1].tolist()) for column in columns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["host_a", "host_c", "detector_train"]),
+       st.builds(slice, st.integers(-8, 8) | st.none(), st.integers(-8, 8) | st.none(),
+                 st.sampled_from([None, 1, 2, -1, -3])))
+def test_a_loaded_stream_and_its_records_make_one_table(scenario_model, name, key):
+    """The records of a loaded stream make the table they were read from, and
+    those of a slice the slice's columns; a slice shares the stream's
+    evidence, which the model encodes once."""
+    stream = load_stream(data_path("scenario", f"{name}.csv"))
+    assert _table_columns(ConnectionStream.of_records(list(stream)).table.columns) == \
+        _table_columns(stream.table.columns)
+    view = stream[key]
+    assert list(map(shown, ConnectionStream.of_records(list(view)).columns)) == \
+        list(map(shown, view.columns))
+    encode, encoded = DetectorModel.encode, []
+    with mock.patch.object(DetectorModel, "encode",
+                           lambda model, *args: encoded.append(model) or encode(model, *args)):
+        whole, part = stream.evidence(scenario_model), view.evidence(scenario_model)
+    assert encoded == [scenario_model]
+    for got, rows in zip(part, whole):
+        assert got.tolist() == rows[key].tolist()
+
+
+def test_detect_stream_reads_only_the_stamp_and_address_columns_of_a_slice(scenario_model):
+    stream = load_stream(data_path("scenario", "host_c.csv"))
+    column, read = ConnectionStream.column, []
+    with mock.patch.object(ConnectionStream, "column",
+                           lambda view, i: read.append(i) or column(view, i)):
+        alerts = detect_stream(scenario_model, stream[1:], "h")
+    assert sorted(read) == [0, 1, 2] and alerts == detect_stream(scenario_model, stream, "h")
 
 
 def test_alert_csv_format(tmp_path, scenario_model):

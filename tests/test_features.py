@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidpas import core, features
+from hidpas.detection import ConnectionRecord, ConnectionStream
 from hidpas.features import (
     CATEGORICAL,
     KDD_FEATURES,
@@ -34,8 +35,9 @@ from hidpas.features import (
     select_features,
     to_discrete_dataset,
 )
+from hidpas.prediction import AlertLog, AlertRecord
 
-from conftest import cells, data_path, raw_table
+from conftest import cells, data_path, raw_table, shown
 
 
 def small_table(**columns) -> RawTable:
@@ -629,3 +631,40 @@ def test_rules_round_trip_reproduces_dataset(tmp_path):
 def test_parse_rules_rejects_garbage():
     with pytest.raises(DataError):
         parse_rules("count mean=1.0\nbroken line without equals\n")
+
+
+# -- record views ----------------------------------------------------------------
+
+SIGNED_STAMPS = st.one_of(st.just(-0.0), st.integers(-5, 5))
+CONNECTION_RECORDS = st.lists(st.builds(
+    lambda values, *meta: ConnectionRecord(values, *meta),
+    st.tuples(*(st.sampled_from([0, -3, 0.5, -0.0, 1e300]) if kind == NUMERIC
+                else st.one_of(st.integers(-2, 2), st.sampled_from(["tcp", "SF", "1"]))
+                for _, kind in KDD_FEATURES)),
+    SIGNED_STAMPS, st.sampled_from(["", "10.0.0.1", "10.0.0.2"]), st.sampled_from(["", "a"])),
+    max_size=6)
+ALERT_RECORDS = st.lists(st.builds(
+    AlertRecord, SIGNED_STAMPS, st.sampled_from(["s1", "s2"]), st.sampled_from(["", "1.1.1.1"]),
+    st.sampled_from(["", "80"]), st.just("2.2.2.2"), st.sampled_from(["", "443"]),
+    st.sampled_from(["scan", "probe"])), max_size=6)
+SLICES = st.builds(slice, st.integers(-8, 8) | st.none(), st.integers(-8, 8) | st.none(),
+                   st.sampled_from([None, 1, 2, -1, -3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(CONNECTION_RECORDS.map(lambda records: (ConnectionStream, records)),
+                 ALERT_RECORDS.map(lambda records: (AlertLog, records))), SLICES)
+def test_a_view_of_records_reads_them_back_as_float_and_str(case, key):
+    view_type, records = case
+    rows = [[float(v) if kind == NUMERIC else str(v)
+             for kind, v in zip(view_type.KINDS, view_type.values(record))]
+            for record in records]
+    expected = [view_type.record(*row) for row in rows]
+    view = view_type.of_records(records)
+    assert view_type.of_records(view) is view and len(view) == len(records)
+    assert list(view) == expected
+    assert [repr(r.timestamp) for r in view] == [repr(r.timestamp) for r in expected]
+    assert [view[i] for i in range(-len(records), len(records))] == expected + expected
+    assert list(view[key]) == expected[key]
+    for i in range(len(view_type.KINDS)):
+        assert shown(view[key].column(i)) == [repr(row[i]) for row in rows][key]
