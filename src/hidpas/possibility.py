@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -35,12 +35,13 @@ log = logging.getLogger(__name__)
 
 ZERO_GUARD = 1e-12  # probabilities below this are treated as exact zeros
 NORM_TOL = 1e-9
-# Marginals one engine keeps memoized, an entry weighing one per target (at
-# least one); the oldest entry goes first. A detector entry takes about
-# 1.2 KB, a plan marginal about 620 B, so a full memo holds 5-10 MB.
+# Marginals one memo keeps, an engine's answers or a classifier's decisions,
+# an entry weighing one per target (at least one); the oldest entry goes
+# first. A detector entry takes about 1.2 KB, a plan marginal about 620 B,
+# so a full memo holds 5-10 MB.
 MEMO_MARGINALS = 2 ** 13
-# Cluster table entries one engine calibrates at once: `query_batch` takes
-# its rows in chunks of this many entries, so its memory does not grow with
+# Cluster table entries one engine calibrates at once: `solve` takes its
+# rows in chunks of this many entries, so its memory does not grow with
 # the batch.
 ENTRY_BUDGET = 2 ** 16
 # CPT entries `transformed_factors` transforms at once: the kernel holds a
@@ -250,14 +251,48 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
             for v, rows in enumerate(poss)]
 
 
+class Memo(dict):
+    """Answers keyed by (evidence row bytes, targets), oldest first: past
+    MEMO_MARGINALS in all, the oldest entries go. It is not locked, so
+    threads must not share one."""
+
+    weight = 0
+
+    def recall(self, observed: np.ndarray, targets: tuple[int, ...], solve) -> list:
+        """The answer for each row of an evidence matrix: a remembered one,
+        or, for the distinct rows not remembered, the answers of one
+        solve(rows) call over those rows, which are then remembered."""
+        keys = [(row.tobytes(), targets) for row in observed]
+        found, misses = {}, {}
+        for row, key in enumerate(keys):
+            if key in self:
+                found[key] = self[key]
+            else:
+                misses.setdefault(key, row)
+        if misses:
+            for key, answer in zip(misses, solve(observed[list(misses.values())])):
+                found[key] = self[key] = answer
+                self.weight += max(1, len(targets))
+            while self.weight > MEMO_MARGINALS:
+                oldest = next(iter(self))
+                del self[oldest]
+                self.weight -= max(1, len(oldest[1]))
+        return [found[key] for key in keys]
+
+
+def _log_breaches(marginals: dict[int, HybridMarginal]) -> None:
+    for var, hm in marginals.items():
+        if (violation := hm.sandwich_violation()) > 0:
+            log.debug("post-propagation interval breach %.3g on variable %d", violation, var)
+
+
 class HybridPropagator:
     """Caches the shared tree structure, its one calibration plan and both
     factor sets for one net.
 
     Step 1 transforms every CPT row, step 2 builds a single junction tree,
     step 3 runs sum-product and max-min calibration under the same evidence.
-    Answers are memoized per (evidence row, targets); the memo is not
-    locked, so threads must not share an engine.
+    Answers are memoized per (evidence row, targets) in a `Memo`.
     """
 
     def __init__(self, net: BayesNet):
@@ -265,8 +300,7 @@ class HybridPropagator:
         self.structure: JunctionTree = build_tree_for_net(net)
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
         self._poss = initialize_potentials(self._prob, transformed_factors(net), MAX_MIN)
-        self._memo: dict[tuple[bytes, tuple[int, ...]], dict[int, HybridMarginal] | None] = {}
-        self._memo_weight = 0
+        self._memo = Memo()
 
     def query(self, evidence: Mapping[int, int] | None,
               targets: Sequence[int]) -> dict[int, HybridMarginal]:
@@ -286,45 +320,32 @@ class HybridPropagator:
         the evidence dicts it is made from.
 
         Rows already answered for these targets come from the memo; the
-        distinct others are calibrated together, pruned to the targets'
-        read-out clusters, one calibration per semiring for every
-        ENTRY_BUDGET table entries. Only checked rows enter the memo, so a
-        bad row is always calibrated, and raises, even among cached ones.
-        Each caller gets its own dicts.
+        distinct others are calibrated by `solve`. Only checked rows enter
+        the memo, so a bad row is always calibrated, and raises, even among
+        cached ones. Each caller gets its own dicts.
         """
         targets = tuple(targets)
         observed = (evidence if isinstance(evidence, np.ndarray)
                     else evidence_matrix(self._prob, evidence))
-        keys = [(row.tobytes(), targets) for row in observed]
-        found = {}
-        misses: dict[tuple[bytes, tuple[int, ...]], int] = {}  # key -> its first row
-        for row, key in enumerate(keys):
-            if key in self._memo:
-                found[key] = self._memo[key]
-            else:
-                misses.setdefault(key, row)
-        missed = list(misses.items())
-        step = max(1, ENTRY_BUDGET // self._prob.plan.entries)
-        for start in range(0, len(missed), step):
-            chunk = missed[start:start + step]
-            answers = self._calibrate(observed[[row for _, row in chunk]], targets)
-            for (key, _), marginals in zip(chunk, answers):
-                found[key] = marginals
-                self._remember(key, marginals)
-
         debug = log.isEnabledFor(logging.DEBUG)
         out: list[dict[int, HybridMarginal] | None] = []
-        for key in keys:
-            marginals = found[key]
+        for marginals in self._memo.recall(observed, targets,
+                                           lambda rows: self.solve(rows, targets)):
             if marginals is not None:
                 marginals = dict(marginals)
                 if debug:
-                    for var, hm in marginals.items():
-                        if (violation := hm.sandwich_violation()) > 0:
-                            log.debug("post-propagation interval breach %.3g on variable %d",
-                                      violation, var)
+                    _log_breaches(marginals)
             out.append(marginals)
         return out
+
+    def solve(self, observed: np.ndarray, targets: tuple[int, ...]
+              ) -> list[dict[int, HybridMarginal] | None]:
+        """`query_batch` without the memo: the rows pruned to the targets'
+        read-out clusters, one calibration per semiring for every
+        ENTRY_BUDGET table entries, so memory does not grow with the rows."""
+        step = max(1, ENTRY_BUDGET // self._prob.plan.entries)
+        return [answer for start in range(0, len(observed), step)
+                for answer in self._calibrate(observed[start:start + step], targets)]
 
     def _calibrate(self, observed: np.ndarray, targets: tuple[int, ...]
                    ) -> list[dict[int, HybridMarginal] | None]:
@@ -339,15 +360,6 @@ class HybridPropagator:
         return [{var: HybridMarginal(var, n[row], p[row], pi[row])
                  for var, n, p, pi in columns} if possible else None
                 for row, possible in enumerate((prob_cal.possible & poss_cal.possible).tolist())]
-
-    def _remember(self, key: tuple[bytes, tuple[int, ...]],
-                  marginals: dict[int, HybridMarginal] | None) -> None:
-        self._memo[key] = marginals
-        self._memo_weight += max(1, len(key[1]))
-        while self._memo_weight > MEMO_MARGINALS:
-            oldest = next(iter(self._memo))
-            del self._memo[oldest]
-            self._memo_weight -= max(1, len(oldest[1]))
 
 
 @dataclass(frozen=True)
@@ -375,13 +387,15 @@ class ClassifierModel:
     threshold, below which a value asserts state 0 and otherwise state 1, or
     the variable's state map. `_field` gives each field its column and rule;
     a subclass overrides it to check the fields, raising ValueError for a
-    model it cannot read."""
+    model it cannot read. `decisions` memoizes `classify` per evidence row;
+    a copy made by `dataclasses.replace` starts with an empty one."""
 
     net: BayesNet
     class_var: int
     tau: float
     fields: tuple[tuple[str, int, int, float | dict[str, int]], ...] = field(
         init=False, repr=False, compare=False)
+    decisions: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.net.variable(self.class_var)
@@ -424,25 +438,35 @@ class ClassifierModel:
     def classify(self, observed: np.ndarray, unknown: Sequence[tuple[str, ...]],
                  logger: logging.Logger) -> list[Classification]:
         """Classify the rows of an evidence matrix made by `encode`, given
-        each row's unknown values, through one batched query; each result
-        equals the row classified alone.
+        each row's unknown values; each result equals the row classified
+        alone.
 
-        A row whose evidence has zero mass under the model gets the class prior
-        instead, flagged low-confidence, with a warning on the caller's logger.
+        The decision for each evidence row is memoized: the distinct rows
+        not in `decisions` are calibrated together by the engine's `solve`,
+        and rows that repeat share one `Classification`, copied only to
+        carry a row's unknown values. A row whose evidence has zero mass
+        under the model gets the class prior instead, flagged
+        low-confidence, with a warning on the caller's logger.
         """
-        posteriors = self.engine.query_batch(observed, [self.class_var])
-        states = self.net.variable(self.class_var).states
+        targets = (self.class_var,)
+        decisions = self.decisions.recall(observed, targets, lambda rows: [
+            None if posterior is None else self._decide(posterior[self.class_var])
+            for posterior in self.engine.solve(rows, targets)])
+        debug = log.isEnabledFor(logging.DEBUG)
         prior = None
         results = []
-        for missed, posterior in zip(unknown, posteriors):
-            if posterior is None:
+        for missed, decision in zip(unknown, decisions):
+            if decision is None:
                 logger.warning("impossible evidence for record; falling back to prior")
                 if prior is None:
-                    prior = self.engine.query({}, [self.class_var])[self.class_var]
-                marginal, low = prior, True
-            else:
-                marginal, low = posterior[self.class_var], False
-            state, uninformative = select_state(marginal, self.tau)
-            results.append(Classification(states[state], state, marginal,
-                                          low or uninformative, missed))
+                    prior = self._decide(self.engine.query({}, targets)[self.class_var], True)
+                decision = prior
+            elif debug:
+                _log_breaches({self.class_var: decision.marginal})
+            results.append(replace(decision, unknown_values=missed) if missed else decision)
         return results
+
+    def _decide(self, marginal: HybridMarginal, low: bool = False) -> Classification:
+        state, uninformative = select_state(marginal, self.tau)
+        return Classification(self.net.variable(self.class_var).states[state], state,
+                              marginal, low or uninformative)

@@ -499,6 +499,50 @@ def test_a_stream_whole_or_cut_classifies_as_each_record_alone(deterministic_mod
     assert [stream[i] for i in range(-len(records), len(records))] == records + records
 
 
+@pytest.fixture(scope="module")
+def service_model():
+    """A detector, unsmoothed, over protocol_type, duration and service."""
+    return train_detector(toy_table(), DetectorConfig(top_k=3, smoothing=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(STREAM_POOL + ["unseen service"]), min_size=1, max_size=12),
+       st.data())
+def test_memoized_decisions_equal_each_record_classified_alone(service_model, picks, data):
+    """Under a memo cap of two decisions, a stream of repeating rows, an
+    unseen service and impossible rows classifies, whole and in random
+    slices, as a fresh model classifies each record alone; the memo never
+    holds more than its cap, and each impossible row warns once, a memo hit
+    as well."""
+    table = toy_table()
+    normal, dos = record_from_table(table, 0).values, record_from_table(table, 23).values
+    pool = {"normal": normal, "dos": dos,
+            "unknown": normal[:1] + ("icmp",) + normal[2:],  # protocol_type
+            "unseen service": dos[:2] + ("gopher",) + dos[3:],
+            "impossible": (-1.0,) + dos[1:]}  # a duration below the mean
+    records = [ConnectionRecord(pool[pick], 10.0 * i) for i, pick in enumerate(picks)]
+    alone = {pick: classify_connection(replace(service_model), ConnectionRecord(values))
+             for pick, values in pool.items()}
+    assert alone["unseen service"].unknown_values == ("service=gopher",)
+    expected = [alone[pick] for pick in picks]
+    stream = ConnectionStream.of_records(records)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    parts = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    model = replace(service_model)
+    with pytest.MonkeyPatch.context() as mp, \
+            mock.patch.object(logging.getLogger("hidpas.detection"), "warning") as warn:
+        mp.setattr(possibility, "MEMO_MARGINALS", 2)
+        for split in ([stream], parts, [stream]):
+            got = []
+            for part in split:
+                got += classify_connections(model, part)
+                assert len(model.decisions) <= 2
+            assert got == expected
+    warned = [call.args for call in warn.call_args_list]
+    assert warned == [("impossible evidence for record; falling back to prior",)] * (
+        3 * picks.count("impossible"))
+
+
 def _table_columns(columns) -> list:
     return [column.tolist() if isinstance(column, np.ndarray)
             else (column[0], column[1].tolist()) for column in columns]
@@ -597,6 +641,14 @@ def test_classify_connections_calibrates_within_the_entry_budget(scenario_model,
     got = classify_connections(fresh, records)
     assert len(distinct) == 3 and len(calls) == 2 * 2
     assert got == classify_connections(scenario_model, records)
+    # a second pass is answered by the decision memo alone
+    calibrated, selected = len(calls), []
+    select_state = possibility.select_state
+    monkeypatch.setattr(possibility, "select_state",
+                        lambda *args: selected.append(1) or select_state(*args))
+    assert classify_connections(fresh, records) == got
+    assert len(calls) == calibrated and selected == []
+    assert scenario_model.decisions and not replace(scenario_model).decisions
 
 
 def test_impossible_row_falls_back_to_prior_alone(deterministic_model, caplog):

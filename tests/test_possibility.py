@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from hidpas.oracles import (
     random_evidence,
     random_net,
 )
+from hidpas.jtree import evidence_matrix
 from hidpas.possibility import (
+    ClassifierModel,
     HybridMarginal,
     ImpossibleEvidenceError,
     HybridPropagator,
@@ -277,6 +280,22 @@ def test_post_propagation_breaches_are_logged_at_debug_level(caplog):
         for net, ev in cases:
             HybridPropagator(net).query_batch([ev], range(len(net.dag.variables)))
     assert caplog.records == []
+
+    # classify logs its class variable's breach for every row it decides, a
+    # row its memo answers as well as one it calibrates
+    caplog.clear()
+    expected = []
+    with caplog.at_level("DEBUG", logger="hidpas.possibility"):
+        for net, ev in cases:
+            model = ClassifierModel(net, len(net.dag.variables) - 1, 0.5)
+            observed = evidence_matrix(model.engine._prob, [ev, ev])
+            for _ in range(2):
+                for result in model.classify(observed, [(), ()], logging.getLogger("test")):
+                    if (breach := result.marginal.sandwich_violation()) > 0:
+                        expected.append(f"post-propagation interval breach {breach:.3g} "
+                                        f"on variable {model.class_var}")
+    assert len(expected) > 4
+    assert [r.getMessage() for r in caplog.records if r.name == "hidpas.possibility"] == expected
 
 
 def test_hybrid_propagator_is_reusable(two_node_net):
