@@ -256,7 +256,10 @@ def _cmd_learn_plan(args) -> int:
         raise DataError(f"{args.alerts}: no alerts to learn from")
     hypers = aggregate_alerts(alerts, merge_key=args.merge_key)
     learn = {name: getattr(args, name) for name in _LEARN}
-    tm = build_transactions(hypers, dt=args.slot, span=args.span)
+    try:
+        tm = build_transactions(hypers, dt=args.slot, span=args.span)
+    except (ValueError, MemoryError) as exc:  # more slots than an array can hold
+        raise DataError(f"{args.alerts}: cannot slot its time range ({exc})") from None
     plan = train_plan_model(tm, **learn)
     save_plan(plan, args.out, timestamp=not args.no_timestamp)
     print(f"plan model over {len(plan.hyper_names)} hyper-alerts "

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (PARAMS, DataError, Variable, bad_row, check_params, csv_records,
-                   finite_float, open_output)
+from .core import (PARAMS, DataError, Variable, check_params, csv_records, finite_float,
+                   open_output)
 from .features import (
     CATEGORICAL,
     KDD_FEATURES,
@@ -29,9 +30,8 @@ from .features import (
     build_rules,
     gini_rank,
     parse_connection_fields,
-    read_matrix,
+    read_table,
     select_features,
-    table_of,
     to_discrete_dataset,
 )
 from .learning import fit_cpts, k2_search
@@ -233,55 +233,39 @@ def detect_stream(model: DetectorModel, records: Iterable[ConnectionRecord],
 
 
 def load_stream(path: str, on_bad: str = "abort") -> ConnectionStream:
-    """Read a connection stream.
-
-    Accepted row shapes:
+    """Read a connection stream by `read_table`, each row in one of these
+    shapes, the first row's read in bulk:
       41 or 42 fields: plain KDD row (label, when present, is ignored);
           the timestamp is the row's 0-based index among the records kept,
-          in seconds, so a skipped row leaves no gap.
+          in seconds, so a skipped row leaves no gap; no addresses.
       44 or 45 fields: `timestamp,src_ip,dst_ip` prefix followed by the 41
           features (and optional ignored label).
-
-    A stream whose every row has the shape of its first is read by
-    `read_matrix`; any other is read row by row below, the one place that
-    names or skips a bad line.
     """
-    if on_bad not in ("abort", "skip"):
-        raise ValueError("on_bad must be 'abort' or 'skip'")
     with closing(csv_records(path)) as peek:
         _, first = next(peek, (0, []))
+    extra = len(first) - len(KDD_FEATURES)  # 0 or 1 plain, 3 or 4 prefixed; 1 or 4 labelled
+    table, _ = read_table(path, ConnectionStream.NAMES,
+                          ConnectionStream.KINDS + (CATEGORICAL,) * (extra in (1, 4)),
+                          _stream_row, on_bad, log,
+                          blank=() if extra in (3, 4) else (math.nan, "", ""))
+    plain = np.isnan(table.columns[0])
+    table.columns[0][plain] = np.flatnonzero(plain)  # a plain row's stamp is its row
+    return ConnectionStream(table)
+
+
+def _stream_row(rec: list[str]) -> list:
+    """A stream record's row: its timestamp (NaN for a plain row, which
+    load_stream stamps), addresses and 41 typed features."""
     n_feat = len(KDD_FEATURES)
-    extra = len(first) - n_feat  # 0 or 1 plain, 3 or 4 prefixed; 1 or 4 with a label
-    plain = extra in (0, 1)
-    kinds = ConnectionStream.KINDS[3 * plain:] + (CATEGORICAL,) * (extra % 3)
-    read = extra in (0, 1, 3, 4) and read_matrix(path, kinds)
-    if read:
-        matrix, cells = read
-        if plain:  # stamped by row index, from no address
-            matrix = np.column_stack((np.arange(len(matrix)), np.zeros((len(matrix), 2)), matrix))
-            cells = [[""], [""]] + cells
-        return ConnectionStream(table_of(ConnectionStream.NAMES, ConnectionStream.KINDS,
-                                         matrix, cells))
-    records: list[ConnectionRecord] = []
-    for lineno, rec in csv_records(path):
-        try:
-            if len(rec) in (n_feat, n_feat + 1):
-                values = parse_connection_fields(rec[:n_feat])
-                records.append(ConnectionRecord(values, timestamp=float(len(records))))
-            elif len(rec) in (n_feat + 3, n_feat + 4):
-                try:
-                    ts = finite_float(rec[0])
-                except ValueError:
-                    raise DataError(f"bad timestamp {rec[0]!r}") from None
-                values = parse_connection_fields(rec[3:3 + n_feat])
-                records.append(ConnectionRecord(
-                    values, timestamp=ts, src_ip=rec[1].strip(), dst_ip=rec[2].strip()
-                ))
-            else:
-                raise DataError(f"unexpected field count {len(rec)}")
-        except DataError as exc:
-            bad_row(path, lineno, exc, on_bad, log)
-    return ConnectionStream.of_records(records)
+    if len(rec) in (n_feat, n_feat + 1):
+        return [math.nan, "", ""] + parse_connection_fields(rec[:n_feat])
+    if len(rec) not in (n_feat + 3, n_feat + 4):
+        raise DataError(f"unexpected field count {len(rec)}")
+    try:
+        ts = finite_float(rec[0])
+    except ValueError:
+        raise DataError(f"bad timestamp {rec[0]!r}") from None
+    return [ts, rec[1].strip(), rec[2].strip()] + parse_connection_fields(rec[3:3 + n_feat])
 
 
 def write_alerts_csv(alerts: Sequence[DetectionAlert], path: str) -> None:

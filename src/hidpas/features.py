@@ -9,8 +9,10 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,37 +151,109 @@ class _Codebook(dict):
         return code
 
 
-def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
-    """Parse a KDD-format connection file (41 features + trailing label).
+BLOCK_RECORDS = 2048  # records per bulk read of a file whose whole-file read fails
 
-    Labels lose their trailing dot and categorical cells their surrounding
-    whitespace. on_bad is 'abort' (raise DataError with the line number) or
-    'skip' (log and drop the row). A well-formed file is read by
-    `read_matrix`, any other by the csv row reader, the one place that
-    names the failing line or skips it.
-    """
-    if on_bad not in ("abort", "skip"):
-        raise ValueError("on_bad must be 'abort' or 'skip'")
-    read = read_matrix(path, _KDD_KINDS)
-    table = table_of(_KDD_NAMES, _KDD_KINDS, *read) if read else _load_kdd_rows(path, on_bad)
+
+def load_kdd(path: str, on_bad: str = "abort") -> RawTable:
+    """Parse a KDD-format connection file (41 features + trailing label) by
+    `read_table`. Labels lose their trailing dot and categorical cells their
+    surrounding whitespace. on_bad is 'abort' (raise DataError naming the
+    first bad line) or 'skip' (log and drop each bad row)."""
+    table, skipped = read_table(path, _KDD_NAMES, _KDD_KINDS, _kdd_row, on_bad, log)
+    if skipped:
+        log.warning("%s: skipped %d malformed rows", path, skipped)
     levels, codes = table.columns[-1]
     return RawTable(_KDD_NAMES, _KDD_KINDS,
                     table.columns[:-1] + (encode([c.rstrip(".") for c in levels], codes),))
 
 
-def read_matrix(path: str, kinds: Sequence[str], skiprows: int = 0
+def _kdd_row(rec: list[str]) -> list:
+    """A KDD record's row: its 41 typed features and its stripped label."""
+    if len(rec) != len(_KDD_NAMES):
+        raise DataError(f"expected {len(_KDD_NAMES)} fields, got {len(rec)}")
+    return parse_connection_fields(rec[:-1]) + [rec[-1].strip()]
+
+
+def read_table(path: str, names: Sequence[str], kinds: Sequence[str], grammar: Callable,
+               on_bad: str, logger: logging.Logger, skiprows: int = 0, blank: Sequence = (),
+               check: Callable | None = None) -> tuple[RawTable, int]:
+    """The csv records of a file after its first skiprows lines as a table
+    of these columns, and the number of records skipped.
+
+    The file is read in bulk by one `read_matrix` call or, if that fails,
+    in blocks of BLOCK_RECORDS records cut at record starts, each by the
+    same call. A bulk read's fields are kinds after the first len(blank),
+    which read blank, and any kinds past the names are fields it reads and
+    drops; it fails if check rejects its cells. Each record of a block that
+    fails goes through grammar, which gives its row of values or raises
+    DataError; `bad_row` then names the record (on_bad 'abort') or logs it
+    on logger and drops it ('skip').
+    """
+    if on_bad not in ("abort", "skip"):
+        raise ValueError("on_bad must be 'abort' or 'skip'")
+    fields, kinds = kinds[len(blank):], kinds[:len(names)]
+
+    def bulk(source: str | list[str], skip: int = 0) -> RawTable | None:
+        read = read_matrix(source, fields, skip)
+        if read is None or check is not None and not check(read[1]):
+            return None
+        matrix, cells = read
+        lead = [np.full(len(matrix), value) if kind == NUMERIC
+                else encode([value], np.zeros(len(matrix), np.intp))
+                for value, kind in zip(blank, kinds)]
+        cells = iter(cells)
+        return RawTable(names, kinds, lead + [
+            matrix[:, i].copy() if kind == NUMERIC
+            else encode(next(cells), matrix[:, i].astype(np.intp))
+            for i, kind in enumerate(kinds[len(blank):])])
+
+    if (table := bulk(path, skiprows)) is not None:
+        return table, 0
+    with open_text(path, newline="") as fh:
+        lines = fh.readlines()
+    tables, skipped = [table_of_rows(names, kinds, ())], 0
+    records = (record for record in csv_records(path) if record[0] > skiprows)
+    block = list(islice(records, BLOCK_RECORDS))
+    while block:
+        following = list(islice(records, BLOCK_RECORDS))  # a block ends where the next starts
+        table = bulk(lines[block[0][0] - 1:following[0][0] - 1 if following else None])
+        if table is None:  # each record through the grammar, in the one row loop
+            rows = []
+            for lineno, rec in block:
+                try:
+                    rows.append(grammar(rec))
+                except DataError as exc:
+                    bad_row(path, lineno, exc, on_bad, logger)
+            table = table_of_rows(names, kinds, rows)
+            skipped += len(block) - len(rows)
+        tables.append(table)
+        block = following
+    columns = []
+    for i, kind in enumerate(kinds):
+        parts = [t.columns[i] for t in tables]
+        if kind == NUMERIC:
+            columns.append(np.concatenate(parts))
+        else:  # each part's codes, shifted past the levels of the parts before it
+            shifts = np.cumsum([0] + [len(levels) for levels, _ in parts])
+            columns.append(encode([v for levels, _ in parts for v in levels],
+                                  np.concatenate([c + s for (_, c), s in zip(parts, shifts)])))
+    return RawTable(names, kinds, columns), skipped
+
+
+def read_matrix(source: str | list[str], kinds: Sequence[str], skiprows: int = 0
                 ) -> tuple[np.ndarray, list[list[str]]] | None:
-    """A csv file of one field per kind in every row after its first
-    skiprows lines, read by one ``np.loadtxt`` call (which unquotes as
-    ``csv.reader`` does): a float matrix of its numbers and each categorical
-    cell's code, and per categorical column its distinct cells, stripped, in
-    code order. None for a file that fails a check (another field count in
-    any row, a bad or non-finite number, a line of spaces, no rows), which
-    the caller reads by rows; a file that is not UTF-8 is a DataError."""
+    """A csv file (a path, or its lines) of one field per kind in every row
+    after its first skiprows lines, read by one ``np.loadtxt`` call (which
+    unquotes as ``csv.reader`` does): a float matrix of its numbers and
+    each categorical cell's code, and per categorical column its distinct
+    cells, stripped, in code order. None for a file that fails a check
+    (another field count in any row, a bad or non-finite number, a line of
+    spaces, no rows); a file that is not UTF-8 is a DataError."""
     categorical = [i for i, kind in enumerate(kinds) if kind != NUMERIC]
     books = [_Codebook() for _ in categorical]
     converters = {i: book.__getitem__ for i, book in zip(categorical, books)}
-    with open_text(path, newline="") as fh, warnings.catch_warnings():
+    with (open_text(source, newline="") if isinstance(source, str) else nullcontext(source)
+          ) as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
         try:
             matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
@@ -194,16 +268,6 @@ def read_matrix(path: str, kinds: Sequence[str], skiprows: int = 0
     return matrix, [[cell.strip() for cell in book] for book in books]
 
 
-def table_of(names: Sequence[str], kinds: Sequence[str], matrix: np.ndarray,
-             cells: Sequence[list[str]]) -> RawTable:
-    """A `read_matrix` result as a table of its first len(names) columns:
-    numbers copied, categorical columns in `encode` form."""
-    cells = iter(cells)
-    return RawTable(names, kinds, [matrix[:, i].copy() if kind == NUMERIC
-                                   else encode(next(cells), matrix[:, i].astype(np.intp))
-                                   for i, kind in enumerate(kinds)])
-
-
 def table_of_rows(names: Sequence[str], kinds: Sequence[str], rows: Iterable[Sequence]
                   ) -> RawTable:
     """Rows of values as a table: numbers as float, other values as str in
@@ -212,32 +276,6 @@ def table_of_rows(names: Sequence[str], kinds: Sequence[str], rows: Iterable[Seq
     return RawTable(names, kinds, [np.array(column, dtype=float) if kind == NUMERIC
                                    else encode([str(value) for value in column])
                                    for kind, column in zip(kinds, columns)])
-
-
-def _load_kdd_rows(path: str, on_bad: str) -> RawTable:
-    """load_kdd's table read by rows, reporting or skipping bad rows: every
-    wrong arity first, then each row holding a bad number."""
-    expected = len(_KDD_NAMES)
-    records: list[tuple[int, list[str]]] = []
-    skipped = 0
-    for lineno, rec in csv_records(path):
-        if len(rec) != expected:
-            bad_row(path, lineno, f"expected {expected} fields, got {len(rec)}", on_bad, log)
-            skipped += 1
-        else:
-            records.append((lineno, rec))
-
-    rows: list[list] = []
-    for lineno, rec in records:
-        try:
-            rows.append(parse_connection_fields(rec[:-1]) + [rec[-1].strip()])
-        except DataError as exc:
-            bad_row(path, lineno, exc, on_bad, log)
-            skipped += 1
-
-    if skipped:
-        log.warning("%s: skipped %d malformed rows", path, skipped)
-    return table_of_rows(_KDD_NAMES, _KDD_KINDS, rows)
 
 
 class RowView:

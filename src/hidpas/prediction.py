@@ -14,7 +14,6 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -26,14 +25,12 @@ from .core import (
     BayesNet,
     DataError,
     Variable,
-    bad_row,
     check_params,
     csv_records,
     finite_float,
     open_output,
 )
-from .features import (CATEGORICAL, NUMERIC, RowView, category_states, encode, read_matrix,
-                       table_of)
+from .features import CATEGORICAL, NUMERIC, RowView, category_states, encode, read_table
 from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import Classification, ClassifierModel, HybridPropagator
 
@@ -429,38 +426,38 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
 def load_alert_log(path: str) -> AlertLog:
     """CSV whose first non-blank record is the header
     timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type, then one
-    alert per record, its cells stripped. A body that `read_matrix` reads
-    and whose cells pass the row checks is taken as read; any other is read
-    by the row loop below, the one place that names a bad line."""
+    alert per record, its cells stripped; the body is read by `read_table`,
+    which names the first bad line."""
     with closing(csv_records(path)) as records:
         _, header = next(records, (0, None))
         if header is None or [h.strip() for h in header] != ALERT_LOG_HEADER.split(","):
             raise DataError(f"{path}: expected header {ALERT_LOG_HEADER!r}")
         body, _ = next(records, (0, None))  # the line the first alert starts on
-    read = body and read_matrix(path, AlertLog.KINDS, skiprows=body - 1)
-    if read:
-        matrix, cells = read
-        if not (NOT_TOKEN.search("\0".join(map("\0".join, cells)))
-                or "" in cells[0] or "" in cells[-1]):  # a bad cell, an empty sensor or type
-            return AlertLog(table_of(AlertLog.NAMES, AlertLog.KINDS, matrix, cells))
-    out: list[AlertRecord] = []
-    for lineno, rec in islice(csv_records(path), 1, None):  # after the header
-        try:
-            if len(rec) != 7:
-                raise DataError(f"expected 7 fields, got {len(rec)}")
-            try:
-                ts = finite_float(rec[0])
-            except ValueError:
-                raise DataError(f"bad timestamp {rec[0]!r}") from None
-            fields = list(map(str.strip, rec[1:]))
-            if NOT_TOKEN.search("\0".join(fields)):
-                bad = next(f for f in fields if NOT_TOKEN.search(f))
-                raise DataError(f"field {bad!r} holds whitespace or a comma; sensors, "
-                                f"addresses, ports and attack types must be tokens")
-            out.append(AlertRecord(ts, *fields))
-        except ValueError as exc:  # DataError, or AlertRecord's own checks
-            bad_row(path, lineno, exc, "abort", log)
-    return AlertLog.of_records(out)
+    if not body:
+        return AlertLog.of_records(())
+    table, _ = read_table(path, AlertLog.NAMES, AlertLog.KINDS, _alert_row, "abort", log,
+                          skiprows=body - 1, check=lambda cells: not (  # _alert_row's checks
+                              NOT_TOKEN.search("\0".join(map("\0".join, cells)))
+                              or "" in cells[0] or "" in cells[-1]))
+    return AlertLog(table)
+
+
+def _alert_row(rec: list[str]) -> list:
+    """An alert record's row: its timestamp and its stripped fields, each a
+    token, the sensor and attack type nonempty."""
+    if len(rec) != 7:
+        raise DataError(f"expected 7 fields, got {len(rec)}")
+    try:
+        ts = finite_float(rec[0])
+    except ValueError:
+        raise DataError(f"bad timestamp {rec[0]!r}") from None
+    fields = [cell.strip() for cell in rec[1:]]
+    if (bad := next(filter(NOT_TOKEN.search, fields), None)) is not None:
+        raise DataError(f"field {bad!r} holds whitespace or a comma; sensors, "
+                        f"addresses, ports and attack types must be tokens")
+    if not fields[0] or not fields[-1]:
+        raise DataError("sensor and attack_type are required")
+    return [ts] + fields
 
 
 def write_hyper_csv(hypers: Sequence[HyperAlert], path: str) -> None:

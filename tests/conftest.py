@@ -27,6 +27,13 @@ def cells(table: RawTable, name: str) -> np.ndarray:
     return np.array(levels, dtype=object)[codes]
 
 
+def counting(monkeypatch, module, name: str) -> list:
+    """Wrap module.name, a record grammar, to list the records it is given."""
+    calls, grammar = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda rec: calls.append(rec) or grammar(rec))
+    return calls
+
+
 def shown(column) -> list[str]:
     """A column of a table or a view as the repr of each row's value (so
     -0.0 is not 0.0)."""

@@ -158,6 +158,17 @@ def test_learn_plan_on_a_log_without_alerts_names_its_file(tmp_path, capsys, mon
     assert not plan.exists()
 
 
+def test_learn_plan_on_a_time_range_of_too_many_slots_names_its_file(tmp_path, capsys):
+    log = tmp_path / "alerts.csv"
+    log.write_text("timestamp,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\n"
+                   "1e29,ids1,a,b,c,d,scan\n105,ids1,a,b,c,d,scan\n", encoding="utf-8")
+    plan = tmp_path / "plan.bn"
+    assert run_command(["learn-plan", "--alerts", str(log), "--out", str(plan)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {log}: cannot slot its time range (")
+    assert not plan.exists()
+
+
 def test_detect_missing_model_names_path(capsys, tmp_path):
     out = tmp_path / "alerts.csv"
     rc = run_command(["detect", "--model", "/no/model.bn",

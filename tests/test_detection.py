@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas import possibility
+from hidpas import detection, features, possibility
 from hidpas.core import finite_float
 from hidpas.detection import (
     ALERT_CSV_HEADER,
@@ -37,13 +37,14 @@ from hidpas.features import (
     NUMERIC,
     DataError,
     RawTable,
+    build_rules,
     load_kdd,
     parse_connection_fields,
 )
 
 from hidpas.model_io import load_detector, save_detector
 
-from conftest import cells, data_path, raw_table, shown
+from conftest import cells, counting, data_path, raw_table, shown
 
 
 def toy_table(n_per_class: int = 12) -> RawTable:
@@ -408,8 +409,11 @@ def _stream_outcome(load, path: str, on_bad: str):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stream_files(), st.sampled_from(["abort", "skip"]))
-def test_load_stream_equals_reference_loop(text, on_bad):
+@given(stream_files(), st.sampled_from(["abort", "skip"]),
+       st.sampled_from([1, 2, 3, features.BLOCK_RECORDS]))
+def test_load_stream_equals_reference_loop(text, on_bad, block):
+    """Record for record, level for level and warning for warning, whether
+    the stream is read whole or in blocks of a few records."""
     logger = logging.getLogger("hidpas.detection")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "stream.csv")
@@ -420,11 +424,73 @@ def test_load_stream_equals_reference_loop(text, on_bad):
         handler = _Collect()
         logger.addHandler(handler)
         try:
-            got = _stream_outcome(load_stream, path, on_bad)
+            with mock.patch.object(features, "BLOCK_RECORDS", block):
+                stream = load_stream(path, on_bad)
+        except DataError as exc:
+            stream = None
+            assert expected == ("DataError", str(exc))
         finally:
             logger.removeHandler(handler)
-    assert got == expected
+    if stream is not None:
+        assert list(stream) == expected
+        assert _table_columns(stream.table.columns) == \
+            _table_columns(ConnectionStream.of_records(expected).table.columns)
     assert handler.messages == warned
+
+
+def _prefixed_rows(seed: int, count: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        if len(row := _stream_row(rng, 0.0, 0.0)) == len(KDD_FEATURES) + 3:
+            rows.append(row)
+    return rows
+
+
+def _write_stream(path: Path, rows: list[list[str]]) -> str:
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_one_bad_stream_line_sends_one_block_through_the_grammar(tmp_path, monkeypatch):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", 4)
+    rows = _prefixed_rows(2, 40)
+    rows[21][3] = "abc"  # duration, in the sixth block: records 21-24
+    path = _write_stream(tmp_path / "s.csv", rows)
+    calls = counting(monkeypatch, detection, "_stream_row")
+    assert list(load_stream(path, "skip")) == reference_load_stream(path, "skip", [])
+    assert calls == rows[20:24]
+
+
+def test_a_value_only_on_a_skipped_stream_line_is_no_level(tmp_path, monkeypatch):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", 3)
+    rows = _prefixed_rows(6, 10)
+    for row in rows:
+        row[5] = "http"  # service, a state label
+    rows[4][1], rows[4][5] = "10.9.9.9", "only_here"  # src_ip and service, on line 5
+    rows[4][25] = "abc"  # count, a bad number after them
+    stream = load_stream(_write_stream(tmp_path / "s.csv", rows), "skip")
+    assert len(stream) == 9
+    assert "10.9.9.9" not in stream.table.column("src_ip")[0]
+    assert "only_here" not in stream.table.column("service")[0]
+    assert "only_here" not in build_rules(stream.table, ["service"]).states["service"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_a_stream_record_spanning_a_block_end_reads_whole(tmp_path, monkeypatch, caplog, block):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", block)
+    rows = _prefixed_rows(8, 5)
+    rows[1][4] = '"tc\np"'  # protocol_type: record 2 holds lines 2-3
+    rows[4][3] = "abc"  # record 5, on line 6, sends the file to the block path
+    path = _write_stream(tmp_path / "s.csv", rows)
+    calls = counting(monkeypatch, detection, "_stream_row")
+    with caplog.at_level("WARNING", logger="hidpas.detection"):
+        got = list(load_stream(path, "skip"))
+    assert got == reference_load_stream(path, "skip", [])
+    assert got[1].value("protocol_type") == "tc\np"
+    assert calls and all(rec[4] != "tc\np" for rec in calls)  # it was read in bulk
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:6: skipped row (non-numeric value 'abc' in column duration)"]
 
 
 def test_load_stream_reads_a_well_formed_stream_in_bulk(tmp_path, monkeypatch):
@@ -448,10 +514,10 @@ def test_load_stream_reads_a_well_formed_stream_in_bulk(tmp_path, monkeypatch):
         expected[name] = _stream_outcome(lambda p, b: reference_load_stream(p, b, []),
                                          str(path), "abort")
 
-    def no_row_reader(*args):
-        raise AssertionError("a well-formed stream went to the row reader")
+    def no_row_path(*args):
+        raise AssertionError("a well-formed stream went to the block and row path")
 
-    monkeypatch.setattr("hidpas.detection.parse_connection_fields", no_row_reader)
+    monkeypatch.setattr("hidpas.features.csv_records", no_row_path)  # read_table's records
     for name in texts:
         assert _stream_outcome(load_stream, str(tmp_path / f"{name}.csv"), "abort") == \
             expected[name]

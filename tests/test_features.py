@@ -7,6 +7,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from hidpas.features import (
 )
 from hidpas.prediction import AlertLog, AlertRecord
 
-from conftest import cells, data_path, raw_table, shown
+from conftest import cells, counting, data_path, raw_table, shown
 
 
 def small_table(**columns) -> RawTable:
@@ -111,7 +112,9 @@ def test_data_error_is_the_core_class():
 
 # The csv row reader load_kdd had before its bulk path, kept as the reference
 # the bulk path must match column for column. It names physical lines, as
-# core.csv_records does, and builds its table through raw_table.
+# core.csv_records does, and builds its table through raw_table. Under
+# 'abort' it names the first bad line in file order, a wrong arity or a bad
+# number alike (its first form named every wrong arity before any number).
 def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     names = [n for n, _ in KDD_FEATURES] + [LABEL_COLUMN]
     kinds = [k for _, k in KDD_FEATURES] + [CATEGORICAL]
@@ -119,6 +122,7 @@ def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
 
     raw_rows: list[list[str]] = []
     linenos: list[int] = []
+    bad_lines: dict[int, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         end = 0
@@ -127,9 +131,7 @@ def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
             if len(rec) != expected:
-                message = f"expected {expected} fields, got {len(rec)}"
-                if on_bad == "abort":
-                    raise DataError(f"{path}:{lineno}: {message}")
+                bad_lines[lineno] = f"expected {expected} fields, got {len(rec)}"
                 continue
             raw_rows.append(rec)
             linenos.append(lineno)
@@ -164,10 +166,11 @@ def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
                     r, f"non-finite value {cells[r].strip()!r} in column {name}")
         columns[i] = arr
 
+    bad_lines.update((linenos[r], message) for r, message in bad_rows.items())
+    if bad_lines and on_bad == "abort":
+        first = min(bad_lines)
+        raise DataError(f"{path}:{first}: {bad_lines[first]}")
     if bad_rows:
-        first = min(bad_rows)
-        if on_bad == "abort":
-            raise DataError(f"{path}:{linenos[first]}: {bad_rows[first]}")
         keep = np.ones(len(raw_rows), dtype=bool)
         keep[list(bad_rows)] = False
         columns = [c[keep] for c in columns]
@@ -255,15 +258,19 @@ def _read_outcome(load, path: str, on_bad: str):
     return table.names, table.kinds, columns
 
 
+# records per block of read_table's block path: a few blocks to a file, or one
+BLOCKS = [1, 2, 3, features.BLOCK_RECORDS]
+
+
 @settings(max_examples=300, deadline=None)
-@given(kdd_files(), st.sampled_from(["abort", "skip"]))
-def test_load_kdd_equals_row_reader(text, on_bad):
+@given(kdd_files(), st.sampled_from(["abort", "skip"]), st.sampled_from(BLOCKS))
+def test_load_kdd_equals_row_reader(text, on_bad, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "conn.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = _read_outcome(reference_load_kdd, path, on_bad)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(features, "BLOCK_RECORDS", block):
             warnings.simplefilter("error")
             got = _read_outcome(load_kdd, path, on_bad)
     assert got == expected
@@ -284,12 +291,81 @@ def test_load_kdd_reads_well_formed_file_in_bulk(tmp_path, monkeypatch):
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
     expected = _read_outcome(reference_load_kdd, str(path), "abort")
 
-    def no_row_reader(*args):
-        raise AssertionError("well-formed file went to the row reader")
+    def no_row_path(*args):
+        raise AssertionError("well-formed file went to the block and row path")
 
-    monkeypatch.setattr(features, "_load_kdd_rows", no_row_reader)
+    monkeypatch.setattr(features, "csv_records", no_row_path)  # read_table's records
     assert _read_outcome(load_kdd, str(path), "abort") == expected
     assert expected[2][0][0] == "<f8" and len(expected[2][-1][2]) == 20
+
+
+def _write_kdd(path: Path, rows: list[list[str]]) -> str:
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_load_kdd_names_the_first_bad_line_in_file_order(tmp_path, caplog):
+    rng = random.Random(3)
+    rows = [_kdd_row(rng) for _ in range(4)]
+    rows[1][0] = "abc"  # line 2: a bad number
+    del rows[2][5]  # line 3: a wrong field count
+    path = _write_kdd(tmp_path / "conn.csv", rows)
+    with pytest.raises(DataError, match=r"conn\.csv:2: non-numeric value 'abc' in column duration"):
+        load_kdd(path)
+    with caplog.at_level("WARNING", logger="hidpas.features"):
+        assert load_kdd(path, "skip").row_count == 2
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("hidpas.features", f"{path}:2: skipped row (non-numeric value 'abc' in column duration)"),
+        ("hidpas.features", f"{path}:3: skipped row (expected 42 fields, got 41)"),
+        ("hidpas.features", f"{path}: skipped 2 malformed rows")]
+
+
+def test_one_bad_line_sends_one_block_through_the_grammar(tmp_path, monkeypatch):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", 4)
+    rng = random.Random(2)
+    rows = [_kdd_row(rng) for _ in range(40)]
+    rows[21][0] = "abc"  # in the sixth block, records 21-24
+    path = _write_kdd(tmp_path / "conn.csv", rows)
+    calls = counting(monkeypatch, features, "_kdd_row")
+    assert load_kdd(path, "skip").row_count == 39
+    assert calls == rows[20:24]
+    assert _read_outcome(load_kdd, path, "skip") == \
+        _read_outcome(reference_load_kdd, path, "skip")
+
+
+def test_a_value_only_on_a_skipped_line_is_no_level(tmp_path, monkeypatch):
+    """loadtxt gives a block's cells their codes before the block fails;
+    those codes go with the block."""
+    monkeypatch.setattr(features, "BLOCK_RECORDS", 3)
+    rng = random.Random(6)
+    rows = [_kdd_row(rng) for _ in range(10)]
+    rows[4][2] = "only_here"  # service, on line 5
+    rows[4][22] = "abc"  # count, a bad number after it
+    path = _write_kdd(tmp_path / "conn.csv", rows)
+    table = load_kdd(path, "skip")
+    assert table.row_count == 9
+    assert "only_here" not in table.column("service")[0]
+    assert "only_here" not in build_rules(table, ["service"]).states["service"]
+    assert _read_outcome(load_kdd, path, "skip") == \
+        _read_outcome(reference_load_kdd, path, "skip")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_a_quoted_newline_at_a_block_end_reads_as_the_reference(tmp_path, monkeypatch, block):
+    """Blocks are cut at record starts, so a record that spans two lines is
+    read whole wherever a block ends."""
+    monkeypatch.setattr(features, "BLOCK_RECORDS", block)
+    rng = random.Random(8)
+    rows = [_kdd_row(rng) for _ in range(5)]
+    rows[1][1] = '"tc\np"'  # record 2 holds lines 2-3: it ends the first block of 2
+    rows[4][0] = "abc"  # a bad row sends the file to the block path
+    path = _write_kdd(tmp_path / "conn.csv", rows)
+    calls = counting(monkeypatch, features, "_kdd_row")
+    for on_bad in ("abort", "skip"):
+        assert _read_outcome(load_kdd, path, on_bad) == \
+            _read_outcome(reference_load_kdd, path, on_bad)
+    assert "tc\np" in load_kdd(path, "skip").column("protocol_type")[0]
+    assert calls and all(rec[1] != "tc\np" for rec in calls)  # it was read in bulk
 
 
 @pytest.mark.parametrize("extra", [(1, -1), (1, 1), (2, 0)])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidpas import possibility, prediction
+from hidpas import features, possibility, prediction
 from hidpas.detection import DetectorConfig, classify_connections, load_stream, train_detector
 from hidpas.features import DataError, load_kdd
 from hidpas.oracles import enumerate_marginal
@@ -39,7 +39,7 @@ from hidpas.prediction import (
     write_hyper_csv,
 )
 
-from conftest import data_path
+from conftest import counting, data_path
 
 
 def alert(ts, attack, sensor="s1", sip="1.1.1.1", sport="10",
@@ -550,7 +550,8 @@ def test_hyper_csv_quotes_a_name_holding_a_comma(tmp_path):
 LOG_CELLS = {"sensor": ["ids1", "ids-2", "\u00fc"], "src_ip": ["", "10.0.0.5", "10.0.0.6"],
              "src_port": ["", "2001", "80"], "dst_ip": ["", "192.168.1.10", 'q"t'],
              "dst_port": ["", "445", "0"], "attack_type": ["scan", "dos", "a\"b", "__empty__"]}
-LOG_STAMPS = ["0", "1.5", "-3", "1e3", "+.5", "007", "-0", "60", "59.999"]
+# "1_0" is float's spelling of 10, which loadtxt rejects: its block goes to the row loop
+LOG_STAMPS = ["0", "1.5", "-3", "1e3", "+.5", "007", "-0", "60", "59.999", "1_0"]
 
 
 @st.composite
@@ -583,16 +584,20 @@ def alert_log_files(draw) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(alert_log_files(), st.sampled_from(ATTRIBUTE_FIELDS))
-def test_alert_log_equals_the_row_loop_and_aggregates_as_the_reference(text, merge_key):
+@given(alert_log_files(), st.sampled_from(ATTRIBUTE_FIELDS),
+       st.sampled_from([1, 2, 3, features.BLOCK_RECORDS]))
+def test_alert_log_equals_the_row_loop_and_aggregates_as_the_reference(text, merge_key, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "alerts.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        log = load_alert_log(path)
-        with mock.patch.object(prediction, "read_matrix", return_value=None):
+        with mock.patch.object(features, "BLOCK_RECORDS", block):
+            log = load_alert_log(path)
+        with mock.patch.object(features, "read_matrix", return_value=None):
             records = list(load_alert_log(path))  # read by the row loop
     assert list(log) == records
+    for i, name in enumerate(LOG_FIELDS, start=1):  # no level but a kept alert's
+        assert log.table.columns[i][0] == sorted({getattr(a, name) for a in records})
     assert list(map(repr, log.timestamps.tolist())) == [repr(a.timestamp) for a in records]
     got = aggregate_alerts(log, merge_key)
     # earliest as the hyper CSV writes it: -0 and 0 compare equal but print apart
@@ -611,19 +616,60 @@ def test_load_alert_log_reads_a_well_formed_log_in_bulk(tmp_path, monkeypatch):
              ' \n\n"timestamp" ,sensor,src_ip,src_port,dst_ip,dst_port,attack_type\r\n'
              '" 1 ",ids1, a ,,"c",,scan \r\n\r\n2,"ids1",a,"",c,445,"a""b"\r\n']
     expected = []
-    with mock.patch.object(prediction, "read_matrix", return_value=None):
+    with mock.patch.object(features, "read_matrix", return_value=None):
         for i, text in enumerate(texts):
             (tmp_path / f"{i}.csv").write_text(text, encoding="utf-8", newline="")
             expected.append(list(load_alert_log(str(tmp_path / f"{i}.csv"))))
 
-    def no_row_loop(*args):
-        raise AssertionError("a well-formed log went to the row loop")
+    def no_row_path(*args):
+        raise AssertionError("a well-formed log went to the block and row path")
 
-    monkeypatch.setattr(prediction, "finite_float", no_row_loop)
+    monkeypatch.setattr(features, "csv_records", no_row_path)  # read_table's records
     for i, records in enumerate(expected):
         assert list(load_alert_log(str(tmp_path / f"{i}.csv"))) == records
     assert expected[2] == [AlertRecord(1.0, "ids1", "a", "", "c", "", "scan"),
                            AlertRecord(2.0, "ids1", "a", "", "c", "445", 'a"b')]
+
+
+def _alert_lines(count: int) -> list[str]:
+    return [f"{t},ids{t % 2},10.0.0.{t % 5},{2000 + t % 3},192.168.1.10,445,scan{t % 4}"
+            for t in range(count)]
+
+
+def _write_log(path: Path, lines: list[str]) -> str:
+    path.write_text("\n".join([ALERT_LOG_HEADER] + lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_one_line_the_bulk_read_rejects_sends_one_block_through_the_grammar(tmp_path,
+                                                                             monkeypatch):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", 4)
+    lines = _alert_lines(40)
+    lines[21] = "2_1" + lines[21][2:]  # in the sixth block: alerts 21-24
+    path = _write_log(tmp_path / "alerts.csv", lines)
+    calls = counting(monkeypatch, prediction, "_alert_row")
+    log = load_alert_log(path)
+    assert [rec[0] for rec in calls] == ["20", "2_1", "22", "23"]
+    assert log.timestamps.tolist() == list(range(40))
+    with mock.patch.object(features, "read_matrix", return_value=None):
+        assert list(log) == list(load_alert_log(path))
+    with pytest.raises(DataError, match=r"alerts\.csv:30: bad timestamp 'x28'"):
+        load_alert_log(_write_log(tmp_path / "alerts.csv", lines[:28] + ["x" + lines[28]]))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_an_alert_spanning_a_block_end_reads_whole(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(features, "BLOCK_RECORDS", block)
+    lines = _alert_lines(5)
+    lines[1] = '"1\n",ids1,10.0.0.1,2001,192.168.1.10,445,scan1'  # alert 2 holds lines 3-4
+    lines[4] = "4_0" + lines[4][1:]  # alert 5, read by the grammar
+    path = _write_log(tmp_path / "alerts.csv", lines)
+    calls = counting(monkeypatch, prediction, "_alert_row")
+    log = load_alert_log(path)
+    assert log.timestamps.tolist() == [0, 1, 2, 3, 40]
+    assert calls and all(rec[0] != "1\n" for rec in calls)  # it was read in bulk
+    with mock.patch.object(features, "read_matrix", return_value=None):
+        assert list(log) == list(load_alert_log(path))
 
 
 # -- bulk walks against per-member references ------------------------------------------
