@@ -26,7 +26,7 @@ from .jtree import (
     propagate,
     query_marginal,
 )
-from .possibility import HybridPropagator, necessity, prob_to_poss, transformed_factors
+from .possibility import HybridPropagator, Memo, necessity, prob_to_poss, transformed_factors
 
 
 def _factor_on_grid(factor: Potential, grids: np.ndarray) -> np.ndarray:
@@ -259,7 +259,7 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
 
 def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
                      max_tol: float = 1e-12) -> OracleReport:
-    """HybridPropagator.query_batch, the memoized path every classifier and
+    """A `Memo` over `HybridPropagator.solve`, the path every classifier and
     forecast takes, vs enumeration in both semirings. Each forest net answers
     two calls drawn from three evidence rows, so rows repeat within and
     across calls, then a call on all three rows whose targets are the
@@ -277,13 +277,14 @@ def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
         pool = [random_evidence(rng, net) for _ in range(3)]
         targets = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                     replace=False))
-        engine = HybridPropagator(net)
-        plan = initialize_potentials(engine.structure, net_factors(net)).plan
-        calls = [(rng.integers(0, len(pool), size=4).tolist(), targets) for _ in range(2)]
+        engine, memo = HybridPropagator(net), Memo()
+        plan = engine._prob.plan
+        calls = [(rng.integers(0, len(pool), size=4).tolist(), tuple(targets)) for _ in range(2)]
         calls.append((list(range(len(pool))),
-                      sorted(v for v, c in plan.home.items() if c in plan.roots)))
+                      tuple(sorted(v for v, c in plan.home.items() if c in plan.roots))))
         for picks, asked in calls:
-            answers = engine.query_batch([pool[i] for i in picks], asked)
+            answers = memo.recall(evidence_matrix(engine._prob, [pool[i] for i in picks]), asked,
+                                  lambda rows: engine.solve(rows, asked))
             for i, got in zip(picks, answers):
                 for var in asked:
                     report.cases += 1

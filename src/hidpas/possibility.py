@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,10 +35,10 @@ log = logging.getLogger(__name__)
 
 ZERO_GUARD = 1e-12  # probabilities below this are treated as exact zeros
 NORM_TOL = 1e-9
-# Marginals one memo keeps, an engine's answers or a classifier's decisions,
-# an entry weighing one per target (at least one); the oldest entry goes
-# first. A detector entry takes about 1.2 KB, a plan marginal about 620 B,
-# so a full memo holds 5-10 MB.
+# Marginals one model's memo keeps, a classifier's decisions or a plan's
+# forecasts, an entry weighing one per target (at least one); the oldest
+# entry goes first. A detector entry takes about 1.2 KB, a plan marginal
+# about 620 B, so a full memo holds 5-10 MB.
 MEMO_MARGINALS = 2 ** 13
 # Cluster table entries one engine calibrates at once: `solve` takes its
 # rows in chunks of this many entries, so its memory does not grow with
@@ -50,8 +50,12 @@ TRANSFORM_BUDGET = 2 ** 13
 
 
 class ImpossibleEvidenceError(RuntimeError):
-    """The asserted evidence has probability / possibility zero; raised by
-    `HybridPropagator.query`."""
+    """Evidence of probability or possibility zero under a net, which
+    `HybridPropagator.solve` answers None; `HybridPropagator.query` and
+    `predict_attacks` raise it."""
+
+    def __init__(self, message: str = "evidence has zero probability/possibility in this network"):
+        super().__init__(message)
 
 
 def prob_to_poss(p: Sequence[float]) -> np.ndarray:
@@ -252,16 +256,18 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
 
 
 class Memo(dict):
-    """Answers keyed by (evidence row bytes, targets), oldest first: past
-    MEMO_MARGINALS in all, the oldest entries go. It is not locked, so
-    threads must not share one."""
+    """A model's answers (`ClassifierModel.decisions`, `PlanModel.forecasts`)
+    keyed by (evidence row bytes, targets), oldest first: past MEMO_MARGINALS
+    in all, the oldest entries go. It is not locked, so threads must not
+    share one."""
 
     weight = 0
 
     def recall(self, observed: np.ndarray, targets: tuple[int, ...], solve) -> list:
         """The answer for each row of an evidence matrix: a remembered one,
         or, for the distinct rows not remembered, the answers of one
-        solve(rows) call over those rows, which are then remembered."""
+        solve(rows) call over those rows, which are then remembered; solve
+        checks each row first, so a bad row raises even among remembered ones."""
         keys = [(row.tobytes(), targets) for row in observed]
         found, misses = {}, {}
         for row, key in enumerate(keys):
@@ -280,19 +286,23 @@ class Memo(dict):
         return [found[key] for key in keys]
 
 
-def _log_breaches(marginals: dict[int, HybridMarginal]) -> None:
-    for var, hm in marginals.items():
-        if (violation := hm.sandwich_violation()) > 0:
-            log.debug("post-propagation interval breach %.3g on variable %d", violation, var)
+def log_breaches(marginals: Iterable[HybridMarginal]) -> None:
+    """At DEBUG level, log each marginal whose interval misses its probability."""
+    if log.isEnabledFor(logging.DEBUG):
+        for hm in marginals:
+            if (violation := hm.sandwich_violation()) > 0:
+                log.debug("post-propagation interval breach %.3g on variable %d",
+                          violation, hm.variable)
 
 
 class HybridPropagator:
-    """Caches the shared tree structure, its one calibration plan and both
-    factor sets for one net.
+    """The hybrid engine of one net: its tree structure, one calibration
+    plan and both factor sets, built once.
 
     Step 1 transforms every CPT row, step 2 builds a single junction tree,
     step 3 runs sum-product and max-min calibration under the same evidence.
-    Answers are memoized per (evidence row, targets) in a `Memo`.
+    The engine keeps no answers; the models that answer through it memoize
+    theirs.
     """
 
     def __init__(self, net: BayesNet):
@@ -300,49 +310,22 @@ class HybridPropagator:
         self.structure: JunctionTree = build_tree_for_net(net)
         self._prob = initialize_potentials(self.structure, net_factors(net), SUM_PRODUCT)
         self._poss = initialize_potentials(self._prob, transformed_factors(net), MAX_MIN)
-        self._memo = Memo()
 
     def query(self, evidence: Mapping[int, int] | None,
               targets: Sequence[int]) -> dict[int, HybridMarginal]:
-        """The batch of one; raises ImpossibleEvidenceError where
-        `query_batch` answers None."""
-        [marginals] = self.query_batch([evidence], targets)
+        """`solve` on the one row of an evidence dict; raises
+        ImpossibleEvidenceError where `solve` answers None."""
+        [marginals] = self.solve(evidence_matrix(self._prob, [evidence]), tuple(targets))
         if marginals is None:
-            raise ImpossibleEvidenceError(
-                "evidence has zero probability/possibility in this network")
+            raise ImpossibleEvidenceError()
         return marginals
-
-    def query_batch(self, evidence: np.ndarray | Sequence[Mapping[int, int] | None],
-                    targets: Sequence[int]) -> list[dict[int, HybridMarginal] | None]:
-        """One dict of marginals per evidence row, or None for a row whose
-        evidence has zero probability or possibility. Each row equals `query`
-        on that row alone, bit for bit. The rows are an `evidence_matrix`, or
-        the evidence dicts it is made from.
-
-        Rows already answered for these targets come from the memo; the
-        distinct others are calibrated by `solve`. Only checked rows enter
-        the memo, so a bad row is always calibrated, and raises, even among
-        cached ones. Each caller gets its own dicts.
-        """
-        targets = tuple(targets)
-        observed = (evidence if isinstance(evidence, np.ndarray)
-                    else evidence_matrix(self._prob, evidence))
-        debug = log.isEnabledFor(logging.DEBUG)
-        out: list[dict[int, HybridMarginal] | None] = []
-        for marginals in self._memo.recall(observed, targets,
-                                           lambda rows: self.solve(rows, targets)):
-            if marginals is not None:
-                marginals = dict(marginals)
-                if debug:
-                    _log_breaches(marginals)
-            out.append(marginals)
-        return out
 
     def solve(self, observed: np.ndarray, targets: tuple[int, ...]
               ) -> list[dict[int, HybridMarginal] | None]:
-        """`query_batch` without the memo: the rows pruned to the targets'
-        read-out clusters, one calibration per semiring for every
-        ENTRY_BUDGET table entries, so memory does not grow with the rows."""
+        """One dict of marginals per evidence-matrix row, None where its
+        evidence has zero mass, each row as if solved alone, bit for bit:
+        the rows pruned to the targets' read-out clusters, one calibration
+        per semiring for every ENTRY_BUDGET table entries."""
         step = max(1, ENTRY_BUDGET // self._prob.plan.entries)
         return [answer for start in range(0, len(observed), step)
                 for answer in self._calibrate(observed[start:start + step], targets)]
@@ -445,26 +428,27 @@ class ClassifierModel:
         not in `decisions` are calibrated together by the engine's `solve`,
         and rows that repeat share one `Classification`, copied only to
         carry a row's unknown values. A row whose evidence has zero mass
-        under the model gets the class prior instead, flagged
-        low-confidence, with a warning on the caller's logger.
+        under the model gets the `prior` instead, with a warning on the
+        caller's logger.
         """
         targets = (self.class_var,)
         decisions = self.decisions.recall(observed, targets, lambda rows: [
             None if posterior is None else self._decide(posterior[self.class_var])
             for posterior in self.engine.solve(rows, targets)])
-        debug = log.isEnabledFor(logging.DEBUG)
-        prior = None
         results = []
         for missed, decision in zip(unknown, decisions):
             if decision is None:
                 logger.warning("impossible evidence for record; falling back to prior")
-                if prior is None:
-                    prior = self._decide(self.engine.query({}, targets)[self.class_var], True)
-                decision = prior
-            elif debug:
-                _log_breaches({self.class_var: decision.marginal})
+                decision = self.prior
             results.append(replace(decision, unknown_values=missed) if missed else decision)
+        log_breaches(result.marginal for result in results)
         return results
+
+    @cached_property
+    def prior(self) -> Classification:
+        """The decision on no evidence, flagged low-confidence: the one
+        `classify` gives a row of zero mass."""
+        return self._decide(self.engine.query({}, (self.class_var,))[self.class_var], True)
 
     def _decide(self, marginal: HybridMarginal, low: bool = False) -> Classification:
         state, uninformative = select_state(marginal, self.tau)

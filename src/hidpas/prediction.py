@@ -12,7 +12,7 @@ import csv
 import logging
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -32,7 +32,8 @@ from .core import (
 )
 from .features import CATEGORICAL, NUMERIC, RowView, category_states, encode, read_table
 from .learning import DiscreteDataset, fit_cpts, k2_search
-from .possibility import Classification, ClassifierModel, HybridPropagator
+from .possibility import (Classification, ClassifierModel, HybridPropagator,
+                          ImpossibleEvidenceError, Memo, log_breaches)
 
 log = logging.getLogger(__name__)
 
@@ -286,10 +287,13 @@ def build_transactions(hypers: Sequence[HyperAlert], dt: float,
 class PlanModel:
     """Binary occurrence network over hyper-alerts, with the gap threshold.
     Each variable is a hyper-alert, named as the variable is (`hyper_names`).
-    Every variable has the states OCCURRENCE; another net raises ValueError."""
+    Every variable has the states OCCURRENCE; another net raises ValueError.
+    `forecasts` memoizes `predict_attacks` per observed set; a copy made by
+    `dataclasses.replace` starts with an empty one."""
 
     net: BayesNet
     tau: float
+    forecasts: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for var in self.net.dag.variables:
@@ -391,13 +395,18 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     Observation asserts `present`; unobserved steps are never asserted
     absent. `max` selects the informative node(s) of highest probability;
     `threshold` selects every informative node with probability >= theta.
+    Each observed set's marginals are memoized in `model.forecasts`.
     """
     check_params(selection=selection, theta=theta)
     observed_ids = sorted({model.var_of(h) for h in observed})
-    evidence = {vid: PRESENT for vid in observed_ids}
-    targets = [i for i in range(len(model.hyper_names)) if i not in observed_ids]
-
-    marginals = model.engine.query(evidence, targets) if targets else {}
+    targets = tuple(i for i in range(len(model.hyper_names)) if i not in observed_ids)
+    row = np.full((1, len(model.hyper_names)), -1, dtype=np.intp)
+    row[0, observed_ids] = PRESENT
+    [marginals] = model.forecasts.recall(row, targets,
+                                         lambda rows: model.engine.solve(rows, targets))
+    if marginals is None:
+        raise ImpossibleEvidenceError()
+    log_breaches(marginals.values())
     draft = []
     for vid in targets:
         n, p, pi = marginals[vid].triple(PRESENT)

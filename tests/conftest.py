@@ -27,10 +27,13 @@ def cells(table: RawTable, name: str) -> np.ndarray:
     return np.array(levels, dtype=object)[codes]
 
 
-def counting(monkeypatch, module, name: str) -> list:
-    """Wrap module.name, a record grammar, to list the records it is given."""
-    calls, grammar = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda rec: calls.append(rec) or grammar(rec))
+def counting(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name, a module's function or a class's method, to list the
+    first argument of each call: the record a grammar is given, the tree
+    `propagate` calibrates, or the engine a method is called on."""
+    calls, wrapped = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda first, *rest: calls.append(first) or wrapped(first, *rest))
     return calls
 
 

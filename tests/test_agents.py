@@ -141,7 +141,10 @@ def test_ipa_step_is_pure_and_replayable(sim_setup):
 def test_ipa_step_skips_a_prediction_on_impossible_evidence(sim_setup, caplog):
     """In this plan x rules out portsweep, so observing both has zero mass
     and y cannot be forecast: the IPA logs the skip, emits nothing, and
-    still records the alert's hyper-alert as observed."""
+    still records the alert's hyper-alert as observed. It does the same
+    when y is observed too, leaving nothing to forecast."""
+    from dataclasses import replace
+
     import numpy as np
 
     from hidpas.core import BayesNet, Dag, Variable
@@ -159,6 +162,13 @@ def test_ipa_step_skips_a_prediction_on_impossible_evidence(sim_setup, caplog):
     assert new_state.observed == ("x", "portsweep")
     assert [r.getMessage() for r in caplog.records] == [
         "prediction skipped: observed set ['x', 'portsweep'] has zero mass in the plan model"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="hidpas.agents"):
+        new_state, out = ipa_step(replace(state, observed=("x", "y")),
+                                  AgentMessage(ALERT, "host-c", sample_alert()))
+    assert out == () and new_state.observed == ("x", "y", "portsweep")
+    assert [r.getMessage() for r in caplog.records] == [
+        "prediction skipped: observed set ['x', 'y', 'portsweep'] has zero mass in the plan model"]
 
 
 def test_ipa_step_first_alert_emits_one_prediction(sim_setup):

@@ -737,6 +737,28 @@ def test_impossible_row_falls_back_to_prior_alone(deterministic_model, caplog):
     assert [r.label for r in results[::2]] == ["normal", "dos"]
 
 
+def test_the_prior_is_decided_once_for_every_impossible_row(deterministic_model, monkeypatch,
+                                                            caplog):
+    """A detect pass over several batches, each holding an impossible row,
+    decides the prior once and warns once per such row."""
+    model, table = deterministic_model
+    model = replace(model)
+    normal = record_from_table(table, 0)
+    values = list(normal.values)
+    values[0] = -1.0  # duration
+    impossible = ConnectionRecord(tuple(values))
+    batches = [[normal, impossible], [impossible, impossible, normal], [impossible]]
+    queries = counting(monkeypatch, possibility.HybridPropagator, "query")
+    with caplog.at_level("WARNING", logger="hidpas.detection"):
+        results = [result for batch in batches for result in classify_connections(model, batch)]
+    assert queries == [model.engine]
+    assert [r.getMessage() for r in caplog.records] == [
+        "impossible evidence for record; falling back to prior"] * 4
+    assert [result is model.prior for result in results] == [
+        False, True, True, True, False, True]
+    assert model.prior.low_confidence
+
+
 def test_detect_stream_raises_on_a_broken_record(deterministic_model):
     model, table = deterministic_model
     values = list(record_from_table(table, 0).values)

@@ -346,10 +346,11 @@ def test_batched_calibration_equals_single_queries(seed, rows):
                 assert np.array_equal(query_marginal(batch, var)[row],
                                       query_marginal(alone, var)[0])
 
-    targets = list(range(len(net.dag.variables)))
-    for ev, got in zip(evidence, HybridPropagator(net).query_batch(evidence, targets)):
+    targets = tuple(range(len(net.dag.variables)))
+    engine = HybridPropagator(net)
+    for ev, got in zip(evidence, engine.solve(evidence_matrix(engine._prob, evidence), targets)):
         try:
-            alone = HybridPropagator(net).query(ev, targets)  # a fresh engine: no memo
+            alone = HybridPropagator(net).query(ev, targets)
         except ImpossibleEvidenceError:
             alone = None
         assert got == alone

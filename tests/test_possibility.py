@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +25,15 @@ from hidpas.possibility import (
     HybridMarginal,
     ImpossibleEvidenceError,
     HybridPropagator,
+    Memo,
     necessity,
     prob_to_poss,
     select_state,
     transformed_factors,
 )
+from hidpas.prediction import OCCURRENCE, PRESENT, PlanModel, predict_attacks
+
+from conftest import counting
 
 
 def positive_distributions(max_n: int = 10):
@@ -260,25 +266,43 @@ def test_hybrid_sandwich_violations_reported_not_asserted():
     assert cases > 0
 
 
+def occurrence_net(net: BayesNet) -> BayesNet:
+    """A binary net with its variables' states renamed OCCURRENCE, as a plan
+    model's are."""
+    variables = tuple(Variable(v.id, v.name, OCCURRENCE) for v in net.dag.variables)
+    return BayesNet(Dag(variables, net.dag.parents), net.cpts)
+
+
 def test_post_propagation_breaches_are_logged_at_debug_level(caplog):
-    """query_batch logs each target whose interval misses its probability,
-    at DEBUG level only."""
+    """predict_attacks logs each target whose interval misses its
+    probability, for a forecast its memo answers as well as one it
+    calibrates, at DEBUG level only."""
     rng = np.random.default_rng(29)
     cases = [(net, random_evidence(rng, net)) for net in (random_net(rng) for _ in range(40))]
+    forecasts = []
+    for _ in range(40):
+        plan = PlanModel(occurrence_net(random_net(rng, max_arity=2)), 0.5)
+        n = len(plan.hyper_names)
+        forecasts.append((plan, sorted(rng.choice(n, size=int(rng.integers(0, n // 2 + 1)),
+                                                  replace=False).tolist())))
     expected = []
     with caplog.at_level("DEBUG", logger="hidpas.possibility"):
-        for net, ev in cases:
-            [marginals] = HybridPropagator(net).query_batch([ev], range(len(net.dag.variables)))
-            for var, hm in (marginals or {}).items():
-                if (breach := hm.sandwich_violation()) > 0:
-                    expected.append(f"post-propagation interval breach {breach:.3g} "
-                                    f"on variable {var}")
+        for plan, observed in forecasts:
+            targets = [v for v in range(len(plan.hyper_names)) if v not in observed]
+            marginals = plan.engine.query({v: PRESENT for v in observed}, targets)
+            for _ in range(2):
+                predict_attacks(plan, observed)
+                for var, hm in marginals.items():
+                    if (breach := hm.sandwich_violation()) > 0:
+                        expected.append(f"post-propagation interval breach {breach:.3g} "
+                                        f"on variable {var}")
     assert expected
     assert [r.getMessage() for r in caplog.records] == expected
     caplog.clear()
     with caplog.at_level("INFO", logger="hidpas.possibility"):
-        for net, ev in cases:
-            HybridPropagator(net).query_batch([ev], range(len(net.dag.variables)))
+        for plan, observed in forecasts:
+            predict_attacks(plan, observed)
+            predict_attacks(replace(plan), observed)
     assert caplog.records == []
 
     # classify logs its class variable's breach for every row it decides, a
@@ -314,24 +338,33 @@ def test_hybrid_marginal_type_invariants_enforced():
         HybridMarginal(0, (0.0, 0.0), (0.7, 0.7), (1.0, 1.0))  # P sums to 1.4
 
 
-# -- the query memo ------------------------------------------------------------------
+# -- the engine and the models' memos ---------------------------------------------
+
+def recall(memo: Memo, engine: HybridPropagator, rows, targets) -> list:
+    """The memo's answers for evidence dicts, solved by the engine: the path
+    a model's memo takes."""
+    targets = tuple(targets)
+    return memo.recall(evidence_matrix(engine._prob, rows), targets,
+                       lambda rows: engine.solve(rows, targets))
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=5), min_size=1, max_size=4))
 def test_memoized_queries_equal_fresh_ones(seed, forest, calls):
     """Rows drawn from a small pool repeat within and across calls, over
-    varying target lists; every answer equals a fresh engine queried on that
-    row alone, and every None an ImpossibleEvidenceError."""
+    varying target lists; every answer a memo recalls over `solve` equals a
+    fresh engine queried on that row alone, and every None an
+    ImpossibleEvidenceError."""
     rng = np.random.default_rng(seed)
     net = forest_net(rng) if forest else random_net(rng, max_vars=6)
     n = len(net.dag.variables)
     pool = [random_evidence(rng, net) for _ in range(4)]
     target_lists = [list(range(n)), [n - 1], [0, n - 1]]
-    engine = HybridPropagator(net)
+    engine, memo = HybridPropagator(net), Memo()
     for k, picks in enumerate(calls):
         targets = target_lists[k % len(target_lists)]
-        for i, got in zip(picks, engine.query_batch([pool[i] for i in picks], targets)):
+        for i, got in zip(picks, recall(memo, engine, [pool[i] for i in picks], targets)):
             try:
                 alone = HybridPropagator(net).query(pool[i], targets)
             except ImpossibleEvidenceError:
@@ -339,18 +372,44 @@ def test_memoized_queries_equal_fresh_ones(seed, forest, calls):
             assert got == alone
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=6))
+def test_the_engine_keeps_no_state(seed, calls):
+    """After any sequence of `query` (a call of one row) and `solve` calls,
+    the engine holds the attributes it was built with, and every answer
+    equals a fresh engine's."""
+    rng = np.random.default_rng(seed)
+    net = forest_net(rng)
+    pool = [random_evidence(rng, net) for _ in range(4)]
+    targets = tuple(sorted(set(rng.integers(0, len(net.dag.variables), size=3).tolist())))
+    engine = HybridPropagator(net)
+    built = dict(vars(engine))
+
+    def answer(by: HybridPropagator, rows: list) -> list:
+        if len(rows) > 1:
+            return by.solve(evidence_matrix(by._prob, rows), targets)
+        try:
+            return [by.query(rows[0], targets)]
+        except ImpossibleEvidenceError:
+            return [None]
+
+    for picks in calls:
+        rows = [pool[i] for i in picks]
+        assert answer(engine, rows) == answer(HybridPropagator(net), rows)
+    assert vars(engine).keys() == built.keys()
+    assert all(vars(engine)[name] is value for name, value in built.items())
+
+
 def test_memo_evicts_the_oldest_entry_past_its_cap(two_node_net, monkeypatch):
-    calibrations = []
-    propagate = possibility.propagate
-    monkeypatch.setattr(possibility, "propagate",
-                        lambda *args: calibrations.append(1) or propagate(*args))
+    calibrations = counting(monkeypatch, possibility, "propagate")
     monkeypatch.setattr(possibility, "MEMO_MARGINALS", 3)
-    engine = HybridPropagator(two_node_net)
+    engine, memo = HybridPropagator(two_node_net), Memo()
     a, b, c, d = {}, {0: 0}, {0: 1}, {1: 0}
 
     def calls(rows):
         before = len(calibrations)
-        engine.query_batch(rows, [1])
+        recall(memo, engine, rows, [1])
         return len(calibrations) - before
 
     assert calls([a, b, c, a]) == 2  # one calibration per semiring, duplicates once
@@ -361,25 +420,30 @@ def test_memo_evicts_the_oldest_entry_past_its_cap(two_node_net, monkeypatch):
 
 
 def test_memo_hits_do_not_share_the_callers_dict(two_node_net):
+    """Each `query` builds its own dict, so a caller's changes reach no other
+    caller; a forecast its memo answers equals the one it calibrated."""
     engine = HybridPropagator(two_node_net)
     first = engine.query({0: 1}, [1])
     expected = dict(first)
     first[1] = None
     first[7] = "changed"
     assert engine.query({0: 1}, [1]) == expected
-    assert engine.query_batch([{0: 1}], [1]) == [expected]
+    plan = PlanModel(occurrence_net(two_node_net), 0.5)
+    report = predict_attacks(plan, [0])
+    assert report.rows[0].probability == expected[1].probability[PRESENT]
+    assert predict_attacks(plan, [0]) == report and len(plan.forecasts) == 1
 
 
 def test_memo_still_checks_every_row(two_node_net):
-    engine = HybridPropagator(two_node_net)
+    engine, memo = HybridPropagator(two_node_net), Memo()
     engine.query({0: 1}, [1])
     with pytest.raises(ValueError):
         engine.query({0: 2}, [1])
-    engine.query_batch([{0: 0}, {0: 1}], [1])
+    recall(memo, engine, [{0: 0}, {0: 1}], [1])
     with pytest.raises(ValueError, match="out of range for variable 1"):
-        engine.query_batch([{0: 0}, {1: 2}, {0: 1}], [1])
+        recall(memo, engine, [{0: 0}, {1: 2}, {0: 1}], [1])
     with pytest.raises(ValueError, match="absent from the tree"):
-        engine.query_batch([{0: 0}], [5])
+        recall(memo, engine, [{0: 0}], [5])
 
 
 def test_a_non_integer_evidence_state_is_rejected(two_node_net):
@@ -390,7 +454,7 @@ def test_a_non_integer_evidence_state_is_rejected(two_node_net):
         with pytest.raises(ValueError, match="for variable 0 is not an integer"):
             engine.query({0: bad}, [1])
         with pytest.raises(ValueError, match="for variable 0 is not an integer"):
-            engine.query_batch([{0: 0}, {0: bad}], [1])
+            recall(Memo(), engine, [{0: 0}, {0: bad}], [1])
     assert engine.query({0: np.int64(1)}, [1]) == HybridPropagator(two_node_net).query({0: 1}, [1])
 
 
@@ -406,26 +470,20 @@ def deterministic_root_net() -> BayesNet:
 
 @pytest.mark.parametrize("rows_per_call", [1, 2, 3, 4, 9, 20])
 def test_query_batch_calibrates_within_the_entry_budget(monkeypatch, rows_per_call):
-    """A budget of k rows' table entries calibrates N distinct unseen rows in
-    ceil(N / k) calls per semiring; duplicates count once, and every row,
-    impossible ones included, equals a fresh engine's single query."""
+    """A budget of k rows' table entries makes a memo over `solve` calibrate
+    N distinct unseen rows in ceil(N / k) calls per semiring; duplicates
+    count once, and every row, impossible ones included, equals a fresh
+    engine's single query."""
     net = deterministic_root_net()
     distinct = [{}, {0: 0}, {0: 1}, {1: 0}, {1: 1}, {0: 0, 1: 0},
                 {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}]
     rows = distinct + distinct[::2]
     engine = HybridPropagator(net)
-    calls = {"sum-product": 0, "max-min": 0}
-    propagate = possibility.propagate
-
-    def counted(jt, *args):
-        calls[jt.semiring] += 1
-        return propagate(jt, *args)
-
-    monkeypatch.setattr(possibility, "propagate", counted)
+    calls = counting(monkeypatch, possibility, "propagate")
     monkeypatch.setattr(possibility, "ENTRY_BUDGET", rows_per_call * engine._prob.plan.entries)
-    got = engine.query_batch(rows, [0, 1])
+    got = recall(Memo(), engine, rows, [0, 1])
     chunks = math.ceil(len(distinct) / rows_per_call)
-    assert calls == {"sum-product": chunks, "max-min": chunks}
+    assert Counter(jt.semiring for jt in calls) == {"sum-product": chunks, "max-min": chunks}
     assert [g is None for g in got[:len(distinct)]] == [
         False, False, True, False, True, False, True, True, True]
     monkeypatch.undo()
@@ -439,10 +497,7 @@ def test_query_batch_calibrates_within_the_entry_budget(monkeypatch, rows_per_ca
 
 def test_a_budget_below_one_row_still_calibrates_one_row_at_a_time(monkeypatch):
     engine = HybridPropagator(deterministic_root_net())
-    calls = []
-    propagate = possibility.propagate
-    monkeypatch.setattr(possibility, "propagate",
-                        lambda *args: calls.append(1) or propagate(*args))
+    calls = counting(monkeypatch, possibility, "propagate")
     monkeypatch.setattr(possibility, "ENTRY_BUDGET", 1)
-    engine.query_batch([{}, {0: 0}, {1: 0}], [1])
+    engine.solve(evidence_matrix(engine._prob, [{}, {0: 0}, {1: 0}]), (1,))
     assert len(calls) == 2 * 3

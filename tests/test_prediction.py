@@ -383,12 +383,29 @@ def test_predict_contradictory_evidence_unsmoothed_model():
         alerts.append(alert(slot * 60 + 1, which))
     hypers = aggregate_alerts(alerts)
     plan = train_plan_model(build_transactions(hypers, dt=60.0), smoothing=0.0)
-    with pytest.raises(ImpossibleEvidenceError):
-        predict_attacks(plan, ["A", "B"])
+    for observed in (["A", "B"], ["A", "B", "C"]):  # a set that leaves nothing to forecast too
+        with pytest.raises(ImpossibleEvidenceError):
+            predict_attacks(plan, observed)
     # the default smoothed fit keeps every evidence combination possible
     smoothed = train_plan_model(build_transactions(hypers, dt=60.0))
     report = predict_attacks(smoothed, ["A", "B"])
     assert len(report.rows) == 1
+    assert predict_attacks(smoothed, ["A", "B", "C"]).rows == ()
+
+
+def test_a_repeated_forecast_is_calibrated_once(scenario_plan, monkeypatch):
+    """The plan model's memo answers an observed set it has forecast; a copy
+    with another threshold starts with an empty memo."""
+    plan = replace(scenario_plan)
+    calls = counting(monkeypatch, possibility, "propagate")
+    first = predict_attacks(plan, ["portsweep"])
+    assert [jt.semiring for jt in calls] == ["sum-product", "max-min"]
+    assert predict_attacks(plan, ["portsweep"]) == first
+    assert len(calls) == 2 and len(plan.forecasts) == 1
+    tuned = replace(plan, tau=0.1)
+    assert not tuned.forecasts
+    predict_attacks(tuned, ["portsweep"])
+    assert len(calls) == 4
 
 
 def test_predict_report_table_format(scenario_plan):
