@@ -16,9 +16,9 @@ and memoizing answers is left to `possibility.HybridPropagator`.
 
 The plan compiles one schedule, every component's collect messages, and
 replays it in reverse for the distribute pass, each message's source and
-target swapped. A root is calibrated once its collect pass ends, so a calibration
-whose targets are all read at roots runs the collect messages only; any
-other runs both. A calibrated tree holds its cluster tables and `possible`.
+target swapped. A calibration runs every collect message, then only the
+distribute messages on the paths from the roots to its targets' read-out
+clusters; a calibrated tree holds those clusters' tables and `possible`.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class JunctionTree:
 
     cluster scopes and separators are sorted variable-id tuples; tables (when
     present) have one axis per scope variable in that order, after a leading
-    batch axis once calibrated. A collect-only calibration holds None for
-    every non-root cluster table.
+    batch axis once calibrated. A calibration given targets holds None for
+    every cluster off the paths from the roots to their read-out clusters.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -309,7 +309,7 @@ class Plan:
     collect: tuple[Message, ...]  # every component's, leaves towards the root
     distribute: tuple[Message, ...]  # collect reversed, source and target swapped
     components: tuple[tuple[int, ...], ...]  # each component's clusters, root first
-    roots: frozenset[int]
+    parent: tuple[int, ...]  # per cluster, towards its component's root; -1 at a root
     arity: np.ndarray  # per variable id, 0 for ids absent from the tree
     indicators: Mapping[int, np.ndarray]  # (arity + 1, arity): one-hot rows, then all ones
     holders: Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]]  # (cluster, mask shape)
@@ -338,11 +338,11 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
         adj[j].append((i, frozenset(sep)))
     links: list[tuple[int, int, frozenset[int]]] = []  # (child, parent, separator)
     components = []
-    seen: set[int] = set()
+    parent: list[int | None] = [None] * len(jt.clusters)  # None until walked
     for root in range(len(jt.clusters)):
-        if root in seen:
+        if parent[root] is not None:
             continue
-        seen.add(root)
+        parent[root] = -1
         stack = [(root, -1, frozenset())]
         visit = []
         while stack:
@@ -350,7 +350,7 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
             visit.append((node, par, sep))
             for nb, nb_sep in adj[node]:
                 if nb != par:
-                    seen.add(nb)
+                    parent[nb] = node
                     stack.append((nb, node, nb_sep))
         links += reversed(visit[1:])
         components.append(tuple(node for node, _, _ in visit))
@@ -375,7 +375,7 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
         collect=tuple(message(node, par, sep) for node, par, sep in links),
         distribute=tuple(message(par, node, sep) for node, par, sep in reversed(links)),
         components=tuple(components),
-        roots=frozenset(clusters[0] for clusters in components),
+        parent=tuple(parent),
         arity=arity,
         indicators={v: indicators[arities[v]] for v in variables},
         holders=holders,
@@ -443,6 +443,8 @@ def evidence_matrix(jt: JunctionTree,
     for evidence in rows:
         row = [-1] * width
         for var, state in (evidence or {}).items():
+            if not isinstance(var, (int, np.integer)):
+                raise ValueError(f"evidence variable {var!r} is not an integer")
             if not 0 <= var < width:
                 raise ValueError(f"evidence variable {var} is absent from the tree")
             if not isinstance(state, (int, np.integer)):
@@ -469,16 +471,16 @@ def _check_observed(plan: Plan, observed: np.ndarray) -> None:
             f"evidence state {observed[row, var]} out of range for variable {var}")
 
 
-def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
-    """Collect (and, if full, distribute) over every component at once, one
-    batch row per evidence row. A table keeps batch length 1 until evidence
-    or a message varies it by row. Components share no table, so running
-    every collect message before any distribute message is exact. Returns
-    (cluster tables, possible)."""
+def _calibrate(jt: JunctionTree, observed: np.ndarray, read: Sequence[bool]):
+    """Collect, then distribute into the clusters `read` marks, over every
+    component at once, one batch row per evidence row. A table keeps batch
+    length 1 until evidence or a message varies it by row. Components share
+    no table, so running every collect message before any distribute message
+    is exact. Returns (cluster tables, possible)."""
     plan = jt.plan
     sr = SEMIRINGS[jt.semiring]
     tables = [t[np.newaxis] for t in jt.cluster_tables]
-    collected = []  # the distribute pass pops its edge's collect message
+    collected = []  # distribute message k is collect message ~k reversed
 
     for var in np.flatnonzero((observed >= 0).any(axis=0)).tolist():
         mask = plan.indicators[var][observed[:, var]]
@@ -490,31 +492,29 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, full: bool):
         message = sr.marginalize.reduce(tables[source], axis=axes)
         tables[target] = sr.combine(tables[target], message.reshape(shape))
         collected.append(message)
-    for source, target, axes, shape in plan.distribute if full else ():
-        message = sr.marginalize.reduce(tables[source], axis=axes)
-        tables[target] = sr.combine(tables[target],
-                                    sr.update(message, collected.pop()).reshape(shape))
+    for k, (source, target, axes, shape) in enumerate(plan.distribute):
+        if read[target]:
+            message = sr.marginalize.reduce(tables[source], axis=axes)
+            tables[target] = sr.combine(tables[target],
+                                        sr.update(message, collected[~k]).reshape(shape))
 
-    possible = np.ones(len(observed), dtype=bool)
-    for clusters in plan.components:
+    tops = np.zeros((len(plan.components), len(observed)))  # each root's maximum
+    for top, clusters in zip(tops, plan.components):
         root = tables[clusters[0]]
-        possible &= root.reshape(len(root), -1).any(axis=1)
+        np.maximum(top, root.reshape(len(root), -1).max(axis=1), out=top)
+    possible = (tops > 0).all(axis=0)
 
     if sr.caps_components and len(plan.components) > 1:
         # min does not cancel under normalization the way a product does:
         # evidence in one forest component caps every other component's
         # possibility at that component's best value. Every calibrated
         # max-min cluster of a component has the same maximum, its root's.
-        tops = np.zeros((len(plan.components), len(observed)))
-        for top, clusters in zip(tops, plan.components):
-            root = tables[clusters[0]]
-            np.maximum(top, root.reshape(len(root), -1).max(axis=1), out=top)
         for k, clusters in enumerate(plan.components):
             cap = np.delete(tops, k, axis=0).min(axis=0)
             if not np.any(cap < 1.0):
                 continue
             cap = np.where(cap < 1.0, cap, np.inf)
-            for c in clusters if full else clusters[:1]:
+            for c in [c for c in clusters if read[c]]:
                 tables[c] = np.minimum(tables[c], cap.reshape((-1,) + (1,) * (tables[c].ndim - 1)))
     return tables, possible
 
@@ -529,26 +529,30 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
     row differs), and `possible` flags the rows with nonzero mass. Each row
     is bit-identical to the same evidence calibrated in a batch of its own.
 
-    Given targets all read at roots, only the collect messages run: the
-    roots read out bit-identical to a full calibration, and every other
-    cluster table is None.
+    Given targets, only the distribute messages on the paths from the roots
+    to their read-out clusters (`Plan.home`) follow the collect pass, and
+    those clusters read out as a full calibration's; every other is None.
     """
     if jt.plan is None:
         raise ValueError("potentials must be initialized before propagation")
     if jt.possible is not None:
         raise ValueError("tree is already calibrated")
     plan = jt.plan
-    full = targets is None
-    for var in () if full else targets:
+    read = [targets is None or up < 0 for up in plan.parent]
+    for var in () if targets is None else targets:
+        if not isinstance(var, (int, np.integer)):
+            raise ValueError(f"variable {var!r} is not an integer")
         if var not in plan.home:
             raise ValueError(f"variable {var} is absent from the tree")
-        full = full or plan.home[var] not in plan.roots
+        cluster = plan.home[var]
+        while not read[cluster]:
+            read[cluster] = True
+            cluster = plan.parent[cluster]
     _check_observed(plan, observed)
-    tables, possible = _calibrate(jt, observed, full)
+    tables, possible = _calibrate(jt, observed, read)
     for t in tables:
         t.setflags(write=False)
-    if not full:
-        tables = [t if c in plan.roots else None for c, t in enumerate(tables)]
+    tables = [t if r else None for t, r in zip(tables, read)]
     return replace(jt, cluster_tables=tuple(tables), possible=possible)
 
 

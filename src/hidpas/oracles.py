@@ -34,30 +34,21 @@ def _factor_on_grid(factor: Potential, grids: np.ndarray) -> np.ndarray:
     return factor.table[tuple(grids[v] for v in factor.scope)]
 
 
+# per mode, apart from the engine's: (combine, marginalize, the joint's start)
+_MODES = {SUM_PRODUCT: (np.multiply, np.add, 1.0), MAX_MIN: (np.minimum, np.maximum, np.inf)}
+
+
 def joint_table(factors: list[Potential], arities: list[int], mode: str) -> np.ndarray:
-    """Full joint grid: product of factors, or min of factors for max-min."""
-    grids = np.indices(tuple(arities))
-    if mode == SUM_PRODUCT:
-        joint = np.ones(tuple(arities))
-        for f in factors:
-            joint = joint * _factor_on_grid(f, grids)
-    elif mode == MAX_MIN:
-        joint = np.full(tuple(arities), np.inf)
-        for f in factors:
-            joint = np.minimum(joint, _factor_on_grid(f, grids))
-        joint = np.where(np.isinf(joint), 1.0, joint)
-    else:
+    """Full joint grid: product of factors, or min of factors for max-min;
+    1 everywhere when there is no factor."""
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return joint
-
-
-def _apply_evidence(joint: np.ndarray, arities: list[int],
-                    evidence: dict[int, int]) -> np.ndarray:
+    combine, _, start = _MODES[mode]
     grids = np.indices(tuple(arities))
-    out = joint
-    for var, state in evidence.items():
-        out = out * (grids[var] == state)
-    return out
+    joint = np.full(tuple(arities), start)
+    for f in factors:
+        joint = combine(joint, _factor_on_grid(f, grids))
+    return np.where(np.isinf(joint), 1.0, joint)
 
 
 def enumerate_marginal(
@@ -78,14 +69,13 @@ def enumerate_marginal(
 
 def _joint_marginal(joint: np.ndarray, arities: list[int], evidence: dict[int, int],
                     target: int, mode: str) -> np.ndarray | None:
-    joint = _apply_evidence(joint, arities, evidence)
+    grids = np.indices(tuple(arities))
+    for var, state in evidence.items():
+        joint = joint * (grids[var] == state)
     axes = tuple(i for i in range(len(arities)) if i != target)
-    if mode == SUM_PRODUCT:
-        marg = joint.sum(axis=axes) if axes else joint
-        total = marg.sum()
-    else:
-        marg = joint.max(axis=axes) if axes else joint
-        total = marg.max()
+    marginalize = _MODES[mode][1]
+    marg = marginalize.reduce(joint, axis=axes)
+    total = marginalize.reduce(marg)
     if total == 0:
         return None
     return marg / total
@@ -262,9 +252,10 @@ def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
     """A `Memo` over `HybridPropagator.solve`, the path every classifier and
     forecast takes, vs enumeration in both semirings. Each forest net answers
     two calls drawn from three evidence rows, so rows repeat within and
-    across calls, then a call on all three rows whose targets are the
-    variables homed at a root, which the collect pass alone answers;
-    impossible rows must come back None."""
+    across calls, then two on all three rows: one for the variables homed at
+    a root, which the collect pass alone answers, and one for the variable
+    homed deepest, on the longest path. Each call's calibration is pruned to
+    its targets' paths; impossible rows must come back None."""
     rng = np.random.default_rng(seed)
     report = OracleReport("query-oracle")
     for _ in range(networks):
@@ -280,8 +271,12 @@ def check_query_path(seed: int = 1, networks: int = 200, sum_tol: float = 1e-9,
         engine, memo = HybridPropagator(net), Memo()
         plan = engine._prob.plan
         calls = [(rng.integers(0, len(pool), size=4).tolist(), tuple(targets)) for _ in range(2)]
-        calls.append((list(range(len(pool))),
-                      tuple(sorted(v for v, c in plan.home.items() if c in plan.roots))))
+        depth = {-1: -1}  # a parent precedes its children in its component
+        for c in [c for clusters in plan.components for c in clusters]:
+            depth[c] = depth[plan.parent[c]] + 1
+        every = list(range(len(pool)))
+        calls += [(every, tuple(sorted(v for v, c in plan.home.items() if plan.parent[c] < 0))),
+                  (every, (max(plan.home, key=lambda v: depth[plan.home[v]]),))]
         for picks, asked in calls:
             answers = memo.recall(evidence_matrix(engine._prob, [pool[i] for i in picks]), asked,
                                   lambda rows: engine.solve(rows, asked))

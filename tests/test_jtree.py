@@ -361,7 +361,9 @@ def test_batched_calibration_equals_single_queries(seed, rows):
 def test_pruned_calibration_reads_out_as_the_full_one(seed, rows):
     """For every target subset, a calibration pruned to the targets' read-out
     clusters reads out bit-identical to the full calibration, in both
-    semirings, impossible rows included; the clusters it skipped are None."""
+    semirings, impossible rows included. It holds tables for exactly the
+    roots and the clusters on their paths to the targets' read-out clusters;
+    the clusters it skipped are None."""
     rng = np.random.default_rng(seed)
     net = forest_net(rng)
     n = len(net.dag.variables)
@@ -371,9 +373,16 @@ def test_pruned_calibration_reads_out_as_the_full_one(seed, rows):
         jt = initialize_potentials(build_tree_for_net(net), factors, semiring)
         observed = evidence_matrix(jt, evidence)
         full = propagate(jt, observed)
+        plan = jt.plan
         for subset in range(1, 2 ** n):
             targets = [v for v in range(n) if subset >> v & 1]
             pruned = propagate(jt, observed, targets)
+            paths = set()
+            for c in [plan.home[v] for v in targets] + [cs[0] for cs in plan.components]:
+                while c >= 0:
+                    paths.add(c)
+                    c = plan.parent[c]
+            assert {c for c, t in enumerate(pruned.cluster_tables) if t is not None} == paths
             assert np.array_equal(pruned.possible, full.possible)
             for var in targets:
                 assert np.array_equal(query_marginal(pruned, var), query_marginal(full, var))
@@ -388,12 +397,13 @@ def test_pruned_calibration_reads_out_as_the_full_one(seed, rows):
 def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
     """A calibration whose targets are all homed at a root runs the collect
     messages only and leaves every other table None; one target homed off
-    the root runs the full calibration and keeps every table."""
+    the root adds the distribute messages on the root's path to its home,
+    and only the clusters on that path hold tables."""
     for semiring, factors in ((SUM_PRODUCT, net_factors(chain5_net)),
                               (MAX_MIN, transformed_factors(chain5_net))):
         jt = initialize_potentials(build_tree_for_net(chain5_net), factors, semiring)
         plan = jt.plan
-        assert len(jt.edges) == 3 and plan.roots == {0}
+        assert len(jt.edges) == 3 and plan.parent == (-1, 0, 1, 2)
         assert len(plan.collect) == len(plan.distribute) == 3
         assert ([(m.source, m.target) for m in plan.collect]
                 == [(m.target, m.source) for m in reversed(plan.distribute)])
@@ -410,8 +420,10 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
             assert np.array_equal(query_marginal(collected, var), query_marginal(full, var))
 
         calibrated = propagate(jt, observed, at_root + off_root[:1])
+        assert plan.home[off_root[0]] == 1
         assert len(calibrated.cluster_tables) == len(full.cluster_tables) == 4
-        for got, want in zip(calibrated.cluster_tables, full.cluster_tables):
+        assert calibrated.cluster_tables[2:] == (None, None)
+        for got, want in zip(calibrated.cluster_tables[:2], full.cluster_tables):
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="absent from the tree"):
         calibrate(jt, {}, [7])
@@ -420,8 +432,9 @@ def test_pruned_calibration_skips_distribute_at_the_root(chain5_net):
 def test_distribute_replays_collect_in_reverse_on_a_forest():
     """On forests of several multi-cluster components, the distribute
     schedule is the whole collect schedule reversed with source and target
-    swapped (so the last component distributes first), and the components
-    partition the clusters, each led by its root."""
+    swapped (so the last component distributes first), the components
+    partition the clusters, each led by its root, and each collect message
+    runs from a cluster to its parent."""
     rng = np.random.default_rng(5)
     forests = 0
     while forests < 5:
@@ -435,7 +448,10 @@ def test_distribute_replays_collect_in_reverse_on_a_forest():
                 == [(m.source, m.target) for m in reversed(plan.collect)])
         assert sorted(c for clusters in plan.components for c in clusters) == list(
             range(len(jt.clusters)))
-        assert plan.roots == {clusters[0] for clusters in plan.components}
+        assert [c for c, up in enumerate(plan.parent) if up < 0] == [
+            clusters[0] for clusters in plan.components]
+        assert {m.source: m.target for m in plan.collect} == {
+            c: up for c, up in enumerate(plan.parent) if up >= 0}
         assert plan.distribute[0].source in [c for c in plan.components if len(c) > 1][-1]
 
 
@@ -452,6 +468,11 @@ def test_batched_propagate_checks_evidence_range(two_node_net):
         propagate(jt, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="integer"):
         propagate(jt, np.array([[0.0, 1.0]]))
+    engine = HybridPropagator(two_node_net)
+    with pytest.raises(ValueError, match="variable 1.0 is not an integer"):
+        engine.query({1.0: 0}, [0])
+    with pytest.raises(ValueError, match="variable 1.0 is not an integer"):
+        engine.query({0: 0}, [1.0])
 
 
 def test_only_an_uncalibrated_tree_propagates_and_only_a_calibrated_one_reads(two_node_net):

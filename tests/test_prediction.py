@@ -143,14 +143,15 @@ def test_classify_runs_the_collect_pass_only_where_the_class_is_read_at_a_root(
         scenario_hypers, monkeypatch):
     """The fixture alert classifier's class variable is homed at a root, so
     each classification calibrates without a distribute pass and its trees
-    hold no table off the roots. The fixture detector's (top 4 features) is homed off
-    the root, so each of its classifications runs the full calibration."""
+    hold no table off the roots. The fixture detector's (top 4 features) is
+    homed at cluster 1, a child of root 0, so each of its classifications
+    runs the one distribute message into it and holds tables at 0 and 1 only."""
     classifier = train_alert_classifier(scenario_hypers)
     detector = train_detector(load_kdd(data_path("scenario", "detector_train.csv")),
                               DetectorConfig(top_k=4))
-    homed = [m.engine._prob.plan.home[m.class_var] in m.engine._prob.plan.roots
-             for m in (classifier, detector)]
-    assert homed == [True, False]
+    homed = [m.engine._prob.plan.home[m.class_var] for m in (classifier, detector)]
+    assert classifier.engine._prob.plan.parent[homed[0]] == -1
+    assert homed[1] == 1 and detector.engine._prob.plan.parent[1] == 0
     calibrated = []
     propagate = possibility.propagate
     monkeypatch.setattr(possibility, "propagate",
@@ -159,12 +160,13 @@ def test_classify_runs_the_collect_pass_only_where_the_class_is_read_at_a_root(
         classify_alert(classifier, h.members[0])
     assert len(calibrated) == 2 * len(scenario_hypers)
     assert all(t is None for jt in calibrated
-               for c, t in enumerate(jt.cluster_tables) if c not in jt.plan.roots)
+               for c, t in enumerate(jt.cluster_tables) if jt.plan.parent[c] >= 0)
     assert all(jt.edges for jt in calibrated)
     calibrated.clear()
     classify_connections(detector, load_stream(data_path("scenario", "host_a.csv")))
     assert len(calibrated) == 2
-    assert all(t is not None for jt in calibrated for t in jt.cluster_tables)
+    assert all([c for c, t in enumerate(jt.cluster_tables) if t is not None] == [0, 1]
+               for jt in calibrated)
 
 
 def test_classifier_single_hyper_degenerates():
