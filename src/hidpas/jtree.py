@@ -72,16 +72,6 @@ class JunctionTree:
     plan: Plan | None = None
     possible: np.ndarray | None = None  # per evidence row; None until calibrated
 
-    def containing_clusters(self, var: int) -> list[int]:
-        return [i for i, c in enumerate(self.clusters) if var in c]
-
-    @property
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.clusters:
-            out.update(c)
-        return out
-
 
 def moralize(dag: Dag) -> dict[int, frozenset[int]]:
     """Drop edge directions and connect every pair of co-parents: each
@@ -98,9 +88,13 @@ def moralize(dag: Dag) -> dict[int, frozenset[int]]:
     return {n: frozenset(s) for n, s in adj.items()}
 
 
-def choose_order(graph: Mapping[int, frozenset[int]]) -> list[int]:
-    """Greedy min-fill elimination ordering: repeatedly eliminate the node
-    whose removal adds the fewest fill edges, breaking ties by lowest id.
+def triangulate(graph: Mapping[int, frozenset[int]]
+                ) -> tuple[list[int], list[frozenset[int]]]:
+    """Greedy min-fill elimination: repeatedly eliminate the node whose
+    removal adds the fewest fill edges, breaking ties by lowest id, and
+    connect its neighbours pairwise. Returns the elimination order and the
+    clusters {node} | neighbours, one per eliminated node that no earlier
+    cluster contains; they are the cliques of the triangulated graph.
 
     Eliminating a node changes the fill only of nodes within two hops of
     it. Its neighbours lose it and gain fill edges, so they are rescored;
@@ -118,14 +112,18 @@ def choose_order(graph: Mapping[int, frozenset[int]]) -> list[int]:
     fills = {n: fill(n) for n in adj}
     heap = [(f, n) for n, f in fills.items()]
     heapq.heapify(heap)
-    out: list[int] = []
+    order: list[int] = []
+    clusters: list[frozenset[int]] = []
     while heap:
         score, node = heapq.heappop(heap)
         if fills.get(node) != score:
             continue
         del fills[node]
-        out.append(node)
+        order.append(node)
         nbrs = adj.pop(node)
+        cluster = frozenset(nbrs | {node})
+        if not any(cluster <= earlier for earlier in clusters):
+            clusters.append(cluster)
         for a in nbrs:
             adj[a].discard(node)
         changed = set(nbrs)
@@ -143,32 +141,16 @@ def choose_order(graph: Mapping[int, frozenset[int]]) -> list[int]:
             fills[n] = fill(n)
         for n in changed:
             heapq.heappush(heap, (fills[n], n))
-    return out
+    return order, clusters
 
 
-def elimination_clusters(
-    graph: Mapping[int, frozenset[int]], order: Sequence[int]
-) -> list[frozenset[int]]:
-    """Eliminate nodes in order, collecting {node} | neighbors clusters.
-
-    Neighbors of the eliminated node are pairwise connected first (fill-in),
-    so the produced clusters triangulate the graph. Clusters contained in an
-    earlier cluster are dropped.
-    """
-    if sorted(order) != sorted(graph):
-        raise ValueError("order must be a permutation of the graph nodes")
-    adj = {n: set(nbrs) for n, nbrs in graph.items()}
-    clusters: list[frozenset[int]] = []
-    for x in order:
-        nbrs = adj.pop(x)
-        cluster = frozenset(nbrs | {x})
-        for a in nbrs:
-            adj[a].discard(x)
-            adj[a].update(nbrs)
-            adj[a].discard(a)
-        if not any(cluster <= earlier for earlier in clusters):
-            clusters.append(cluster)
-    return clusters
+def _holders(clusters: Iterable[Iterable[int]]) -> dict[int, list[int]]:
+    """Each variable's containing cluster indices, ascending."""
+    holders: dict[int, list[int]] = {}
+    for i, scope in enumerate(clusters):
+        for v in scope:
+            holders.setdefault(v, []).append(i)
+    return holders
 
 
 def build_tree(clusters: Sequence[frozenset[int]]) -> JunctionTree:
@@ -180,11 +162,7 @@ def build_tree(clusters: Sequence[frozenset[int]]) -> JunctionTree:
     variable are candidate pairs, found through each variable's holders.
     """
     scopes = tuple(tuple(sorted(c)) for c in clusters)
-    holders: dict[int, list[int]] = {}
-    for i, scope in enumerate(scopes):
-        for v in scope:
-            holders.setdefault(v, []).append(i)
-    shared = Counter((i, j) for held in holders.values()
+    shared = Counter((i, j) for held in _holders(scopes).values()
                      for k, i in enumerate(held) for j in held[k + 1:])
     candidates = sorted(shared, key=lambda pair: (-shared[pair], pair))
 
@@ -213,18 +191,15 @@ def has_running_intersection(jt: JunctionTree) -> bool:
     for i, j, _ in jt.edges:
         adj[i].add(j)
         adj[j].add(i)
-    for var in jt.variables:
-        holders = set(jt.containing_clusters(var))
-        start = min(holders)
-        seen = {start}
-        stack = [start]
+    for held in _holders(jt.clusters).values():
+        seen = {held[0]}
+        stack = [held[0]]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v in holders and v not in seen:
+            for v in adj[stack.pop()]:
+                if v in held and v not in seen:
                     seen.add(v)
                     stack.append(v)
-        if seen != holders:
+        if len(seen) != len(held):
             return False
     return True
 
@@ -355,10 +330,7 @@ def _compile_plan(jt: JunctionTree, arities: Mapping[int, int]) -> Plan:
         links += reversed(visit[1:])
         components.append(tuple(node for node, _, _ in visit))
 
-    containing: dict[int, list[int]] = {}
-    for i, scope in enumerate(jt.clusters):
-        for v in scope:
-            containing.setdefault(v, []).append(i)
+    containing = _holders(jt.clusters)
     variables = sorted(containing)
     arity = np.zeros(variables[-1] + 1 if variables else 0, dtype=np.intp)
     holders: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
@@ -519,6 +491,16 @@ def _calibrate(jt: JunctionTree, observed: np.ndarray, read: Sequence[bool]):
     return tables, possible
 
 
+def _home(plan: Plan, var: int) -> int:
+    """The read-out cluster of a variable id, which must be an int or a
+    numpy integer that the tree holds."""
+    if not isinstance(var, (int, np.integer)):
+        raise ValueError(f"variable {var!r} is not an integer")
+    if var not in plan.home:
+        raise ValueError(f"variable {var} is absent from the tree")
+    return plan.home[var]
+
+
 def propagate(jt: JunctionTree, observed: np.ndarray,
               targets: Sequence[int] | None = None) -> JunctionTree:
     """Two-phase collect/distribute calibration from the lowest cluster index
@@ -540,11 +522,7 @@ def propagate(jt: JunctionTree, observed: np.ndarray,
     plan = jt.plan
     read = [targets is None or up < 0 for up in plan.parent]
     for var in () if targets is None else targets:
-        if not isinstance(var, (int, np.integer)):
-            raise ValueError(f"variable {var!r} is not an integer")
-        if var not in plan.home:
-            raise ValueError(f"variable {var} is absent from the tree")
-        cluster = plan.home[var]
+        cluster = _home(plan, var)
         while not read[cluster]:
             read[cluster] = True
             cluster = plan.parent[cluster]
@@ -565,19 +543,18 @@ def query_marginal(jt: JunctionTree, var: int) -> np.ndarray:
     """
     if jt.possible is None:
         raise ValueError("tree is not calibrated")
-    if var not in jt.plan.home:
-        raise ValueError(f"variable {var} is absent from the tree")
-    return marginal_from_cluster(jt, jt.plan.home[var], var)
+    return marginal_from_cluster(jt, _home(jt.plan, var), var)
 
 
 def marginal_from_cluster(jt: JunctionTree, cluster: int, var: int) -> np.ndarray:
     """`query_marginal` read off one specific containing cluster (for agreement checks)."""
-    scope = jt.clusters[cluster]
-    if var not in scope:
-        raise ValueError(f"variable {var} not in cluster {cluster}")
     table = None if jt.possible is None else jt.cluster_tables[cluster]
     if table is None:
         raise ValueError(f"cluster {cluster} is uncalibrated")
+    _home(jt.plan, var)
+    scope = jt.clusters[cluster]
+    if var not in scope:
+        raise ValueError(f"variable {var} not in cluster {cluster}")
     reduce = SEMIRINGS[jt.semiring].marginalize.reduce
     out = reduce(table, axis=tuple(1 + i for i, v in enumerate(scope) if v != var))
     out = _divide(out, reduce(out, axis=-1, keepdims=True))
@@ -591,7 +568,5 @@ def net_factors(net: BayesNet) -> list[Potential]:
 
 
 def build_tree_for_net(net: BayesNet) -> JunctionTree:
-    """Moralize, order, eliminate, and build the spanning tree for a net."""
-    graph = moralize(net.dag)
-    elim = choose_order(graph)
-    return build_tree(elimination_clusters(graph, elim))
+    """Moralize, triangulate, and build the spanning tree for a net."""
+    return build_tree(triangulate(moralize(net.dag))[1])

@@ -231,8 +231,9 @@ def _check_calibration(name: str, mode: str, factors_of, seed: int, networks: in
         tree = initialize_potentials(build_tree_for_net(net), factors, mode)
         cal = propagate(tree, evidence_matrix(tree, [ev]))
         impossible = not cal.possible[0]
+        joint = joint_table(factors, arities, mode)
         for var in range(len(arities)):
-            expected = enumerate_marginal(factors, arities, ev, var, mode)
+            expected = _joint_marginal(joint, arities, ev, var, mode)
             report.cases += 1
             if impossible or expected is None:
                 if impossible != (expected is None):

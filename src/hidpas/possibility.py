@@ -325,9 +325,10 @@ class HybridPropagator:
         """One dict of marginals per evidence-matrix row, None where its
         evidence has zero mass, each row as if solved alone, bit for bit:
         the rows pruned to the targets' read-out clusters, one calibration
-        per semiring for every ENTRY_BUDGET table entries."""
+        per semiring for every ENTRY_BUDGET table entries. A matrix of no
+        rows is still checked, as one empty batch."""
         step = max(1, ENTRY_BUDGET // self._prob.plan.entries)
-        return [answer for start in range(0, len(observed), step)
+        return [answer for start in range(0, max(1, len(observed)), step)
                 for answer in self._calibrate(observed[start:start + step], targets)]
 
     def _calibrate(self, observed: np.ndarray, targets: tuple[int, ...]

@@ -1,9 +1,10 @@
 """Engine construction is bit-identical to the straightforward algorithms.
 
 The whole-table transform kernel is checked against the per-row transform,
-the incremental min-fill ordering against a full rescan at every step, and
-the indexed spanning tree against one over all cluster pairs. A golden
-record pins the order, tree and transformed tables of three nets.
+the incremental min-fill triangulation against a full rescan at every step
+followed by a second elimination for its clusters, and the indexed spanning
+tree against one over all cluster pairs. A golden record pins the order,
+tree and transformed tables of three nets.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from hidpas.jtree import (
     MAX_MIN,
     build_tree,
     build_tree_for_net,
-    choose_order,
-    elimination_clusters,
     initialize_potentials,
     moralize,
     net_factors,
+    triangulate,
 )
 from hidpas.oracles import random_net
 from hidpas.possibility import (
@@ -111,6 +111,32 @@ def reference_choose_order(graph: dict[int, frozenset[int]]) -> list[int]:
         remaining.discard(best_node)
         out.append(best_node)
     return out
+
+
+def reference_elimination_clusters(graph: dict[int, frozenset[int]],
+                                   order: list[int]) -> list[frozenset[int]]:
+    """A second elimination in a given order: each node's {node} | neighbours,
+    its neighbours then connected pairwise; clusters inside an earlier one
+    are dropped."""
+    adj = {n: set(nbrs) for n, nbrs in graph.items()}
+    clusters: list[frozenset[int]] = []
+    for x in order:
+        nbrs = adj.pop(x)
+        cluster = frozenset(nbrs | {x})
+        for a in nbrs:
+            adj[a].discard(x)
+            adj[a].update(nbrs)
+            adj[a].discard(a)
+        if not any(cluster <= earlier for earlier in clusters):
+            clusters.append(cluster)
+    return clusters
+
+
+def reference_triangulate(graph: dict[int, frozenset[int]]
+                          ) -> tuple[list[int], list[frozenset[int]]]:
+    """The full-rescan order, then its clusters from a second elimination."""
+    order = reference_choose_order(graph)
+    return order, reference_elimination_clusters(graph, order)
 
 
 def reference_tree_edges(clusters) -> tuple:
@@ -330,7 +356,7 @@ def test_min_fill_equals_the_full_rescan_on_random_graphs():
     rng = np.random.default_rng(3)
     for _ in range(300):
         g = random_graph(rng)
-        assert choose_order(g) == reference_choose_order(g)
+        assert triangulate(g) == reference_triangulate(g)
 
 
 def test_min_fill_equals_the_full_rescan_on_random_moral_graphs():
@@ -338,14 +364,14 @@ def test_min_fill_equals_the_full_rescan_on_random_moral_graphs():
     for _ in range(100):
         net = random_net(rng, max_vars=60, max_arity=2, max_parents=int(rng.integers(1, 5)))
         g = moralize(net.dag)
-        assert choose_order(g) == reference_choose_order(g)
+        assert triangulate(g) == reference_triangulate(g)
 
 
 def test_spanning_tree_equals_kruskal_over_all_pairs():
     rng = np.random.default_rng(5)
     for _ in range(200):
         g = random_graph(rng)
-        clusters = elimination_clusters(g, choose_order(g))
+        clusters = triangulate(g)[1]
         assert build_tree(clusters).edges == reference_tree_edges(clusters)
 
 
@@ -388,7 +414,7 @@ def test_engine_construction_matches_the_golden_record():
         digest = hashlib.sha256()
         for factor in transformed_factors(net):
             digest.update(factor.table.tobytes())
-        assert choose_order(moralize(net.dag)) == record["order"], name
+        assert triangulate(moralize(net.dag))[0] == record["order"], name
         assert [list(c) for c in tree.clusters] == record["clusters"], name
         assert [[i, j, list(sep)] for i, j, sep in tree.edges] == record["edges"], name
         assert digest.hexdigest() == record["transform_sha256"], name

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,10 @@ from hidpas.core import BayesNet, Dag, Variable
 from hidpas.jtree import (
     MAX_MIN,
     SUM_PRODUCT,
+    JunctionTree,
     Potential,
     build_tree,
     build_tree_for_net,
-    choose_order,
-    elimination_clusters,
     evidence_matrix,
     format_tree,
     has_running_intersection,
@@ -23,6 +24,7 @@ from hidpas.jtree import (
     net_factors,
     propagate,
     query_marginal,
+    triangulate,
 )
 from hidpas.oracles import enumerate_marginal, forest_net, random_evidence, random_net
 from hidpas.possibility import HybridPropagator, ImpossibleEvidenceError, transformed_factors
@@ -63,53 +65,46 @@ def test_moralize_edgeless():
     assert g == {0: frozenset(), 1: frozenset()}
 
 
-# -- ordering -------------------------------------------------------------------
+# -- triangulation: the min-fill order and its elimination clusters ---------------
 
 def test_min_fill_complete_graph_is_id_order():
     g = graph([0, 1, 2, 3], [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert choose_order(g) == [0, 1, 2, 3]
+    assert triangulate(g) == ([0, 1, 2, 3], [frozenset(range(4))])
 
 
 def test_min_fill_star_eliminates_leaves_first():
     g = graph([0, 1, 2, 3], [(3, 0), (3, 1), (3, 2)])  # 3 is the center
-    assert choose_order(g) == [0, 1, 2, 3]
+    assert triangulate(g)[0] == [0, 1, 2, 3]
     # center with the lowest id: still not eliminated while it has 2+ neighbors
     g2 = graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    order = choose_order(g2)
+    order, clusters = triangulate(g2)
     assert order[:2] == [1, 2]  # leaves carry 0 fill, the center 3
+    assert clusters == [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})]
 
-
-# -- elimination clusters --------------------------------------------------------
 
 def test_elimination_triangle_single_cluster():
     g = graph(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")])
-    clusters = elimination_clusters(g, ["A", "B", "C"])
-    assert clusters == [frozenset({"A", "B", "C"})]
+    assert triangulate(g) == (["A", "B", "C"], [frozenset({"A", "B", "C"})])
 
 
 def test_elimination_chain_two_clusters():
     g = graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
-    clusters = elimination_clusters(g, ["A", "C", "B"])
+    order, clusters = triangulate(g)
+    assert order == ["A", "B", "C"]
     assert clusters == [frozenset({"A", "B"}), frozenset({"B", "C"})]
 
 
 def test_elimination_single_node():
     g = graph(["X"], [])
-    assert elimination_clusters(g, ["X"]) == [frozenset({"X"})]
-
-
-def test_elimination_rejects_bad_order():
-    g = graph([0, 1], [(0, 1)])
-    with pytest.raises(ValueError):
-        elimination_clusters(g, [0, 0])
+    assert triangulate(g) == (["X"], [frozenset({"X"})])
 
 
 def test_elimination_adds_fill_edges_for_four_cycle():
     # 0-1-2-3-0 without a chord: eliminating 0 must connect 1 and 3
     g = graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
-    clusters = elimination_clusters(g, [0, 1, 2, 3])
-    assert frozenset({0, 1, 3}) in clusters
-    assert frozenset({1, 2, 3}) in clusters
+    order, clusters = triangulate(g)
+    assert order == [0, 1, 2, 3]
+    assert clusters == [frozenset({0, 1, 3}), frozenset({1, 2, 3})]
 
 
 # -- spanning tree ----------------------------------------------------------------
@@ -132,6 +127,17 @@ def test_build_tree_chain_prefers_heavy_separators():
 def test_build_tree_single_cluster_no_edges():
     jt = build_tree([frozenset({"A", "B"})])
     assert jt.edges == ()
+
+
+def test_running_intersection_fails_on_a_split_variable():
+    """A's two clusters are joined only through {B,C}, which lacks A; with A
+    in the middle cluster the property holds."""
+    jt = JunctionTree(clusters=(("A", "B"), ("B", "C"), ("A", "C")),
+                      edges=((0, 1, ("B",)), (1, 2, ("C",))))
+    assert not has_running_intersection(jt)
+    joined = JunctionTree(clusters=(("A", "B"), ("A", "B", "C"), ("A", "C")),
+                          edges=((0, 1, ("A", "B")), (1, 2, ("A", "C"))))
+    assert has_running_intersection(joined)
 
 
 def test_running_intersection_on_random_nets():
@@ -257,7 +263,7 @@ def test_calibration_consistency_across_clusters():
             if not cal.possible[0]:
                 continue
             for var in range(len(net.dag.variables)):
-                holders = cal.containing_clusters(var)
+                holders = [c for c, _ in cal.plan.holders[var]]
                 if len(holders) < 2:
                     continue
                 base = marginal_from_cluster(cal, holders[0], var)
@@ -473,6 +479,28 @@ def test_batched_propagate_checks_evidence_range(two_node_net):
         engine.query({1.0: 0}, [0])
     with pytest.raises(ValueError, match="variable 1.0 is not an integer"):
         engine.query({0: 0}, [1.0])
+
+
+def test_read_outs_check_the_variable_as_propagate_does(two_node_net):
+    """A variable id must be an int or a numpy integer the tree holds, in
+    `propagate` and in both read-outs alike."""
+    jt = initialize_potentials(build_tree_for_net(two_node_net),
+                               net_factors(two_node_net), SUM_PRODUCT)
+    cal = calibrate(jt, {0: 1})
+    home = cal.plan.home[1]
+    for bad in (1.0, np.float64(1.0), "1"):
+        message = re.escape(f"variable {bad!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            calibrate(jt, {}, [bad])
+        with pytest.raises(ValueError, match=message):
+            query_marginal(cal, bad)
+        with pytest.raises(ValueError, match=message):
+            marginal_from_cluster(cal, home, bad)
+    for read in (lambda var: query_marginal(cal, var),
+                 lambda var: marginal_from_cluster(cal, home, var)):
+        with pytest.raises(ValueError, match="variable 5 is absent from the tree"):
+            read(5)
+        assert np.array_equal(read(np.int64(1)), read(1))
 
 
 def test_only_an_uncalibrated_tree_propagates_and_only_a_calibrated_one_reads(two_node_net):

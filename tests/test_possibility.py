@@ -446,6 +446,21 @@ def test_memo_still_checks_every_row(two_node_net):
         recall(memo, engine, [{0: 0}], [5])
 
 
+def test_solve_checks_a_matrix_of_no_rows_as_it_checks_one_row(two_node_net):
+    """An empty batch raises what a batch of one raises, and answers [] when
+    its targets are good."""
+    engine = HybridPropagator(two_node_net)
+    for rows in ([], [{}]):
+        with pytest.raises(ValueError, match="variable 1.0 is not an integer"):
+            engine.solve(evidence_matrix(engine._prob, rows), (1.0, 7))
+        with pytest.raises(ValueError, match="variable 7 is absent from the tree"):
+            engine.solve(evidence_matrix(engine._prob, rows), (0, 7))
+    for rows in (0, 1):
+        with pytest.raises(ValueError, match=r"evidence_matrix of shape \(rows, 2\)"):
+            engine.solve(np.zeros((rows, 5), np.intp), (0,))
+    assert engine.solve(evidence_matrix(engine._prob, []), (0, 1)) == []
+
+
 def test_a_non_integer_evidence_state_is_rejected(two_node_net):
     """A float state is refused, not truncated into the state matrix; a
     numpy integer is read as the int it holds."""
