@@ -12,7 +12,10 @@ spellings (EventName, SrcIPAddress, DestPort, BeginTime, ...). Timestamps
 may be epoch seconds or `YYYY-MM-DD HH:MM:SS`; missing sensors default to
 `realsecure`. Every whitespace character or comma inside a field becomes
 `_`, so that each field is a token as the alert log requires; the converter
-imports that character class from the `hidpas` package under `src/`.
+imports that character class from the `hidpas` package under `src/`. A
+record whose time is unparseable or not finite (`nan`, `inf`), or whose
+event name is empty, is skipped with its line named on stderr, since the
+alert log rejects it.
 
 Usage:
     python convert_realsecure_log.py --in alerts.tsv --out alert_log.csv
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -69,9 +73,13 @@ def map_columns(header: list[str]) -> dict[str, int]:
 def parse_timestamp(raw: str) -> float:
     raw = raw.strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp {raw!r}")
+        return value
     for fmt in TIME_FORMATS:
         try:
             return datetime.strptime(raw, fmt).replace(
@@ -116,6 +124,9 @@ def convert(in_path: str, out_path: str) -> int:
                     return default
                 return NOT_TOKEN.sub("_", rec[idx].strip())
 
+            if not cell("attack_type"):
+                print(f"line {lineno}: skipped (no attack type)", file=sys.stderr)
+                continue
             rows.append([
                 f"{ts:.6f}".rstrip("0").rstrip("."),
                 cell("sensor", "realsecure") or "realsecure",

@@ -24,7 +24,6 @@ from .model_io import load_classifier, load_detector, load_plan
 from .possibility import ImpossibleEvidenceError
 from .prediction import (
     AlertClassifierModel,
-    AlertRecord,
     PlanModel,
     PredictionReport,
     classify_alert,
@@ -94,17 +93,7 @@ def ipa_step(state: IPAState, message: AgentMessage) -> tuple[IPAState, tuple[Ag
                     message.kind, message.sender)
         return state, ()
 
-    alert = message.payload
-    record = AlertRecord(
-        timestamp=alert.timestamp,
-        sensor=alert.host,
-        src_ip=alert.src_ip,
-        src_port="",
-        dst_ip=alert.dst_ip,
-        dst_port="",
-        attack_type=alert.attack_type,
-    )
-    result = classify_alert(state.classifier, record)
+    result = classify_alert(state.classifier, message.payload)
     if result.label in state.observed:
         return state, ()
     new_state = replace(state, observed=state.observed + (result.label,))

@@ -14,7 +14,7 @@ import logging
 import math
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -112,6 +112,9 @@ class DetectionAlert:
     necessity: float
     probability: float
     possibility: float
+    # a host alert observes no ports; the alert classifier reads these as unobserved
+    src_port: ClassVar[str] = ""
+    dst_port: ClassVar[str] = ""
 
     def csv_row(self) -> tuple[str, ...]:
         """The fields of this alert's row under ALERT_CSV_HEADER."""

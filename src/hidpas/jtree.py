@@ -94,7 +94,7 @@ def triangulate(graph: Mapping[int, frozenset[int]]
     removal adds the fewest fill edges, breaking ties by lowest id, and
     connect its neighbours pairwise. Returns the elimination order and the
     clusters {node} | neighbours, one per eliminated node that no earlier
-    cluster contains; they are the cliques of the triangulated graph.
+    cluster holding the node contains; they are the cliques of the triangulated graph.
 
     Eliminating a node changes the fill only of nodes within two hops of
     it. Its neighbours lose it and gain fill edges, so they are rescored;
@@ -114,6 +114,7 @@ def triangulate(graph: Mapping[int, frozenset[int]]
     heapq.heapify(heap)
     order: list[int] = []
     clusters: list[frozenset[int]] = []
+    holding: dict[int, list[int]] = {n: [] for n in adj}  # n -> the clusters holding it
     while heap:
         score, node = heapq.heappop(heap)
         if fills.get(node) != score:
@@ -122,7 +123,9 @@ def triangulate(graph: Mapping[int, frozenset[int]]
         order.append(node)
         nbrs = adj.pop(node)
         cluster = frozenset(nbrs | {node})
-        if not any(cluster <= earlier for earlier in clusters):
+        if not any(cluster <= clusters[i] for i in holding[node]):
+            for n in nbrs:
+                holding[n].append(len(clusters))
             clusters.append(cluster)
         for a in nbrs:
             adj[a].discard(node)

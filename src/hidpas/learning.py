@@ -7,7 +7,7 @@ form overflows long before realistic dataset sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,11 @@ class DiscreteDataset:
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
+    arities: tuple[int, ...] = field(init=False, repr=False, compare=False)  # by column
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "arities", tuple(v.arity for v in self.variables))
         rows = np.asarray(self.rows)
         if rows.dtype.kind not in "iu":
             rows = rows.astype(np.int64)
@@ -46,7 +48,7 @@ class DiscreteDataset:
                 )
         if rows.shape[0]:
             high, low = rows.max(axis=0), rows.min(axis=0)
-            for i in np.flatnonzero((high >= [v.arity for v in self.variables]) | (low < 0))[:1]:
+            for i in np.flatnonzero((high >= self.arities) | (low < 0))[:1]:
                 var = self.variables[i]
                 if high[i] >= var.arity:
                     raise ValueError(f"column {var.name} holds a state index >= arity {var.arity}")
@@ -68,7 +70,7 @@ def count_statistics(data: DiscreteDataset, var: int, parents: Sequence[int]) ->
             raise ValueError(f"unknown column id {c}")
     if var in parents:
         raise ValueError("variable cannot be its own parent")
-    return _count_table(data.rows.T, [v.arity for v in data.variables], (*parents, var))
+    return _count_table(data.rows.T, data.arities, (*parents, var))
 
 
 def _count_table(columns: np.ndarray, arities: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -131,7 +133,7 @@ def k2_local_log_score(counts: np.ndarray) -> float:
     return float(k2_log_scores(counts[None], lgamma)[0])
 
 
-def _one_hot(columns: np.ndarray, arities: list[int],
+def _one_hot(columns: np.ndarray, arities: Sequence[int],
              order: Sequence[int]) -> tuple[np.ndarray | None, np.ndarray]:
     """The float32 one-hot matrix of the data, given column by column, for
     the product path, or None when its n * (1 + sum(a - 1)) entries exceed
@@ -223,7 +225,7 @@ def _pair_tables(columns: np.ndarray, arities: Sequence[int], var: np.ndarray,
 
 
 def _product_chunks(searching: list[int], parents: list[list[int]], q: list[int],
-                    arities: list[int], onehot: np.ndarray) -> list[list[int]]:
+                    arities: Sequence[int], onehot: np.ndarray) -> list[list[int]]:
     """searching, in order position, cut into runs of variables of one arity
     with parents of the same arities. A run's stacked indicator Z holds no
     more entries than the one-hot matrix, unless its one variable needs more,
@@ -274,28 +276,27 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
         raise ValueError("order must be a permutation of the dataset column ids")
     check_params(max_parents=max_parents)
 
-    arity_list = [v.arity for v in data.variables]
-    arities = np.array(arity_list, dtype=np.int64)
-    max_arity = max(arity_list, default=1)
+    arities = np.array(data.arities, dtype=np.int64)
+    max_arity = max(data.arities, default=1)
     n_rows = data.row_count
     # column-major and in the smallest integer type, so gathering candidates is cheap
     columns = data.rows.T.astype(np.min_scalar_type(max_arity - 1))
-    onehot, first = _one_hot(columns, arity_list, order)
+    onehot, first = _one_hot(columns, data.arities, order)
     lgamma = lgamma_table(n_rows + max_arity + 1)
     pos = np.empty(n, dtype=np.int64)
     pos[list(order)] = np.arange(n)
     current = np.empty(n)  # each variable's score under its parents so far
-    for a in set(arity_list):
+    for a in set(data.arities):
         same = np.flatnonzero(arities == a)
-        counts = np.array([_count_table(columns, arity_list, [v]) for v in same])
+        counts = np.array([_count_table(columns, data.arities, [v]) for v in same])
         current[same] = k2_log_scores(counts, lgamma)
     parents: list[list[int]] = [[] for _ in range(n)]
     q = [1] * n  # parent configurations of each variable
     searching = list(order[1:]) if max_parents else []
     while searching:
         fits = {v for v in searching if onehot is not None
-                and q[v] * arity_list[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET}
-        runs = _product_chunks([v for v in searching if v in fits], parents, q, arity_list,
+                and q[v] * data.arities[v] * max(n_rows, int(first[v])) <= PRODUCT_BUDGET}
+        runs = _product_chunks([v for v in searching if v in fits], parents, q, data.arities,
                                onehot) + [[v] for v in searching if v not in fits]
         best: dict[int, tuple[int, float]] = {}
         for run in runs:
@@ -305,7 +306,7 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
             if run[0] in fits:
                 tables = _product_tables(columns, onehot, first, arities, var, held, owner, cand)
             else:
-                tables = _pair_tables(columns, arity_list, var, held, owner, cand)
+                tables = _pair_tables(columns, data.arities, var, held, owner, cand)
             scores = np.empty(len(owner))
             for part, table in tables:
                 scores[part] = k2_log_scores(table, lgamma)
@@ -321,7 +322,7 @@ def k2_search(data: DiscreteDataset, order: Sequence[int], max_parents: int) -> 
             c, score = best[v]
             if score > current[v] + SCORE_EPS:
                 parents[v].append(c)
-                q[v] *= arity_list[c]
+                q[v] *= data.arities[c]
                 current[v] = score
                 if len(parents[v]) < min(max_parents, pos[v]):
                     still.append(v)

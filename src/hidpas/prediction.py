@@ -203,8 +203,9 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     return AlertClassifierModel(net=net, class_var=class_id, tau=tau)
 
 
-def classify_alert(model: AlertClassifierModel, alert: AlertRecord) -> Classification:
-    """Assert the alert's attributes as evidence; empty fields stay unobserved."""
+def classify_alert(model: AlertClassifierModel, alert) -> Classification:
+    """Assert the alert's ATTRIBUTE_FIELDS as evidence, an AlertRecord's or a
+    detection.DetectionAlert's (whose ports are blank); empty ones stay unobserved."""
     columns = [encode([value]) if (value := getattr(alert, f)) else None
                for f in ATTRIBUTE_FIELDS]
     return model.classify(*model.encode(1, columns), log)[0]

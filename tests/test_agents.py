@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import astuple, fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from hidpas.cli import run_command
 from hidpas.detection import DetectionAlert
 from hidpas.features import DataError
 from hidpas.model_io import load_classifier, load_plan
+from hidpas.prediction import ATTRIBUTE_FIELDS, AlertRecord, classify_alert
 
 from conftest import SCENARIO_DIR
 
@@ -169,6 +172,41 @@ def test_ipa_step_skips_a_prediction_on_impossible_evidence(sim_setup, caplog):
     assert out == () and new_state.observed == ("x", "y", "portsweep")
     assert [r.getMessage() for r in caplog.records] == [
         "prediction skipped: observed set ['x', 'y', 'portsweep'] has zero mass in the plan model"]
+
+
+def test_ipa_classifies_a_host_alert_as_a_record_with_blank_ports(sim_setup):
+    """ipa_step hands each DetectionAlert to classify_alert as sent: a host
+    alert observes no ports, so it reads as the alert-log record of the same
+    alert with both ports blank."""
+    classifier = replace(load_classifier(sim_setup.alert_classifier), tau=sim_setup.tau)
+    alerts = [m.payload for m in run_simulation(sim_setup).event_log if m.kind == ALERT]
+    alerts += [sample_alert(), sample_alert(attack="teardrop"), sample_alert(attack="unseen")]
+    for alert in alerts:
+        assert alert.src_port == alert.dst_port == ""
+        record = AlertRecord(alert.timestamp, alert.host, alert.src_ip, "", alert.dst_ip, "",
+                             alert.attack_type)
+        assert classify_alert(classifier, alert) == classify_alert(classifier, record)
+
+
+@pytest.mark.parametrize("missing", ATTRIBUTE_FIELDS)
+def test_classify_alert_needs_every_attribute_field(sim_setup, missing):
+    classifier = load_classifier(sim_setup.alert_classifier)
+    alert = SimpleNamespace(**{f: "" for f in ATTRIBUTE_FIELDS if f != missing})
+    with pytest.raises(AttributeError, match=missing):
+        classify_alert(classifier, alert)
+
+
+def test_detection_alert_ports_are_not_fields():
+    """The blank ports are class attributes: the constructor, equality, the
+    payload and the NDJSON event log see only the eight fields."""
+    alert = sample_alert()
+    assert [f.name for f in fields(DetectionAlert)] == [
+        "timestamp", "host", "src_ip", "dst_ip", "attack_type",
+        "necessity", "probability", "possibility"]
+    assert DetectionAlert(*astuple(alert)) == alert
+    assert list(alert.to_payload()) == [
+        "timestamp", "host", "src_ip", "dst_ip", "necessity", "probability", "possibility",
+        "type"]
 
 
 def test_ipa_step_first_alert_emits_one_prediction(sim_setup):

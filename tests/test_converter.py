@@ -63,6 +63,28 @@ def test_converter_writes_tokens_and_names_physical_lines(tmp_path, capsys):
     assert [a.attack_type for a in load_alert_log(str(out))] == ["Port_Scan", "Multi_Line"]
 
 
+def test_converter_skips_records_the_alert_log_rejects(tmp_path, capsys):
+    conv = load_converter()
+    src = tmp_path / "rs.csv"
+    src.write_text(
+        "BeginTime,SrcIPAddress,DestIPAddress,EventName\n"
+        "10,172.16.113.84,172.16.112.50,Scan\n"
+        "11,172.16.113.84,172.16.112.50,\n"  # no event name
+        "nan,172.16.113.84,172.16.112.50,Probe\n"
+        "inf,172.16.113.84,172.16.112.50,Probe\n"
+    )
+    out = tmp_path / "out.csv"
+    assert conv.convert(str(src), str(out)) == 1
+    err = capsys.readouterr().err
+    assert "line 3: skipped (no attack type)" in err
+    assert "line 4: skipped (non-finite timestamp 'nan')" in err
+    assert "line 5: skipped (non-finite timestamp 'inf')" in err
+
+    from hidpas.prediction import load_alert_log
+
+    assert [(a.timestamp, a.attack_type) for a in load_alert_log(str(out))] == [(10.0, "Scan")]
+
+
 def test_converter_rejects_unmappable_header(tmp_path):
     conv = load_converter()
     src = tmp_path / "odd.csv"
