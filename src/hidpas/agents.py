@@ -48,8 +48,12 @@ class AgentMessage:
             raise ValueError(f"payload type does not match message kind {self.kind!r}")
 
     def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "sender": self.sender,
-                           "payload": self.payload.to_payload()}, sort_keys=True)
+        """The message as `json.dumps` spells it with sorted keys, around the
+        payload's text, which a report spells once however often it is sent."""
+        payload = (self.payload.payload_json if self.kind == PREDICTION
+                   else json.dumps(self.payload.to_payload(), sort_keys=True))
+        return (f'{{"kind": {json.dumps(self.kind)}, "payload": {payload}, '
+                f'"sender": {json.dumps(self.sender)}}}')
 
 
 @dataclass(frozen=True)

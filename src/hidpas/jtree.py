@@ -188,25 +188,6 @@ def build_tree(clusters: Sequence[frozenset[int]]) -> JunctionTree:
     return JunctionTree(clusters=scopes, edges=tuple(edges))
 
 
-def has_running_intersection(jt: JunctionTree) -> bool:
-    """For every variable, the clusters containing it form a connected subtree."""
-    adj: dict[int, set[int]] = {i: set() for i in range(len(jt.clusters))}
-    for i, j, _ in jt.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    for held in _holders(jt.clusters).values():
-        seen = {held[0]}
-        stack = [held[0]]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v in held and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(held):
-            return False
-    return True
-
-
 def format_tree(jt: JunctionTree, names: Mapping[int, str] | None = None) -> str:
     """Debug dump: one `cluster {..} -- sep {..} -- cluster {..}` line per edge."""
 

@@ -35,10 +35,12 @@ log = logging.getLogger(__name__)
 
 ZERO_GUARD = 1e-12  # probabilities below this are treated as exact zeros
 NORM_TOL = 1e-9
-# Marginals one model's memo keeps, a classifier's decisions or a plan's
-# forecasts, an entry weighing one per target (at least one); the oldest
-# entry goes first. A detector entry takes about 1.2 KB, a plan marginal
-# about 620 B, so a full memo holds 5-10 MB.
+# Targets one model's memo keeps answers for, a classifier's decisions or a
+# plan's forecasts, an entry weighing one per target (at least one); the
+# oldest entry goes first. A detector entry takes about 1.2 KB. A plan entry
+# holds a report, about 230 B per target, and once the report is sent its
+# JSON text, about 210 B more (bench seed 7, tracemalloc); a second
+# selection asked of the set doubles that. So a full memo holds 4-10 MB.
 MEMO_MARGINALS = 2 ** 13
 # Cluster table entries one engine calibrates at once: `solve` takes its
 # rows in chunks of this many entries, so its memory does not grow with

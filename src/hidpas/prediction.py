@@ -9,6 +9,7 @@ conditional structure is read as the attack plan.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 from contextlib import closing
@@ -32,8 +33,9 @@ from .core import (
 )
 from .features import CATEGORICAL, NUMERIC, RowView, category_states, encode, read_table
 from .learning import DiscreteDataset, fit_cpts, k2_search
-from .possibility import (Classification, ClassifierModel, HybridPropagator,
-                          ImpossibleEvidenceError, Memo, log_breaches)
+from .possibility import (Classification, ClassifierModel, HybridMarginal, HybridPropagator,
+                          ImpossibleEvidenceError, Memo)
+from .possibility import log as engine_log
 
 log = logging.getLogger(__name__)
 
@@ -203,10 +205,14 @@ def train_alert_classifier(hypers: Sequence[HyperAlert],
     return AlertClassifierModel(net=net, class_var=class_id, tau=tau)
 
 
+_ONLY_CELL = np.zeros(1, dtype=np.intp)  # a one-row column's code: its only cell
+_ONLY_CELL.setflags(write=False)
+
+
 def classify_alert(model: AlertClassifierModel, alert) -> Classification:
     """Assert the alert's ATTRIBUTE_FIELDS as evidence, an AlertRecord's or a
     detection.DetectionAlert's (whose ports are blank); empty ones stay unobserved."""
-    columns = [encode([value]) if (value := getattr(alert, f)) else None
+    columns = [([value], _ONLY_CELL) if (value := getattr(alert, f)) else None
                for f in ATTRIBUTE_FIELDS]
     return model.classify(*model.encode(1, columns), log)[0]
 
@@ -289,8 +295,11 @@ class PlanModel:
     """Binary occurrence network over hyper-alerts, with the gap threshold.
     Each variable is a hyper-alert, named as the variable is (`hyper_names`).
     Every variable has the states OCCURRENCE; another net raises ValueError.
-    `forecasts` memoizes `predict_attacks` per observed set; a copy made by
-    `dataclasses.replace` starts with an empty one."""
+    `forecasts` memoizes `predict_attacks` per observed set. An entry holds
+    the finished report under each selection asked of the set, with the
+    breaches its forecasts log, not the marginals; a repeated forecast gets
+    the same report object, so reports are never changed. A copy made by
+    `dataclasses.replace` starts with an empty memo."""
 
     net: BayesNet
     tau: float
@@ -358,11 +367,15 @@ class PredictionRow:
 
 @dataclass(frozen=True)
 class PredictionReport:
+    """A forecast's rows, one per unobserved hyper-alert. The plan model's
+    memo hands one report to every caller that repeats the forecast, so a
+    report is shared and immutable; `to_payload` gives each call its own dict."""
+
     observed: tuple[str, ...]
     rows: tuple[PredictionRow, ...]
     selection: str
 
-    @property
+    @cached_property
     def predicted(self) -> tuple[PredictionRow, ...]:
         """Selected rows ranked by probability, best first."""
         chosen = [r for r in self.rows if r.selected]
@@ -387,6 +400,58 @@ class PredictionReport:
             "rows": [r.to_payload() for r in self.rows],
         }
 
+    @cached_property
+    def payload_json(self) -> str:
+        """`to_payload()` as JSON with sorted keys, spelled once per report."""
+        return json.dumps(self.to_payload(), sort_keys=True)
+
+
+def _select(observed: tuple[str, ...], draft: Sequence[tuple], selection: str,
+            theta: float) -> PredictionReport:
+    """The report of draft rows (name, N, P, Π, informative): `max` selects
+    the informative rows of highest P, `threshold` those with P >= theta."""
+    if selection == "max":
+        top = max((p for _, _, p, _, informative in draft if informative), default=None)
+        flags = [informative and p == top for _, _, p, _, informative in draft]
+    else:
+        flags = [informative and p >= theta for _, _, p, _, informative in draft]
+    return PredictionReport(observed, tuple(PredictionRow(*d, selected)
+                                            for d, selected in zip(draft, flags)), selection)
+
+
+@dataclass(frozen=True)
+class _Forecast:
+    """A `PlanModel.forecasts` entry for an observed set of possible evidence:
+    the (variable, violation) pairs of the targets whose N <= P <= Π interval
+    misses the probability, and per selection the theta last asked with its
+    report."""
+
+    breaches: tuple[tuple[int, float], ...]
+    reports: dict[str, tuple[float, PredictionReport]]
+
+    @classmethod
+    def of(cls, model: PlanModel, observed_ids: Sequence[int],
+           marginals: dict[int, HybridMarginal], selection: str, theta: float) -> _Forecast:
+        draft, breaches = [], []
+        for vid, hm in marginals.items():
+            draft.append((model.hyper_names[vid], *hm.triple(PRESENT),
+                          hm.informative(PRESENT, model.tau)))
+            if (violation := hm.sandwich_violation()) > 0:
+                breaches.append((vid, violation))
+        observed = tuple(model.hyper_names[v] for v in observed_ids)
+        return cls(tuple(breaches), {selection: (theta, _select(observed, draft, selection, theta))})
+
+    def report(self, selection: str, theta: float) -> PredictionReport:
+        """The held report, or one selected anew from a held report's rows."""
+        held = self.reports.get(selection)
+        if held is None or held[0] != theta:
+            _, known = next(iter(self.reports.values()))
+            draft = [(r.hyper_name, r.necessity, r.probability, r.possibility, r.informative)
+                     for r in known.rows]
+            held = self.reports[selection] = (theta, _select(known.observed, draft,
+                                                             selection, theta))
+        return held[1]
+
 
 def predict_attacks(model: PlanModel, observed: Iterable[str | int],
                     selection: str = PARAMS["selection"].default,
@@ -396,39 +461,25 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     Observation asserts `present`; unobserved steps are never asserted
     absent. `max` selects the informative node(s) of highest probability;
     `threshold` selects every informative node with probability >= theta.
-    Each observed set's marginals are memoized in `model.forecasts`.
+    Each observed set is calibrated once: `model.forecasts` keeps its
+    report, which a repeated forecast returns as is.
     """
     check_params(selection=selection, theta=theta)
     observed_ids = sorted({model.var_of(h) for h in observed})
-    targets = tuple(i for i in range(len(model.hyper_names)) if i not in observed_ids)
     row = np.full((1, len(model.hyper_names)), -1, dtype=np.intp)
     row[0, observed_ids] = PRESENT
-    [marginals] = model.forecasts.recall(row, targets,
-                                         lambda rows: model.engine.solve(rows, targets))
-    if marginals is None:
+    targets = tuple(np.flatnonzero(row[0] < 0).tolist())
+    [forecast] = model.forecasts.recall(row, targets, lambda rows: [
+        None if marginals is None else _Forecast.of(model, observed_ids, marginals,
+                                                    selection, theta)
+        for marginals in model.engine.solve(rows, targets)])
+    if forecast is None:
         raise ImpossibleEvidenceError()
-    log_breaches(marginals.values())
-    draft = []
-    for vid in targets:
-        n, p, pi = marginals[vid].triple(PRESENT)
-        informative = marginals[vid].informative(PRESENT, model.tau)
-        draft.append([model.hyper_names[vid], n, p, pi, informative])
-
-    if selection == "max":
-        top = max((d[2] for d in draft if d[4]), default=None)
-        flags = [d[4] and d[2] == top for d in draft]
-    else:
-        flags = [d[4] and d[2] >= theta for d in draft]
-
-    rows = tuple(
-        PredictionRow(name, n, p, pi, informative, selected)
-        for (name, n, p, pi, informative), selected in zip(draft, flags)
-    )
-    return PredictionReport(
-        observed=tuple(model.hyper_names[v] for v in observed_ids),
-        rows=rows,
-        selection=selection,
-    )
+    if engine_log.isEnabledFor(logging.DEBUG):  # possibility.log_breaches' lines
+        for variable, violation in forecast.breaches:
+            engine_log.debug("post-propagation interval breach %.3g on variable %d",
+                             violation, variable)
+    return forecast.report(selection, theta)
 
 
 # -- alert log I/O -------------------------------------------------------------

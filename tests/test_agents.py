@@ -6,6 +6,8 @@ from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidpas.agents import (
     ALERT,
@@ -21,7 +23,8 @@ from hidpas.cli import run_command
 from hidpas.detection import DetectionAlert
 from hidpas.features import DataError
 from hidpas.model_io import load_classifier, load_plan
-from hidpas.prediction import ATTRIBUTE_FIELDS, AlertRecord, classify_alert
+from hidpas.prediction import (ATTRIBUTE_FIELDS, AlertRecord, PredictionReport, PredictionRow,
+                               classify_alert)
 
 from conftest import SCENARIO_DIR
 
@@ -79,6 +82,36 @@ def test_message_payload_kind_enforced():
         AgentMessage(PREDICTION, "x", sample_alert())
     with pytest.raises(ValueError):
         AgentMessage(ALERT, "x", None)
+
+
+_texts = st.sampled_from(['"', "\\", '\\"', "é", "\u2603", "\U0001f600", "a\nb", ""]) | st.text()
+_floats = st.sampled_from([1e-17, 0.1 + 0.2, 0.0, -0.0]) | st.floats()
+_alerts = st.builds(DetectionAlert, _floats, _texts, _texts, _texts, _texts,
+                    _floats, _floats, _floats)
+_reports = st.builds(PredictionReport, st.lists(_texts).map(tuple), st.lists(
+    st.builds(PredictionRow, _texts, _floats, _floats, _floats, st.booleans(), st.booleans())
+).map(tuple), st.sampled_from(["max", "threshold"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(message=st.one_of(st.builds(AgentMessage, st.just(ALERT), _texts, _alerts),
+                         st.builds(AgentMessage, st.just(PREDICTION), _texts, _reports)))
+def test_a_message_is_sent_as_json_dumps_spells_it(message):
+    """The wire form is `json.dumps` of the message with sorted keys, the
+    same on every call, whatever a caller does to a payload dict it got."""
+    expected = json.dumps({"kind": message.kind, "sender": message.sender,
+                           "payload": message.payload.to_payload()}, sort_keys=True)
+    payload = message.payload.to_payload()
+    for value in payload.values():
+        if isinstance(value, list):
+            value.append("changed")
+    payload.clear()
+    assert message.to_json() == expected
+    payload = message.payload.to_payload()
+    for row in payload.get("rows", []):
+        row["hyper_alert"] = "changed"
+    payload["kind"] = "changed"
+    assert message.to_json() == expected
 
 
 def test_simulation_three_hosts_one_alert_one_prediction(sim_setup):

@@ -17,7 +17,6 @@ from hidpas.jtree import (
     build_tree_for_net,
     evidence_matrix,
     format_tree,
-    has_running_intersection,
     initialize_potentials,
     marginal_from_cluster,
     moralize,
@@ -127,6 +126,29 @@ def test_build_tree_chain_prefers_heavy_separators():
 def test_build_tree_single_cluster_no_edges():
     jt = build_tree([frozenset({"A", "B"})])
     assert jt.edges == ()
+
+
+def has_running_intersection(jt: JunctionTree) -> bool:
+    """For every variable, the clusters containing it form a connected subtree."""
+    adj: dict[int, set[int]] = {i: set() for i in range(len(jt.clusters))}
+    for i, j, _ in jt.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    holders: dict = {}
+    for i, scope in enumerate(jt.clusters):
+        for v in scope:
+            holders.setdefault(v, []).append(i)
+    for held in holders.values():
+        seen = {held[0]}
+        stack = [held[0]]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v in held and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) != len(held):
+            return False
+    return True
 
 
 def test_running_intersection_fails_on_a_split_variable():

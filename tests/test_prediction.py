@@ -235,6 +235,37 @@ def test_classifier_impossible_evidence_falls_back_to_prior(caplog):
         "impossible evidence for record; falling back to prior"]
 
 
+def test_classify_alert_equals_classifying_its_encoded_row(scenario_hypers, caplog):
+    """An alert's one-row evidence gives the decision and unknown values of
+    the row `features.encode` makes; a row of zero mass warns on every call."""
+    def reference(model, a):
+        columns = [features.encode([v]) if (v := getattr(a, f)) else None
+                   for f in ATTRIBUTE_FIELDS]
+        return model.classify(*model.encode(1, columns), prediction.log)[0]
+
+    model = train_alert_classifier(scenario_hypers)
+    alerts = [m for h in scenario_hypers for m in h.members] + [
+        alert(1, "portsweep", sip="10.0.0.5", sport="9999", dip="192.168.1.10", dport="445"),
+        alert(2, "nonesuch", sip="", sport="", dip="", dport="x,y"),
+        AlertRecord(3.0, "s", "", "", "", "", "teardrop"),
+        replace(scenario_hypers[0].members[0], attack_type="teardrop")]
+    for a in alerts:
+        assert classify_alert(model, a) == reference(replace(model), a)
+    assert classify_alert(model, alerts[-3]).unknown_values == ("dst_port=x,y",
+                                                                "attack_type=nonesuch")
+
+    split = [alert(t, "scan", sip="10.0.0.1") for t in range(6)]
+    split += [alert(t + 10, "exploit", sip="10.0.0.2") for t in range(6)]
+    unsmoothed = train_alert_classifier(aggregate_alerts(split), smoothing=0.0)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="hidpas.prediction"):
+        for _ in range(3):
+            assert classify_alert(unsmoothed, alert(99, "exploit", sip="10.0.0.1")) == \
+                unsmoothed.prior
+    assert [r.getMessage() for r in caplog.records if r.name == "hidpas.prediction"] == [
+        "impossible evidence for record; falling back to prior"] * 3
+
+
 # -- transactions ----------------------------------------------------------------------
 
 def test_transaction_matrix_documented_shape():
@@ -408,6 +439,74 @@ def test_a_repeated_forecast_is_calibrated_once(scenario_plan, monkeypatch):
     assert not tuned.forecasts
     predict_attacks(tuned, ["portsweep"])
     assert len(calls) == 4
+
+
+@pytest.fixture(scope="module")
+def synthetic_plan():
+    """The synthetic log's four-step plan, at a gap threshold that leaves
+    every forecast row of an observed step informative."""
+    hypers = aggregate_alerts(load_alert_log(data_path("alerts_synthetic.csv")))
+    return train_plan_model(build_transactions(hypers, dt=60.0), tau=0.9)
+
+
+def test_a_remembered_forecast_is_the_same_report(synthetic_plan):
+    plan = replace(synthetic_plan)
+    first = predict_attacks(plan, ["scan"])
+    assert predict_attacks(plan, ["scan"]) is first
+    assert predict_attacks(plan, [0, "scan"]) is first
+    assert first.payload_json is first.payload_json
+    assert first.predicted is first.predicted
+
+
+def test_another_selection_of_a_remembered_set_is_not_recalibrated(synthetic_plan,
+                                                                     monkeypatch):
+    """Each selection and theta asked of a remembered set gets the report
+    a fresh model gives, from the rows the memo holds."""
+    plan = replace(synthetic_plan)
+    predict_attacks(plan, ["scan"])
+    weight = plan.forecasts.weight
+    calls = counting(monkeypatch, possibility, "propagate")
+    asked = [("threshold", 0.25), ("max", 0.5), ("threshold", 0.1), ("threshold", 0.25),
+             ("max", 0.1), ("threshold", 0.5)]
+    reports = [predict_attacks(plan, ["scan"], selection, theta) for selection, theta in asked]
+    assert not calls and plan.forecasts.weight == weight
+    assert len({tuple(r.selected for r in report.rows) for report in reports}) > 2
+    for (selection, theta), report in zip(asked, reports):
+        fresh = predict_attacks(replace(synthetic_plan), ["scan"], selection, theta)
+        assert report == fresh and report.payload_json == fresh.payload_json
+    assert predict_attacks(plan, ["scan"], "threshold", 0.5) is reports[-1]
+
+
+def test_an_impossible_set_raises_on_every_forecast():
+    alerts = [alert(slot * 60 + 1, which) for slot, which in ((0, "A"), (1, "B"), (2, "A"))]
+    plan = train_plan_model(build_transactions(aggregate_alerts(alerts), dt=60.0),
+                            smoothing=0.0)
+    for selection in ("max", "max", "threshold"):
+        with pytest.raises(possibility.ImpossibleEvidenceError):
+            predict_attacks(plan, ["A", "B"], selection)
+    assert len(plan.forecasts) == 1
+
+
+def test_forecasts_are_evicted_by_target_weight(synthetic_plan, monkeypatch):
+    """An entry weighs one per target, however many reports it holds."""
+    plan = replace(synthetic_plan)
+    monkeypatch.setattr(possibility, "MEMO_MARGINALS", 6)
+    calls = counting(monkeypatch, possibility, "propagate")
+
+    def calibrations(observed, selection="max"):
+        before = len(calls)
+        predict_attacks(plan, observed, selection)
+        return len(calls) - before
+
+    assert calibrations(["scan"]) == 2  # three targets
+    assert calibrations(["exploit"]) == 2
+    assert calibrations(["scan"], "threshold") == 0 and plan.forecasts.weight == 6
+    assert calibrations(["dos", "backdoor"]) == 2  # two targets: scan, the oldest, goes
+    assert plan.forecasts.weight == 5
+    assert calibrations(["exploit"]) == 0
+    assert calibrations(["scan"]) == 2  # and exploit goes
+    assert calibrations(["dos", "backdoor"]) == 0
+    assert calibrations(["exploit"]) == 2
 
 
 def test_predict_report_table_format(scenario_plan):
