@@ -27,7 +27,7 @@ class DiscreteDataset:
     """Fully observed discrete data: one Variable per column, int state rows.
 
     Integer rows keep their type, so a narrow matrix is not widened; any other
-    is converted to int64."""
+    is converted to int64, and a value that is not an integer raises ValueError."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
@@ -37,8 +37,6 @@ class DiscreteDataset:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "arities", tuple(v.arity for v in self.variables))
         rows = np.asarray(self.rows)
-        if rows.dtype.kind not in "iu":
-            rows = rows.astype(np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.variables):
             if rows.size == 0:
                 rows = rows.reshape(0, len(self.variables))
@@ -46,6 +44,13 @@ class DiscreteDataset:
                 raise ValueError(
                     f"rows shape {rows.shape} does not match {len(self.variables)} columns"
                 )
+        if rows.dtype.kind not in "iu":
+            rows = rows.astype(float)  # cast to int64 once known to be states
+            whole = np.isfinite(rows) & (rows == np.trunc(rows))
+            for i in np.flatnonzero(~whole.all(axis=0))[:1]:
+                state = float(rows[~whole[:, i], i][0])
+                raise ValueError(f"column {self.variables[i].name} holds a state {state!r} "
+                                 f"that is not an integer")
         if rows.shape[0]:
             high, low = rows.max(axis=0), rows.min(axis=0)
             for i in np.flatnonzero((high >= self.arities) | (low < 0))[:1]:
@@ -53,6 +58,8 @@ class DiscreteDataset:
                 if high[i] >= var.arity:
                     raise ValueError(f"column {var.name} holds a state index >= arity {var.arity}")
                 raise ValueError(f"column {var.name} holds a negative state index")
+        if rows.dtype.kind == "f":
+            rows = rows.astype(np.int64)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 

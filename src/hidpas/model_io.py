@@ -235,14 +235,14 @@ def parse_network(text: str, path: str = "<string>") -> tuple[BayesNet, dict[str
             labels[-1].append(label)
         cpts.append(np.array(rows, dtype=float).reshape(len(rows), var.arity))
     net = BayesNet(Dag(variables, parent_lists), cpts)
+    violations = validate_network(net)
+    if violations:
+        raise DataError(f"{path}: invalid network: {violations[0]}")
     for var, var_labels in zip(variables, labels):
         for label, cfg in zip(var_labels, parent_configurations(net, var.id)):
             if label != _config_label(cfg):
                 raise DataError(f"{path}: CPT {var.id} row labelled {label!r} where "
                                 f"{_config_label(cfg)!r} belongs")
-    violations = validate_network(net)
-    if violations:
-        raise DataError(f"{path}: invalid network: {violations[0]}")
     return net, extras
 
 

@@ -39,8 +39,8 @@ NORM_TOL = 1e-9
 # plan's forecasts, an entry weighing one per target (at least one); the
 # oldest entry goes first. A detector entry takes about 1.2 KB. A plan entry
 # holds a report, about 230 B per target, and once the report is sent its
-# JSON text, about 210 B more (bench seed 7, tracemalloc); a second
-# selection asked of the set doubles that. So a full memo holds 4-10 MB.
+# JSON text, about 210 B more (bench seed 7, tracemalloc). So a full memo
+# holds 4-10 MB.
 MEMO_MARGINALS = 2 ** 13
 # Cluster table entries one engine calibrates at once: `solve` takes its
 # rows in chunks of this many entries, so its memory does not grow with
@@ -259,18 +259,20 @@ def transformed_factors(net: BayesNet) -> list[Potential]:
 
 class Memo(dict):
     """A model's answers (`ClassifierModel.decisions`, `PlanModel.forecasts`)
-    keyed by (evidence row bytes, targets), oldest first: past MEMO_MARGINALS
-    in all, the oldest entries go. It is not locked, so threads must not
-    share one."""
+    keyed by (evidence row bytes, targets, asked), where asked names how the
+    answer was asked beyond its evidence, oldest first: past MEMO_MARGINALS
+    targets in all, the oldest entries go. It is not locked, so threads must
+    not share one."""
 
     weight = 0
 
-    def recall(self, observed: np.ndarray, targets: tuple[int, ...], solve) -> list:
+    def recall(self, observed: np.ndarray, targets: tuple[int, ...], solve,
+               asked: tuple = ()) -> list:
         """The answer for each row of an evidence matrix: a remembered one,
         or, for the distinct rows not remembered, the answers of one
         solve(rows) call over those rows, which are then remembered; solve
         checks each row first, so a bad row raises even among remembered ones."""
-        keys = [(row.tobytes(), targets) for row in observed]
+        keys = [(row.tobytes(), targets, asked) for row in observed]
         found, misses = {}, {}
         for row, key in enumerate(keys):
             if key in self:
@@ -288,13 +290,14 @@ class Memo(dict):
         return [found[key] for key in keys]
 
 
-def log_breaches(marginals: Iterable[HybridMarginal]) -> None:
-    """At DEBUG level, log each marginal whose interval misses its probability."""
+def log_breaches(breaches: Iterable[tuple[int, float]]) -> None:
+    """At DEBUG level, log each (variable, violation) pair whose violation
+    is above 0: the variable's interval misses its probability."""
     if log.isEnabledFor(logging.DEBUG):
-        for hm in marginals:
-            if (violation := hm.sandwich_violation()) > 0:
+        for variable, violation in breaches:
+            if violation > 0:
                 log.debug("post-propagation interval breach %.3g on variable %d",
-                          violation, hm.variable)
+                          violation, variable)
 
 
 class HybridPropagator:
@@ -444,7 +447,7 @@ class ClassifierModel:
                 logger.warning("impossible evidence for record; falling back to prior")
                 decision = self.prior
             results.append(replace(decision, unknown_values=missed) if missed else decision)
-        log_breaches(result.marginal for result in results)
+        log_breaches((r.marginal.variable, r.marginal.sandwich_violation()) for r in results)
         return results
 
     @cached_property

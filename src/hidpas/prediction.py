@@ -34,8 +34,7 @@ from .core import (
 from .features import CATEGORICAL, NUMERIC, RowView, category_states, encode, read_table
 from .learning import DiscreteDataset, fit_cpts, k2_search
 from .possibility import (Classification, ClassifierModel, HybridMarginal, HybridPropagator,
-                          ImpossibleEvidenceError, Memo)
-from .possibility import log as engine_log
+                          ImpossibleEvidenceError, Memo, log_breaches)
 
 log = logging.getLogger(__name__)
 
@@ -295,9 +294,9 @@ class PlanModel:
     """Binary occurrence network over hyper-alerts, with the gap threshold.
     Each variable is a hyper-alert, named as the variable is (`hyper_names`).
     Every variable has the states OCCURRENCE; another net raises ValueError.
-    `forecasts` memoizes `predict_attacks` per observed set. An entry holds
-    the finished report under each selection asked of the set, with the
-    breaches its forecasts log, not the marginals; a repeated forecast gets
+    `forecasts` memoizes `predict_attacks`, keyed by observed set, targets,
+    selection and theta. An entry holds the finished report with the
+    breaches its forecast logs, not the marginals; a repeated forecast gets
     the same report object, so reports are never changed. A copy made by
     `dataclasses.replace` starts with an empty memo."""
 
@@ -406,51 +405,24 @@ class PredictionReport:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _select(observed: tuple[str, ...], draft: Sequence[tuple], selection: str,
-            theta: float) -> PredictionReport:
-    """The report of draft rows (name, N, P, Π, informative): `max` selects
-    the informative rows of highest P, `threshold` those with P >= theta."""
+def _forecast(model: PlanModel, observed_ids: Sequence[int],
+              marginals: dict[int, HybridMarginal], selection: str, theta: float
+              ) -> tuple[PredictionReport, tuple[tuple[int, float], ...]]:
+    """The report of a possible observed set's marginals, with the (variable,
+    violation) pairs of the targets whose N <= P <= Π interval misses the
+    probability: `max` selects the informative rows of highest P,
+    `threshold` those with P >= theta."""
+    draft = [(model.hyper_names[vid], *hm.triple(PRESENT), hm.informative(PRESENT, model.tau))
+             for vid, hm in marginals.items()]
     if selection == "max":
         top = max((p for _, _, p, _, informative in draft if informative), default=None)
         flags = [informative and p == top for _, _, p, _, informative in draft]
     else:
         flags = [informative and p >= theta for _, _, p, _, informative in draft]
-    return PredictionReport(observed, tuple(PredictionRow(*d, selected)
-                                            for d, selected in zip(draft, flags)), selection)
-
-
-@dataclass(frozen=True)
-class _Forecast:
-    """A `PlanModel.forecasts` entry for an observed set of possible evidence:
-    the (variable, violation) pairs of the targets whose N <= P <= Π interval
-    misses the probability, and per selection the theta last asked with its
-    report."""
-
-    breaches: tuple[tuple[int, float], ...]
-    reports: dict[str, tuple[float, PredictionReport]]
-
-    @classmethod
-    def of(cls, model: PlanModel, observed_ids: Sequence[int],
-           marginals: dict[int, HybridMarginal], selection: str, theta: float) -> _Forecast:
-        draft, breaches = [], []
-        for vid, hm in marginals.items():
-            draft.append((model.hyper_names[vid], *hm.triple(PRESENT),
-                          hm.informative(PRESENT, model.tau)))
-            if (violation := hm.sandwich_violation()) > 0:
-                breaches.append((vid, violation))
-        observed = tuple(model.hyper_names[v] for v in observed_ids)
-        return cls(tuple(breaches), {selection: (theta, _select(observed, draft, selection, theta))})
-
-    def report(self, selection: str, theta: float) -> PredictionReport:
-        """The held report, or one selected anew from a held report's rows."""
-        held = self.reports.get(selection)
-        if held is None or held[0] != theta:
-            _, known = next(iter(self.reports.values()))
-            draft = [(r.hyper_name, r.necessity, r.probability, r.possibility, r.informative)
-                     for r in known.rows]
-            held = self.reports[selection] = (theta, _select(known.observed, draft,
-                                                             selection, theta))
-        return held[1]
+    rows = tuple(PredictionRow(*d, selected) for d, selected in zip(draft, flags))
+    report = PredictionReport(tuple(model.hyper_names[v] for v in observed_ids), rows, selection)
+    return report, tuple((vid, violation) for vid, hm in marginals.items()
+                         if (violation := hm.sandwich_violation()) > 0)
 
 
 def predict_attacks(model: PlanModel, observed: Iterable[str | int],
@@ -461,8 +433,8 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     Observation asserts `present`; unobserved steps are never asserted
     absent. `max` selects the informative node(s) of highest probability;
     `threshold` selects every informative node with probability >= theta.
-    Each observed set is calibrated once: `model.forecasts` keeps its
-    report, which a repeated forecast returns as is.
+    Each observed set is calibrated once per selection and theta:
+    `model.forecasts` keeps its report, which a repeated forecast returns as is.
     """
     check_params(selection=selection, theta=theta)
     observed_ids = sorted({model.var_of(h) for h in observed})
@@ -470,16 +442,13 @@ def predict_attacks(model: PlanModel, observed: Iterable[str | int],
     row[0, observed_ids] = PRESENT
     targets = tuple(np.flatnonzero(row[0] < 0).tolist())
     [forecast] = model.forecasts.recall(row, targets, lambda rows: [
-        None if marginals is None else _Forecast.of(model, observed_ids, marginals,
-                                                    selection, theta)
-        for marginals in model.engine.solve(rows, targets)])
+        None if marginals is None else _forecast(model, observed_ids, marginals, selection, theta)
+        for marginals in model.engine.solve(rows, targets)], (selection, theta))
     if forecast is None:
         raise ImpossibleEvidenceError()
-    if engine_log.isEnabledFor(logging.DEBUG):  # possibility.log_breaches' lines
-        for variable, violation in forecast.breaches:
-            engine_log.debug("post-propagation interval breach %.3g on variable %d",
-                             violation, variable)
-    return forecast.report(selection, theta)
+    report, breaches = forecast
+    log_breaches(breaches)
+    return report
 
 
 # -- alert log I/O -------------------------------------------------------------

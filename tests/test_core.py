@@ -100,6 +100,12 @@ def test_validation_catches_shape_and_reference_problems():
         "[id] var 0: variable at position 0 has id 5"]
 
 
+def test_a_missing_cpt_is_reported():
+    a, b = Variable(0, "A", ("0", "1")), Variable(1, "B", ("0", "1"))
+    net = BayesNet(Dag((a, b), ((), ())), (np.array([[0.5, 0.5]]),))
+    assert [str(v) for v in validate_network(net)] == ["[missing-cpt] 1 CPTs for 2 variables"]
+
+
 def test_arity_below_two_is_reported():
     a = Variable(0, "A", ("only",))
     net = BayesNet(Dag((a,), ((),)), (np.array([[1.0]]),))

@@ -42,7 +42,7 @@ from hidpas.features import (
     parse_connection_fields,
 )
 
-from hidpas.model_io import load_detector, save_detector
+from hidpas.model_io import format_detector, load_detector, save_detector
 
 from conftest import cells, counting, data_path, raw_table, shown
 
@@ -168,6 +168,22 @@ def test_an_order_naming_each_selected_column_but_once_fails_before_k2(scenario_
             train_detector(table, DetectorConfig(top_k=4, order=tuple(order)))
         assert str(err.value) == (f"order {fault}: each of the selected columns "
                                   f"{sorted(names)} must appear once")
+
+
+def test_a_valid_order_is_the_order_k2_searches(scenario_model):
+    """The class, then the features in id order, is the default order, so it
+    gives the default model; under the reversed order every learned parent
+    precedes its child in that order."""
+    table = load_kdd(data_path("scenario", "detector_train.csv"))
+    order = ("attack_type",) + scenario_model.features
+    same = train_detector(table, DetectorConfig(top_k=4, order=order))
+    assert format_detector(same, timestamp=False) == format_detector(scenario_model,
+                                                                     timestamp=False)
+    net = train_detector(table, DetectorConfig(top_k=4, order=order[::-1])).net
+    place = {name: i for i, name in enumerate(order[::-1])}
+    edges = [(net.variables[p].name, var.name)
+             for var, parents in zip(net.variables, net.dag.parents) for p in parents]
+    assert edges and all(place[parent] < place[child] for parent, child in edges)
 
 
 def test_classification_probabilities_sum_to_one(scenario_model):

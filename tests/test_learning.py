@@ -58,6 +58,28 @@ def test_count_statistics_reads_any_integer_rows(dtype):
     assert k2_search(data, (0, 1, 2), 2).parents == reference_k2_search(data, (0, 1, 2), 2)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0.7, 1.0], [1.9, 0.2]], "column P holds a state 0.7 that is not an integer"),
+    ([[0.0, 1.0], [1.0, 0.2]], "column X holds a state 0.2 that is not an integer"),
+    ([[0.0, 1.0], [np.nan, 0.0]], "column P holds a state nan that is not an integer"),
+    ([[0.0, np.inf]], "column X holds a state inf that is not an integer"),
+    ([[0, 2]], "column X holds a state index >= arity 2"),
+    ([[1e30, 0.0]], "column P holds a state index >= arity 2"),
+    ([[-1, 0]], "column P holds a negative state index"),
+])
+def test_a_dataset_rejects_a_state_that_is_no_state_index(rows, message):
+    variables = (Variable(0, "P", ("0", "1")), Variable(1, "X", ("0", "1")))
+    with pytest.raises(ValueError, match=message):
+        DiscreteDataset(variables, np.array(rows))
+
+
+def test_a_dataset_converts_integral_floats_and_bools():
+    variables = (Variable(0, "P", ("0", "1")), Variable(1, "X", ("0", "1")))
+    for rows in ([[1.0, 0.0], [0.0, -0.0]], [[True, False], [False, False]]):
+        data = DiscreteDataset(variables, np.array(rows))
+        assert data.rows.dtype == np.int64 and data.rows.tolist() == [[1, 0], [0, 0]]
+
+
 def test_count_statistics_empty_dataset():
     empty = dataset(["P", "X"], np.zeros((0, 2)))
     assert count_statistics(empty, 1, (0,)).tolist() == [[0, 0], [0, 0]]

@@ -283,6 +283,23 @@ def test_edge_to_unknown_variable_rejected_with_path_and_line(tmp_path):
         parse_network(FORMAT_HEADER + "\nVARIABLES\n0 a x,y\nEDGES\n7 -> 0\nCPT 0\n() : 0.5 0.5\n")
 
 
+@pytest.mark.parametrize("variables, edges, bad", [
+    ("0 a x,y\n1 b x,y", "0 -> 1\n1 -> 1", r"\[self-parent\] var 1: variable is its own parent"),
+    ("0 a x,y\n1 b x,y", "0 -> 1\n0 -> 1", r"\[duplicate-parent\] var 1: repeated parent id"),
+    ("0 a x,y\n1 b x,y", "0 -> 1\n1 -> 0", r"\[cycle\] directed cycle through variables \[0, 1\]"),
+    ("0 a x,x\n1 b x,y", "0 -> 1", r"\[duplicate-state\] var 0: a repeats a state label"),
+], ids=["self-parent", "duplicate-parent", "cycle", "duplicate-state"])
+def test_a_faulty_network_is_reported_before_its_cpt_labels(tmp_path, variables, edges, bad):
+    """The CPT sections fit a single 0 -> 1 edge, so their labels would be
+    wrong for any other edges; the network's own fault is reported."""
+    path = tmp_path / "net.bn"
+    path.write_text(FORMAT_HEADER + "\nVARIABLES\n" + variables + "\nEDGES\n" + edges
+                    + "\nCPT 0\n() : 0.5 0.5\nCPT 1\n(0) : 0.5 0.5\n(1) : 0.5 0.5\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=r"net\.bn: invalid network: " + bad):
+        parse_network(path.read_text(encoding="utf-8"), str(path))
+
+
 @pytest.mark.parametrize("edge, cpt, bad", [
     ("0 -> x", "CPT 1", r"bad edge line '0 -> x'"),
     ("a -> 1", "CPT 1", r"bad edge line 'a -> 1'"),

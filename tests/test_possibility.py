@@ -336,6 +336,10 @@ def test_hybrid_marginal_type_invariants_enforced():
         HybridMarginal(0, (0.9, 0.0), (0.5, 0.5), (0.5, 1.0))  # N > Pi
     with pytest.raises(ValueError):
         HybridMarginal(0, (0.0, 0.0), (0.7, 0.7), (1.0, 1.0))  # P sums to 1.4
+    with pytest.raises(ValueError, match="component lengths differ"):
+        HybridMarginal(0, (0.0,), (0.5, 0.5), (1.0, 1.0))
+    with pytest.raises(ValueError, match="possibilities are not normalized"):
+        HybridMarginal(0, (0.0, 0.0), (0.5, 0.5), (0.9, 0.9))
 
 
 # -- the engine and the models' memos ---------------------------------------------

@@ -458,18 +458,22 @@ def test_a_remembered_forecast_is_the_same_report(synthetic_plan):
     assert first.predicted is first.predicted
 
 
-def test_another_selection_of_a_remembered_set_is_not_recalibrated(synthetic_plan,
-                                                                     monkeypatch):
-    """Each selection and theta asked of a remembered set gets the report
-    a fresh model gives, from the rows the memo holds."""
+def test_each_selection_of_a_remembered_set_is_calibrated_once(synthetic_plan, monkeypatch):
+    """Each selection and theta asked of an observed set is its own memo
+    entry, calibrated once, whose report a fresh model gives too."""
     plan = replace(synthetic_plan)
     predict_attacks(plan, ["scan"])
-    weight = plan.forecasts.weight
     calls = counting(monkeypatch, possibility, "propagate")
     asked = [("threshold", 0.25), ("max", 0.5), ("threshold", 0.1), ("threshold", 0.25),
              ("max", 0.1), ("threshold", 0.5)]
-    reports = [predict_attacks(plan, ["scan"], selection, theta) for selection, theta in asked]
-    assert not calls and plan.forecasts.weight == weight
+    seen, reports = {("max", 0.5)}, []  # the default, asked first
+    for selection, theta in asked:
+        before = len(calls)
+        reports.append(predict_attacks(plan, ["scan"], selection, theta))
+        assert len(calls) - before == (0 if (selection, theta) in seen else 2)
+        seen.add((selection, theta))
+    assert len(plan.forecasts) == len(seen) == 5
+    assert reports[3] is reports[0]
     assert len({tuple(r.selected for r in report.rows) for report in reports}) > 2
     for (selection, theta), report in zip(asked, reports):
         fresh = predict_attacks(replace(synthetic_plan), ["scan"], selection, theta)
@@ -484,11 +488,12 @@ def test_an_impossible_set_raises_on_every_forecast():
     for selection in ("max", "max", "threshold"):
         with pytest.raises(possibility.ImpossibleEvidenceError):
             predict_attacks(plan, ["A", "B"], selection)
-    assert len(plan.forecasts) == 1
+    assert len(plan.forecasts) == 2  # one entry per selection
 
 
 def test_forecasts_are_evicted_by_target_weight(synthetic_plan, monkeypatch):
-    """An entry weighs one per target, however many reports it holds."""
+    """An entry, one per observed set, selection and theta, weighs one per
+    target."""
     plan = replace(synthetic_plan)
     monkeypatch.setattr(possibility, "MEMO_MARGINALS", 6)
     calls = counting(monkeypatch, possibility, "propagate")
@@ -500,13 +505,15 @@ def test_forecasts_are_evicted_by_target_weight(synthetic_plan, monkeypatch):
 
     assert calibrations(["scan"]) == 2  # three targets
     assert calibrations(["exploit"]) == 2
-    assert calibrations(["scan"], "threshold") == 0 and plan.forecasts.weight == 6
-    assert calibrations(["dos", "backdoor"]) == 2  # two targets: scan, the oldest, goes
+    assert calibrations(["scan"], "threshold") == 2  # scan under max, the oldest, goes
+    assert plan.forecasts.weight == 6
+    assert calibrations(["exploit"]) == 0 and calibrations(["scan"], "threshold") == 0
+    assert calibrations(["dos", "backdoor"]) == 2  # two targets: exploit goes
     assert plan.forecasts.weight == 5
-    assert calibrations(["exploit"]) == 0
-    assert calibrations(["scan"]) == 2  # and exploit goes
+    assert calibrations(["scan"], "threshold") == 0
+    assert calibrations(["scan"]) == 2  # and scan under threshold goes
     assert calibrations(["dos", "backdoor"]) == 0
-    assert calibrations(["exploit"]) == 2
+    assert calibrations(["scan"], "threshold") == 2
 
 
 def test_predict_report_table_format(scenario_plan):
@@ -573,6 +580,18 @@ def test_plan_isolated_node_has_no_edge():
     tm = build_transactions(hypers, dt=60.0, start=0.0, span=120.0)
     plan = train_plan_model(tm)
     assert plan_edges(plan) == []
+
+
+@pytest.mark.parametrize("timestamp, sensor, attack, message", [
+    (math.nan, "ids1", "scan", "timestamp must be finite"),
+    (math.inf, "ids1", "scan", "timestamp must be finite"),
+    (1.0, "", "scan", "sensor and attack_type are required"),
+    (1.0, "ids1", "", "sensor and attack_type are required"),
+])
+def test_an_alert_record_checks_its_timestamp_sensor_and_type(timestamp, sensor, attack,
+                                                              message):
+    with pytest.raises(ValueError, match=message):
+        AlertRecord(timestamp, sensor, "a", "b", "c", "d", attack)
 
 
 # -- alert log loader ------------------------------------------------------------------------
