@@ -87,8 +87,12 @@ def bad_row(path: str, lineno: int, reason: object, on_bad: str,
 
 
 def finite_float(token: str) -> float:
-    """The float spelled by token; ValueError unless it is finite."""
-    value = float(token)
+    """The float token spells as np.loadtxt reads one (ASCII but for the
+    whitespace around it, no underscore); ValueError unless it is finite."""
+    spelled = token.strip()
+    if "_" in spelled or not spelled.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    value = float(spelled)
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
     return value

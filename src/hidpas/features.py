@@ -7,7 +7,6 @@ trailing label, with labels dot-terminated in the original files.
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -87,8 +86,9 @@ _CATEGORY_OF = {label: category for category, labels in (
 
 @dataclass(frozen=True)
 class RawTable:
-    """Named columns: a numeric column is a float array, a categorical one
-    its encoding, (sorted distinct values, each row's index into them)."""
+    """Named columns: a numeric column is a float array, which may be a view
+    sharing one buffer with its neighbours, a categorical one its encoding,
+    (sorted distinct values, each row's index into them)."""
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -184,7 +184,8 @@ def read_table(path: str, names: Sequence[str], kinds: Sequence[str], grammar: C
     in blocks of BLOCK_RECORDS records cut at record starts, each by the
     same call. A bulk read's fields are kinds after the first len(blank),
     which read blank, and any kinds past the names are fields it reads and
-    drops; it fails if check rejects its cells. Each record of a block that
+    drops; it fails if check rejects its cells. Its numeric columns are
+    views of the call's one matrix, not copies. Each record of a block that
     fails goes through grammar, which gives its row of values or raises
     DataError; `bad_row` then names the record (on_bad 'abort') or logs it
     on logger and drops it ('skip').
@@ -203,8 +204,7 @@ def read_table(path: str, names: Sequence[str], kinds: Sequence[str], grammar: C
                 for value, kind in zip(blank, kinds)]
         cells = iter(cells)
         return RawTable(names, kinds, lead + [
-            matrix[:, i].copy() if kind == NUMERIC
-            else encode(next(cells), matrix[:, i].astype(np.intp))
+            matrix[:, i] if kind == NUMERIC else encode(next(cells), matrix[:, i].astype(np.intp))
             for i, kind in enumerate(kinds[len(blank):])])
 
     if (table := bulk(path, skiprows)) is not None:
@@ -340,12 +340,10 @@ def parse_connection_fields(rec: Sequence[str]) -> list:
         cell = cell.strip()
         if kind == NUMERIC:
             try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(f"non-numeric value {cell!r} in column {name}") from None
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value {cell!r} in column {name}")
-            row.append(value)
+                row.append(finite_float(cell))
+            except ValueError as exc:
+                fault = "non-finite" if str(exc).endswith("is not finite") else "non-numeric"
+                raise DataError(f"{fault} value {cell!r} in column {name}") from None
         else:
             row.append(cell)
     return row
@@ -485,6 +483,8 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
 
     Numeric columns become binary (v1, v2). Categorical values unseen at
     rule-building time map to a reserved state appended to that variable.
+    Codes are in the narrowest unsigned type that holds every state of
+    their column, the reserved one too: uint8 for a binary column.
     """
     variables: list[Variable] = []
     code_columns: list[np.ndarray] = []
@@ -493,7 +493,7 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
             if name not in rules.means:
                 raise ValueError(f"no discretization rule for numeric column {name!r}")
             codes = (np.asarray(table.column(name), dtype=float)
-                     >= rules.means[name]).astype(np.int64)
+                     >= rules.means[name]).astype(np.uint8)
             states: tuple[str, ...] = ("v1", "v2")
         else:
             if name not in rules.states:
@@ -502,7 +502,7 @@ def to_discrete_dataset(table: RawTable, rules: TransformRules,
             lookup = {s: i for i, s in enumerate(states)}
             levels, level_codes = table.column(name)
             codes = np.array([lookup.get(v, len(states)) for v in levels],
-                             dtype=np.int64)[level_codes]
+                             dtype=np.min_scalar_type(len(states)))[level_codes]
             if np.any(codes == len(states)):
                 states = states + (UNKNOWN_STATE,)
         variables.append(Variable(out_id, name, states))

@@ -282,11 +282,13 @@ def test_load_stream_rejects_bad_row(tmp_path):
     assert list(load_stream(str(path), on_bad="skip")) == []
 
 
-@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon"])
+# "2_6.1" and the Arabic-Indic "10" are float's spellings of numbers, not loadtxt's
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon", "2_6.1", "\u0661\u0660"])
 def test_load_stream_rejects_a_non_finite_timestamp(tmp_path, stamp):
     lines = Path(data_path("scenario", "host_c.csv")).read_text().splitlines()
     path = tmp_path / "stamps.csv"
-    path.write_text("\n".join([lines[0], stamp + lines[1][lines[1].index(","):], lines[2]]) + "\n")
+    path.write_text("\n".join([lines[0], stamp + lines[1][lines[1].index(","):], lines[2]]) + "\n",
+                    encoding="utf-8")
     with pytest.raises(DataError, match=f"stamps.csv:2: bad timestamp '{stamp}'"):
         load_stream(str(path))
     kept = load_stream(str(path), on_bad="skip")

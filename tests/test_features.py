@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -36,6 +37,7 @@ from hidpas.features import (
     select_features,
     to_discrete_dataset,
 )
+from hidpas.learning import DiscreteDataset, count_statistics, fit_cpts, k2_search
 from hidpas.prediction import AlertLog, AlertRecord
 
 from conftest import cells, counting, data_path, raw_table, shown
@@ -89,6 +91,47 @@ def test_load_kdd_unparseable_numeric(tmp_path):
         load_kdd(str(bad))
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0660"])
+@pytest.mark.parametrize("on_bad", ["abort", "skip"])
+def test_load_kdd_names_a_number_loadtxt_does_not_read(tmp_path, caplog, cell, on_bad):
+    # float reads both spellings and loadtxt does not; nor may the grammar that
+    # reads the block the bulk read rejects
+    line = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines()[0]
+    row = line.split(",")
+    row[4] = cell  # src_bytes
+    path = tmp_path / "spelled.csv"
+    path.write_text("\n".join([line, ",".join(row), line]) + "\n", encoding="utf-8")
+    if on_bad == "abort":
+        with pytest.raises(DataError, match=f"spelled.csv:2: non-numeric value '{cell}' "
+                                            "in column src_bytes"):
+            load_kdd(str(path))
+        return
+    with caplog.at_level("WARNING", logger="hidpas.features"):
+        table = load_kdd(str(path), on_bad="skip")
+    assert table.row_count == 2 and table.column("src_bytes").tolist() == [
+        float(line.split(",")[4])] * 2
+    assert any(f"spelled.csv:2: skipped row (non-numeric value '{cell}'" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_load_kdd_holds_one_copy_of_its_numbers(tmp_path):
+    # numeric columns are views of read_matrix's one float matrix (rows x 42);
+    # a copy of them next to it would take the peak to twice the matrix
+    from test_detector_golden import bench_shaped_kdd
+    path, rows = str(tmp_path / "kdd.csv"), 10_000
+    bench_shaped_kdd(path, rows=rows)
+    tracemalloc.start()
+    try:
+        table = load_kdd(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.row_count == rows
+    assert peak <= 1.5 * rows * len(table.names) * 8
+    names = list(table.names)
+    assert to_discrete_dataset(table, build_rules(table, names), names).rows.dtype == np.uint8
+
+
 def test_load_kdd_names_physical_line_after_quoted_newline(tmp_path, caplog):
     row = Path(data_path("scenario", "detector_train.csv")).read_text().splitlines()[0].split(",")
     spanning = list(row)
@@ -110,11 +153,20 @@ def test_data_error_is_the_core_class():
     assert DataError is core.DataError
 
 
+def _number(cell: str) -> float:
+    """float(cell) for a number spelled as np.loadtxt reads one: float also
+    reads '1_0' and non-ASCII digits, which loadtxt rejects."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} is no number")
+    return float(cell)
+
+
 # The csv row reader load_kdd had before its bulk path, kept as the reference
 # the bulk path must match column for column. It names physical lines, as
 # core.csv_records does, and builds its table through raw_table. Under
 # 'abort' it names the first bad line in file order, a wrong arity or a bad
 # number alike (its first form named every wrong arity before any number).
+# Its numbers follow the loadtxt spelling (_number).
 def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
     names = [n for n, _ in KDD_FEATURES] + [LABEL_COLUMN]
     kinds = [k for _, k in KDD_FEATURES] + [CATEGORICAL]
@@ -149,12 +201,12 @@ def reference_load_kdd(path: str, on_bad: str = "abort") -> RawTable:
             columns[i] = np.array(cells, dtype=object)
             continue
         try:
-            arr = np.asarray(cells, dtype=float)
+            arr = np.array([_number(cell) for cell in cells], dtype=float)
         except ValueError:
             arr = np.empty(len(cells))
             for r, cell in enumerate(cells):
                 try:
-                    arr[r] = float(cell)
+                    arr[r] = _number(cell)
                 except ValueError:
                     arr[r] = np.nan
                     bad_rows.setdefault(
@@ -185,10 +237,11 @@ NUMBERS = ["0", "1", "-0", "7", "511", "0.03", "1.5e3", "+.5", "5.", "1E-5", "00
 CATEGORIES = ["tcp", "http", "SF", "0", "1", "normal.", "smurf", "x..", "a b", "",
               'q"t', "\u00fc"]
 SPACES = ["", " ", "  ", "\t"]
-# each defect makes the row reader skip or report a row, or reads a cell
-# unlike a plain one ('1_0' is 10.0, a quote after a space is kept, a quoted
-# comma is no delimiter)
-DEFECTS = ["abc", "nan", "inf", "-inf", "1_0", "", "1e400", "short", "long",
+# each defect makes the row reader skip or report a row ('1_0' and the
+# Arabic-Indic '10' are no numbers, as loadtxt reads them), or reads a cell
+# unlike a plain one (a quote after a space is kept, a quoted comma is no
+# delimiter)
+DEFECTS = ["abc", "nan", "inf", "-inf", "1_0", "\u0661\u0660", "", "1e400", "short", "long",
            "spaced quote", "quoted comma", "unquoted comma"]
 
 
@@ -652,6 +705,35 @@ def test_unseen_category_maps_to_reserved_state_through_the_shared_encoding():
     assert ds.variables[1].states == ("a", "n") and ds.rows[:, 1].tolist() == [1, 1, 0, 0]
 
 
+@pytest.mark.parametrize("categories, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_codes_are_the_narrowest_type_that_holds_the_unknown_state(categories, dtype):
+    rng = random.Random(categories)
+    seen = [f"s{i:03d}" for i in range(categories)]
+    train = small_table(svc=seen, x=[rng.random() for _ in seen],
+                        cls=[rng.choice("an") for _ in seen])
+    names = ["svc", "x", "cls"]
+    rules = build_rules(train, names)
+    svc = [rng.choice(seen + ["unseen"]) for _ in range(600)] + ["unseen", seen[-1]]
+    table = small_table(svc=svc, x=[rng.random() for _ in svc],
+                        cls=[rng.choice("an") for _ in svc])
+    data = to_discrete_dataset(table, rules, names)
+    assert data.rows.dtype == dtype and data.rows[:, 0].max() == categories
+    assert data.variables[0].states == tuple(seen) + (UNKNOWN_STATE,)
+    reference = [[seen.index(v) if v in seen else categories,
+                  int(x >= rules.means["x"]), "an".index(c)]
+                 for v, x, c in zip(svc, table.column("x"), cells(table, "cls"))]
+    assert np.array_equal(data.rows, np.array(reference, dtype=np.int64))
+    # counts, structure and CPTs as on the same rows in int64
+    wide = DiscreteDataset(data.variables, data.rows.astype(np.int64))
+    for var, parents in [(0, ()), (0, (1, 2)), (2, (0,)), (1, (2, 0))]:
+        assert np.array_equal(count_statistics(data, var, parents),
+                              count_statistics(wide, var, parents))
+    dag = k2_search(data, (2, 1, 0), 2)
+    assert dag == k2_search(wide, (2, 1, 0), 2) and dag.parents[0]
+    for narrow_cpt, wide_cpt in zip(fit_cpts(data, dag, 1.0).cpts, fit_cpts(wide, dag, 1.0).cpts):
+        assert np.array_equal(narrow_cpt, wide_cpt)
+
+
 def test_load_kdd_encodes_each_categorical_column_once(monkeypatch):
     path = data_path("scenario", "detector_train.csv")
     table = apply_label_granularity(load_kdd(path), "category")
@@ -707,6 +789,8 @@ def test_rules_round_trip_reproduces_dataset(tmp_path):
 def test_parse_rules_rejects_garbage():
     with pytest.raises(DataError):
         parse_rules("count mean=1.0\nbroken line without equals\n")
+    with pytest.raises(DataError, match="rules line 1: cannot parse 'count mean=1_0'"):
+        parse_rules("count mean=1_0\n")
 
 
 # -- record views ----------------------------------------------------------------

@@ -46,13 +46,20 @@ def test_count_statistics_no_parents_is_histogram(px_data):
     assert count_statistics(px_data, 1, ()).tolist() == [[2, 1]]
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
-def test_count_statistics_reads_any_integer_rows(dtype):
-    # a dataset keeps its integer type; uint64 does not add to int64 codes in place
-    rows = [[0, 1, 2], [1, 0, 2], [1, 0, 2], [0, 1, 0]]
-    variables = tuple(Variable(i, f"v{i}", ("0", "1", "2")) for i in range(3))
+@pytest.mark.parametrize("dtype, top", [
+    pytest.param(np.uint8, 2, id="uint8"), pytest.param(np.int16, 2, id="int16"),
+    pytest.param(np.uint64, 2, id="uint64"), pytest.param(np.uint8, 255, id="uint8-256-states")])
+def test_count_statistics_reads_any_integer_rows(dtype, top):
+    # a dataset keeps its integer type; uint64 does not add to int64 codes in
+    # place; uint8 holds 256 states, and top is v2's last one
+    rows = [[0, 1, top], [1, 0, top], [1, 0, top], [0, 1, 0]]
+    variables = tuple(Variable(i, f"v{i}", ("0", "1", "2")) for i in range(2)) + (
+        Variable(2, "v2", tuple(map(str, range(top + 1)))),)
     data = DiscreteDataset(variables, np.array(rows, dtype=dtype))
-    assert count_statistics(data, 2, (0, 1)).tolist() == [
+    assert data.rows.dtype == dtype
+    table = count_statistics(data, 2, (0, 1))
+    assert table.shape == (9, top + 1) and not table[:, 2:top].any()
+    assert table[:, [0, 1, top]].tolist() == [
         [0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 0, 2], [0, 0, 0], [0, 0, 0],
         [0, 0, 0], [0, 0, 0], [0, 0, 0]]
     assert k2_search(data, (0, 1, 2), 2).parents == reference_k2_search(data, (0, 1, 2), 2)

@@ -45,6 +45,7 @@ def _fail(*args, **kwargs):
     ("learn-detector", "--smoothing", "inf"),
     ("learn-detector", "--smoothing", "-1"),
     ("learn-detector", "--tau", "nan"),
+    ("learn-detector", "--tau", "0_5"),  # float reads 0.5; a number is spelled as loadtxt reads it
     ("learn-detector", "--top-k", "-3"),
     ("learn-detector", "--max-parents", "-1"),
     ("learn-plan", "--smoothing", "nan"),
